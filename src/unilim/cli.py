@@ -188,10 +188,7 @@ def cmd_check(args) -> int:
     if args.homeo:
         g = SpaceMap(target, source, io.map_from_json(io.load(args.homeo)))
         v = homeo_criterion(f, g)
-        print(io.dumps({
-            "homeomorphism": v.homeomorphism,
-            "transport": v.transport_comparison.relation,
-        }))
+        print(io.dumps(v.to_json()))
         if v.homeomorphism != (v.transport_comparison.relation == "equal"):
             return EXIT_SOUNDNESS
         return EXIT_TRUE if v.homeomorphism else EXIT_FALSE
@@ -200,7 +197,7 @@ def cmd_check(args) -> int:
         print(io.dumps({"continuous": v.continuous}))
         return EXIT_TRUE if v.continuous else EXIT_FALSE
     c = continuity_criterion(f)
-    print(io.dumps({"hypothesis": c.hypothesis, "continuous": c.conclusion}))
+    print(io.dumps(c.to_json()))
     if c.theorem_violation:
         return EXIT_SOUNDNESS
     return EXIT_TRUE if c.conclusion else EXIT_FALSE
@@ -212,7 +209,7 @@ def cmd_product(args) -> int:
     prod = product_tower(a, b)
     print(io.dumps(io.tower_to_json(prod)))
     if args.check:
-        cmp = check_multiplicativity(a, b)
+        cmp = check_multiplicativity(a, b, prod)
         print(io.dumps({"comparison": cmp.relation}))
         return EXIT_TRUE if cmp.relation == "equal" else EXIT_SOUNDNESS
     return EXIT_TRUE
@@ -223,11 +220,7 @@ def cmd_group(args) -> int:
     radii = [Fraction(r) for r in args.radii.split(",")]
     if args.check:
         v = check_group_limit(g, radii)
-        print(io.dumps({
-            "ball_equals_product": v.ball_equals_product,
-            "commutation": v.commutation,
-            "square_inclusion": v.square_inclusion,
-        }))
+        print(io.dumps(v.to_json()))
         return EXIT_TRUE if v.ok else EXIT_SOUNDNESS
     from .constructions import ordered_product_ball
 
@@ -243,7 +236,7 @@ def cmd_box(args) -> int:
     tower = box_tower(factors, args.depth)
     print(io.dumps(io.tower_to_json(tower)))
     if args.check:
-        cmp = check_box_limit(factors, args.depth)
+        cmp = check_box_limit(factors, args.depth, tower)
         print(io.dumps({"comparison": cmp.relation}))
         return EXIT_TRUE if cmp.relation == "equal" else EXIT_SOUNDNESS
     return EXIT_TRUE

@@ -75,10 +75,10 @@ def product_topology(
     return TopologyFamily(n, nbhd)
 
 
-def check_multiplicativity(a: Tower, b: Tower) -> TopologyComparison:
-    """Limit topology of the product tower versus the product of the limit
-    topologies; the expected verdict is "equal"."""
-    prod = product_tower(a, b)
+def check_multiplicativity(a: Tower, b: Tower, prod: Tower) -> TopologyComparison:
+    """Limit topology of the product tower ``prod = product_tower(a, b)``
+    versus the product of the limit topologies; the expected verdict is
+    "equal"."""
     lhs = ulim_topology(prod)
     rhs = product_topology(ulim_topology(a), ulim_topology(b), product_index(a, b))
     return compare_topologies(lhs, rhs)
@@ -180,6 +180,13 @@ class GroupLimitVerdict:
     @property
     def ok(self) -> bool:
         return self.ball_equals_product and self.commutation and self.square_inclusion
+
+    def to_json(self) -> dict:
+        return {
+            "ball_equals_product": self.ball_equals_product,
+            "commutation": self.commutation,
+            "square_inclusion": self.square_inclusion,
+        }
 
 
 def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVerdict:
@@ -309,9 +316,9 @@ def box_topology(factors: Sequence[PointedSpace], depth: int) -> TopologyFamily:
     return TopologyFamily(n, nbhd)
 
 
-def check_box_limit(factors: Sequence[PointedSpace], depth: int) -> TopologyComparison:
-    """Limit topology of the box tower versus the box topology; the
-    expected verdict is "equal"."""
-    lhs = ulim_topology(box_tower(factors, depth))
+def check_box_limit(factors: Sequence[PointedSpace], depth: int, box: Tower) -> TopologyComparison:
+    """Limit topology of the box tower ``box = box_tower(factors, depth)``
+    versus the box topology; the expected verdict is "equal"."""
+    lhs = ulim_topology(box)
     rhs = box_topology(factors, depth)
     return compare_topologies(lhs, rhs)

@@ -21,8 +21,6 @@ from .errors import (
     ValidationError,
 )
 
-Rational = Fraction
-
 
 def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Largest pseudometric dominated by a symmetric nonnegative matrix.
@@ -389,15 +387,9 @@ class Entourage:
             return False
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
-    def column(self, x: int) -> int:
-        """Bitmask of first coordinates paired with x: the ball B(x; self)."""
-        mask = 0
-        for i in range(self.size):
-            if self.rows[i] >> x & 1:
-                mask |= 1 << i
-        return mask
-
     def columns(self) -> tuple[int, ...]:
+        """Per point x, the bitmask of first coordinates paired with x: the
+        ball B(x; self)."""
         try:
             return self._cols
         except AttributeError:

@@ -15,7 +15,7 @@ from typing import Sequence
 from .constructions import GroupTower, PointedSpace
 from .core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower, shortest_path_closure
 from .errors import ProfileTooLarge
-from .limitmetric import adequate_sequence, extend_pseudometric
+from .limitmetric import adequate_sequence, sum_of_extensions
 from .regularity import SpaceMap
 
 MAX_TOP_SIZE = 12
@@ -93,19 +93,7 @@ def random_monotone_sequence(
         tower.metric(k).scale(Fraction(rng.choice(DEFAULT_POOL)))
         for k in range(tower.num_levels)
     ]
-    metrics = []
-    carried: list[Pseudometric] = []
-    for n in range(tower.num_levels):
-        carried = [extend_pseudometric(tower, r, n) for r in carried]
-        carried.append(pieces[n])
-        m = tower.level_sizes[n]
-        total = [[Fraction(0)] * m for _ in range(m)]
-        for r in carried:
-            for i in range(m):
-                for j in range(m):
-                    total[i][j] += r.dist[i][j]
-        metrics.append(Pseudometric(total))
-    return MonotonePseudometricSequence(tower, metrics)
+    return sum_of_extensions(tower, pieces)
 
 
 def random_space_map(rng: random.Random, source: Tower, target: Tower) -> SpaceMap:

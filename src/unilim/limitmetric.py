@@ -77,20 +77,36 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> LimitPseudometric:
 
 
 def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
-    """A minimum-weight simple chain from x to y, preferring the
-    lexicographically smallest point sequence among optima."""
-    t = seq.tower
-    n = t.ground_size
+    """A minimum-weight simple chain from x to y: the lexicographically
+    smallest one made of optimal steps, a to z with w(a, z) + d(z, y) =
+    d(a, y).  Zero-weight links can close cycles of optimal steps, so each
+    step takes the smallest unvisited z from which y is still reachable by
+    optimal steps through unvisited points; every step adds a point, so the
+    walk ends."""
+    n = seq.tower.ground_size
     w = _link_weights(seq)
     dist = shortest_path_closure(w)
+    steps = [
+        [z for z in range(n) if z != a and w[a][z] + dist[z][y] == dist[a][y]] for a in range(n)
+    ]
+
+    def reaches_y(z: int, seen: set[int]) -> bool:
+        frontier = [z]
+        while frontier:
+            a = frontier.pop()
+            if a == y:
+                return True
+            fresh = [b for b in steps[a] if b not in seen]
+            seen.update(fresh)
+            frontier += fresh
+        return False
+
     points = [x]
-    cur = x
-    while cur != y:
-        # greedy step: smallest next point lying on some optimal chain
-        for z in range(n):
-            if z != cur and w[cur][z] + dist[z][y] == dist[cur][y]:
+    while points[-1] != y:
+        on_chain = set(points)
+        for z in steps[points[-1]]:
+            if z not in on_chain and reaches_y(z, on_chain | {z}):
                 points.append(z)
-                cur = z
                 break
         else:
             raise AssertionError("no optimal step; shortest paths inconsistent")
@@ -206,6 +222,25 @@ def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseud
     return cur
 
 
+def sum_of_extensions(tower: Tower, pieces: Sequence[Pseudometric]) -> MonotonePseudometricSequence:
+    """The monotone sequence whose n-th metric is the sum over k <= n of
+    the k-th piece (a uniform pseudometric on level k) extended level by
+    level up to level n."""
+    metrics = []
+    carried: list[Pseudometric] = []
+    for n in range(tower.num_levels):
+        carried = [extend_pseudometric(tower, r, n) for r in carried]
+        carried.append(pieces[n])
+        m = tower.level_sizes[n]
+        total = [[Fraction(0)] * m for _ in range(m)]
+        for r in carried:
+            for i in range(m):
+                for j in range(m):
+                    total[i][j] += r.dist[i][j]
+        metrics.append(Pseudometric(total))
+    return MonotonePseudometricSequence(tower, metrics)
+
+
 def _extend_one(tower: Tower, rho: Pseudometric, n: int) -> Pseudometric:
     m_low = rho.size
     d = tower.metric(n)
@@ -289,20 +324,9 @@ def adequate_sequence(tower: Tower, targets) -> MonotonePseudometricSequence:
         if not tower.zero_relation(n).issubset(e):
             raise NotAnEntourage(n)
 
-    rhos = [_target_indicator(tower, k, entries[k]) for k in range(tower.num_levels)]
-    metrics = []
-    extended = []  # extended[k] = rho_k carried up to the current level
-    for n in range(tower.num_levels):
-        extended = [extend_pseudometric(tower, r, n) for r in extended]
-        extended.append(rhos[n])
-        m = tower.level_sizes[n]
-        total = [[Fraction(0)] * m for _ in range(m)]
-        for r in extended:
-            for i in range(m):
-                for j in range(m):
-                    total[i][j] += r.dist[i][j]
-        metrics.append(Pseudometric(total))
-    return MonotonePseudometricSequence(tower, metrics)
+    return sum_of_extensions(
+        tower, [_target_indicator(tower, k, entries[k]) for k in range(tower.num_levels)]
+    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 direct limit, the homeomorphism criterion, and direct continuity checking
 against the limit topology.
 
-Every verdict carries a certificate: a witness table for true verdicts, a
-concrete counterexample for false ones.
+False verdicts carry a concrete counterexample as their certificate.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ class SpaceMap:
 class RegularityVerdict:
     regular: bool
     level: int
-    # witness table: for each (target grid index, source grid index) the
-    # entourage W that satisfies the condition, when regular
-    witness_table: tuple[tuple[int, int, Entourage], ...] = ()
     failing_u: Optional[Entourage] = None
     failing_v: Optional[Entourage] = None
     failing_point: Optional[int] = None
@@ -52,13 +48,6 @@ class RegularityVerdict:
     # point carries a zero-pair into it); non-closed instances are flagged,
     # not rejected
     subset_closed: bool = True
-
-
-def _target_grid(target: Tower) -> list[Entourage]:
-    """Base of the target's uniformity.  At finite scale the direct-limit
-    uniformity of a tower coincides with that of its top metric (the top
-    zero-relation is the minimal entourage), so the top grid is a base."""
-    return target.grid_entourages(target.top_level)
 
 
 def _condition_holds(
@@ -82,31 +71,26 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     """Regularity of f restricted to the given level, at the subset one
     level below, quantified over grid entourages.
 
-    The condition is antitone in W, so testing the smallest grid
-    entourage, the zero-relation, is complete: if it fails there, no W
-    works.
+    The condition is antitone in W and monotone in U and V, and each
+    quantifier's smallest grid entourage is a zero-relation: the source
+    level's for V and W, the target's top level's for U (at finite scale
+    the target's limit uniformity is that of its top metric).  One check
+    at those three is therefore complete, and its defeating point is the
+    first one any (U, V) grid pair would give.
     """
     t = f.source
     if not 1 <= level <= t.top_level:
         raise LevelOutOfRange(f"regularity needs a level in 1..{t.top_level}")
-    w0 = t.zero_relation(level)
+    u0 = f.target.zero_relation(f.target.top_level)
+    z = t.zero_relation(level)
     below = range(t.level_sizes[level - 1])
-    closed = ball_set(below, w0) <= frozenset(below)
-    table = []
-    for iu, u in enumerate(_target_grid(f.target)):
-        for iv, v in enumerate(t.grid_entourages(level)):
-            bad = _condition_holds(f, level, u, v, w0)
-            if bad is not None:
-                return RegularityVerdict(
-                    False,
-                    level,
-                    failing_u=u,
-                    failing_v=v,
-                    failing_point=bad,
-                    subset_closed=closed,
-                )
-            table.append((iu, iv, w0))
-    return RegularityVerdict(True, level, tuple(table), subset_closed=closed)
+    closed = ball_set(below, z) <= frozenset(below)
+    bad = _condition_holds(f, level, u0, z, z)
+    if bad is None:
+        return RegularityVerdict(True, level, subset_closed=closed)
+    return RegularityVerdict(
+        False, level, failing_u=u0, failing_v=z, failing_point=bad, subset_closed=closed
+    )
 
 
 @dataclass(frozen=True)
@@ -144,6 +128,9 @@ class CriterionVerdict:
     continuity: Optional[ContinuityVerdict] = None
     theorem_violation: bool = False  # hypothesis true but map discontinuous
 
+    def to_json(self) -> dict:
+        return {"hypothesis": self.hypothesis, "continuous": self.conclusion}
+
 
 def _restriction_continuous(f: SpaceMap, n: int) -> Optional[tuple[int, int]]:
     """Finite form of continuity of f on level n: zero-pairs map to
@@ -166,23 +153,22 @@ def continuity_criterion(f: SpaceMap) -> CriterionVerdict:
     for n in range(t.num_levels):
         bad = _restriction_continuous(f, n)
         if bad is not None:
+            cont = is_continuous(f)
             return CriterionVerdict(
                 False,
-                is_continuous(f).continuous,
+                cont.continuous,
                 discontinuous_level=n,
                 zero_pair=bad,
-                continuity=is_continuous(f),
+                continuity=cont,
             )
     regs = []
     for n in range(1, t.num_levels):
         r = is_regular_at(f, n)
         regs.append(r)
         if not r.regular:
+            cont = is_continuous(f)
             return CriterionVerdict(
-                False,
-                is_continuous(f).continuous,
-                regularity=tuple(regs),
-                continuity=is_continuous(f),
+                False, cont.continuous, regularity=tuple(regs), continuity=cont
             )
     cont = is_continuous(f)
     return CriterionVerdict(
@@ -200,6 +186,12 @@ class HomeoVerdict:
     forward: CriterionVerdict
     backward: CriterionVerdict
     transport_comparison: TopologyComparison
+
+    def to_json(self) -> dict:
+        return {
+            "homeomorphism": self.homeomorphism,
+            "transport": self.transport_comparison.relation,
+        }
 
 
 def homeo_criterion(h: SpaceMap, h_inv: SpaceMap) -> HomeoVerdict:

@@ -145,7 +145,7 @@ def ball(x: int, u: Entourage) -> frozenset[int]:
     """B(x; U) = {y : (y, x) in U}."""
     if not 0 <= x < u.size:
         raise IndexOutOfRange(f"element {x} outside level of size {u.size}")
-    mask = u.column(x)
+    mask = u.columns()[x]
     return frozenset(i for i in range(u.size) if mask >> i & 1)
 
 

@@ -11,18 +11,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import Any, Iterable, Sequence
 
 from . import fixtures
-from .constructions import check_box_limit, check_group_limit, check_multiplicativity
+from .constructions import (
+    box_tower, check_box_limit, check_group_limit, check_multiplicativity, product_tower,
+)
 from .core import MonotonePseudometricSequence, Tower
 from .errors import UnknownTheoremId
 from .generate import Instance, Profile, generate_instance
 from .io import rational_to_json
 from .limitmetric import adequate_sequence, limit_pseudometric, valley_distance, verify_generation
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion
-from .topology import compare_topologies, grid_ball_masks, minimal_grid_ball, tlim_topology, ulim_topology
+from .topology import TopologyFamily, compare_topologies, grid_ball_masks, tlim_topology, ulim_topology
 
 THEOREM_IDS = (
     "T1",
@@ -42,24 +43,26 @@ THEOREM_IDS = (
 def exhaustive_limit_distance(
     seq: MonotonePseudometricSequence, x: int, y: int
 ) -> Fraction:
-    """Brute-force oracle: minimum chain weight over all simple chains."""
+    """Brute-force oracle: minimum chain weight over all simple chains,
+    enumerated depth first, with heights and link weights built here
+    rather than taken from the library's limit path."""
     t = seq.tower
     n = t.ground_size
-    others = [z for z in range(n) if z != x and z != y]
+    heights: list[int] = []
+    for level, m in enumerate(t.level_sizes):
+        heights.extend([level] * (m - len(heights)))
+    w = [[seq[max(heights[a], heights[b])].dist[a][b] for b in range(n)] for a in range(n)]
+    best = Fraction(0) if x == y else w[x][y]
 
-    def w(a: int, b: int) -> Fraction:
-        return seq[t.pair_height(a, b)].dist[a][b]
+    def extend(last: int, prefix: Fraction, rest: list[int]) -> None:
+        nonlocal best
+        for z in rest:
+            head = prefix + w[last][z]
+            if head + w[z][y] < best:
+                best = head + w[z][y]
+            extend(z, head, [r for r in rest if r != z])
 
-    if x == y:
-        best = Fraction(0)
-    else:
-        best = w(x, y)
-    for k in range(1, len(others) + 1):
-        for mids in permutations(others, k):
-            pts = (x, *mids, y)
-            total = sum((w(a, b) for a, b in zip(pts, pts[1:])), Fraction(0))
-            if total < best:
-                best = total
+    extend(x, Fraction(0), [z for z in range(n) if z != x and z != y])
     return best
 
 
@@ -135,32 +138,43 @@ def _check_generation(inst: Instance) -> tuple[bool, Any]:
 
 
 def _check_base(tower: Tower) -> tuple[bool, Any]:
+    """The grid base balls (the oracle) generate the closed-form topology;
+    each is open and contains the minimal neighborhood of its center."""
+    n = tower.ground_size
+    balls = [grid_ball_masks(tower, x) for x in range(n)]
+    enumerated = TopologyFamily.from_subbase(n, set().union(*balls))
     top = ulim_topology(tower)
-    for x in range(tower.ground_size):
-        balls = grid_ball_masks(tower, x)
-        minimal = 0
-        for i in minimal_grid_ball(tower, x):
-            minimal |= 1 << i
-        if top.min_nbhd[x] != minimal:
+    for x in range(n):
+        minimal = top.min_nbhd[x]
+        if enumerated.min_nbhd[x] != minimal:
             return False, {"point": x, "reason": "smallest ball is not the minimal neighborhood"}
-        for b in balls:
+        for b in balls[x]:
             if not top.is_open_mask(b):
                 return False, {"point": x, "reason": "non-open base ball"}
             if minimal & ~b:
                 return False, {"point": x, "reason": "ball misses the minimal neighborhood"}
-    return True, {"points_checked": tower.ground_size}
+    return True, {"points_checked": n}
+
+
+def _with_oracle(tower: Tower, ok: bool, cert: dict) -> tuple[bool, Any]:
+    """Require the topology generated by every grid base ball of a derived
+    tower to equal its closed-form limit topology."""
+    n = tower.ground_size
+    balls = set().union(*(grid_ball_masks(tower, x) for x in range(n)))
+    if TopologyFamily.from_subbase(n, balls) != ulim_topology(tower):
+        return False, {**cert, "oracle": "grid base balls disagree with the closed form"}
+    return ok, cert
 
 
 def _check_product(a: Tower, b: Tower) -> tuple[bool, Any]:
-    cmp = check_multiplicativity(a, b)
-    ok = cmp.relation == "equal"
-    return ok, {"relation": cmp.relation}
+    prod = product_tower(a, b)
+    cmp = check_multiplicativity(a, b, prod)
+    return _with_oracle(prod, cmp.relation == "equal", {"relation": cmp.relation})
 
 
 def _check_criterion(f: SpaceMap) -> tuple[bool, Any]:
     v = continuity_criterion(f)
-    cert = {"hypothesis": v.hypothesis, "continuous": v.conclusion}
-    return not v.theorem_violation, cert
+    return not v.theorem_violation, v.to_json()
 
 
 def _check_homeo(tower: Tower) -> tuple[bool, Any]:
@@ -170,27 +184,20 @@ def _check_homeo(tower: Tower) -> tuple[bool, Any]:
     idx = tuple(range(tower.ground_size))
     v = homeo_criterion(SpaceMap(tower, scaled, idx), SpaceMap(scaled, tower, idx))
     ok = v.homeomorphism and v.transport_comparison.relation == "equal"
-    return ok, {
-        "homeomorphism": v.homeomorphism,
-        "transport": v.transport_comparison.relation,
-    }
+    return ok, v.to_json()
 
 
 def _check_group(inst: Instance) -> tuple[bool, Any]:
     g = inst.group
     radii = [Fraction(1, 2**n) for n in range(g.tower.num_levels)]
     v = check_group_limit(g, radii)
-    return v.ok, {
-        "ball_equals_product": v.ball_equals_product,
-        "commutation": v.commutation,
-        "square_inclusion": v.square_inclusion,
-    }
+    return v.ok, v.to_json()
 
 
-def _check_box(inst: Instance) -> tuple[bool, Any]:
-    depth = min(3, len(inst.factors))
-    cmp = check_box_limit(inst.factors, depth)
-    return cmp.relation == "equal", {"relation": cmp.relation, "depth": depth}
+def _check_box(factors, depth: int) -> tuple[bool, Any]:
+    box = box_tower(factors, depth)
+    cmp = check_box_limit(factors, depth, box)
+    return _with_oracle(box, cmp.relation == "equal", {"relation": cmp.relation})
 
 
 def _check_coincidence(tower: Tower) -> tuple[bool, Any]:
@@ -219,7 +226,9 @@ def run_theorem(theorem_id: str, inst: Instance) -> VerifyReport:
     elif theorem_id == "P-group":
         verdict, cert = _check_group(inst)
     elif theorem_id == "P-box":
-        verdict, cert = _check_box(inst)
+        depth = min(3, len(inst.factors))
+        verdict, cert = _check_box(inst.factors, depth)
+        cert = {**cert, "depth": depth}
     elif theorem_id == "P-lc":
         verdict, cert = _check_coincidence(inst.tower)
     else:
@@ -255,40 +264,24 @@ def fixture_reports(theorem_id: str) -> list[VerifyReport]:
         add("three-point-square", ok, cert)
     elif theorem_id == "T5":
         v = continuity_criterion(fixtures.glued_map())
-        add(
-            "glued-pair",
-            not v.hypothesis and not v.conclusion,
-            {"hypothesis": v.hypothesis, "continuous": v.conclusion},
-        )
+        add("glued-pair", not v.hypothesis and not v.conclusion, v.to_json())
         w = continuity_criterion(fixtures.identity_map())
-        add(
-            "identity",
-            w.hypothesis and w.conclusion,
-            {"hypothesis": w.hypothesis, "continuous": w.conclusion},
-        )
+        add("identity", w.hypothesis and w.conclusion, w.to_json())
     elif theorem_id == "C6":
         h, h_inv = fixtures.rescaled_homeo()
         v = homeo_criterion(h, h_inv)
         add(
             "rescaled-identity",
             v.homeomorphism and v.transport_comparison.relation == "equal",
-            {"homeomorphism": v.homeomorphism, "transport": v.transport_comparison.relation},
+            v.to_json(),
         )
     elif theorem_id == "P-group":
         g = fixtures.binary_group_tower()
         v = check_group_limit(g, [Fraction(1, 2**n) for n in range(3)])
-        add(
-            "binary-cube",
-            v.ok,
-            {
-                "ball_equals_product": v.ball_equals_product,
-                "commutation": v.commutation,
-                "square_inclusion": v.square_inclusion,
-            },
-        )
+        add("binary-cube", v.ok, v.to_json())
     elif theorem_id == "P-box":
-        cmp = check_box_limit(fixtures.halving_factors(), 3)
-        add("halving", cmp.relation == "equal", {"relation": cmp.relation})
+        ok, cert = _check_box(fixtures.halving_factors(), 3)
+        add("halving", ok, cert)
     elif theorem_id == "P-lc":
         ok, cert = _check_coincidence(fixtures.three_point_tower())
         add("three-point", ok, cert)

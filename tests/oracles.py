@@ -4,8 +4,7 @@ Everything here is written in the most naive way possible: triple loops
 over pairs, exhaustive set enumeration, no bit tricks.
 """
 
-from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 
 from unilim.core import Entourage
 
@@ -40,25 +39,6 @@ def brute_sigma(entourages, size):
         if nxt == acc:
             return acc
         acc = nxt
-
-
-def brute_chain_min(seq, x, y):
-    """Minimum chain weight over every simple chain from x to y."""
-    t = seq.tower
-    n = t.ground_size
-    others = [z for z in range(n) if z not in (x, y)]
-
-    def weight(pts):
-        total = Fraction(0)
-        for a, b in zip(pts, pts[1:]):
-            total += seq[t.pair_height(a, b)].dist[a][b]
-        return total
-
-    best = Fraction(0) if x == y else weight((x, y))
-    for k in range(1, len(others) + 1):
-        for mids in permutations(others, k):
-            best = min(best, weight((x, *mids, y)))
-    return best
 
 
 def powerset(items):

@@ -8,7 +8,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from unilim import cli
-from unilim.constructions import check_box_limit, check_group_limit, check_multiplicativity
+from unilim.constructions import (
+    box_tower,
+    check_box_limit,
+    check_group_limit,
+    check_multiplicativity,
+    product_tower,
+)
 from unilim.fixtures import binary_group_tower, glued_map, halving_factors, three_point_sequence
 from unilim.generate import (
     Profile,
@@ -152,7 +158,7 @@ def test_product_multiplicativity_sweep():
         rng = random.Random(seed)
         a = random_tower(rng, Profile(levels=3, max_size=9))
         b = random_tower(rng, Profile(levels=3, max_size=9))
-        ok = ok and check_multiplicativity(a, b).relation == "equal"
+        ok = ok and check_multiplicativity(a, b, product_tower(a, b)).relation == "equal"
         if not ok:
             break
     _report("product topology == topology of the product tower (50 pairs, top <= 81)", ok)
@@ -184,11 +190,12 @@ def test_group_limit_checks():
 
 
 def test_box_product_limits():
-    ok = check_box_limit(halving_factors(), 3).relation == "equal"
+    hf = halving_factors()
+    ok = check_box_limit(hf, 3, box_tower(hf, 3)).relation == "equal"
     for seed in range(20):
         rng = random.Random(seed)
         fs = random_factors(rng, 3)
-        ok = ok and check_box_limit(fs, 3).relation == "equal"
+        ok = ok and check_box_limit(fs, 3, box_tower(fs, 3)).relation == "equal"
         if not ok:
             break
     _report("truncated box product topology matches the box topology (fixture + 20)", ok)

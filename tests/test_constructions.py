@@ -72,13 +72,13 @@ def test_product_level_count_mismatch(tower):
 
 
 def test_multiplicativity_fixture(tower):
-    assert check_multiplicativity(tower, tower).relation == "equal"
+    assert check_multiplicativity(tower, tower, product_tower(tower, tower)).relation == "equal"
 
 
 def test_multiplicativity_indiscrete():
     a = flat_tower([1, 2], value=0)
     b = flat_tower([1, 3], value=0)
-    assert check_multiplicativity(a, b).relation == "equal"
+    assert check_multiplicativity(a, b, product_tower(a, b)).relation == "equal"
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,7 +87,7 @@ def test_multiplicativity_randomized(seed):
     rng = random.Random(seed)
     a = random_tower(rng, Profile(levels=3, max_size=4))
     b = random_tower(rng, Profile(levels=3, max_size=4))
-    assert check_multiplicativity(a, b).relation == "equal"
+    assert check_multiplicativity(a, b, product_tower(a, b)).relation == "equal"
 
 
 # -- group towers -------------------------------------------------------------
@@ -197,12 +197,12 @@ def test_box_depth_validation(factors):
 
 
 def test_box_limit_fixture(factors):
-    assert check_box_limit(factors, 3).relation == "equal"
+    assert check_box_limit(factors, 3, box_tower(factors, 3)).relation == "equal"
 
 
 def test_box_limit_indiscrete():
     fs = [PointedSpace(Pseudometric.zero(2)) for _ in range(2)]
-    assert check_box_limit(fs, 2).relation == "equal"
+    assert check_box_limit(fs, 2, box_tower(fs, 2)).relation == "equal"
 
 
 def test_pointed_space_validation():
@@ -215,4 +215,4 @@ def test_pointed_space_validation():
 def test_box_limit_randomized(seed):
     rng = random.Random(seed)
     fs = random_factors(rng, 3)
-    assert check_box_limit(fs, 3).relation == "equal"
+    assert check_box_limit(fs, 3, box_tower(fs, 3)).relation == "equal"

@@ -12,19 +12,15 @@ from unilim.generate import (
     Profile,
     generate_instance,
     random_generation_instance,
-    random_monotone_sequence,
     random_tower,
 )
 from unilim.verify import (
     THEOREM_IDS,
     VerifyReport,
-    exhaustive_limit_distance,
     fixture_reports,
     run_theorem,
     verify_suite,
 )
-
-from .oracles import brute_chain_min
 
 
 def test_profile_gates():
@@ -79,18 +75,6 @@ def test_generation_ladder_shrinks_geometrically(seed):
     for n in range(len(g.ladder) - 1):
         assert g.ladder[n + 1].issubset(g.ladder[n])
     assert g.ladder[0].issubset(g.u)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_exhaustive_oracle_matches_permutation_bruteforce(seed):
-    rng = random.Random(seed)
-    t = random_tower(rng, Profile(levels=2, max_size=5))
-    seq = random_monotone_sequence(rng, t)
-    n = t.ground_size
-    for x in range(n):
-        for y in range(n):
-            assert exhaustive_limit_distance(seq, x, y) == brute_chain_min(seq, x, y)
 
 
 def test_run_theorem_all_ids_pass_on_one_seed():

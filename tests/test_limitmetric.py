@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from unilim.core import Entourage, Pseudometric, Tower
 from unilim.errors import NotAnEntourage, NotUniform, PreconditionFailed
-from unilim.generate import Profile, random_monotone_sequence, random_tower
+from unilim.generate import Profile, generate_instance, random_monotone_sequence, random_tower
 from unilim.limitmetric import (
     Chain,
     adequate_sequence,
@@ -20,9 +21,9 @@ from unilim.limitmetric import (
     witness_chain,
 )
 from unilim.relations import multiple
+from unilim.verify import exhaustive_limit_distance
 
 from .conftest import flat_tower, frac_matrix
-from .oracles import brute_chain_min
 
 
 def test_chain_weight_frozen(mono_seq):
@@ -61,6 +62,25 @@ def test_witness_chain_is_optimal(mono_seq):
     ch = witness_chain(mono_seq, 0, 2)
     assert chain_weight(mono_seq, ch) == 2
     assert ch.points[0] == 0 and ch.points[-1] == 2
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("witness_chain did not terminate")
+
+
+def test_witness_chain_terminates_across_zero_weight_links():
+    """Zero-weight links close cycles of optimal steps; the chain must
+    still end at y, visit no point twice and weigh d(x, y)."""
+    seq = generate_instance(2).seq
+    signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        ch = witness_chain(seq, 1, 5)
+    finally:
+        signal.alarm(0)
+    assert ch.points[0] == 1 and ch.points[-1] == 5
+    assert len(set(ch.points)) == len(ch.points)
+    assert chain_weight(seq, ch) == limit_pseudometric(seq)(1, 5)
 
 
 def test_valley_distance_frozen(mono_seq):
@@ -201,7 +221,7 @@ def test_limit_matches_bruteforce(seed):
     lim = limit_pseudometric(seq)
     for x in range(t.ground_size):
         for y in range(t.ground_size):
-            assert lim(x, y) == brute_chain_min(seq, x, y)
+            assert lim(x, y) == exhaustive_limit_distance(seq, x, y)
 
 
 @settings(max_examples=40, deadline=None)

@@ -72,12 +72,13 @@ def test_witness_chain_terminates_across_zero_weight_links():
     """Zero-weight links close cycles of optimal steps; the chain must
     still end at y, visit no point twice and weigh d(x, y)."""
     seq = generate_instance(2).seq
-    signal.signal(signal.SIGALRM, _timeout)
+    previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(10)
     try:
         ch = witness_chain(seq, 1, 5)
     finally:
         signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert ch.points[0] == 1 and ch.points[-1] == 5
     assert len(set(ch.points)) == len(ch.points)
     assert chain_weight(seq, ch) == limit_pseudometric(seq)(1, 5)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import io
 from .constructions import check_box_limit, check_group_limit, check_multiplicativity, product_tower
 from .core import Entourage, MonotonePseudometricSequence, Tower
-from .errors import UnilimError
+from .errors import UnilimError, ValidationError
 from .generate import Profile, generate_instance
 from .limitmetric import limit_pseudometric, valley_witness_chain
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
@@ -36,10 +36,7 @@ def _load_tower(path: str) -> tuple[Tower, dict[str, Entourage]]:
 
 
 def _load_sequence(tower: Tower, path: str) -> MonotonePseudometricSequence:
-    doc = io.load(path)
-    rows = doc["metrics"] if isinstance(doc, dict) else doc
-    metrics = [io.metric_from_json(r) for r in rows]
-    return MonotonePseudometricSequence(tower, metrics)
+    return MonotonePseudometricSequence(tower, io.sequence_metrics_from_json(io.load(path)))
 
 
 def _print_entourage(tower: Tower, e: Entourage) -> None:
@@ -261,9 +258,14 @@ def cmd_gen(args) -> int:
 
 
 def _parse_seeds(spec: str) -> list[int]:
+    """A half-open range "lo..hi" or a comma list; an empty range would
+    make a run that checks no seeded instance, so it is refused."""
     if ".." in spec:
         lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi)))
+        seeds = list(range(int(lo), int(hi)))
+        if not seeds:
+            raise ValidationError(f"seed range {spec!r} is empty")
+        return seeds
     return [int(s) for s in spec.split(",")]
 
 

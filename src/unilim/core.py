@@ -1,14 +1,18 @@
 """Data model: finite towers of rational pseudometric spaces.
 
 A tower is a strictly increasing chain of prefixes of one finite ground
-set, with one exact-rational pseudometric per level.  All distances are
-``fractions.Fraction``; no floating point is used anywhere.
+set, with one exact-rational pseudometric per level.  Distances enter and
+leave as ``fractions.Fraction``; inside, each table is also held as Python
+ints over one common denominator, on which the kernels compute.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,37 +26,52 @@ from .errors import (
 )
 
 
+def _over_common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The lcm ``den`` of the entries' denominators and the entries as int
+    numerators over it: ``rows[i][j] == Fraction(numer[i][j], den)``."""
+    den = math.lcm(*{v.denominator for row in rows for v in row})
+    return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+
+
 def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Largest pseudometric dominated by a symmetric nonnegative matrix.
 
-    Floyd-Warshall over exact rationals; the input must have a zero
-    diagonal and be symmetric.
+    Floyd-Warshall on the int numerators over the entries' common
+    denominator, which is exact; the input must have a zero diagonal and be
+    symmetric.
     """
-    n = len(matrix)
-    d = [list(row) for row in matrix]
+    den, d = _over_common_denominator(matrix)
+    n = len(d)
     for k in range(n):
         dk = d[k]
         for i in range(n):
-            dik = d[i][k]
             di = d[i]
-            for j in range(n):
-                via = dik + dk[j]
-                if via < di[j]:
-                    di[j] = via
-    return d
+            # the new row is built in full before it is written back, so
+            # row k relaxes against its old values, as an entry-by-entry
+            # update would
+            di[:] = map(min, di, map(di[k].__add__, dk))
+    as_fraction = {v: Fraction(v, den) for v in {v for row in d for v in row}}
+    return [[as_fraction[v] for v in row] for row in d]
 
 
 class Pseudometric:
     """A symmetric square table of nonnegative rationals with zero diagonal
-    satisfying the triangle inequality."""
+    satisfying the triangle inequality.
 
-    __slots__ = ("size", "dist")
+    ``dist`` holds the values as ``Fraction``s.  ``numer`` holds the same
+    values as ints over the common denominator ``den``, the lcm of their
+    denominators: ``dist[i][j] == Fraction(numer[i][j], den)``.
+    """
+
+    __slots__ = ("size", "dist", "den", "numer")
 
     def __init__(self, dist: Sequence[Sequence[Fraction]]):
         self.dist: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(v) for v in row) for row in dist
+            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in dist
         )
         self.size = len(self.dist)
+        self.den, numer = _over_common_denominator(self.dist)
+        self.numer: tuple[tuple[int, ...], ...] = tuple(map(tuple, numer))
 
     @classmethod
     def from_lower_triangular(cls, rows: Sequence[Sequence]) -> "Pseudometric":
@@ -63,7 +82,7 @@ class Pseudometric:
             if len(row) != i:
                 raise ValidationError(f"lower-triangular row {i} has length {len(row)}")
             for j, v in enumerate(row):
-                dist[i][j] = dist[j][i] = Fraction(v)
+                dist[i][j] = dist[j][i] = v
         return cls(dist)
 
     @classmethod
@@ -73,23 +92,26 @@ class Pseudometric:
     def validate(self, level: int = 0, labels: Sequence[str] | None = None) -> None:
         n = self.size
         name = (lambda i: labels[i]) if labels else str
+        d = self.numer
         for i in range(n):
-            if len(self.dist[i]) != n:
+            if len(d[i]) != n:
                 raise ValidationError(f"distance table row {i} is not square")
-            if self.dist[i][i] != 0:
+            if d[i][i] != 0:
                 raise ValidationError(f"nonzero diagonal at {name(i)}")
         for i in range(n):
             for j in range(i):
-                if self.dist[i][j] != self.dist[j][i]:
+                if d[i][j] != d[j][i]:
                     raise ValidationError(f"asymmetric pair ({name(i)},{name(j)})")
-                if self.dist[i][j] < 0:
+                if d[i][j] < 0:
                     raise ValidationError(f"negative distance ({name(i)},{name(j)})")
-        for i in range(n):
-            for j in range(n):
-                dij = self.dist[i][j]
-                for k in range(n):
-                    if self.dist[i][k] > dij + self.dist[j][k]:
-                        raise TriangleViolation(level, name(i), name(j), name(k))
+        # d(i,k) <= d(i,j) + d(j,k) for every k iff max_k d(i,k) - d(j,k)
+        # <= d(i,j); the first failing (i, j) is then scanned for its k
+        for i, di in enumerate(d):
+            for j, dij in enumerate(di):
+                dj = d[j]
+                if max(map(sub, di, dj)) > dij:
+                    k = next(k for k in range(n) if di[k] > dij + dj[k])
+                    raise TriangleViolation(level, name(i), name(j), name(k))
 
     def __call__(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -102,26 +124,22 @@ class Pseudometric:
         return Pseudometric([[c * v for v in row] for row in self.dist])
 
     def positive_values(self) -> list[Fraction]:
-        return sorted({v for row in self.dist for v in row if v > 0})
+        den = self.den
+        return [Fraction(v, den) for v in sorted({v for row in self.numer for v in row if v > 0})]
 
     def max_value(self) -> Fraction:
-        return max(v for row in self.dist for v in row)
+        return Fraction(max(v for row in self.numer for v in row), self.den)
 
     def zero_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
-            (i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-            if self.dist[i][j] == 0
+            (i, j) for i, row in enumerate(self.numer) for j, v in enumerate(row) if v == 0
         )
 
     def sublevel_pairs(self, eps: Fraction) -> frozenset[tuple[int, int]]:
         """The strict sublevel relation {d < eps}."""
+        q, bound = eps.denominator, eps.numerator * self.den
         return frozenset(
-            (i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-            if self.dist[i][j] < eps
+            (i, j) for i, row in enumerate(self.numer) for j, v in enumerate(row) if v * q < bound
         )
 
     def __eq__(self, other) -> bool:
@@ -140,6 +158,8 @@ class Tower:
     Element i belongs to level n iff ``i < level_sizes[n]``.  Consecutive
     levels must agree on zero-pairs (the finite-scale uniform-subspace
     condition); in strict mode the higher metric must restrict exactly.
+    A tower is not modified after construction, so the heights, and each
+    level's zero-relation and grid entourages once asked for, are kept.
     """
 
     def __init__(
@@ -154,6 +174,12 @@ class Tower:
         self.level_metrics = tuple(level_metrics)
         self.strict = strict
         self.validate()
+        heights: list[int] = []
+        for n, m in enumerate(self.level_sizes):
+            heights += [n] * (m - len(heights))
+        self._heights = tuple(heights)
+        self._zero_relations: list[Entourage | None] = [None] * self.num_levels
+        self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
 
     # -- structure ---------------------------------------------------------
 
@@ -206,7 +232,7 @@ class Tower:
             m = self.level_sizes[n]
             for i in range(m):
                 for j in range(m):
-                    if (lo.dist[i][j] == 0) != (hi.dist[i][j] == 0):
+                    if (lo.numer[i][j] == 0) != (hi.numer[i][j] == 0):
                         raise SubspaceViolation(n, self.labels[i], self.labels[j])
                     if self.strict and lo.dist[i][j] != hi.dist[i][j]:
                         raise SubspaceViolation(n, self.labels[i], self.labels[j])
@@ -217,10 +243,7 @@ class Tower:
         """First level index at which element x appears."""
         if not 0 <= x < self.ground_size:
             raise IndexOutOfRange(f"element index {x}")
-        for n, m in enumerate(self.level_sizes):
-            if x < m:
-                return n
-        raise AssertionError("unreachable")
+        return self._heights[x]
 
     def pair_height(self, x: int, y: int) -> int:
         return max(self.height(x), self.height(y))
@@ -236,19 +259,39 @@ class Tower:
     def zero_relation(self, level: int) -> "Entourage":
         """Smallest entourage of the level's uniformity: {d = 0}."""
         d = self.metric(level)
-        return Entourage(level, d.size, d.zero_pairs())
+        z = self._zero_relations[level]
+        if z is None:
+            z = self._zero_relations[level] = Entourage(level, d.size, d.zero_pairs())
+        return z
 
     def grid_scale(self, level: int) -> "GridScale":
         return GridScale.for_metric(level, self.metric(level))
 
-    def grid_entourages(self, level: int) -> list["Entourage"]:
+    def grid_entourages(self, level: int) -> tuple["Entourage", ...]:
         """Sublevel entourages {d < eps} over the level's grid; a finite
-        base of the level's uniformity, smallest first."""
+        base of the level's uniformity, smallest first.
+
+        Built in one pass over the table: each pair goes into the layer of
+        its value's rank among the level's distinct values, and the sublevel
+        below the (r+1)-th threshold is the OR of layers 0..r (the rank-0
+        value is 0, so layer 0 is the zero-relation and the last OR is the
+        full square, the sublevel below the top threshold).
+        """
         d = self.metric(level)
-        return [
-            Entourage(level, d.size, d.sublevel_pairs(eps))
-            for eps in self.grid_scale(level).thresholds
-        ]
+        grids = self._grids[level]
+        if grids is None:
+            rank = {v: r for r, v in enumerate(sorted({v for row in d.numer for v in row}))}
+            layers = [[0] * d.size for _ in rank]
+            for i, row in enumerate(d.numer):
+                for j, v in enumerate(row):
+                    layers[rank[v]][i] |= 1 << j
+            acc = [0] * d.size
+            out = []
+            for layer in layers:
+                acc = [a | b for a, b in zip(acc, layer)]
+                out.append(Entourage._from_rows(level, acc))
+            grids = self._grids[level] = tuple(out)
+        return grids
 
     def __eq__(self, other) -> bool:
         return (
@@ -438,7 +481,7 @@ class MonotonePseudometricSequence:
             level = t.level_metrics[n]
             for i in range(d.size):
                 for j in range(d.size):
-                    if level.dist[i][j] == 0 and d.dist[i][j] != 0:
+                    if level.numer[i][j] == 0 and d.numer[i][j] != 0:
                         raise NotUniform(
                             f"d_{n} positive on zero-pair "
                             f"({t.labels[i]},{t.labels[j]}) of level {n}"
@@ -447,7 +490,7 @@ class MonotonePseudometricSequence:
             lo, hi = self.metrics[n], self.metrics[n + 1]
             for i in range(lo.size):
                 for j in range(lo.size):
-                    if lo.dist[i][j] > hi.dist[i][j]:
+                    if lo.numer[i][j] * hi.den > hi.numer[i][j] * lo.den:
                         raise ValidationError(
                             f"monotonicity fails at level {n} on pair "
                             f"({t.labels[i]},{t.labels[j]})"

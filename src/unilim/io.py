@@ -17,7 +17,8 @@ from .errors import ValidationError
 
 
 def rational_to_json(v: Fraction) -> Any:
-    v = Fraction(v)
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
@@ -30,6 +31,25 @@ def rational_from_json(v: Any) -> Fraction:
         raise ValidationError(f"not a rational: {v!r}") from e
 
 
+def _array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a JSON array, got {value!r}")
+    return value
+
+
+def _rational(value: Any, path: str) -> Fraction:
+    try:
+        return rational_from_json(value)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def metric_to_json(d: Pseudometric) -> list[list[Any]]:
     """Lower-triangular rows, row i listing d(i,0) .. d(i,i-1)."""
     return [
@@ -37,10 +57,21 @@ def metric_to_json(d: Pseudometric) -> list[list[Any]]:
     ]
 
 
+def _metric_from_json(rows: Any, path: str) -> Pseudometric:
+    """Lower-triangular rows to a pseudometric (not yet validated); a
+    malformed document names its first offending path."""
+    values = [
+        [_rational(v, f"{path}[{i}][{j}]") for j, v in enumerate(_array(row, f"{path}[{i}]"))]
+        for i, row in enumerate(_array(rows, path))
+    ]
+    try:
+        return Pseudometric.from_lower_triangular(values)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
 def metric_from_json(rows: list[list[Any]]) -> Pseudometric:
-    return Pseudometric.from_lower_triangular(
-        [[rational_from_json(v) for v in row] for row in rows]
-    )
+    return _metric_from_json(rows, "metric")
 
 
 def tower_to_json(t: Tower, entourages: dict[str, Entourage] | None = None) -> dict:
@@ -60,25 +91,58 @@ def tower_to_json(t: Tower, entourages: dict[str, Entourage] | None = None) -> d
 
 
 def tower_from_json(doc: dict) -> Tower:
+    if not isinstance(doc, dict):
+        raise ValidationError("tower document must be a JSON object")
     for key in ("labels", "level_sizes", "metrics"):
         if key not in doc:
             raise ValidationError(f"tower document missing {key!r}")
+    labels = _array(doc["labels"], "labels")
+    for k, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ValidationError(f"labels[{k}]: expected a string, got {label!r}")
+    strict = doc.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ValidationError(f"strict: expected true or false, got {strict!r}")
+    sizes = _array(doc["level_sizes"], "level_sizes")
+    metrics = _array(doc["metrics"], "metrics")
     return Tower(
-        [str(s) for s in doc["labels"]],
-        [int(m) for m in doc["level_sizes"]],
-        [metric_from_json(rows) for rows in doc["metrics"]],
-        strict=bool(doc.get("strict", False)),
+        labels,
+        [_integer(m, f"level_sizes[{n}]") for n, m in enumerate(sizes)],
+        [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)],
+        strict=strict,
     )
 
 
 def named_entourages_from_json(doc: dict, tower: Tower) -> dict[str, Entourage]:
+    table = doc.get("entourages", {})
+    if not isinstance(table, dict):
+        raise ValidationError("entourages: expected a JSON object")
     out = {}
-    for name, spec in doc.get("entourages", {}).items():
-        level = int(spec["level"])
-        size = tower.level_sizes[level]
-        pairs = {(int(i), int(j)) for i, j in spec["pairs"]}
-        out[name] = Entourage(level, size, pairs)
+    for name, spec in table.items():
+        path = f"entourages.{name}"
+        if not isinstance(spec, dict) or "level" not in spec or "pairs" not in spec:
+            raise ValidationError(f"{path}: expected an object with 'level' and 'pairs'")
+        level = _integer(spec["level"], f"{path}.level")
+        if not 0 <= level < tower.num_levels:
+            raise ValidationError(f"{path}.level: {level} is not a level of the tower")
+        pairs = set()
+        for k, pair in enumerate(_array(spec["pairs"], f"{path}.pairs")):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValidationError(f"{path}.pairs[{k}]: expected a pair [i, j], got {pair!r}")
+            pairs.add(tuple(_integer(v, f"{path}.pairs[{k}][{c}]") for c, v in enumerate(pair)))
+        out[name] = Entourage(level, tower.level_sizes[level], pairs)
     return out
+
+
+def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
+    """The per-level metrics of a sequence document, ``{"metrics": [...]}``
+    or a bare array of metrics."""
+    if isinstance(doc, dict):
+        if "metrics" not in doc:
+            raise ValidationError("sequence document missing 'metrics'")
+        doc = doc["metrics"]
+    metrics = _array(doc, "metrics")
+    return [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)]
 
 
 def map_to_json(values) -> list[int]:

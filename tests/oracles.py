@@ -7,6 +7,45 @@ over pairs, exhaustive set enumeration, no bit tricks.
 from itertools import chain, combinations
 
 from unilim.core import Entourage
+from unilim.errors import TriangleViolation, ValidationError
+
+
+def loop_validate(dist, level=0, labels=None):
+    """Reference for ``Pseudometric.validate`` on a table of Fractions: the
+    same checks in the same order, the triangle inequality by a triple loop
+    over (i, j, k), so the first violation found names the witness."""
+    n = len(dist)
+    name = (lambda i: labels[i]) if labels else str
+    for i in range(n):
+        if len(dist[i]) != n:
+            raise ValidationError(f"distance table row {i} is not square")
+        if dist[i][i] != 0:
+            raise ValidationError(f"nonzero diagonal at {name(i)}")
+    for i in range(n):
+        for j in range(i):
+            if dist[i][j] != dist[j][i]:
+                raise ValidationError(f"asymmetric pair ({name(i)},{name(j)})")
+            if dist[i][j] < 0:
+                raise ValidationError(f"negative distance ({name(i)},{name(j)})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    raise TriangleViolation(level, name(i), name(j), name(k))
+
+
+def fraction_closure(matrix):
+    """Reference for ``shortest_path_closure``: Floyd-Warshall on Fractions,
+    one entry at a time, updating in place."""
+    n = len(matrix)
+    d = [list(row) for row in matrix]
+    for k in range(n):
+        for i in range(n):
+            dik = d[i][k]
+            for j in range(n):
+                if dik + d[k][j] < d[i][j]:
+                    d[i][j] = dik + d[k][j]
+    return d
 
 
 def brute_compose(u_pairs, v_pairs, size):

@@ -2,6 +2,7 @@
 equality throughout.  Each test prints a single PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -s`` to see them live)."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -208,6 +209,16 @@ def test_verify_suite_is_deterministic(tmp_path):
     rb = cli.main(["verify", "--all", "--seeds", "0..200", "--output", str(b)])
     ok = ra == 0 and rb == 0 and a.read_bytes() == b.read_bytes()
     _report("verify --all --seeds 0..200 twice: byte-identical reports, all pass", ok)
+
+
+def test_verify_all_report_digest(capsys):
+    """The stdout bytes of ``unilim verify --all --seeds 0..20`` are pinned
+    by their sha256, the digest the benchmark's verify-all workload checks
+    its reports against."""
+    code = cli.main(["verify", "--all", "--seeds", "0..20"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    ok = code == 0 and digest == "50f0c497e50c601b26c56ceb6c1b7e22d7396e78098444489d80b23072e4de22"
+    _report("verify --all --seeds 0..20: stdout sha256 equals the recorded digest", ok)
 
 
 def test_full_instance_coincidence():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unilim.core import (
@@ -21,6 +21,7 @@ from unilim.errors import (
 )
 
 from .conftest import flat_tower, frac_matrix
+from .oracles import fraction_closure, loop_validate
 
 
 def test_three_point_tower_is_valid(tower):
@@ -183,3 +184,99 @@ def test_level_metrics_form_monotone_sequence_in_strict_tower():
     ]
     t = Tower(["a", "b", "c"], [1, 2, 3], metrics, strict=True)
     MonotonePseudometricSequence(t, metrics)
+
+
+# -- the integer kernels against their Fraction references ---------------------
+
+MIXED = [Fraction(v) for v in ("0", "1/3", "1/4", "5/6", "1", "3/2", "7/12")]
+KINDS = ("raw", "zero diagonal", "symmetric", "nonnegative", "pseudometric")
+
+
+@st.composite
+def mixed_matrices(draw, kinds=KINDS, min_size=0):
+    """Square tables over values with denominators 1, 2, 3, 4, 6 and 12:
+    raw (asymmetric, negative, nonzero diagonal), with a zero diagonal,
+    symmetric, symmetric and nonnegative (often triangle-violating), or
+    repaired into a pseudometric."""
+    n = draw(st.integers(min_size, 6))
+    values = st.sampled_from(MIXED + [-MIXED[1], -MIXED[2]])
+    m = [[draw(values) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(kinds))
+    if kind != "raw":
+        for i in range(n):
+            m[i][i] = Fraction(0)
+    if kind in ("symmetric", "nonnegative", "pseudometric"):
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if kind in ("nonnegative", "pseudometric"):
+        m = [[abs(v) for v in row] for row in m]
+    if kind == "pseudometric":
+        m = fraction_closure(m)
+    return m
+
+
+def _outcome(check):
+    try:
+        check()
+    except ValidationError as e:
+        return type(e), str(e)
+    return None
+
+
+# (0, 1) is the first failing pair, with two witnesses: k = 2 and k = 3
+TRIANGLE_FAILS = [
+    [Fraction(v) for v in row]
+    for row in (
+        ("0", "1/4", "1", "5/6"),
+        ("1/4", "0", "1/4", "1/3"),
+        ("1", "1/4", "0", "1/3"),
+        ("5/6", "1/3", "1/3", "0"),
+    )
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_matrices(), st.booleans())
+@example(TRIANGLE_FAILS, True)
+def test_validate_matches_fraction_reference(m, labelled):
+    labels = [f"p{i}" for i in range(len(m))] if labelled else None
+    got = _outcome(lambda: Pseudometric(m).validate(3, labels))
+    assert got == _outcome(lambda: loop_validate(m, 3, labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_matrices())
+def test_closure_matches_fraction_reference(m):
+    closed = shortest_path_closure(m)
+    assert closed == fraction_closure(m)
+    assert all(type(v) is Fraction for row in closed for v in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_matrices(), st.sampled_from(MIXED[1:] + [Fraction(2)]))
+def test_integer_helpers_match_fraction_values(m, eps):
+    d = Pseudometric(m)
+    n = len(m)
+    assert d.dist == tuple(map(tuple, m))
+    assert [[Fraction(v, d.den) for v in row] for row in d.numer] == m
+    assert d.zero_pairs() == {(i, j) for i in range(n) for j in range(n) if m[i][j] == 0}
+    assert d.sublevel_pairs(eps) == {(i, j) for i in range(n) for j in range(n) if m[i][j] < eps}
+    assert d.positive_values() == sorted({v for row in m for v in row if v > 0})
+    if n:
+        assert d.max_value() == max(v for row in m for v in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_matrices(kinds=("pseudometric",), min_size=1))
+def test_cached_tower_data_match_definitions(m):
+    # levels that are prefixes of one pseudometric agree on zero-pairs
+    top = Pseudometric(m)
+    sizes = sorted({max(1, top.size // 2), top.size})
+    t = Tower([f"p{i}" for i in range(top.size)], sizes, [top.restrict(s) for s in sizes])
+    assert [t.height(x) for x in range(top.size)] == [int(x >= sizes[0]) for x in range(top.size)]
+    for level in range(t.num_levels):
+        d = t.metric(level)
+        grids = t.grid_entourages(level)
+        thresholds = t.grid_scale(level).thresholds
+        assert grids == tuple(Entourage(level, d.size, d.sublevel_pairs(eps)) for eps in thresholds)
+        assert grids[0] == t.zero_relation(level)
+        assert t.grid_entourages(level) is grids

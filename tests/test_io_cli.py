@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,53 @@ def test_tower_json_keeps_strict_flag():
     assert "strict" not in io.tower_to_json(t)
     s = io.tower_from_json(io.tower_to_json(t) | {"strict": True})
     assert s.strict
+
+
+GOOD_TOWER = {"labels": ["a", "b"], "level_sizes": [1, 2], "metrics": [[[]], [[], [1]]]}
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"metrics": [[[]], [[], 5]]}, "metrics[1][1]"),
+        ({"metrics": [[[]], [[], ["x"]]]}, "metrics[1][1][0]"),
+        ({"metrics": [[[]], [[1], [1]]]}, "metrics[1]"),
+        ({"metrics": {"0": []}}, "metrics"),
+        ({"labels": "ab"}, "labels"),
+        ({"labels": ["a", 2]}, "labels[1]"),
+        ({"level_sizes": [1, True]}, "level_sizes[1]"),
+        ({"strict": "yes"}, "strict"),
+        ({"entourages": {"E": {"level": -1, "pairs": [[0, 0]]}}}, "entourages.E.level"),
+        ({"entourages": {"E": {"level": 7, "pairs": [[0, 0]]}}}, "entourages.E.level"),
+        ({"entourages": {"E": {"level": 0, "pairs": [[0, 0, 0]]}}}, "entourages.E.pairs[0]"),
+        ({"entourages": {"E": {"level": 0, "pairs": [["0", 0]]}}}, "entourages.E.pairs[0][0]"),
+        ({"entourages": {"E": [0]}}, "entourages.E"),
+    ],
+)
+def test_malformed_tower_documents_name_the_offending_path(tmp_path, capsys, patch, path):
+    doc = GOOD_TOWER | patch
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: "):
+        io.named_entourages_from_json(doc, io.tower_from_json(doc))
+    file = tmp_path / "tower.json"
+    io.dump(doc, str(file))
+    assert cli.main(["topo", "--tower", str(file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "seq, path",
+    [
+        ({"metrics": 5}, "metrics"),
+        ({"levels": []}, "sequence document missing 'metrics'"),
+        ([[[]], [[], 5]], "metrics[1][1]"),
+        ({"metrics": [[[]], [[], [1]], [3]]}, "metrics[2][0]"),
+    ],
+)
+def test_malformed_sequence_documents_are_input_errors(tmp_path, capsys, tower_file, seq, path):
+    file = tmp_path / "seq.json"
+    io.dump(seq, str(file))
+    assert cli.main(["limit", "--tower", tower_file, "--seq", str(file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
 def test_map_round_trip():
@@ -339,6 +387,13 @@ def test_cli_verify_stdout_and_seed_list(capsys):
 def test_cli_verify_no_targets_is_trivially_true(capsys):
     code, lines = run(capsys, "verify", "--targets")
     assert code == 0 and lines == []
+
+
+def test_cli_verify_rejects_empty_seed_range(capsys):
+    assert cli.main(["verify", "--all", "--seeds", "5..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checks passed" not in captured.err and "empty" in captured.err
 
 
 def test_cli_verify_rejects_unknown_target():

@@ -40,6 +40,7 @@ from .errors import (
     ProfileTooLarge,
     StartMismatch,
     SubspaceViolation,
+    TooManyOpens,
     TriangleViolation,
     UnilimError,
     UnknownTheoremId,

@@ -7,6 +7,7 @@ oracle; nothing here argues by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,14 +42,23 @@ def product_tower(a: Tower, b: Tower) -> Tower:
     metrics = []
     for n in range(a.num_levels):
         da, db = a.metric(n), b.metric(n)
-        m = sizes[n]
-        pts = order[:m]
+        den = math.lcm(da.den, db.den)
+        na, nb = _scaled(da, den), _scaled(db, den)
+        pts = order[: sizes[n]]
+        first = [i for i, _ in pts]
+        second = [j for _, j in pts]
         dist = [
-            [max(da.dist[i1][i2], db.dist[j1][j2]) for (i2, j2) in pts]
-            for (i1, j1) in pts
+            list(map(max, map(na[i].__getitem__, first), map(nb[j].__getitem__, second)))
+            for i, j in pts
         ]
-        metrics.append(Pseudometric(dist))
+        metrics.append(Pseudometric._from_numer(den, dist))
     return Tower(labels, sizes, metrics)
+
+
+def _scaled(d: Pseudometric, den: int) -> list[list[int]]:
+    """The numerators of ``d`` over ``den``, a multiple of ``d.den``."""
+    f = den // d.den
+    return [[v * f for v in row] for row in d.numer]
 
 
 def product_index(a: Tower, b: Tower) -> dict[tuple[int, int], int]:
@@ -273,19 +283,18 @@ def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
     for n in range(depth):
         m *= factors[n].metric.size
         sizes.append(m)
-    metrics = []
-    for n in range(depth):
-        pts = order[: sizes[n]]
-        dist = [
-            [
-                max(
-                    factors[i].metric.dist[t1[i]][t2[i]] for i in range(depth)
-                )
-                for t2 in pts
-            ]
-            for t1 in pts
-        ]
-        metrics.append(Pseudometric(dist))
+    # each level is a prefix of the order and takes the max over all
+    # ``depth`` coordinates, so its table is a corner of the top one
+    den = math.lcm(*(f.metric.den for f in factors[:depth]))
+    top = [[0] * len(order) for _ in order]
+    for c, f in enumerate(factors[:depth]):
+        nc = _scaled(f.metric, den)
+        coords = [t[c] for t in order]
+        for row, tc in zip(top, coords):
+            row[:] = map(max, row, map(nc[tc].__getitem__, coords))
+    metrics = [
+        Pseudometric._from_numer(den, [row[:m] for row in top[:m]]) for m in sizes
+    ]
     return Tower(labels, sizes, metrics)
 
 

@@ -33,14 +33,9 @@ def _over_common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, l
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
 
 
-def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Largest pseudometric dominated by a symmetric nonnegative matrix.
-
-    Floyd-Warshall on the int numerators over the entries' common
-    denominator, which is exact; the input must have a zero diagonal and be
-    symmetric.
-    """
-    den, d = _over_common_denominator(matrix)
+def closure_in_place(d: list[list[int]]) -> list[list[int]]:
+    """Floyd-Warshall on a square int matrix with a zero diagonal,
+    relaxing ``d`` in place; returns ``d``."""
     n = len(d)
     for k in range(n):
         dk = d[k]
@@ -50,6 +45,18 @@ def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fra
             # row k relaxes against its old values, as an entry-by-entry
             # update would
             di[:] = map(min, di, map(di[k].__add__, dk))
+    return d
+
+
+def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Largest pseudometric dominated by a symmetric nonnegative matrix.
+
+    Floyd-Warshall on the int numerators over the entries' common
+    denominator, which is exact; the input must have a zero diagonal and be
+    symmetric.
+    """
+    den, d = _over_common_denominator(matrix)
+    closure_in_place(d)
     as_fraction = {v: Fraction(v, den) for v in {v for row in d for v in row}}
     return [[as_fraction[v] for v in row] for row in d]
 
@@ -72,6 +79,24 @@ class Pseudometric:
         self.size = len(self.dist)
         self.den, numer = _over_common_denominator(self.dist)
         self.numer: tuple[tuple[int, ...], ...] = tuple(map(tuple, numer))
+
+    @classmethod
+    def _from_numer(cls, den: int, numer: Sequence[Sequence[int]]) -> "Pseudometric":
+        """The table ``numer`` over ``den``, held as ``Pseudometric`` of the
+        same values as ``Fraction``s would hold it: ``den`` and ``numer`` are
+        divided by their gcd, so ``den`` is the lcm of the reduced
+        denominators.  Not validated."""
+        g = math.gcd(den, *(v for row in numer for v in row))
+        if g != 1:
+            den //= g
+            numer = [[v // g for v in row] for row in numer]
+        as_fraction = {v: Fraction(v, den) for v in {v for row in numer for v in row}}
+        d = object.__new__(cls)
+        d.dist = tuple(tuple(as_fraction[v] for v in row) for row in numer)
+        d.size = len(d.dist)
+        d.den = den
+        d.numer = tuple(map(tuple, numer))
+        return d
 
     @classmethod
     def from_lower_triangular(cls, rows: Sequence[Sequence]) -> "Pseudometric":
@@ -121,7 +146,10 @@ class Pseudometric:
 
     def scale(self, factor) -> "Pseudometric":
         c = Fraction(factor)
-        return Pseudometric([[c * v for v in row] for row in self.dist])
+        p = c.numerator
+        return Pseudometric._from_numer(
+            self.den * c.denominator, [[p * v for v in row] for row in self.numer]
+        )
 
     def positive_values(self) -> list[Fraction]:
         den = self.den

@@ -37,16 +37,33 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
-def _rational(value: Any, path: str) -> Fraction:
+def _rational(value: Any, path: str, parsed: dict[Any, Fraction]) -> Fraction:
+    """``value`` as a rational.  ``parsed`` holds the ints and strings
+    already parsed in the same document; a ``Fraction`` is immutable, so
+    equal entries share one."""
+    kind = type(value)
+    if kind is int or kind is str:
+        v = parsed.get(value)
+        if v is not None:
+            return v
     try:
-        return rational_from_json(value)
+        v = rational_from_json(value)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
+    parsed[value] = v
+    return v
 
 
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _index(value: Any, path: str, size: int) -> int:
+    """An integer in 0..size-1: an element of a ground set of ``size``."""
+    if not 0 <= _integer(value, path) < size:
+        raise ValidationError(f"{path}: {value} is not an element index below {size}")
     return value
 
 
@@ -57,11 +74,14 @@ def metric_to_json(d: Pseudometric) -> list[list[Any]]:
     ]
 
 
-def _metric_from_json(rows: Any, path: str) -> Pseudometric:
+def _metric_from_json(rows: Any, path: str, parsed: dict[Any, Fraction]) -> Pseudometric:
     """Lower-triangular rows to a pseudometric (not yet validated); a
     malformed document names its first offending path."""
     values = [
-        [_rational(v, f"{path}[{i}][{j}]") for j, v in enumerate(_array(row, f"{path}[{i}]"))]
+        [
+            _rational(v, f"{path}[{i}][{j}]", parsed)
+            for j, v in enumerate(_array(row, f"{path}[{i}]"))
+        ]
         for i, row in enumerate(_array(rows, path))
     ]
     try:
@@ -71,7 +91,7 @@ def _metric_from_json(rows: Any, path: str) -> Pseudometric:
 
 
 def metric_from_json(rows: list[list[Any]]) -> Pseudometric:
-    return _metric_from_json(rows, "metric")
+    return _metric_from_json(rows, "metric", {})
 
 
 def tower_to_json(t: Tower, entourages: dict[str, Entourage] | None = None) -> dict:
@@ -105,10 +125,11 @@ def tower_from_json(doc: dict) -> Tower:
         raise ValidationError(f"strict: expected true or false, got {strict!r}")
     sizes = _array(doc["level_sizes"], "level_sizes")
     metrics = _array(doc["metrics"], "metrics")
+    parsed: dict[Any, Fraction] = {}
     return Tower(
         labels,
         [_integer(m, f"level_sizes[{n}]") for n, m in enumerate(sizes)],
-        [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)],
+        [_metric_from_json(rows, f"metrics[{n}]", parsed) for n, rows in enumerate(metrics)],
         strict=strict,
     )
 
@@ -142,7 +163,8 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
             raise ValidationError("sequence document missing 'metrics'")
         doc = doc["metrics"]
     metrics = _array(doc, "metrics")
-    return [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)]
+    parsed: dict[Any, Fraction] = {}
+    return [_metric_from_json(rows, f"metrics[{n}]", parsed) for n, rows in enumerate(metrics)]
 
 
 def map_to_json(values) -> list[int]:
@@ -152,7 +174,7 @@ def map_to_json(values) -> list[int]:
 def map_from_json(doc) -> tuple[int, ...]:
     if not isinstance(doc, list):
         raise ValidationError("map document must be a JSON array of target indices")
-    return tuple(int(v) for v in doc)
+    return tuple(_integer(v, f"map[{k}]") for k, v in enumerate(doc))
 
 
 def group_to_json(g: GroupTower) -> dict:
@@ -163,30 +185,49 @@ def group_to_json(g: GroupTower) -> dict:
 
 
 def group_from_json(doc: dict) -> GroupTower:
+    """A group tower document: a tower document plus the operation table
+    ``op`` and the inverse table ``neg``, whose entries are element
+    indices of the top level."""
+    if not isinstance(doc, dict):
+        raise ValidationError("group document must be a JSON object")
     for key in ("op", "neg"):
         if key not in doc:
             raise ValidationError(f"group document missing {key!r}")
-    return GroupTower(
-        tower_from_json(doc),
-        tuple(tuple(int(v) for v in row) for row in doc["op"]),
-        tuple(int(v) for v in doc["neg"]),
+    tower = tower_from_json(doc)
+    n = tower.ground_size
+    op = tuple(
+        tuple(_index(v, f"op[{i}][{j}]", n) for j, v in enumerate(_array(row, f"op[{i}]")))
+        for i, row in enumerate(_array(doc["op"], "op"))
     )
+    neg = tuple(_index(v, f"neg[{i}]", n) for i, v in enumerate(_array(doc["neg"], "neg")))
+    return GroupTower(tower, op, neg)
 
 
 def factor_to_json(f: PointedSpace) -> dict:
     return {"basepoint": f.basepoint, "metric": metric_to_json(f.metric)}
 
 
-def factor_from_json(doc: dict) -> PointedSpace:
+def _factor_from_json(doc: Any, path: str) -> PointedSpace:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {doc!r}")
     if "metric" not in doc:
-        raise ValidationError("factor document missing 'metric'")
-    return PointedSpace(metric_from_json(doc["metric"]), int(doc.get("basepoint", 0)))
+        raise ValidationError(f"{path}: factor document missing 'metric'")
+    metric = _metric_from_json(doc["metric"], f"{path}.metric", {})
+    basepoint = _integer(doc.get("basepoint", 0), f"{path}.basepoint")
+    try:
+        return PointedSpace(metric, basepoint)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+def factor_from_json(doc: dict) -> PointedSpace:
+    return _factor_from_json(doc, "factor")
 
 
 def factors_from_json(doc) -> list[PointedSpace]:
     if not isinstance(doc, list):
         raise ValidationError("factor file must be a JSON array of pointed spaces")
-    return [factor_from_json(d) for d in doc]
+    return [_factor_from_json(d, f"factors[{k}]") for k, d in enumerate(doc)]
 
 
 def dumps(obj: Any) -> str:

@@ -10,8 +10,10 @@ path problem over exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -19,7 +21,7 @@ from .core import (
     MonotonePseudometricSequence,
     Pseudometric,
     Tower,
-    shortest_path_closure,
+    closure_in_place,
 )
 from .errors import IndexOutOfRange, NotAnEntourage, NotUniform, PreconditionFailed
 from .relations import multiple
@@ -49,13 +51,27 @@ def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
     return total
 
 
-def _link_weights(seq: MonotonePseudometricSequence) -> list[list[Fraction]]:
+def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, list[list[int]]]:
+    """Each pair's distance at its pair height, as ints over ``den``, the
+    lcm of the sequence's denominators.
+
+    Heights grow with the index, so row x takes level h(x) up to that
+    level's size and then, level by level, the points born higher.
+    """
     t = seq.tower
-    n = t.ground_size
-    heights = [t.height(x) for x in range(n)]
-    return [
-        [seq[max(heights[x], heights[y])].dist[x][y] for y in range(n)] for x in range(n)
-    ]
+    metrics = seq.metrics
+    den = math.lcm(*(d.den for d in metrics))
+    scales = [den // d.den for d in metrics]
+    sizes = t.level_sizes
+    w = []
+    for x in range(t.ground_size):
+        h = t.height(x)
+        row = [v * scales[h] for v in metrics[h].numer[x]]
+        for n in range(h + 1, len(sizes)):
+            f = scales[n]
+            row += [v * f for v in metrics[n].numer[x][sizes[n - 1]:]]
+        w.append(row)
+    return den, w
 
 
 @dataclass(frozen=True)
@@ -72,8 +88,8 @@ class LimitPseudometric:
 def limit_pseudometric(seq: MonotonePseudometricSequence) -> LimitPseudometric:
     """Minimum chain weight for each pair: all-pairs shortest path of the
     complete graph weighted by pair-height distances."""
-    closed = shortest_path_closure(_link_weights(seq))
-    return LimitPseudometric(Pseudometric(closed), seq)
+    den, w = _link_weights(seq)
+    return LimitPseudometric(Pseudometric._from_numer(den, closure_in_place(w)), seq)
 
 
 def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
@@ -84,8 +100,8 @@ def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
     optimal steps through unvisited points; every step adds a point, so the
     walk ends."""
     n = seq.tower.ground_size
-    w = _link_weights(seq)
-    dist = shortest_path_closure(w)
+    _, w = _link_weights(seq)
+    dist = closure_in_place([row[:] for row in w])
     steps = [
         [z for z in range(n) if z != a and w[a][z] + dist[z][y] == dist[a][y]] for a in range(n)
     ]
@@ -148,13 +164,12 @@ def valley_distance(seq: MonotonePseudometricSequence, x: int, y: int) -> Fracti
     for p in (x, y):
         if not 0 <= p < n:
             raise IndexOutOfRange(f"element {p}")
-    w = _link_weights(seq)
+    den, w = _link_weights(seq)
     heights = [t.height(p) for p in range(n)]
     order = sorted(range(n), key=lambda p: -heights[p])
 
-    NO = None
-    desc: list[Fraction | None] = [NO] * n
-    desc[x] = Fraction(0)
+    desc: list[int | None] = [None] * n
+    desc[x] = 0
     for u in order:
         if desc[u] is None:
             continue
@@ -164,8 +179,8 @@ def valley_distance(seq: MonotonePseudometricSequence, x: int, y: int) -> Fracti
                 if desc[v] is None or c < desc[v]:
                     desc[v] = c
 
-    asc: list[Fraction | None] = [NO] * n
-    asc[y] = Fraction(0)
+    asc: list[int | None] = [None] * n
+    asc[y] = 0
     for v in order:
         if asc[v] is None:
             continue
@@ -175,18 +190,18 @@ def valley_distance(seq: MonotonePseudometricSequence, x: int, y: int) -> Fracti
                 if asc[u] is None or c < asc[u]:
                     asc[u] = c
 
-    best: Fraction | None = None
+    best: int | None = None
     for u in range(n):
         if desc[u] is None:
             continue
         for v in range(n):
             if asc[v] is None or heights[u] > heights[v]:
                 continue
-            c = desc[u] + (Fraction(0) if u == v else w[u][v]) + asc[v]
+            c = desc[u] + (0 if u == v else w[u][v]) + asc[v]
             if best is None or c < best:
                 best = c
     assert best is not None  # u = v = bottom of x and y always connects
-    return best
+    return Fraction(best, den)
 
 
 def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseudometric:
@@ -210,7 +225,7 @@ def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseud
 
     level_zero = tower.metric(k).zero_pairs()
     for i, j in level_zero:
-        if rho.dist[i][j] != 0:
+        if rho.numer[i][j] != 0:
             raise NotUniform(
                 f"pseudometric positive on zero-pair "
                 f"({tower.labels[i]},{tower.labels[j]}) of level {k}"
@@ -231,44 +246,48 @@ def sum_of_extensions(tower: Tower, pieces: Sequence[Pseudometric]) -> MonotoneP
     for n in range(tower.num_levels):
         carried = [extend_pseudometric(tower, r, n) for r in carried]
         carried.append(pieces[n])
-        m = tower.level_sizes[n]
-        total = [[Fraction(0)] * m for _ in range(m)]
+        den = math.lcm(*(r.den for r in carried))
+        total = [[0] * tower.level_sizes[n] for _ in range(tower.level_sizes[n])]
         for r in carried:
-            for i in range(m):
-                for j in range(m):
-                    total[i][j] += r.dist[i][j]
-        metrics.append(Pseudometric(total))
+            f = den // r.den
+            for row, part in zip(total, r.numer):
+                row[:] = [a + f * b for a, b in zip(row, part)]
+        metrics.append(Pseudometric._from_numer(den, total))
     return MonotonePseudometricSequence(tower, metrics)
 
 
 def _extend_one(tower: Tower, rho: Pseudometric, n: int) -> Pseudometric:
+    """One extension step on ints.  Let top be the largest numerator of rho
+    and low the smallest numerator of d over the lower pairs where rho is
+    positive.  The Lipschitz factor is L = (top / rho.den) / (low / d.den),
+    so over the denominator rho.den * low, D = L * d has numerators
+    top * d.numer and rho has numerators low * rho.numer.  The glue minimum
+    over (a, b) is taken as the minimum over b of
+    (min over a of D(x, a) + rho(a, b)) + D(b, y)."""
     m_low = rho.size
     d = tower.metric(n)
-    m = d.size
-    if all(v == 0 for row in rho.dist for v in row):
-        return Pseudometric.zero(m)
+    top = max(v for row in rho.numer for v in row)
+    if top == 0:
+        return Pseudometric.zero(d.size)
+    low = min(
+        dv
+        for drow, rrow in zip(d.numer, rho.numer)
+        for dv, rv in zip(drow, rrow)
+        if rv > 0
+    )
+    big = [[top * v for v in row] for row in d.numer]
+    glue = [[low * v for v in row] for row in rho.numer]
 
-    positive_base = [
-        d.dist[i][j]
-        for i in range(m_low)
-        for j in range(m_low)
-        if rho.dist[i][j] > 0
-    ]
-    lip = rho.max_value() / min(positive_base)
-    big = [[lip * d.dist[i][j] for j in range(m)] for i in range(m)]
-
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for x in range(m):
-        for y in range(x + 1, m):
-            best = big[x][y]
-            for a in range(m_low):
-                da = big[x][a]
-                for b in range(m_low):
-                    c = da + rho.dist[a][b] + big[b][y]
-                    if c < best:
-                        best = c
-            out[x][y] = out[y][x] = best
-    return Pseudometric(out)
+    out = []
+    for bx in big:
+        head = bx[:m_low]
+        # rho is symmetric, so its row b is its column b
+        reach = [min(map(add, head, g)) for g in glue]
+        row = bx
+        for rb, bb in zip(reach, big):
+            row = list(map(min, row, map(rb.__add__, bb)))
+        out.append(row)
+    return Pseudometric._from_numer(rho.den * low, out)
 
 
 def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometric:
@@ -286,9 +305,7 @@ def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometr
         [target.contains(i, j) and target.contains(j, i) for j in range(m)]
         for i in range(m)
     ]
-    closed = shortest_path_closure(
-        [[Fraction(0) if mutual[i][j] else Fraction(1) for j in range(m)] for i in range(m)]
-    )
+    closed = closure_in_place([[0 if mutual[i][j] else 1 for j in range(m)] for i in range(m)])
     inside = all(
         target.contains(i, j)
         for i in range(m)
@@ -296,13 +313,8 @@ def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometr
         if closed[i][j] == 0
     )
     if inside:
-        return Pseudometric(closed)
-    return Pseudometric(
-        [
-            [Fraction(0) if d.dist[i][j] == 0 else Fraction(1) for j in range(m)]
-            for i in range(m)
-        ]
-    )
+        return Pseudometric._from_numer(1, closed)
+    return Pseudometric._from_numer(1, [[0 if v == 0 else 1 for v in row] for row in d.numer])
 
 
 def adequate_sequence(tower: Tower, targets) -> MonotonePseudometricSequence:

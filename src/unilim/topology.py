@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Entourage, Tower
-from .errors import GroundMismatch, IndexOutOfRange, StartMismatch
+from .errors import GroundMismatch, IndexOutOfRange, StartMismatch, TooManyOpens
 from .relations import (
     OMEGA,
     EntourageSequence,
@@ -107,7 +107,7 @@ class TopologyFamily:
                 t = s | m
                 if t not in found:
                     if len(found) >= limit:
-                        raise MemoryError(f"more than {limit} open sets")
+                        raise TooManyOpens(f"more than {limit} open sets")
                     found.add(t)
                     frontier.append(t)
         return sorted(found)

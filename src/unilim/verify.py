@@ -8,6 +8,7 @@ a property of the instance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,17 +45,24 @@ def exhaustive_limit_distance(
     seq: MonotonePseudometricSequence, x: int, y: int
 ) -> Fraction:
     """Brute-force oracle: minimum chain weight over all simple chains,
-    enumerated depth first, with heights and link weights built here
-    rather than taken from the library's limit path."""
+    enumerated depth first, with heights and link weights, ints over the
+    lcm of the sequence's denominators, built here rather than taken from
+    the library's limit path."""
     t = seq.tower
     n = t.ground_size
     heights: list[int] = []
     for level, m in enumerate(t.level_sizes):
         heights.extend([level] * (m - len(heights)))
-    w = [[seq[max(heights[a], heights[b])].dist[a][b] for b in range(n)] for a in range(n)]
-    best = Fraction(0) if x == y else w[x][y]
+    den = math.lcm(*(d.den for d in seq.metrics))
 
-    def extend(last: int, prefix: Fraction, rest: list[int]) -> None:
+    def link(a: int, b: int) -> int:
+        d = seq[max(heights[a], heights[b])]
+        return d.numer[a][b] * (den // d.den)
+
+    w = [[link(a, b) for b in range(n)] for a in range(n)]
+    best = 0 if x == y else w[x][y]
+
+    def extend(last: int, prefix: int, rest: list[int]) -> None:
         nonlocal best
         for z in rest:
             head = prefix + w[last][z]
@@ -62,8 +70,8 @@ def exhaustive_limit_distance(
                 best = head + w[z][y]
             extend(z, head, [r for r in rest if r != z])
 
-    extend(x, Fraction(0), [z for z in range(n) if z != x and z != y])
-    return best
+    extend(x, 0, [z for z in range(n) if z != x and z != y])
+    return Fraction(best, den)
 
 
 @dataclass

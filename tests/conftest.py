@@ -1,8 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from unilim.core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower
+from unilim.core import (
+    Entourage,
+    MonotonePseudometricSequence,
+    Pseudometric,
+    Tower,
+    shortest_path_closure,
+)
 from unilim.fixtures import (
     binary_group_tower,
     glued_map,
@@ -11,6 +19,7 @@ from unilim.fixtures import (
     three_point_sequence,
     three_point_tower,
 )
+from unilim.generate import Profile, random_tower
 
 
 @pytest.fixture
@@ -85,3 +94,38 @@ def make_seq(tower, rows_per_level):
     return MonotonePseudometricSequence(
         tower, [frac_matrix(rows) for rows in rows_per_level]
     )
+
+
+# values whose denominators 3, 5, 7 and 12 share no power of two, so the
+# integer kernels must scale every table to a true common denominator
+MIXED_POOL = tuple(Fraction(v) for v in ("1/3", "1/5", "1/7", "1/12", "1/2", "5/4"))
+
+
+def _random_piece(rng, d):
+    """A uniform pseudometric on the level of ``d``: ``d`` scaled by a pool
+    value, or the closure of pool values and zeros that vanishes at least
+    where ``d`` does."""
+    if rng.random() < 0.5:
+        return d.scale(rng.choice(MIXED_POOL))
+    m = [[Fraction(0)] * d.size for _ in range(d.size)]
+    for i in range(d.size):
+        for j in range(i):
+            if d.numer[i][j] and rng.random() < 0.7:
+                m[i][j] = m[j][i] = rng.choice(MIXED_POOL)
+    return Pseudometric(shortest_path_closure(m))
+
+
+@st.composite
+def mixed_towers(draw, levels=None, max_size=6):
+    """A seeded random tower over ``MIXED_POOL`` and one random piece per
+    level: the inputs of ``sum_of_extensions``."""
+    levels = levels or draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    size = draw(st.integers(max(levels, 4), max_size))
+    tower = random_tower(rng, Profile(levels, size, MIXED_POOL))
+    return tower, [_random_piece(rng, tower.metric(k)) for k in range(levels)]
+
+
+def same_table(got, ref):
+    """Equal values, held the same way: over the same denominator."""
+    return (got.dist, got.den, got.numer) == (ref.dist, ref.den, ref.numer)

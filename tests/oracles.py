@@ -4,9 +4,10 @@ Everything here is written in the most naive way possible: triple loops
 over pairs, exhaustive set enumeration, no bit tricks.
 """
 
+from fractions import Fraction
 from itertools import chain, combinations
 
-from unilim.core import Entourage
+from unilim.core import Entourage, Pseudometric
 from unilim.errors import TriangleViolation, ValidationError
 
 
@@ -46,6 +47,109 @@ def fraction_closure(matrix):
                 if dik + d[k][j] < d[i][j]:
                     d[i][j] = dik + d[k][j]
     return d
+
+
+def fraction_link_weights(seq):
+    """Each pair's distance at its pair height, as Fractions."""
+    t = seq.tower
+    n = t.ground_size
+    heights = [t.height(x) for x in range(n)]
+    return [[seq[max(heights[x], heights[y])].dist[x][y] for y in range(n)] for x in range(n)]
+
+
+def fraction_limit(seq):
+    """Reference for ``limit_pseudometric``: closure of the link weights."""
+    return Pseudometric(fraction_closure(fraction_link_weights(seq)))
+
+
+def fraction_extend_one(tower, rho, n):
+    """Reference for one extension step: the Lipschitz factor
+    max rho / min of d_n over the lower pairs where rho is positive, and the
+    glue minimum over every (a, b), on Fractions."""
+    m_low = rho.size
+    d = tower.metric(n)
+    m = d.size
+    if all(v == 0 for row in rho.dist for v in row):
+        return Pseudometric.zero(m)
+    positive_base = [
+        d.dist[i][j] for i in range(m_low) for j in range(m_low) if rho.dist[i][j] > 0
+    ]
+    lip = rho.max_value() / min(positive_base)
+    big = [[lip * d.dist[i][j] for j in range(m)] for i in range(m)]
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for x in range(m):
+        for y in range(x + 1, m):
+            best = big[x][y]
+            for a in range(m_low):
+                for b in range(m_low):
+                    c = big[x][a] + rho.dist[a][b] + big[b][y]
+                    if c < best:
+                        best = c
+            out[x][y] = out[y][x] = best
+    return Pseudometric(out)
+
+
+def fraction_sum(metrics):
+    """Entrywise sum of equal-sized pseudometrics, on Fractions."""
+    m = metrics[0].size
+    return Pseudometric(
+        [[sum((d.dist[i][j] for d in metrics), Fraction(0)) for j in range(m)] for i in range(m)]
+    )
+
+
+def fraction_valley_distance(seq, x, y):
+    """Reference for ``valley_distance``: the descending and ascending
+    chain DP and the valley join, on Fractions."""
+    t = seq.tower
+    n = t.ground_size
+    w = fraction_link_weights(seq)
+    heights = [t.height(p) for p in range(n)]
+    order = sorted(range(n), key=lambda p: -heights[p])
+    desc = [None] * n
+    desc[x] = Fraction(0)
+    for u in order:
+        if desc[u] is not None:
+            for v in range(n):
+                if heights[v] < heights[u] and (desc[v] is None or desc[u] + w[u][v] < desc[v]):
+                    desc[v] = desc[u] + w[u][v]
+    asc = [None] * n
+    asc[y] = Fraction(0)
+    for v in order:
+        if asc[v] is not None:
+            for u in range(n):
+                if heights[u] < heights[v] and (asc[u] is None or asc[v] + w[u][v] < asc[u]):
+                    asc[u] = asc[v] + w[u][v]
+    return min(
+        desc[u] + (Fraction(0) if u == v else w[u][v]) + asc[v]
+        for u in range(n)
+        for v in range(n)
+        if desc[u] is not None and asc[v] is not None and heights[u] <= heights[v]
+    )
+
+
+def fraction_chain_distance(seq, x, y):
+    """Reference for ``exhaustive_limit_distance``: the minimum weight over
+    every simple chain from x to y, enumerated depth first, on Fractions."""
+    w = fraction_link_weights(seq)
+    best = Fraction(0) if x == y else w[x][y]
+
+    def extend(last, prefix, rest):
+        nonlocal best
+        for z in rest:
+            head = prefix + w[last][z]
+            best = min(best, head + w[z][y])
+            extend(z, head, [r for r in rest if r != z])
+
+    extend(x, Fraction(0), [z for z in range(seq.tower.ground_size) if z not in (x, y)])
+    return best
+
+
+def fraction_coordinate_max(tables, points):
+    """Reference for the product and box levels: the max over coordinates
+    c of ``tables[c]`` at the points' c-th coordinates, on Fractions."""
+    return Pseudometric(
+        [[max(d.dist[p[c]][q[c]] for c, d in enumerate(tables)) for q in points] for p in points]
+    )
 
 
 def brute_compose(u_pairs, v_pairs, size):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from unilim.constructions import (
     GroupTower,
+    _box_order,
+    _product_order,
     PointedSpace,
     box_tower,
     check_box_limit,
@@ -19,13 +21,15 @@ from unilim.core import Pseudometric, Tower
 from unilim.errors import InvarianceViolation, LevelCountMismatch, ValidationError
 from unilim.generate import (
     Profile,
+    _random_metric,
     cyclic_group_tower,
     random_factors,
     random_group_tower,
     random_tower,
 )
 
-from .conftest import flat_tower, frac_matrix
+from .conftest import MIXED_POOL, flat_tower, frac_matrix, mixed_towers, same_table
+from .oracles import fraction_coordinate_max
 
 
 def test_product_sizes(tower):
@@ -216,3 +220,32 @@ def test_box_limit_randomized(seed):
     rng = random.Random(seed)
     fs = random_factors(rng, 3)
     assert check_box_limit(fs, 3, box_tower(fs, 3)).relation == "equal"
+
+
+# -- the integer coordinate max against its Fraction reference ----------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(*[mixed_towers(k, 4)] * 2)))
+def test_product_levels_match_fraction_reference(drawn):
+    (a, _), (b, _) = drawn
+    prod = product_tower(a, b)
+    order = _product_order(a, b)
+    for n, m in enumerate(prod.level_sizes):
+        ref = fraction_coordinate_max([a.metric(n), b.metric(n)], order[:m])
+        assert same_table(prod.metric(n), ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_box_levels_match_fraction_reference(seed, depth):
+    rng = random.Random(seed)
+    factors = [
+        PointedSpace(_random_metric(rng, rng.randrange(2, 4), MIXED_POOL, 0.25), 0)
+        for _ in range(3)
+    ]
+    box = box_tower(factors, depth)
+    order = _box_order(factors, depth)
+    tables = [f.metric for f in factors[:depth]]
+    for n, m in enumerate(box.level_sizes):
+        assert same_table(box.metric(n), fraction_coordinate_max(tables, order[:m]))

@@ -280,3 +280,21 @@ def test_cached_tower_data_match_definitions(m):
         assert grids == tuple(Entourage(level, d.size, d.sublevel_pairs(eps)) for eps in thresholds)
         assert grids[0] == t.zero_relation(level)
         assert t.grid_entourages(level) is grids
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 40), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+)
+@example(12, [[0] * 3] * 3)
+@example(5, [])
+def test_from_numer_holds_what_fractions_would(den, numer):
+    got = Pseudometric._from_numer(den, numer)
+    ref = Pseudometric([[Fraction(v, den) for v in row] for row in numer])
+    assert got == ref
+    assert (got.size, got.dist, got.den, got.numer) == (ref.size, ref.dist, ref.den, ref.numer)

@@ -328,6 +328,49 @@ def test_cli_group(capsys, tmp_path):
     assert cli.main(["group", str(path), "--radii", "1"]) == 2
 
 
+GOOD_GROUP = io.group_to_json(binary_group_tower())
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"op": 5}, "op"),
+        ({"op": [5] + GOOD_GROUP["op"][1:]}, "op[0]"),
+        ({"op": [[0, "1"] + GOOD_GROUP["op"][0][2:]] + GOOD_GROUP["op"][1:]}, "op[0][1]"),
+        ({"op": [[0, 8] + GOOD_GROUP["op"][0][2:]] + GOOD_GROUP["op"][1:]}, "op[0][1]"),
+        ({"neg": [0, -1] + GOOD_GROUP["neg"][2:]}, "neg[1]"),
+    ],
+)
+def test_cli_group_rejects_malformed_tables(capsys, tmp_path, patch, path):
+    file = tmp_path / "group.json"
+    io.dump(GOOD_GROUP | patch, str(file))
+    assert cli.main(["group", str(file), "--radii", "1,1/2,1/4"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_cli_check_rejects_malformed_map(capsys, tmp_path, tower_file):
+    file = tmp_path / "map.json"
+    io.dump([[0], 1], str(file))
+    assert cli.main(["check", "--tower", tower_file, "--map", str(file)]) == 2
+    assert capsys.readouterr().err.startswith("error: map[0]: ")
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ([{"basepoint": "x", "metric": [[], [1]]}], "factors[0].basepoint"),
+        ([{"metric": [[], [1]]}, {"basepoint": 2, "metric": [[], [1]]}], "factors[1]"),
+        ([{"metric": [[], [1]]}, 5], "factors[1]"),
+        ([{"metric": [[], ["1/0"]]}], "factors[0].metric[1][0]"),
+    ],
+)
+def test_cli_box_rejects_malformed_factors(capsys, tmp_path, doc, path):
+    file = tmp_path / "factors.json"
+    io.dump(doc, str(file))
+    assert cli.main(["box", str(file), "--depth", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_cli_box(capsys, tmp_path):
     path = tmp_path / "factors.json"
     io.dump([io.factor_to_json(f) for f in halving_factors()], str(path))
@@ -336,6 +379,31 @@ def test_cli_box(capsys, tmp_path):
     assert io.tower_from_json(lines[0]).level_sizes == (2, 4, 8)
     assert lines[1]["comparison"] == "equal"
     assert cli.main(["box", str(path), "--depth", "4"]) == 2
+
+
+def test_cli_topo_with_too_many_opens_is_an_input_error(capsys, tmp_path):
+    n = 17  # a discrete topology on 17 points has 2**17 open sets
+    file = tmp_path / "discrete.json"
+    doc = {"labels": [f"p{i}" for i in range(n)], "level_sizes": [n],
+           "metrics": [[[1] * i for i in range(n)]]}
+    io.dump(doc, str(file))
+    assert cli.main(["topo", "--tower", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than 65536 open sets\n"
+
+
+def test_cli_calls_in_one_process_share_no_options(capsys, monkeypatch, tower_file, seq_file):
+    monkeypatch.delenv("UNILIM_SEED", raising=False)
+    code, lines = run(capsys, "verify", "--targets", "L-mod", "--seed", "1")
+    assert code == 0 and lines[-1]["instance"] == "seed1"
+    code, lines = run(capsys, "limit", "--tower", tower_file, "--seq", seq_file,
+                      "--witness", "a", "c")
+    assert code == 0 and lines[1]["chain"] == ["a", "b", "c"]
+    code, lines = run(capsys, "limit", "--tower", tower_file, "--seq", seq_file)
+    assert code == 0 and len(lines) == 1
+    code, lines = run(capsys, "verify", "--targets", "L-mod")
+    assert code == 0 and lines[-1]["instance"] == "seed0"
 
 
 def test_cli_gen_deterministic(tmp_path, capsys):

@@ -15,6 +15,7 @@ from unilim.limitmetric import (
     chain_weight,
     extend_pseudometric,
     limit_pseudometric,
+    sum_of_extensions,
     valley_distance,
     valley_witness_chain,
     verify_generation,
@@ -23,7 +24,14 @@ from unilim.limitmetric import (
 from unilim.relations import multiple
 from unilim.verify import exhaustive_limit_distance
 
-from .conftest import flat_tower, frac_matrix
+from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
+from .oracles import (
+    fraction_chain_distance,
+    fraction_extend_one,
+    fraction_limit,
+    fraction_sum,
+    fraction_valley_distance,
+)
 
 
 def test_chain_weight_frozen(mono_seq):
@@ -247,3 +255,32 @@ def test_limit_vanishes_on_level_zero_pairs(seed):
     for n in range(t.num_levels):
         for i, j in t.metric(n).zero_pairs():
             assert lim(i, j) == 0
+
+
+# -- the integer kernels against their Fraction references ---------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_towers())
+def test_extensions_and_their_sums_match_fraction_reference(drawn):
+    t, pieces = drawn
+    carried = []
+    for n in range(t.num_levels):
+        carried = [fraction_extend_one(t, r, n) for r in carried] + [pieces[n]]
+        for k, r in enumerate(carried):
+            assert same_table(extend_pseudometric(t, pieces[k], n), r)
+        assert same_table(sum_of_extensions(t, pieces)[n], fraction_sum(carried))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_towers())
+def test_limit_valley_and_oracle_match_fraction_reference(drawn):
+    seq = sum_of_extensions(*drawn)
+    lim = limit_pseudometric(seq)
+    assert same_table(lim.dist, fraction_limit(seq))
+    n = seq.tower.ground_size
+    for x in range(n):
+        for y in range(n):
+            assert valley_distance(seq, x, y) == fraction_valley_distance(seq, x, y)
+            assert exhaustive_limit_distance(seq, x, y) == fraction_chain_distance(seq, x, y)
+            assert chain_weight(seq, witness_chain(seq, x, y)) == lim(x, y)

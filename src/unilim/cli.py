@@ -79,12 +79,27 @@ class _Parser:
         self.tower = tower
         self.names = names
 
-    def next(self) -> str:
+    def peek(self) -> str:
         if self.pos >= len(self.tokens):
             raise _ExprError("unexpected end of expression")
-        tok = self.tokens[self.pos]
+        return self.tokens[self.pos]
+
+    def next(self) -> str:
+        tok = self.peek()
         self.pos += 1
         return tok
+
+    def integer(self, what: str) -> int:
+        tok = self.next()
+        try:
+            return int(tok)
+        except ValueError:
+            raise _ExprError(f"expected {what}, got {tok!r}") from None
+
+    def name(self, tok: str) -> Entourage:
+        if tok in self.names:
+            return self.names[tok]
+        raise _ExprError(f"unknown entourage {tok!r}")
 
     def expect(self, tok: str) -> None:
         got = self.next()
@@ -94,9 +109,7 @@ class _Parser:
     def entourage(self) -> Entourage:
         tok = self.next()
         if tok != "(":
-            if tok in self.names:
-                return self.names[tok]
-            raise _ExprError(f"unknown entourage {tok!r}")
+            return self.name(tok)
         head = self.next()
         if head == "sum":
             u = self.entourage()
@@ -104,20 +117,23 @@ class _Parser:
             self.expect(")")
             return compose(u, v)
         if head == "mul":
-            k = int(self.next())
+            k = self.integer("an integer multiple")
             u = self.entourage()
             self.expect(")")
             return multiple(u, k)
         if head == "sigma":
-            tok = self.next()
-            upto = OMEGA if tok in ("omega", "w") else int(tok)
+            if self.peek() in ("omega", "w"):
+                self.next()
+                upto = OMEGA
+            else:
+                upto = self.integer("a level or omega")
             self.expect("[")
             entries = []
-            while self.tokens[self.pos] != "]":
+            while self.peek() != "]":
                 entries.append(self.entourage())
             self.expect("]")
             tail_tok = self.next()
-            tail = REPEAT_LAST if tail_tok == REPEAT_LAST else self.names[tail_tok]
+            tail = REPEAT_LAST if tail_tok == REPEAT_LAST else self.name(tail_tok)
             self.expect(")")
             start = entries[0].level if entries else 0
             seq = EntourageSequence(self.tower, start, tuple(entries), tail)
@@ -127,8 +143,10 @@ class _Parser:
     def expression(self):
         if self.tokens[: 2] == ["(", "ball"]:
             self.pos = 2
-            x = self.next()
-            idx = self.tower.index_of(x) if x in self.tower.labels else int(x)
+            if self.peek() in self.tower.labels:
+                idx = self.tower.index_of(self.next())
+            else:
+                idx = self.integer("a point label or index")
             u = self.entourage()
             self.expect(")")
             return ("ball", idx, u)
@@ -162,7 +180,7 @@ def cmd_limit(args) -> int:
     if args.witness:
         x = tower.index_of(args.witness[0])
         y = tower.index_of(args.witness[1])
-        chain = valley_witness_chain(seq, x, y)
+        chain = valley_witness_chain(seq, x, y, lim)
         print(io.dumps({"chain": [tower.labels[p] for p in chain.points]}))
     return EXIT_TRUE
 

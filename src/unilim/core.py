@@ -9,6 +9,7 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,13 +131,18 @@ class Pseudometric:
                 if d[i][j] < 0:
                     raise ValidationError(f"negative distance ({name(i)},{name(j)})")
         # d(i,k) <= d(i,j) + d(j,k) for every k iff max_k d(i,k) - d(j,k)
-        # <= d(i,j); the first failing (i, j) is then scanned for its k
+        # <= d(i,j); with d symmetric, the pairs (i, j) and (j, i) together
+        # ask max_k |d(i,k) - d(j,k)| <= d(i,j), so j < i covers them all
         for i, di in enumerate(d):
-            for j, dij in enumerate(di):
-                dj = d[j]
-                if max(map(sub, di, dj)) > dij:
-                    k = next(k for k in range(n) if di[k] > dij + dj[k])
-                    raise TriangleViolation(level, name(i), name(j), name(k))
+            for j in range(i):
+                if max(map(abs, map(sub, di, d[j]))) > di[j]:
+                    # name the first failing (a, b, c) in (a, b, c) order
+                    first = next(
+                        (a, b, c)
+                        for a, b, c in itertools.product(range(n), repeat=3)
+                        if d[a][c] > d[a][b] + d[b][c]
+                    )
+                    raise TriangleViolation(level, *map(name, first))
 
     def __call__(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -317,7 +323,11 @@ class Tower:
             out = []
             for layer in layers:
                 acc = [a | b for a, b in zip(acc, layer)]
-                out.append(Entourage._from_rows(level, acc))
+                e = Entourage._from_rows(level, acc)
+                # a sublevel of a symmetric table is symmetric: its columns
+                # are its rows
+                e._cols = e.rows
+                out.append(e)
             grids = self._grids[level] = tuple(out)
         return grids
 
@@ -367,7 +377,7 @@ class Entourage:
     destroys it); reflexivity is.
     """
 
-    __slots__ = ("level", "size", "rows", "_cols")
+    __slots__ = ("level", "size", "rows", "_cols", "_closure")
 
     def __init__(self, level: int, size: int, pairs: Iterable[tuple[int, int]]):
         rows = [0] * size
@@ -474,6 +484,26 @@ class Entourage:
                 r &= r - 1
         self._cols = tuple(cols)
         return self._cols
+
+    def closure(self) -> "Entourage":
+        """The reflexive-transitive closure, the union of all k-fold sums
+        k*U, by Warshall's algorithm on the bitmask rows: for each k, every
+        row holding k takes in row k.  Directed, so it needs no symmetry."""
+        try:
+            return self._closure
+        except AttributeError:
+            pass
+        rows = [r | 1 << i for i, r in enumerate(self.rows)]
+        for k in range(self.size):
+            rk, bit = rows[k], 1 << k
+            rows = [r | rk if r & bit else r for r in rows]
+        c = Entourage._from_rows(self.level, rows)
+        if self.columns() == self.rows:
+            # the closure of a symmetric relation is symmetric
+            c._cols = c.rows
+        c._closure = c
+        self._closure = c
+        return c
 
     def __eq__(self, other) -> bool:
         return (

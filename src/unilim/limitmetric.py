@@ -11,7 +11,7 @@ path problem over exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Sequence
@@ -76,10 +76,17 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, list[list[int
 
 @dataclass(frozen=True)
 class LimitPseudometric:
-    """The limit pseudometric on the full ground set, with its source."""
+    """The limit pseudometric on the full ground set, with its source.
+
+    ``links`` holds the link weights and ``closed`` their closure, both as
+    ints over the lcm of the sequence's denominators; witness chains test
+    their steps on these.  Neither is modified after construction.
+    """
 
     dist: Pseudometric
     source: MonotonePseudometricSequence
+    links: Sequence[Sequence[int]] = field(compare=False, repr=False)
+    closed: Sequence[Sequence[int]] = field(compare=False, repr=False)
 
     def __call__(self, x: int, y: int) -> Fraction:
         return self.dist.dist[x][y]
@@ -89,19 +96,23 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> LimitPseudometric:
     """Minimum chain weight for each pair: all-pairs shortest path of the
     complete graph weighted by pair-height distances."""
     den, w = _link_weights(seq)
-    return LimitPseudometric(Pseudometric._from_numer(den, closure_in_place(w)), seq)
+    closed = closure_in_place([row[:] for row in w])
+    return LimitPseudometric(Pseudometric._from_numer(den, closed), seq, w, closed)
 
 
-def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
+def witness_chain(
+    seq: MonotonePseudometricSequence, x: int, y: int, lim: LimitPseudometric | None = None
+) -> Chain:
     """A minimum-weight simple chain from x to y: the lexicographically
     smallest one made of optimal steps, a to z with w(a, z) + d(z, y) =
     d(a, y).  Zero-weight links can close cycles of optimal steps, so each
     step takes the smallest unvisited z from which y is still reachable by
     optimal steps through unvisited points; every step adds a point, so the
-    walk ends."""
+    walk ends.  ``lim``, the limit of ``seq``, is built when not given."""
+    if lim is None:
+        lim = limit_pseudometric(seq)
     n = seq.tower.ground_size
-    _, w = _link_weights(seq)
-    dist = closure_in_place([row[:] for row in w])
+    w, dist = lim.links, lim.closed
     steps = [
         [z for z in range(n) if z != a and w[a][z] + dist[z][y] == dist[a][y]] for a in range(n)
     ]
@@ -129,15 +140,18 @@ def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
     return Chain(tuple(points))
 
 
-def valley_witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
+def valley_witness_chain(
+    seq: MonotonePseudometricSequence, x: int, y: int, lim: LimitPseudometric | None = None
+) -> Chain:
     """An optimal chain in valley normal form.
 
     Starts from an optimal simple chain and repeatedly deletes an interior
     point at least as high as both neighbors; monotonicity and the triangle
-    inequality make the deletion weight-nonincreasing.
+    inequality make the deletion weight-nonincreasing.  ``lim``, the limit
+    of ``seq``, is built when not given.
     """
     t = seq.tower
-    pts = list(witness_chain(seq, x, y).points)
+    pts = list(witness_chain(seq, x, y, lim).points)
     changed = True
     while changed:
         changed = False

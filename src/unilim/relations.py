@@ -116,8 +116,9 @@ class EntourageSequence:
 
 def sigma_sum(seq: EntourageSequence, upto) -> Entourage:
     """Sum of the sequence through level ``upto``, or the stabilized omega
-    sum: the finite sum through the top level followed by repeated addition
-    of the tail entourage until the relation stops growing."""
+    sum: the finite sum through the top level followed by every finite
+    repeat of the tail entourage, which is the sum with the tail's
+    reflexive-transitive closure."""
     t = seq.tower
     if upto == OMEGA:
         finite_top = t.top_level
@@ -132,13 +133,7 @@ def sigma_sum(seq: EntourageSequence, upto) -> Entourage:
         acc = compose(acc, seq.entry(n))
     if upto != OMEGA:
         return acc
-    tail = seq.tail()
-    acc = acc.promote(t.top_level, t.ground_size)
-    while True:
-        nxt = compose(acc, tail)
-        if nxt == acc:
-            return acc
-        acc = nxt
+    return compose(acc.promote(t.top_level, t.ground_size), seq.tail().closure())
 
 
 def ball(x: int, u: Entourage) -> frozenset[int]:

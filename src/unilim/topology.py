@@ -180,27 +180,18 @@ def grid_ball_masks(tower: Tower, x: int) -> set[int]:
     """All base balls around x over grid entourage sequences, as bitmasks.
 
     Enumerated by propagating the reachable sets level by level (the ball
-    of a sum grows by one level per summand), then stabilizing the
-    repeat-last tail at the top level.
+    of a sum grows by one level per summand); at the top level the entry
+    and its repeat-last tail together are one step by the entry's
+    reflexive-transitive closure.
     """
     h = tower.height(x)
     top = tower.top_level
-    grids = {n: tower.grid_entourages(n) for n in range(h, top + 1)}
     sets = {1 << x}
-    for n in range(h, top + 1):
-        nxt = set()
-        for s in sets:
-            for u in grids[n]:
-                t = ball_set_mask(s, u)
-                if n == top:
-                    while True:
-                        t2 = ball_set_mask(t, u)
-                        if t2 == t:
-                            break
-                        t = t2
-                nxt.add(t)
-        sets = nxt
-    return sets
+    for n in range(h, top):
+        grid = tower.grid_entourages(n)
+        sets = {ball_set_mask(s, u) for s in sets for u in grid}
+    closed = [u.closure() for u in tower.grid_entourages(top)]
+    return {ball_set_mask(s, c) for s in sets for c in closed}
 
 
 def _minimal_ball_mask(zero_rels: Sequence[Entourage], h: int, x: int) -> int:

@@ -60,17 +60,25 @@ def exhaustive_limit_distance(
         return d.numer[a][b] * (den // d.den)
 
     w = [[link(a, b) for b in range(n)] for a in range(n)]
+    to_y = [row[y] for row in w]
     best = 0 if x == y else w[x][y]
 
-    def extend(last: int, prefix: int, rest: list[int]) -> None:
+    def extend(last: int, prefix: int, rest: int) -> None:
+        # rest is the bitmask of points not yet on the chain, walked in
+        # increasing order
         nonlocal best
-        for z in rest:
-            head = prefix + w[last][z]
-            if head + w[z][y] < best:
-                best = head + w[z][y]
-            extend(z, head, [r for r in rest if r != z])
+        wl = w[last]
+        m = rest
+        while m:
+            bit = m & -m
+            m ^= bit
+            z = bit.bit_length() - 1
+            head = prefix + wl[z]
+            if head + to_y[z] < best:
+                best = head + to_y[z]
+            extend(z, head, rest ^ bit)
 
-    extend(x, 0, [z for z in range(n) if z != x and z != y])
+    extend(x, 0, ((1 << n) - 1) & ~(1 << x) & ~(1 << y))
     return Fraction(best, den)
 
 

@@ -9,6 +9,7 @@ from itertools import chain, combinations
 
 from unilim.core import Entourage, Pseudometric
 from unilim.errors import TriangleViolation, ValidationError
+from unilim.relations import ball_set_mask, compose
 
 
 def loop_validate(dist, level=0, labels=None):
@@ -182,6 +183,56 @@ def brute_sigma(entourages, size):
         if nxt == acc:
             return acc
         acc = nxt
+
+
+def fixpoint_closure(u):
+    """Reference for ``Entourage.closure``: add U to the sum until the
+    relation stops growing."""
+    acc = u
+    while True:
+        nxt = compose(acc, u)
+        if nxt == acc:
+            return acc
+        acc = nxt
+
+
+def fixpoint_sigma_omega(seq):
+    """Reference for ``sigma_sum(seq, OMEGA)``: the finite sum through the
+    top level, then the tail added until the relation stops growing."""
+    t = seq.tower
+    acc = seq.entries[0]
+    for n in range(seq.start + 1, t.top_level + 1):
+        acc = compose(acc, seq.entry(n))
+    tail = seq.tail()
+    acc = acc.promote(t.top_level, t.ground_size)
+    while True:
+        nxt = compose(acc, tail)
+        if nxt == acc:
+            return acc
+        acc = nxt
+
+
+def fixpoint_grid_ball_masks(tower, x):
+    """Reference for ``grid_ball_masks``: the reachable sets propagated
+    level by level, each top-level ball repeated until it stops growing."""
+    h = tower.height(x)
+    top = tower.top_level
+    grids = {n: tower.grid_entourages(n) for n in range(h, top + 1)}
+    sets = {1 << x}
+    for n in range(h, top + 1):
+        nxt = set()
+        for s in sets:
+            for u in grids[n]:
+                t = ball_set_mask(s, u)
+                if n == top:
+                    while True:
+                        t2 = ball_set_mask(t, u)
+                        if t2 == t:
+                            break
+                        t = t2
+                nxt.add(t)
+        sets = nxt
+    return sets
 
 
 def powerset(items):

@@ -243,6 +243,27 @@ def test_validate_matches_fraction_reference(m, labelled):
     assert got == _outcome(lambda: loop_validate(m, 3, labels))
 
 
+# d(0,1) > d(0,2) + d(2,1): the middle point 2 has the largest index, so
+# no pair (i, j) with j < i fails in its own orientation,
+# d(i,k) - d(j,k) <= d(i,j); only (j, i) does, d(0,1) - d(2,1) > d(2,0)
+ONLY_TRANSPOSE_FAILS = [
+    [Fraction(v) for v in row] for row in (("0", "5", "1"), ("5", "0", "1"), ("1", "1", "0"))
+]
+
+
+@pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
+def test_triangle_violation_found_in_the_transposed_orientation(labels):
+    m = ONLY_TRANSPOSE_FAILS
+    for i in range(3):
+        for j in range(i):
+            assert max(m[i][k] - m[j][k] for k in range(3)) <= m[i][j]
+    with pytest.raises(TriangleViolation) as got:
+        Pseudometric(m).validate(2, labels)
+    with pytest.raises(TriangleViolation) as ref:
+        loop_validate(m, 2, labels)
+    assert str(got.value) == str(ref.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_matrices())
 def test_closure_matches_fraction_reference(m):
@@ -278,6 +299,7 @@ def test_cached_tower_data_match_definitions(m):
         grids = t.grid_entourages(level)
         thresholds = t.grid_scale(level).thresholds
         assert grids == tuple(Entourage(level, d.size, d.sublevel_pairs(eps)) for eps in thresholds)
+        assert all(g.columns() == g.transpose().rows for g in grids)
         assert grids[0] == t.zero_relation(level)
         assert t.grid_entourages(level) is grids
 

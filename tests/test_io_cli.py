@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unilim import cli, io
+from unilim import cli, io, limitmetric
 from unilim.core import Pseudometric, Tower
 from unilim.errors import ValidationError
 from unilim.fixtures import (
@@ -219,6 +219,24 @@ def test_cli_rel_bad_expression(capsys, tower_file):
     assert cli.main(["rel", "--tower", tower_file, "--expr", "(frob E_U)"]) == 2
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("(sigma 1 [", "unexpected end of expression"),
+        ("(sigma 2 [E_U] Q)", "unknown entourage 'Q'"),
+        ("(mul x E_U)", "expected an integer multiple, got 'x'"),
+        ("(sigma x [E_U] repeat_last)", "expected a level or omega, got 'x'"),
+        ("(ball zz E_U)", "expected a point label or index, got 'zz'"),
+        ("(ball a", "unexpected end of expression"),
+    ],
+)
+def test_cli_rel_names_expression_errors(capsys, tower_file, expr, message):
+    assert cli.main(["rel", "--tower", tower_file, "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_limit(capsys, tower_file, seq_file):
     code, lines = run(
         capsys, "limit", "--tower", tower_file, "--seq", seq_file,
@@ -227,6 +245,19 @@ def test_cli_limit(capsys, tower_file, seq_file):
     assert code == 0
     assert lines[0]["matrix"] == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     assert lines[1]["chain"] == ["a", "b", "c"]
+
+
+def test_cli_limit_witness_closes_the_link_table_once(capsys, monkeypatch, tower_file, seq_file):
+    sizes = []
+    closure = limitmetric.closure_in_place
+    monkeypatch.setattr(
+        limitmetric, "closure_in_place", lambda d: sizes.append(len(d)) or closure(d)
+    )
+    code, lines = run(
+        capsys, "limit", "--tower", tower_file, "--seq", seq_file, "--witness", "c", "a"
+    )
+    assert code == 0 and lines[1]["chain"] == ["c", "b", "a"]
+    assert sizes == [3]
 
 
 def test_cli_limit_accepts_bare_metric_array(capsys, tower_file, tmp_path):

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from unilim.core import Entourage
 from unilim.errors import LevelMismatch, NotAnEntourage, StartMismatch
+from unilim.generate import Profile, random_tower
 from unilim.relations import (
     OMEGA,
+    REPEAT_LAST,
     EntourageSequence,
     ball,
     ball_set,
@@ -18,7 +20,14 @@ from unilim.relations import (
 )
 
 from .conftest import diag, pairs
-from .oracles import brute_ball, brute_compose, brute_sigma, random_entourage
+from .oracles import (
+    brute_ball,
+    brute_compose,
+    brute_sigma,
+    fixpoint_closure,
+    fixpoint_sigma_omega,
+    random_entourage,
+)
 
 
 def test_compose_frozen_value(e_u, e_v):
@@ -215,3 +224,51 @@ def test_sigma_is_fixpoint(seed):
     s = sigma_sum(seq, OMEGA)
     assert compose(s, seq.tail()) == s
     assert pairs(s) == brute_sigma(entries, 3)
+
+
+# -- the omega tail as one closure, against the fixpoint loops it replaced ---
+
+
+@st.composite
+def reflexive_relations(draw, max_size=12):
+    """A reflexive relation as bitmask rows: sparse or dense, most often not
+    symmetric, sometimes made symmetric by adding the transpose."""
+    n = draw(st.integers(1, max_size))
+    density = draw(st.sampled_from((0.05, 0.15, 0.5)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    u = random_entourage(rng, draw(st.integers(0, 3)), n, density)
+    return u.union(u.transpose()) if draw(st.booleans()) else u
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflexive_relations())
+def test_closure_matches_compose_until_stable(u):
+    c = u.closure()
+    assert c == fixpoint_closure(u)
+    assert c.columns() == c.transpose().rows
+    assert u.closure() is c and c.closure() is c
+
+
+def test_closure_follows_direction():
+    # 0 -> 1 -> 2 only: the closure adds (0, 2) and nothing backwards
+    u = Entourage(0, 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
+    assert pairs(u.closure()) == diag(3) | {(0, 1), (1, 2), (0, 2)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_omega_sum_matches_fixpoint(seed, own_tail):
+    rng = random.Random(seed)
+    tower = random_tower(rng, Profile(levels=rng.randint(1, 3), max_size=8))
+    start = rng.randrange(tower.num_levels)
+    entries = tuple(
+        random_entourage(rng, n, tower.level_sizes[n], density=rng.choice((0.05, 0.15, 0.4)))
+        for n in range(start, tower.num_levels)
+    )
+    tail = (
+        random_entourage(rng, tower.top_level, tower.ground_size, density=0.1)
+        if own_tail
+        else REPEAT_LAST
+    )
+    seq = EntourageSequence(tower, start, entries, tail)
+    assert sigma_sum(seq, OMEGA) == fixpoint_sigma_omega(seq)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilim.constructions import box_tower, product_tower
 from unilim.core import Entourage
 from unilim.errors import GroundMismatch, NotAnEntourage, StartMismatch
-from unilim.generate import Profile, random_monotone_sequence, random_tower
+from unilim.generate import Profile, random_factors, random_monotone_sequence, random_tower
 from unilim.limitmetric import limit_pseudometric
 from unilim.relations import EntourageSequence
 from unilim.topology import (
@@ -20,8 +21,8 @@ from unilim.topology import (
     ulim_topology,
 )
 
-from .conftest import flat_tower
-from .oracles import brute_topology_opens
+from .conftest import flat_tower, mixed_towers
+from .oracles import brute_topology_opens, fixpoint_grid_ball_masks
 
 
 def _grid_entourage(tower, level, eps):
@@ -183,3 +184,32 @@ def test_limit_metric_unit_balls_are_open(seed):
         for eps in scales:
             sub = {y for y in range(t.ground_size) if lim(x, y) < eps}
             assert top.is_open(sub)
+
+
+# -- grid balls with the omega tail as one closure, against the old loop ------
+
+
+def _same_grid_balls(t):
+    for x in range(t.ground_size):
+        assert grid_ball_masks(t, x) == fixpoint_grid_ball_masks(t, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_grid_balls_match_fixpoint_on_products(seed):
+    rng = random.Random(seed)
+    a = random_tower(rng, Profile(levels=rng.randint(1, 3), max_size=4))
+    b = random_tower(rng, Profile(levels=a.num_levels, max_size=4))
+    _same_grid_balls(product_tower(a, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_grid_balls_match_fixpoint_on_boxes(seed, depth):
+    _same_grid_balls(box_tower(random_factors(random.Random(seed), 3), depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_towers(max_size=8))
+def test_grid_balls_match_fixpoint_on_mixed_towers(drawn):
+    _same_grid_balls(drawn[0])

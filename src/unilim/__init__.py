@@ -19,7 +19,6 @@ from .constructions import (
 )
 from .core import (
     Entourage,
-    GridScale,
     MonotonePseudometricSequence,
     Pseudometric,
     Tower,

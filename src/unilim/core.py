@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Iterable, Sequence
@@ -229,11 +228,6 @@ class Tower:
     def ground_size(self) -> int:
         return self.level_sizes[-1]
 
-    def level_size(self, n: int) -> int:
-        if not 0 <= n < self.num_levels:
-            raise IndexOutOfRange(f"level {n} out of range")
-        return self.level_sizes[n]
-
     def metric(self, n: int) -> Pseudometric:
         if not 0 <= n < self.num_levels:
             raise IndexOutOfRange(f"level {n} out of range")
@@ -298,9 +292,6 @@ class Tower:
             z = self._zero_relations[level] = Entourage(level, d.size, d.zero_pairs())
         return z
 
-    def grid_scale(self, level: int) -> "GridScale":
-        return GridScale.for_metric(level, self.metric(level))
-
     def grid_entourages(self, level: int) -> tuple["Entourage", ...]:
         """Sublevel entourages {d < eps} over the level's grid; a finite
         base of the level's uniformity, smallest first.
@@ -345,28 +336,6 @@ class Tower:
 
     def __repr__(self) -> str:
         return f"Tower(sizes={list(self.level_sizes)})"
-
-
-@dataclass(frozen=True)
-class GridScale:
-    """Distinct positive values of a level metric plus one value above the
-    maximum; the sublevels at these thresholds form a base of the level's
-    uniformity."""
-
-    level: int
-    thresholds: tuple[Fraction, ...]
-
-    @classmethod
-    def for_metric(cls, level: int, d: Pseudometric) -> "GridScale":
-        values = d.positive_values()
-        top = (values[-1] if values else Fraction(0)) + 1
-        return cls(level, tuple(values) + (top,))
-
-    def __post_init__(self):
-        if not self.thresholds:
-            raise ValidationError("empty grid scale")
-        if list(self.thresholds) != sorted(set(self.thresholds)):
-            raise ValidationError("grid thresholds must be strictly increasing")
 
 
 class Entourage:
@@ -419,22 +388,6 @@ class Entourage:
 
     def contains(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            (self.rows[i] >> j & 1) == (self.rows[j] >> i & 1)
-            for i in range(self.size)
-            for j in range(i)
-        )
-
-    def symmetrize(self) -> "Entourage":
-        """Intersection with the transpose: the largest symmetric subrelation."""
-        rows = list(self.rows)
-        for i in range(self.size):
-            for j in range(self.size):
-                if rows[i] >> j & 1 and not self.rows[j] >> i & 1:
-                    rows[i] &= ~(1 << j)
-        return Entourage._from_rows(self.level, rows)
 
     def transpose(self) -> "Entourage":
         rows = [0] * self.size

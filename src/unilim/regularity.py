@@ -13,7 +13,7 @@ from typing import Optional
 from .core import Entourage, Tower
 from .errors import GroundMismatch, LevelOutOfRange, NotInverse
 from .relations import ball_set
-from .topology import TopologyComparison, compare_topologies, ulim_topology
+from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,23 @@ class ContinuityVerdict:
 
 
 def is_continuous(f: SpaceMap) -> ContinuityVerdict:
-    """Direct check: the preimage of every open of the target's limit
-    topology is open in the source's limit topology."""
-    src = ulim_topology(f.source)
-    tgt = ulim_topology(f.target)
-    for o in tgt.opens_masks():
-        pre = 0
-        for x in range(f.source.ground_size):
-            if o >> f(x) & 1:
-                pre |= 1 << x
-        if not src.is_open_mask(pre):
-            return ContinuityVerdict(
-                False,
-                frozenset(i for i in range(f.target.ground_size) if o >> i & 1),
-            )
+    """Direct check against the limit topologies.  A finite space is
+    Alexandrov, so f is continuous iff f maps each minimal source
+    neighborhood U_x into U_{f(x)}.  At the first x where it does not,
+    U_{f(x)} is a target open whose preimage holds x but not all of U_x,
+    so that preimage is not open."""
+    src = ulim_topology(f.source).min_nbhd
+    tgt = ulim_topology(f.target).min_nbhd
+    for x, m in enumerate(src):
+        u = tgt[f(x)]
+        while m:
+            y = (m & -m).bit_length() - 1
+            if not u >> f(y) & 1:
+                return ContinuityVerdict(
+                    False,
+                    frozenset(i for i in range(f.target.ground_size) if u >> i & 1),
+                )
+            m &= m - 1
     return ContinuityVerdict(True)
 
 
@@ -222,8 +225,6 @@ def homeo_criterion(h: SpaceMap, h_inv: SpaceMap) -> HomeoVerdict:
 
 def transport_topology(top, bijection):
     """Push a topology forward along a bijection of the ground set."""
-    from .topology import TopologyFamily
-
     n = top.ground_size
     nbhd = [0] * n
     for x in range(n):

@@ -3,10 +3,14 @@ uniform direct-limit topology, the final (topological direct limit)
 topology, and comparison of explicit open-set families.
 
 Every topology on a finite set is determined by the minimal open
-neighborhood of each point; families are stored that way (as bitmasks)
-and materialized into explicit open-set lists on demand.  This keeps the
-product-tower comparisons affordable where listing every open set would
-not be.
+neighborhood of each point; families are stored that way (as bitmasks),
+and only ``unilim topo`` lists their open sets.
+
+At finite scale the uniform direct-limit topology is the partition into
+top-level zero-classes: ``Tower.validate`` makes consecutive levels agree
+on zero-pairs, so each level's zero-relation is the top one restricted to
+that level, and the ball of {x} under the zero-relations of levels
+height(x), ..., top is the top zero-class of x.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Entourage, Tower
+from .core import Tower
 from .errors import GroundMismatch, IndexOutOfRange, StartMismatch, TooManyOpens
 from .relations import (
     OMEGA,
@@ -129,7 +133,8 @@ class TopologyFamily:
         return hash((self.ground_size, self.min_nbhd))
 
     def __repr__(self) -> str:
-        return f"TopologyFamily(ground_size={self.ground_size}, opens={len(self.opens_masks())})"
+        sizes = [m.bit_count() for m in self.min_nbhd]
+        return f"TopologyFamily(ground_size={self.ground_size}, nbhd_sizes={sizes})"
 
 
 @dataclass(frozen=True)
@@ -194,21 +199,12 @@ def grid_ball_masks(tower: Tower, x: int) -> set[int]:
     return {ball_set_mask(s, c) for s in sets for c in closed}
 
 
-def _minimal_ball_mask(zero_rels: Sequence[Entourage], h: int, x: int) -> int:
-    """The smallest grid base ball around a point x of height h, as a
-    bitmask: each level's zero-relation is an equivalence relation, so one
-    ball step per level from h to the top reaches it."""
-    s = 1 << x
-    for z in zero_rels[h:]:
-        s = ball_set_mask(s, z)
-    return s
-
-
 def minimal_grid_ball(tower: Tower, x: int) -> frozenset[int]:
-    """The smallest grid base ball around x: all entries at the level
-    zero-relations.  Contained in every grid base ball around x."""
-    zero_rels = [tower.zero_relation(n) for n in range(tower.num_levels)]
-    s = _minimal_ball_mask(zero_rels, tower.height(x), x)
+    """The smallest grid base ball around x, the one of the level
+    zero-relations: the top zero-class of x.  Contained in every grid base
+    ball around x."""
+    tower.height(x)  # IndexOutOfRange outside the ground set
+    s = tower.zero_relation(tower.top_level).columns()[x]
     return frozenset(i for i in range(tower.ground_size) if s >> i & 1)
 
 
@@ -217,14 +213,12 @@ def ulim_topology(tower: Tower) -> TopologyFamily:
 
     Grid entourages form a base of each level's uniformity and the ball of
     a sum is monotone in every entry, so the ball of the level
-    zero-relations lies inside every base ball around x; base balls being
-    open, it is the minimal neighborhood of x.
+    zero-relations, the top zero-class, lies inside every base ball around
+    x; base balls being open, it is the minimal neighborhood of x.
     ``grid_ball_masks`` enumerates every grid base ball; the verification
     suite checks the two against each other.
     """
-    zero_rels = [tower.zero_relation(n) for n in range(tower.num_levels)]
-    n = tower.ground_size
-    return TopologyFamily(n, [_minimal_ball_mask(zero_rels, tower.height(x), x) for x in range(n)])
+    return TopologyFamily(tower.ground_size, tower.zero_relation(tower.top_level).columns())
 
 
 def tlim_topology(tower: Tower) -> TopologyFamily:

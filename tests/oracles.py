@@ -10,6 +10,7 @@ from itertools import chain, combinations
 from unilim.core import Entourage, Pseudometric
 from unilim.errors import TriangleViolation, ValidationError
 from unilim.relations import ball_set_mask, compose
+from unilim.topology import TopologyFamily
 
 
 def loop_validate(dist, level=0, labels=None):
@@ -233,6 +234,48 @@ def fixpoint_grid_ball_masks(tower, x):
                 nxt.add(t)
         sets = nxt
     return sets
+
+
+def grid_thresholds(d):
+    """The thresholds of a level's grid: the distinct positive values of its
+    metric ``d`` and one value above the maximum; the sublevels {d < eps}
+    at these thresholds are the level's grid entourages, smallest first."""
+    values = d.positive_values()
+    top = (values[-1] if values else Fraction(0)) + 1
+    return tuple(values) + (top,)
+
+
+def level_by_level_minimal_ball(tower, x):
+    """Reference for ``minimal_grid_ball``, as a bitmask: {x} taken one
+    ball step per level, under each level's zero-relation from the height
+    of x to the top."""
+    s = 1 << x
+    for n in range(tower.height(x), tower.num_levels):
+        s = ball_set_mask(s, tower.zero_relation(n))
+    return s
+
+
+def level_by_level_topology(tower):
+    """Reference for ``ulim_topology``: the topology whose minimal
+    neighborhoods are the level-by-level minimal balls."""
+    n = tower.ground_size
+    return TopologyFamily(n, [level_by_level_minimal_ball(tower, x) for x in range(n)])
+
+
+def open_set_walk_continuous(f):
+    """Reference for ``is_continuous``: walk every open of the target's
+    limit topology, in sorted order, and return the first whose preimage is
+    not open in the source's, or None if f is continuous."""
+    src = level_by_level_topology(f.source)
+    tgt = level_by_level_topology(f.target)
+    for o in tgt.opens_masks():
+        pre = 0
+        for x in range(f.source.ground_size):
+            if o >> f(x) & 1:
+                pre |= 1 << x
+        if not src.is_open_mask(pre):
+            return o
+    return None
 
 
 def powerset(items):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from unilim.core import (
     Entourage,
-    GridScale,
     MonotonePseudometricSequence,
     Pseudometric,
     Tower,
@@ -21,7 +20,7 @@ from unilim.errors import (
 )
 
 from .conftest import flat_tower, frac_matrix
-from .oracles import fraction_closure, loop_validate
+from .oracles import fraction_closure, grid_thresholds, loop_validate
 
 
 def test_three_point_tower_is_valid(tower):
@@ -92,9 +91,9 @@ def test_strict_mode_requires_exact_restriction():
 
 
 def test_grid_scale(tower):
-    gs = tower.grid_scale(2)
-    assert list(gs.thresholds) == [1, 2, 3]
-    assert GridScale.for_metric(0, Pseudometric.zero(2)).thresholds == (1,)
+    assert grid_thresholds(tower.metric(2)) == (1, 2, 3)
+    assert len(tower.grid_entourages(2)) == 3
+    assert grid_thresholds(Pseudometric.zero(2)) == (1,)
 
 
 def test_grid_entourages_smallest_first(tower):
@@ -120,10 +119,8 @@ def test_entourage_promote_keeps_pairs():
     assert set(p.sorted_pairs()) == {(0, 0), (1, 1), (2, 2), (0, 1)}
 
 
-def test_entourage_symmetrize_and_transpose():
+def test_entourage_transpose():
     e = Entourage(0, 2, [(0, 0), (1, 1), (0, 1)])
-    assert not e.is_symmetric()
-    assert e.symmetrize().is_symmetric()
     assert set(e.transpose().sorted_pairs()) == {(0, 0), (1, 1), (1, 0)}
 
 
@@ -297,7 +294,7 @@ def test_cached_tower_data_match_definitions(m):
     for level in range(t.num_levels):
         d = t.metric(level)
         grids = t.grid_entourages(level)
-        thresholds = t.grid_scale(level).thresholds
+        thresholds = grid_thresholds(d)
         assert grids == tuple(Entourage(level, d.size, d.sublevel_pairs(eps)) for eps in thresholds)
         assert all(g.columns() == g.transpose().rows for g in grids)
         assert grids[0] == t.zero_relation(level)

@@ -412,16 +412,36 @@ def test_cli_box(capsys, tmp_path):
     assert cli.main(["box", str(path), "--depth", "4"]) == 2
 
 
-def test_cli_topo_with_too_many_opens_is_an_input_error(capsys, tmp_path):
-    n = 17  # a discrete topology on 17 points has 2**17 open sets
+@pytest.fixture
+def discrete17_file(tmp_path):
+    """A one-level tower of 17 points at distance 1: its limit topology is
+    discrete, with 2**17 open sets."""
+    n = 17
     file = tmp_path / "discrete.json"
     doc = {"labels": [f"p{i}" for i in range(n)], "level_sizes": [n],
            "metrics": [[[1] * i for i in range(n)]]}
     io.dump(doc, str(file))
-    assert cli.main(["topo", "--tower", str(file)]) == 2
+    return str(file)
+
+
+def test_cli_topo_with_too_many_opens_is_an_input_error(capsys, discrete17_file):
+    assert cli.main(["topo", "--tower", discrete17_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: more than 65536 open sets\n"
+
+
+def test_cli_check_lists_no_open_sets(capsys, tmp_path, discrete17_file):
+    ident = tmp_path / "ident.json"
+    io.dump(io.map_to_json(tuple(range(17))), str(ident))
+    base = ["check", "--tower", discrete17_file, "--map", str(ident)]
+    assert run(capsys, *base) == (0, [{"continuous": True, "hypothesis": True}])
+    assert run(capsys, *base, "--direct") == (0, [{"continuous": True}])
+    assert run(capsys, *base, "--homeo", str(ident)) == (
+        0, [{"homeomorphism": True, "transport": "equal"}]
+    )
+    # the topology itself is still too large to list
+    assert cli.main(["topo", "--tower", discrete17_file]) == 2
 
 
 def test_cli_calls_in_one_process_share_no_options(capsys, monkeypatch, tower_file, seq_file):

@@ -20,6 +20,7 @@ from unilim.relations import ball_set
 from unilim.topology import compare_topologies, ulim_topology
 
 from .conftest import frac_matrix
+from .oracles import level_by_level_topology, open_set_walk_continuous
 
 
 def two_level_map(d_ab, f_b=1):
@@ -246,3 +247,31 @@ def test_criterion_agrees_with_transported_topology(seed):
     assert v.homeomorphism
     assert v.transport_comparison.relation == "equal"
     assert compare_topologies(ulim_topology(t), ulim_topology(t)).relation == "equal"
+
+
+def _seeded_maps(seeds):
+    """Per seed, a random map between two random towers and one back."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        a = random_tower(rng, Profile(levels=3, max_size=6))
+        b = random_tower(rng, Profile(levels=2, max_size=5))
+        yield random_space_map(rng, a, b)
+        yield random_space_map(rng, b, a)
+
+
+def test_is_continuous_agrees_with_open_set_walk():
+    maps = list(_seeded_maps(range(300)))
+    discontinuous = 0
+    for f in maps:
+        v = is_continuous(f)
+        assert v.continuous == (open_set_walk_continuous(f) is None)
+        if v.continuous:
+            assert v.witness_open is None
+            continue
+        discontinuous += 1
+        witness = v.witness_open
+        preimage = {x for x in range(f.source.ground_size) if f(x) in witness}
+        assert level_by_level_topology(f.target).is_open(witness)
+        assert not level_by_level_topology(f.source).is_open(preimage)
+    # both verdicts occur often enough for the agreement to mean something
+    assert 0.2 < discontinuous / len(maps) < 0.8

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unilim.constructions import box_tower, product_tower
 from unilim.core import Entourage
-from unilim.errors import GroundMismatch, NotAnEntourage, StartMismatch
+from unilim.errors import GroundMismatch, IndexOutOfRange, NotAnEntourage, StartMismatch
 from unilim.generate import Profile, random_factors, random_monotone_sequence, random_tower
 from unilim.limitmetric import limit_pseudometric
 from unilim.relations import EntourageSequence
@@ -22,7 +22,12 @@ from unilim.topology import (
 )
 
 from .conftest import flat_tower, mixed_towers
-from .oracles import brute_topology_opens, fixpoint_grid_ball_masks
+from .oracles import (
+    brute_topology_opens,
+    fixpoint_grid_ball_masks,
+    level_by_level_minimal_ball,
+    level_by_level_topology,
+)
 
 
 def _grid_entourage(tower, level, eps):
@@ -72,6 +77,12 @@ def test_minimal_grid_ball_is_top_zero_class(tower, glued):
     assert minimal_grid_ball(t, 0) == {0, 1}
 
 
+@pytest.mark.parametrize("x", [-1, 3])
+def test_minimal_grid_ball_rejects_points_outside_the_ground_set(tower, x):
+    with pytest.raises(IndexOutOfRange):
+        minimal_grid_ball(tower, x)
+
+
 def test_ulim_topology_discrete_for_genuine_metrics(tower):
     top = ulim_topology(tower)
     assert top == TopologyFamily.discrete(3)
@@ -95,6 +106,13 @@ def test_tlim_topology_discrete(tower):
 def test_tlim_topology_indiscrete():
     t = flat_tower([1, 2], value=0)
     assert tlim_topology(t) == TopologyFamily.indiscrete(2)
+
+
+def test_repr_gives_sizes_without_listing_opens():
+    # 2**17 open sets, more than opens_masks lists
+    top = TopologyFamily.discrete(17)
+    assert repr(top) == f"TopologyFamily(ground_size=17, nbhd_sizes={[1] * 17})"
+    assert repr(TopologyFamily(2, [0b11, 0b10])) == "TopologyFamily(ground_size=2, nbhd_sizes=[2, 1])"
 
 
 def test_compare_topologies_verdicts():
@@ -213,3 +231,34 @@ def test_grid_balls_match_fixpoint_on_boxes(seed, depth):
 @given(mixed_towers(max_size=8))
 def test_grid_balls_match_fixpoint_on_mixed_towers(drawn):
     _same_grid_balls(drawn[0])
+
+
+# -- the limit topology is the top zero-class partition ------------------------
+
+
+def _random_product(seed):
+    rng = random.Random(seed)
+    a = random_tower(rng, Profile(levels=rng.randint(1, 3), max_size=4))
+    b = random_tower(rng, Profile(levels=a.num_levels, max_size=4))
+    return product_tower(a, b)
+
+
+def _random_box(seed_depth):
+    seed, depth = seed_depth
+    return box_tower(random_factors(random.Random(seed), 3), depth)
+
+
+@settings(max_examples=90, deadline=None)
+@given(
+    st.one_of(
+        mixed_towers(max_size=8).map(lambda drawn: drawn[0]),
+        st.integers(0, 10**6).map(_random_product),
+        st.tuples(st.integers(0, 10**6), st.integers(1, 3)).map(_random_box),
+    )
+)
+def test_ulim_topology_is_the_top_zero_class_partition(t):
+    top = ulim_topology(t)
+    assert top == level_by_level_topology(t) == tlim_topology(t)
+    for x in range(t.ground_size):
+        mask = level_by_level_minimal_ball(t, x)
+        assert minimal_grid_ball(t, x) == {i for i in range(t.ground_size) if mask >> i & 1}

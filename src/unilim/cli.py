@@ -14,7 +14,10 @@ import sys
 from fractions import Fraction
 
 from . import io
-from .constructions import check_box_limit, check_group_limit, check_multiplicativity, product_tower
+from .constructions import (
+    box_tower, check_box_limit, check_group_limit, check_multiplicativity, ordered_product_ball,
+    product_tower,
+)
 from .core import Entourage, MonotonePseudometricSequence, Tower
 from .errors import UnilimError, ValidationError
 from .generate import Profile, generate_instance
@@ -238,8 +241,6 @@ def cmd_group(args) -> int:
         v = check_group_limit(g, radii)
         print(io.dumps(v.to_json()))
         return EXIT_TRUE if v.ok else EXIT_SOUNDNESS
-    from .constructions import ordered_product_ball
-
     members = sorted(ordered_product_ball(g, radii))
     print(io.dumps([g.tower.labels[i] for i in members]))
     return EXIT_TRUE
@@ -247,8 +248,6 @@ def cmd_group(args) -> int:
 
 def cmd_box(args) -> int:
     factors = io.factors_from_json(io.load(args.factors))
-    from .constructions import box_tower
-
     tower = box_tower(factors, args.depth)
     print(io.dumps(io.tower_to_json(tower)))
     if args.check:
@@ -389,10 +388,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnilimError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, KeyError, IndexError) as e:
+    except (UnilimError, OSError, ValueError, KeyError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -7,7 +7,9 @@ oracle; nothing here argues by hand.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -242,6 +244,22 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
 # -- small box products ------------------------------------------------------
 
 
+def coordinate_tuples(
+    sizes: Sequence[int], basepoints: Sequence[int]
+) -> tuple[list[tuple[int, ...]], list[str], list[int]]:
+    """Every tuple with coordinate i in range(sizes[i]), sorted by (the last
+    coordinate off its basepoint, tuple), so that the tuples equal to the
+    basepoints beyond coordinate n form a prefix, level n; with the labels
+    "(c0,c1,...)" and the level sizes, the cumulative products of ``sizes``."""
+
+    def height(tup: tuple[int, ...]) -> int:
+        return max((i for i, (c, b) in enumerate(zip(tup, basepoints)) if c != b), default=0)
+
+    tuples = sorted(itertools.product(*map(range, sizes)), key=lambda t: (height(t), t))
+    labels = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
+    return tuples, labels, list(itertools.accumulate(sizes, operator.mul))
+
+
 @dataclass(frozen=True)
 class PointedSpace:
     metric: Pseudometric
@@ -253,22 +271,11 @@ class PointedSpace:
             raise ValidationError("basepoint out of range")
 
 
-def _box_order(factors: Sequence[PointedSpace], depth: int) -> list[tuple[int, ...]]:
-    """Tuples over the first ``depth`` factors, sorted so that the tuples
-    equal to the basepoint beyond coordinate n form a prefix."""
-
-    def height(tup: tuple[int, ...]) -> int:
-        h = 0
-        for i, (c, f) in enumerate(zip(tup, factors)):
-            if c != f.basepoint:
-                h = i
-        return h
-
-    tuples = [()]
-    for f in factors[:depth]:
-        tuples = [t + (c,) for t in tuples for c in range(f.metric.size)]
-    tuples.sort(key=lambda t: (height(t), t))
-    return tuples
+def _box_coordinates(factors: Sequence[PointedSpace], depth: int):
+    """``coordinate_tuples`` over the first ``depth`` factors."""
+    return coordinate_tuples(
+        [f.metric.size for f in factors[:depth]], [f.basepoint for f in factors[:depth]]
+    )
 
 
 def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
@@ -276,13 +283,7 @@ def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
     the first n+1 coordinates, with the coordinate-max metric."""
     if not 1 <= depth <= len(factors):
         raise LevelCountMismatch(f"depth {depth} with {len(factors)} factors")
-    order = _box_order(factors, depth)
-    labels = ["(" + ",".join(str(c) for c in t) + ")" for t in order]
-    sizes = []
-    m = 1
-    for n in range(depth):
-        m *= factors[n].metric.size
-        sizes.append(m)
+    order, labels, sizes = _box_coordinates(factors, depth)
     # each level is a prefix of the order and takes the max over all
     # ``depth`` coordinates, so its table is a corner of the top one
     den = math.lcm(*(f.metric.den for f in factors[:depth]))
@@ -301,28 +302,16 @@ def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
 def box_topology(factors: Sequence[PointedSpace], depth: int) -> TopologyFamily:
     """The (truncated) box topology on the same indexed ground set:
     minimal neighborhoods are boxes of factor zero-classes."""
-    order = _box_order(factors, depth)
+    order = _box_coordinates(factors, depth)[0]
     index = {t: k for k, t in enumerate(order)}
-    n = len(order)
-    zero_classes = []
-    for f in factors[:depth]:
-        zc = [
-            frozenset(
-                j for j in range(f.metric.size) if f.metric.dist[i][j] == 0
-            )
-            for i in range(f.metric.size)
-        ]
-        zero_classes.append(zc)
-    nbhd = [0] * n
-    for t, k in index.items():
-        box = [()]
-        for i in range(depth):
-            box = [b + (c,) for b in box for c in sorted(zero_classes[i][t[i]])]
-        m = 0
-        for b in box:
-            m |= 1 << index[tuple(b)]
-        nbhd[k] = m
-    return TopologyFamily(n, nbhd)
+    zero_classes = [
+        [[j for j, v in enumerate(row) if v == 0] for row in f.metric.dist] for f in factors[:depth]
+    ]
+    nbhd = [
+        sum(1 << index[b] for b in itertools.product(*(zc[c] for zc, c in zip(zero_classes, t))))
+        for t in order
+    ]
+    return TopologyFamily(len(order), nbhd)
 
 
 def check_box_limit(factors: Sequence[PointedSpace], depth: int, box: Tower) -> TopologyComparison:

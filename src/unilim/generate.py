@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .constructions import GroupTower, PointedSpace
+from .constructions import GroupTower, PointedSpace, coordinate_tuples
 from .core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower, shortest_path_closure
 from .errors import ProfileTooLarge
 from .limitmetric import adequate_sequence, sum_of_extensions
@@ -141,24 +141,8 @@ def cyclic_group_tower(
     if depth != len(weights):
         raise ProfileTooLarge("one weight per cyclic factor required")
 
-    def height(t: tuple[int, ...]) -> int:
-        h = 0
-        for i, c in enumerate(t):
-            if c != 0:
-                h = i
-        return h
-
-    tuples = [()]
-    for k in orders:
-        tuples = [t + (c,) for t in tuples for c in range(k)]
-    tuples.sort(key=lambda t: (height(t), t))
+    tuples, labels, sizes = coordinate_tuples(orders, [0] * depth)
     index = {t: k for k, t in enumerate(tuples)}
-
-    sizes = []
-    m = 1
-    for k in orders:
-        m *= k
-        sizes.append(m)
     if sizes[-1] > MAX_TOP_SIZE:
         raise ProfileTooLarge(f"group of order {sizes[-1]} exceeds {MAX_TOP_SIZE}")
 
@@ -177,7 +161,6 @@ def cyclic_group_tower(
             for t1 in pts
         ]
         metrics.append(Pseudometric(dist))
-    labels = ["(" + ",".join(str(c) for c in t) + ")" for t in tuples]
     tower = Tower(labels, sizes, metrics)
 
     op = tuple(

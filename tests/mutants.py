@@ -71,7 +71,7 @@ MUTANTS = {
         "rk, bit = rows[k], 1 << k",
         "rk, bit = self.rows[k], 1 << k",
         "test_relations.py",
-        ("tests",),
+        ("verify", "tests"),
     ),
     "<= in sublevel_pairs": Mutant(
         "core.py",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unilim.constructions import (
     GroupTower,
-    _box_order,
+    _box_coordinates,
     _product_order,
     PointedSpace,
     box_tower,
@@ -245,7 +245,7 @@ def test_box_levels_match_fraction_reference(seed, depth):
         for _ in range(3)
     ]
     box = box_tower(factors, depth)
-    order = _box_order(factors, depth)
+    order = _box_coordinates(factors, depth)[0]
     tables = [f.metric for f in factors[:depth]]
     for n, m in enumerate(box.level_sizes):
         assert same_table(box.metric(n), fraction_coordinate_max(tables, order[:m]))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim import io
-from unilim.errors import ProfileTooLarge, UnknownTheoremId
+from unilim.core import Entourage
+from unilim.errors import PreconditionFailed, ProfileTooLarge, UnknownTheoremId
 from unilim.generate import (
     MAX_TOP_SIZE,
     Profile,
@@ -16,6 +17,7 @@ from unilim.generate import (
 )
 from unilim.verify import (
     THEOREM_IDS,
+    THEOREMS,
     VerifyReport,
     fixture_reports,
     run_theorem,
@@ -91,7 +93,53 @@ def test_run_theorem_unknown_id():
     with pytest.raises(UnknownTheoremId):
         run_theorem("T99", inst)
     with pytest.raises(UnknownTheoremId):
+        fixture_reports("T99")
+    with pytest.raises(UnknownTheoremId):
         verify_suite(["T99"], [0])
+
+
+def test_theorem_table_order_and_fixtures():
+    assert THEOREM_IDS == tuple(THEOREMS) == (
+        "T1", "T2", "T3", "L-mod", "L-adeq", "L-pseudo", "T5", "C6", "P-group", "P-box", "P-lc",
+    )
+    names = {tid: [r.instance_id for r in fixture_reports(tid)] for tid in THEOREM_IDS}
+    assert names["L-adeq"] == names["L-pseudo"] == []
+    assert names["T5"] == ["fixture:glued-pair", "fixture:identity"]
+    # only the seeded box reports carry the truncation depth
+    assert "depth" not in fixture_reports("P-box")[0].certificate
+    assert run_theorem("P-box", generate_instance(0)).certificate["depth"] == 3
+
+
+def test_library_errors_fail_the_report_and_other_errors_propagate(monkeypatch):
+    inst = generate_instance(0)
+
+    def precondition(*args):
+        raise PreconditionFailed("no")
+
+    monkeypatch.setattr("unilim.verify.limit_pseudometric", precondition)
+    for tid in ("T3", "L-mod"):
+        r = run_theorem(tid, inst)
+        assert not r.verdict and r.certificate == {"error": "PreconditionFailed: no"}
+        f = fixture_reports(tid)[0]
+        assert not f.verdict and f.certificate == {"error": "PreconditionFailed: no"}
+
+    def interrupted(*args):
+        raise RuntimeError("deadline")
+
+    monkeypatch.setattr("unilim.verify.limit_pseudometric", interrupted)
+    with pytest.raises(RuntimeError):
+        run_theorem("T3", inst)
+
+
+def test_t1_requires_closures_to_equal_repeated_sums(monkeypatch):
+    # a closure that stops short of transitivity: T1 compares each top grid
+    # entourage's closure with its (size-1)-fold sum
+    monkeypatch.setattr(Entourage, "closure", lambda self: self)
+    r = run_theorem("T1", generate_instance(0))
+    assert not r.verdict
+    assert r.certificate == {
+        "reason": "closure of a top grid entourage is not its reflexive-transitive closure"
+    }
 
 
 def test_fixture_reports_expected_verdicts():

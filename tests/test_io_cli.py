@@ -6,7 +6,7 @@ import pytest
 
 from unilim import cli, io, limitmetric
 from unilim.core import Pseudometric, Tower
-from unilim.errors import ValidationError
+from unilim.errors import PreconditionFailed, ValidationError
 from unilim.fixtures import (
     binary_group_tower,
     glued_map,
@@ -513,6 +513,23 @@ def test_cli_verify_rejects_empty_seed_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "checks passed" not in captured.err and "empty" in captured.err
+
+
+def test_cli_verify_library_error_in_a_check_is_a_failure(capsys, monkeypatch):
+    # a library error on a generated (valid) instance is a bug, exit 3, not
+    # bad input
+    def broken(*args):
+        raise PreconditionFailed("{d_1 < 1} is not contained in U_1")
+
+    monkeypatch.setattr("unilim.verify.verify_generation", broken)
+    code, lines = run(capsys, "verify", "--targets", "L-pseudo", "--seed", "0")
+    assert code == 3
+    assert lines == [{
+        "certificate": {"error": "PreconditionFailed: {d_1 < 1} is not contained in U_1"},
+        "instance": "seed0",
+        "theorem": "L-pseudo",
+        "verdict": "fail",
+    }]
 
 
 def test_cli_verify_rejects_unknown_target():

@@ -5,6 +5,8 @@ import importlib
 import types
 from pathlib import Path
 
+import unilim.verify
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -25,3 +27,9 @@ def test_every_traced_name_resolves_on_unilim():
             assert hasattr(obj, part), f"unilim.{module}.{qualname} is gone"
             obj = getattr(obj, part)
         assert callable(obj), f"unilim.{module}.{qualname} is not callable"
+
+
+def test_traced_theorem_ids_match_verify():
+    # the traced run names one span per theorem id from its own tuple; a
+    # drifted id would drop that span without an error
+    assert _spans_module().THEOREM_IDS == unilim.verify.THEOREM_IDS

@@ -175,11 +175,7 @@ def cmd_limit(args) -> int:
     tower, _ = _load_tower(args.tower)
     seq = _load_sequence(tower, args.seq)
     lim = limit_pseudometric(seq)
-    matrix = [
-        [io.rational_to_json(lim(i, j)) for j in range(tower.ground_size)]
-        for i in range(tower.ground_size)
-    ]
-    print(io.dumps({"labels": list(tower.labels), "matrix": matrix}))
+    print(io.dumps({"labels": list(tower.labels), "matrix": io.matrix_to_json(lim.dist)}))
     if args.witness:
         x = tower.index_of(args.witness[0])
         y = tower.index_of(args.witness[1])

@@ -143,11 +143,11 @@ class GroupTower:
     def check_invariance(self) -> None:
         t, op = self.tower, self.op
         for lvl, m in enumerate(t.level_sizes):
-            d = t.metric(lvl)
+            d = t.metric(lvl).numer
             for g in range(m):
                 for x in range(m):
                     for y in range(m):
-                        if d.dist[op[x][g]][op[y][g]] != d.dist[x][y]:
+                        if d[op[x][g]][op[y][g]] != d[x][y]:
                             raise InvarianceViolation(
                                 f"metric at level {lvl} not invariant under "
                                 f"translation by {t.labels[g]}"
@@ -156,7 +156,8 @@ class GroupTower:
     def metric_ball(self, level: int, radius: Fraction) -> frozenset[int]:
         """Elements of the level subgroup at distance < radius from e."""
         d = self.tower.metric(level)
-        return frozenset(g for g in range(d.size) if d.dist[g][self.identity] < radius)
+        q, bound = radius.denominator, radius.numerator * d.den
+        return frozenset(g for g in range(d.size) if d.numer[g][self.identity] * q < bound)
 
     def set_product(self, a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
         return frozenset(self.op[x][y] for x in a for y in b)
@@ -305,7 +306,8 @@ def box_topology(factors: Sequence[PointedSpace], depth: int) -> TopologyFamily:
     order = _box_coordinates(factors, depth)[0]
     index = {t: k for k, t in enumerate(order)}
     zero_classes = [
-        [[j for j, v in enumerate(row) if v == 0] for row in f.metric.dist] for f in factors[:depth]
+        [[j for j, v in enumerate(row) if v == 0] for row in f.metric.numer]
+        for f in factors[:depth]
     ]
     nbhd = [
         sum(1 << index[b] for b in itertools.product(*(zc[c] for zc, c in zip(zero_classes, t))))

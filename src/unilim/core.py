@@ -2,9 +2,13 @@
 
 A tower is a strictly increasing chain of prefixes of one finite ground
 set, with one exact-rational pseudometric per level.  Distances enter and
-leave as ``fractions.Fraction``; inside, each table is also held as Python
-ints over one common denominator, on which the kernels compute.  No
-floating point is used anywhere.
+leave as ``fractions.Fraction``; inside, each table is held as Python ints
+over one common denominator, on which the kernels compute, and its
+``Fraction`` form is built on first access.  The JSON reader and writers in
+``io`` work on the ints too.  The triangle check runs on packed rows, one
+int per row with a field per entry, wide enough that no field can carry
+into the next (see ``Pseudometric.validate``).  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -65,19 +69,20 @@ class Pseudometric:
     """A symmetric square table of nonnegative rationals with zero diagonal
     satisfying the triangle inequality.
 
-    ``dist`` holds the values as ``Fraction``s.  ``numer`` holds the same
-    values as ints over the common denominator ``den``, the lcm of their
-    denominators: ``dist[i][j] == Fraction(numer[i][j], den)``.
+    The table is ``numer``, ints over the common denominator ``den``, the
+    lcm of the values' reduced denominators; the pair is canonical, so it
+    decides equality.  ``dist`` holds the same values as ``Fraction``s,
+    ``dist[i][j] == Fraction(numer[i][j], den)``, built on first access.
     """
 
-    __slots__ = ("size", "dist", "den", "numer")
+    __slots__ = ("size", "den", "numer", "_dist")
 
     def __init__(self, dist: Sequence[Sequence[Fraction]]):
-        self.dist: tuple[tuple[Fraction, ...], ...] = tuple(
+        self._dist: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in dist
         )
-        self.size = len(self.dist)
-        self.den, numer = _over_common_denominator(self.dist)
+        self.size = len(self._dist)
+        self.den, numer = _over_common_denominator(self._dist)
         self.numer: tuple[tuple[int, ...], ...] = tuple(map(tuple, numer))
 
     @classmethod
@@ -86,17 +91,27 @@ class Pseudometric:
         same values as ``Fraction``s would hold it: ``den`` and ``numer`` are
         divided by their gcd, so ``den`` is the lcm of the reduced
         denominators.  Not validated."""
-        g = math.gcd(den, *(v for row in numer for v in row))
+        g = math.gcd(den, *(math.gcd(*row) for row in numer))
         if g != 1:
             den //= g
             numer = [[v // g for v in row] for row in numer]
-        as_fraction = {v: Fraction(v, den) for v in {v for row in numer for v in row}}
         d = object.__new__(cls)
-        d.dist = tuple(tuple(as_fraction[v] for v in row) for row in numer)
-        d.size = len(d.dist)
+        d.size = len(numer)
         d.den = den
         d.numer = tuple(map(tuple, numer))
         return d
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as ``Fraction``s, one object per distinct value."""
+        try:
+            return self._dist
+        except AttributeError:
+            pass
+        den = self.den
+        as_fraction = {v: Fraction(v, den) for v in set().union(*self.numer)}
+        self._dist = tuple(tuple(map(as_fraction.__getitem__, row)) for row in self.numer)
+        return self._dist
 
     @classmethod
     def from_lower_triangular(cls, rows: Sequence[Sequence]) -> "Pseudometric":
@@ -131,10 +146,26 @@ class Pseudometric:
                     raise ValidationError(f"negative distance ({name(i)},{name(j)})")
         # d(i,k) <= d(i,j) + d(j,k) for every k iff max_k d(i,k) - d(j,k)
         # <= d(i,j); with d symmetric, the pairs (i, j) and (j, i) together
-        # ask max_k |d(i,k) - d(j,k)| <= d(i,j), so j < i covers them all
+        # ask max_k |d(i,k) - d(j,k)| <= d(i,j), so j < i covers them all.
+        # Both sides are checked on packed rows: row i is one int P_i with
+        # d(i,k) in the w-bit field k, ONES has a 1 and H the top bit in
+        # every field.  Field k of P_j + d(i,j)*ONES + H - P_i is
+        # d(j,k) + d(i,j) - d(i,k) + 2^(w-1), in [2^(w-1) - max,
+        # 2^(w-1) + 2*max]; w is chosen so 2*max < 2^(w-1), so no field
+        # carries into or borrows from the next, and its top bit is set iff
+        # d(i,k) <= d(i,j) + d(j,k).
+        top = max(map(max, d), default=0)
+        w = (2 * top).bit_length() + 1
+        shifts = range(0, n * w, w)
+        ones = sum(1 << s for s in shifts)
+        h = ones << (w - 1)
+        packed = [sum(map(lshift, row, shifts)) for row in d]
+        lifted = [p + h for p in packed]
         for i, di in enumerate(d):
+            pi, li = packed[i], lifted[i]
             for j in range(i):
-                if max(map(abs, map(sub, di, d[j]))) > di[j]:
+                dij = di[j] * ones
+                if (lifted[j] + dij - pi) & h != h or (li + dij - packed[j]) & h != h:
                     # name the first failing (a, b, c) in (a, b, c) order
                     first = next(
                         (a, b, c)
@@ -147,7 +178,7 @@ class Pseudometric:
         return self.dist[i][j]
 
     def restrict(self, size: int) -> "Pseudometric":
-        return Pseudometric([row[:size] for row in self.dist[:size]])
+        return Pseudometric._from_numer(self.den, [row[:size] for row in self.numer[:size]])
 
     def scale(self, factor) -> "Pseudometric":
         c = Fraction(factor)
@@ -176,10 +207,12 @@ class Pseudometric:
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Pseudometric) and self.dist == other.dist
+        return isinstance(other, Pseudometric) and (
+            (self.den, self.numer) == (other.den, other.numer)
+        )
 
     def __hash__(self) -> int:
-        return hash(self.dist)
+        return hash((self.den, self.numer))
 
     def __repr__(self) -> str:
         return f"Pseudometric(size={self.size})"
@@ -192,7 +225,8 @@ class Tower:
     levels must agree on zero-pairs (the finite-scale uniform-subspace
     condition); in strict mode the higher metric must restrict exactly.
     A tower is not modified after construction, so the heights, and each
-    level's zero-relation and grid entourages once asked for, are kept.
+    level's zero-relation and grid entourages once asked for, are kept, as
+    are the grid-ball steps ``topology.grid_ball_masks`` takes from it.
     """
 
     def __init__(
@@ -213,6 +247,7 @@ class Tower:
         self._heights = tuple(heights)
         self._zero_relations: list[Entourage | None] = [None] * self.num_levels
         self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
+        self._grid_steps: dict[tuple[int, int], frozenset[int]] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -262,7 +297,7 @@ class Tower:
                 for j in range(m):
                     if (lo.numer[i][j] == 0) != (hi.numer[i][j] == 0):
                         raise SubspaceViolation(n, self.labels[i], self.labels[j])
-                    if self.strict and lo.dist[i][j] != hi.dist[i][j]:
+                    if self.strict and lo.numer[i][j] * hi.den != hi.numer[i][j] * lo.den:
                         raise SubspaceViolation(n, self.labels[i], self.labels[j])
 
     # -- heights -----------------------------------------------------------

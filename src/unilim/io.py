@@ -8,6 +8,7 @@ serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -37,23 +38,6 @@ def _array(value: Any, path: str) -> list:
     return value
 
 
-def _rational(value: Any, path: str, parsed: dict[Any, Fraction]) -> Fraction:
-    """``value`` as a rational.  ``parsed`` holds the ints and strings
-    already parsed in the same document; a ``Fraction`` is immutable, so
-    equal entries share one."""
-    kind = type(value)
-    if kind is int or kind is str:
-        v = parsed.get(value)
-        if v is not None:
-            return v
-    try:
-        v = rational_from_json(value)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
-    parsed[value] = v
-    return v
-
-
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
@@ -67,27 +51,52 @@ def _index(value: Any, path: str, size: int) -> int:
     return value
 
 
+def _json_values(d: Pseudometric) -> dict[int, Any]:
+    """Each distinct numerator of ``d``'s table, as its value over ``d.den``
+    in JSON."""
+    den = d.den
+    return {v: rational_to_json(Fraction(v, den)) for v in set().union(*d.numer)}
+
+
 def metric_to_json(d: Pseudometric) -> list[list[Any]]:
     """Lower-triangular rows, row i listing d(i,0) .. d(i,i-1)."""
-    return [
-        [rational_to_json(d.dist[i][j]) for j in range(i)] for i in range(d.size)
-    ]
+    as_json = _json_values(d).__getitem__
+    return [list(map(as_json, row[:i])) for i, row in enumerate(d.numer)]
+
+
+def matrix_to_json(d: Pseudometric) -> list[list[Any]]:
+    """The full square table, row i listing d(i,0) .. d(i,n-1)."""
+    as_json = _json_values(d).__getitem__
+    return [list(map(as_json, row)) for row in d.numer]
 
 
 def _metric_from_json(rows: Any, path: str, parsed: dict[Any, Fraction]) -> Pseudometric:
     """Lower-triangular rows to a pseudometric (not yet validated); a
-    malformed document names its first offending path."""
-    values = [
-        [
-            _rational(v, f"{path}[{i}][{j}]", parsed)
-            for j, v in enumerate(_array(row, f"{path}[{i}]"))
-        ]
-        for i, row in enumerate(_array(rows, path))
-    ]
-    try:
-        return Pseudometric.from_lower_triangular(values)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+    malformed document names its first offending path.  ``parsed`` holds
+    the ints and strings already parsed in the same document, so each
+    distinct entry is parsed once; the table is written as int numerators
+    over the lcm of its values' denominators."""
+    table = _array(rows, path)
+    for i, row in enumerate(table):
+        for j, v in enumerate(_array(row, f"{path}[{i}]")):
+            # JSON true is not the int 1, though it hashes like it
+            if (type(v) is not int and type(v) is not str) or v not in parsed:
+                try:
+                    parsed[v] = rational_from_json(v)
+                except ValidationError as e:
+                    raise ValidationError(f"{path}[{i}][{j}]: {e}") from None
+    for i, row in enumerate(table):
+        if len(row) != i:
+            raise ValidationError(f"{path}: lower-triangular row {i} has length {len(row)}")
+    values = {v: parsed[v] for row in table for v in row}
+    den = math.lcm(*(v.denominator for v in values.values()))
+    numer_of = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+    n = len(table)
+    numer = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            numer[i][j] = numer[j][i] = numer_of[v]
+    return Pseudometric._from_numer(den, numer)
 
 
 def metric_from_json(rows: list[list[Any]]) -> Pseudometric:

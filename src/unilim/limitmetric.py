@@ -10,6 +10,7 @@ path problem over exact rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,9 +52,11 @@ def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
     return total
 
 
-def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, list[list[int]]]:
+@functools.lru_cache(maxsize=1)
+def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Each pair's distance at its pair height, as ints over ``den``, the
-    lcm of the sequence's denominators.
+    lcm of the sequence's denominators.  Kept for the last sequence asked
+    for, since ``valley_distance`` asks once per pair.
 
     Heights grow with the index, so row x takes level h(x) up to that
     level's size and then, level by level, the points born higher.
@@ -70,8 +73,8 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, list[list[int
         for n in range(h + 1, len(sizes)):
             f = scales[n]
             row += [v * f for v in metrics[n].numer[x][sizes[n - 1]:]]
-        w.append(row)
-    return den, w
+        w.append(tuple(row))
+    return den, tuple(w)
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> LimitPseudometric:
     """Minimum chain weight for each pair: all-pairs shortest path of the
     complete graph weighted by pair-height distances."""
     den, w = _link_weights(seq)
-    closed = closure_in_place([row[:] for row in w])
+    closed = closure_in_place([list(row) for row in w])
     return LimitPseudometric(Pseudometric._from_numer(den, closed), seq, w, closed)
 
 

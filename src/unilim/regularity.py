@@ -142,7 +142,7 @@ def _restriction_continuous(f: SpaceMap, n: int) -> Optional[tuple[int, int]]:
     dy = f.target.metric(f.target.top_level)
     for i in range(d.size):
         for j in range(d.size):
-            if d.dist[i][j] == 0 and dy.dist[f(i)][f(j)] != 0:
+            if d.numer[i][j] == 0 and dy.numer[f(i)][f(j)] != 0:
                 return (i, j)
     return None
 

@@ -189,14 +189,25 @@ def grid_ball_masks(tower: Tower, x: int) -> set[int]:
     and its repeat-last tail together are one step by the entry's
     reflexive-transitive closure.
     """
-    h = tower.height(x)
-    top = tower.top_level
     sets = {1 << x}
-    for n in range(h, top):
-        grid = tower.grid_entourages(n)
-        sets = {ball_set_mask(s, u) for s in sets for u in grid}
-    closed = [u.closure() for u in tower.grid_entourages(top)]
-    return {ball_set_mask(s, c) for s in sets for c in closed}
+    for n in range(tower.height(x), tower.top_level + 1):
+        sets = set().union(*(_grid_step(tower, n, s) for s in sets))
+    return sets
+
+
+def _grid_step(tower: Tower, level: int, s: int) -> frozenset[int]:
+    """The balls of the set ``s`` under each grid entourage of ``level``,
+    or at the top level under each one's reflexive-transitive closure.
+    The points of a tower reach many of the same sets, so the steps are
+    kept on the tower."""
+    steps = tower._grid_steps
+    out = steps.get((level, s))
+    if out is None:
+        grid = tower.grid_entourages(level)
+        if level == tower.top_level:
+            grid = [u.closure() for u in grid]
+        out = steps[level, s] = frozenset(ball_set_mask(s, u) for u in grid)
+    return out
 
 
 def minimal_grid_ball(tower: Tower, x: int) -> frozenset[int]:

@@ -10,6 +10,7 @@ check on a generated instance and its hand-built fixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,13 +33,12 @@ from .topology import (
 )
 
 
-def exhaustive_limit_distance(
-    seq: MonotonePseudometricSequence, x: int, y: int
-) -> Fraction:
-    """Brute-force oracle: minimum chain weight over all simple chains,
-    enumerated depth first, with heights and link weights, ints over the
-    lcm of the sequence's denominators, built here rather than taken from
-    the library's limit path."""
+@functools.lru_cache(maxsize=1)
+def _oracle_links(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The link weights of ``seq`` as ints over ``den``, the lcm of its
+    denominators, from heights built here rather than taken from the
+    library's limit path.  Kept for the last sequence asked for, since the
+    oracle is asked once per pair."""
     t = seq.tower
     n = t.ground_size
     heights: list[int] = []
@@ -50,7 +50,16 @@ def exhaustive_limit_distance(
         d = seq[max(heights[a], heights[b])]
         return d.numer[a][b] * (den // d.den)
 
-    w = [[link(a, b) for b in range(n)] for a in range(n)]
+    return den, tuple(tuple(link(a, b) for b in range(n)) for a in range(n))
+
+
+def exhaustive_limit_distance(
+    seq: MonotonePseudometricSequence, x: int, y: int
+) -> Fraction:
+    """Brute-force oracle: minimum chain weight over all simple chains,
+    enumerated depth first over the oracle's own link table."""
+    n = seq.tower.ground_size
+    den, w = _oracle_links(seq)
     to_y = [row[y] for row in w]
     best = 0 if x == y else w[x][y]
 

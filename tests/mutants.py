@@ -80,15 +80,25 @@ MUTANTS = {
         "test_core.py",
         ("verify", "tests"),
     ),
-    # the half scan over j < i is the whole check because of abs; scanning
-    # j >= i instead is an equivalent mutant, so the one-sided check is
-    # made by dropping abs
+    # the half scan over j < i is the whole check because both orientations
+    # of each pair are compared; scanning j >= i instead is an equivalent
+    # mutant, so the one-sided check is made by dropping the mirror
+    # comparison
     "triangle check on one side of each pair only": Mutant(
         "core.py",
-        "max(map(abs, map(sub, di, d[j])))",
-        "max(map(sub, di, d[j]))",
+        "if (lifted[j] + dij - pi) & h != h or (li + dij - packed[j]) & h != h:",
+        "if (lifted[j] + dij - pi) & h != h:",
         "test_core.py",
         ("tests",),
+    ),
+    # with a field one bit short, 2*max no longer fits below the top bit,
+    # so a field can carry into the next one
+    "packed triangle fields one bit short": Mutant(
+        "core.py",
+        "w = (2 * top).bit_length() + 1",
+        "w = max(1, (2 * top).bit_length())",
+        "test_core.py",
+        ("verify", "tests"),
     ),
 }
 

@@ -37,6 +37,17 @@ def loop_validate(dist, level=0, labels=None):
                     raise TriangleViolation(level, name(i), name(j), name(k))
 
 
+def fraction_metric_from_json(rows):
+    """Reference for the JSON metric reader: each entry through
+    ``Fraction``, and the symmetric table built from the ``Fraction``s."""
+    n = len(rows)
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            dist[i][j] = dist[j][i] = Fraction(v)
+    return Pseudometric(dist)
+
+
 def fraction_closure(matrix):
     """Reference for ``shortest_path_closure``: Floyd-Warshall on Fractions,
     one entry at a time, updating in place."""

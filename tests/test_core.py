@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unilim.core import (
@@ -317,3 +318,74 @@ def test_from_numer_holds_what_fractions_would(den, numer):
     ref = Pseudometric([[Fraction(v, den) for v in row] for row in numer])
     assert got == ref
     assert (got.size, got.dist, got.den, got.numer) == (ref.size, ref.dist, ref.den, ref.numer)
+
+
+# -- the packed triangle check against the triple loop --------------------------
+
+# common denominators: 1, primes near 10^6 and 10^12, and a product of two
+# primes near 10^6, so the values' lcm reaches about 10^12
+DENOMINATORS = (1, 999983, 999999999989, 999983 * 1000003)
+
+
+@st.composite
+def packed_tables(draw):
+    """Symmetric nonnegative tables whose largest numerator over their
+    common denominator is M, with 2*M at, two below or two above a power of
+    two: line metrics (valid), a line metric with a hub at distance c from
+    every point, appended last (only the mirror comparison of a pair can
+    fail, when 2*c < M) or put first (only the direct comparison can fail),
+    and raw tables."""
+    k = draw(st.integers(1, 41))
+    top = max(1, 2 ** (k - 1) + draw(st.sampled_from((-1, 0, 1))))
+    den = draw(st.sampled_from(DENOMINATORS))
+    assume(den == 1 or math.gcd(top, den) == 1)
+    kind = draw(st.sampled_from(("line", "hub last", "hub first", "raw")))
+    n = draw(st.integers(3 if kind.startswith("hub") else 2, 7))
+    values = st.integers(0, top)
+    if kind == "raw":
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i] = draw(values)
+        m[1][0] = m[0][1] = top
+    else:
+        line = n - 1 if kind.startswith("hub") else n
+        xs = [0, top][:line] + [draw(values) for _ in range(line - 2)]
+        m = [[abs(a - b) for b in xs] for a in xs]
+        if kind.startswith("hub"):
+            c = draw(values)
+            m = [row + [c] for row in m] + [[c] * (n - 1) + [0]]
+            if kind == "hub first":
+                order = [n - 1, *range(n - 1)]
+                m = [[m[a][b] for b in order] for a in order]
+    return top, [[Fraction(v, den) for v in row] for row in m]
+
+
+@settings(max_examples=500, deadline=None)
+@given(packed_tables(), st.booleans())
+@example((5, [[Fraction(v) for v in row] for row in ((0, 5, 2), (5, 0, 2), (2, 2, 0))]), False)
+@example((5, [[Fraction(v) for v in row] for row in ((0, 2, 2), (2, 0, 5), (2, 5, 0))]), True)
+def test_packed_triangle_check_matches_loop_reference(case, labelled):
+    top, m = case
+    d = Pseudometric(m)
+    assert max(map(max, d.numer)) == top
+    labels = [f"p{i}" for i in range(len(m))] if labelled else None
+    got = _outcome(lambda: d.validate(1, labels))
+    assert got == _outcome(lambda: loop_validate(m, 1, labels))
+
+
+@pytest.mark.parametrize("m", [[], [[0]], [[0, 0], [0, 0]], [[0, 7], [7, 0]]])
+def test_packed_triangle_check_on_tables_of_at_most_two_points(m):
+    Pseudometric(m).validate()
+    loop_validate(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_matrices(kinds=("symmetric", "pseudometric")), mixed_matrices(), st.integers(1, 6))
+def test_equality_and_hash_agree_with_the_fraction_tables(m1, m2, k):
+    a, b = Pseudometric(m1), Pseudometric(m2)
+    assert (a == b) == (a.dist == b.dist)
+    assert a != b or hash(a) == hash(b)
+    # the same values over a k times larger denominator
+    c = Pseudometric._from_numer(a.den * k, [[v * k for v in row] for row in a.numer])
+    assert c == a and hash(c) == hash(a) and c.dist == a.dist

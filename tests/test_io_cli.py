@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unilim import cli, io, limitmetric
 from unilim.core import Pseudometric, Tower
@@ -16,7 +18,11 @@ from unilim.fixtures import (
     three_point_sequence,
     three_point_tower,
 )
+from unilim.generate import generate_instance
 from unilim.relations import compose
+
+from .conftest import MIXED_POOL, mixed_towers, same_table
+from .oracles import fraction_metric_from_json
 
 
 # -- wire formats --------------------------------------------------------------
@@ -539,3 +545,62 @@ def test_cli_verify_rejects_unknown_target():
 
 def test_cli_missing_file_is_input_error(capsys, tmp_path):
     assert cli.main(["topo", "--tower", str(tmp_path / "nope.json")]) == 2
+
+
+# -- the JSON edge on int tables ---------------------------------------------------
+
+
+def tokenized(data, rows):
+    """``rows`` of JSON values with each entry rewritten as an int, a
+    reduced "p/q" or an unreduced "kp/kq"."""
+    def token(v):
+        f = Fraction(v)
+        form = data.draw(st.sampled_from(("plain", "reduced", "unreduced")))
+        if form == "plain":
+            return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        k = 1 if form == "reduced" else data.draw(st.integers(2, 12))
+        return f"{f.numerator * k}/{f.denominator * k}"
+
+    return [[token(v) for v in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_towers(), st.booleans(), st.data())
+def test_json_reader_matches_the_fraction_reference(case, bare, data):
+    tower, pieces = case
+    metrics = [tokenized(data, rows) for rows in io.tower_to_json(tower)["metrics"]]
+    back = io.tower_from_json(io.tower_to_json(tower) | {"metrics": metrics})
+    assert back == tower
+    for n, rows in enumerate(metrics):
+        assert same_table(back.metric(n), fraction_metric_from_json(rows))
+    seq = [tokenized(data, io.metric_to_json(p)) for p in pieces]
+    for got, rows in zip(io.sequence_metrics_from_json(seq if bare else {"metrics": seq}), seq):
+        assert same_table(got, fraction_metric_from_json(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(MIXED_POOL + (Fraction(0), Fraction(3), Fraction(7, 999983))),
+                min_size=0, max_size=28), st.integers(1, 8))
+def test_json_writers_match_per_entry_values(values, n):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    pool = iter(values)
+    for i in range(n):
+        for j in range(i):
+            m[i][j] = m[j][i] = next(pool, Fraction(1, 2))
+    lower = [[io.rational_to_json(m[i][j]) for j in range(i)] for i in range(n)]
+    square = [[io.rational_to_json(v) for v in row] for row in m]
+    d = Pseudometric(m)
+    # the same table built from ints, whose Fractions are made on demand
+    for got in (d, Pseudometric._from_numer(2 * d.den, [[2 * v for v in r] for r in d.numer])):
+        assert io.dumps(io.metric_to_json(got)) == io.dumps(lower)
+        assert io.dumps(io.matrix_to_json(got)) == io.dumps(square)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6))
+def test_limit_matrix_matches_per_entry_values(seed):
+    seq = generate_instance(seed).seq
+    lim = limitmetric.limit_pseudometric(seq)
+    n = seq.tower.ground_size
+    per_entry = [[io.rational_to_json(lim(i, j)) for j in range(n)] for i in range(n)]
+    assert io.dumps(io.matrix_to_json(lim.dist)) == io.dumps(per_entry)

@@ -26,11 +26,13 @@ from .topology import TopologyComparison, TopologyFamily, compare_topologies, ul
 def _product_order(a: Tower, b: Tower) -> list[tuple[int, int]]:
     """Pairs sorted so that each product level is a prefix: by the level at
     which the pair first appears, then lexicographically."""
-    pairs = [
-        (i, j) for i in range(a.ground_size) for j in range(b.ground_size)
-    ]
-    pairs.sort(key=lambda p: (max(a.height(p[0]), b.height(p[1])), p[0], p[1]))
-    return pairs
+    ha = [a.height(i) for i in range(a.ground_size)]
+    hb = [b.height(j) for j in range(b.ground_size)]
+    # the pairs start in lexicographic order and the sort is stable
+    return sorted(
+        itertools.product(range(a.ground_size), range(b.ground_size)),
+        key=lambda p: max(ha[p[0]], hb[p[1]]),
+    )
 
 
 def product_tower(a: Tower, b: Tower) -> Tower:

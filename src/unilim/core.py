@@ -5,10 +5,10 @@ set, with one exact-rational pseudometric per level.  Distances enter and
 leave as ``fractions.Fraction``; inside, each table is held as Python ints
 over one common denominator, on which the kernels compute, and its
 ``Fraction`` form is built on first access.  The JSON reader and writers in
-``io`` work on the ints too.  The triangle check runs on packed rows, one
-int per row with a field per entry, wide enough that no field can carry
-into the next (see ``Pseudometric.validate``).  No floating point is used
-anywhere.
+``io`` work on the ints too.  The triangle check and the shortest-path
+closure run on packed rows, one int per row with a field per entry, wide
+enough that no field can carry into the next (see ``Pseudometric.validate``
+and ``closure_in_place``).  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -38,17 +38,57 @@ def _over_common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, l
 
 
 def closure_in_place(d: list[list[int]]) -> list[list[int]]:
-    """Floyd-Warshall on a square int matrix with a zero diagonal,
-    relaxing ``d`` in place; returns ``d``."""
+    """Floyd-Warshall on a square int matrix, relaxing ``d`` in place;
+    returns ``d``.
+
+    Runs on packed rows (SWAR): row i is one int P_i with d(i,j) + c in the
+    w-bit field j, ONES has a 1 and H the top bit in every field.  Relaxing
+    row i through k is d(i,j) <- min(d(i,j), d(i,k) + d(k,j)) for every j
+    at once: field j of s = d(i,k)*ONES + P_k is d(i,k) + d(k,j) + c, field
+    j of t = P_i + H - s is 2^(w-1) + d(i,j) - d(i,k) - d(k,j), whose top
+    bit is set iff s's entry is not larger, and subtracting t's low w-1 bits
+    in exactly those fields writes s's entry there.
+
+    The fields stay in range while every value, first to last, lies in an
+    interval [-c, span - c] holding 0: each field of P_i is in [0, span],
+    d(i,j) - d(i,k) - d(k,j) is in [-2 span, 2 span], and w is chosen so
+    2 span < 2^(w-1), so no field of t carries into or borrows from the
+    next.  Entries only decrease, so with no negative entry the interval
+    is [0, max] and c = 0.  Otherwise the pass through k at most triples
+    the most negative value L: a row relaxed before row k adds two values
+    >= L, row k relaxed through its own diagonal too, and a later row adds
+    d(i,k) >= L to row k's new entries >= 2L.  Over n passes no value falls
+    below -max|v| * 3^n, so c = max|v| * 4^(n+1) bounds |v| with a margin,
+    and span = 2c.
+
+    P_k is read afresh for each i, so a row relaxes through row k as
+    updated earlier in the same pass, as an entry-by-entry update would.
+    """
     n = len(d)
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            di = d[i]
-            # the new row is built in full before it is written back, so
-            # row k relaxes against its old values, as an entry-by-entry
-            # update would
-            di[:] = map(min, di, map(di[k].__add__, dk))
+    low = min(map(min, d), default=0)
+    top = max(map(max, d), default=0)
+    if low >= 0:
+        c, span = 0, top
+    else:
+        c = max(top, -low) << (2 * n + 2)
+        span = 2 * c
+    w = (2 * span).bit_length() + 1
+    shifts = range(0, n * w, w)
+    ones = sum(1 << s for s in shifts)
+    top_bit = w - 1
+    h = ones << top_bit
+    field = (1 << w) - 1
+    lift = c * ones
+    # field k of P_i is d(i,k) + c, so t = P_i + (H + c*ONES) - field*ONES - P_k
+    h_lift = h + lift
+    packed = [sum(map(lshift, row, shifts)) + lift for row in d]
+    for k, sk in enumerate(shifts):
+        for i, pi in enumerate(packed):
+            t = pi + h_lift - (pi >> sk & field) * ones - packed[k]
+            m = t & h
+            packed[i] = pi - (t & (m - (m >> top_bit)))
+    for row, p in zip(d, packed):
+        row[:] = [(p >> s & field) - c for s in shifts]
     return d
 
 
@@ -226,7 +266,8 @@ class Tower:
     condition); in strict mode the higher metric must restrict exactly.
     A tower is not modified after construction, so the heights, and each
     level's zero-relation and grid entourages once asked for, are kept, as
-    are the grid-ball steps ``topology.grid_ball_masks`` takes from it.
+    are the grid balls ``topology.grid_ball_masks`` finds from each (level,
+    set) it reaches.
     """
 
     def __init__(
@@ -247,7 +288,7 @@ class Tower:
         self._heights = tuple(heights)
         self._zero_relations: list[Entourage | None] = [None] * self.num_levels
         self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
-        self._grid_steps: dict[tuple[int, int], frozenset[int]] = {}
+        self._grid_balls: dict[tuple[int, int], frozenset[int]] = {}
 
     # -- structure ---------------------------------------------------------
 

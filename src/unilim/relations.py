@@ -60,12 +60,16 @@ def compose(u: Entourage, v: Entourage) -> Entourage:
 
 
 def multiple(u: Entourage, k: int) -> Entourage:
-    """k-fold sum: 1*U = U, (k+1)*U = k*U + U."""
+    """k-fold sum: 1*U = U, (k+1)*U = k*U + U.  Once j*U + U == j*U, every
+    later multiple is j*U too, so the sums stop there."""
     if k < 1:
         raise ValueError("multiple requires k >= 1")
     acc = u
     for _ in range(k - 1):
-        acc = compose(acc, u)
+        nxt = compose(acc, u)
+        if nxt == acc:
+            break
+        acc = nxt
     return acc
 
 

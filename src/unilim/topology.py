@@ -181,7 +181,7 @@ def base_ball(tower: Tower, x: int, seq: EntourageSequence) -> frozenset[int]:
     return ball(x, sigma_sum(seq, OMEGA))
 
 
-def grid_ball_masks(tower: Tower, x: int) -> set[int]:
+def grid_ball_masks(tower: Tower, x: int) -> frozenset[int]:
     """All base balls around x over grid entourage sequences, as bitmasks.
 
     Enumerated by propagating the reachable sets level by level (the ball
@@ -189,24 +189,26 @@ def grid_ball_masks(tower: Tower, x: int) -> set[int]:
     and its repeat-last tail together are one step by the entry's
     reflexive-transitive closure.
     """
-    sets = {1 << x}
-    for n in range(tower.height(x), tower.top_level + 1):
-        sets = set().union(*(_grid_step(tower, n, s) for s in sets))
-    return sets
+    return _grid_balls(tower, tower.height(x), 1 << x)
 
 
-def _grid_step(tower: Tower, level: int, s: int) -> frozenset[int]:
-    """The balls of the set ``s`` under each grid entourage of ``level``,
-    or at the top level under each one's reflexive-transitive closure.
-    The points of a tower reach many of the same sets, so the steps are
-    kept on the tower."""
-    steps = tower._grid_steps
-    out = steps.get((level, s))
+def _grid_balls(tower: Tower, level: int, s: int) -> frozenset[int]:
+    """The balls the set ``s`` reaches from ``level`` to the top: its ball
+    under each grid entourage of ``level``, carried on through the levels
+    above, or at the top level its ball under each one's
+    reflexive-transitive closure.  The points of a tower reach many of the
+    same sets, so the results are kept on the tower."""
+    memo = tower._grid_balls
+    out = memo.get((level, s))
     if out is None:
         grid = tower.grid_entourages(level)
         if level == tower.top_level:
-            grid = [u.closure() for u in grid]
-        out = steps[level, s] = frozenset(ball_set_mask(s, u) for u in grid)
+            out = frozenset(ball_set_mask(s, u.closure()) for u in grid)
+        else:
+            out = frozenset().union(
+                *(_grid_balls(tower, level + 1, ball_set_mask(s, u)) for u in grid)
+            )
+        memo[level, s] = out
     return out
 
 

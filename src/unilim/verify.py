@@ -161,7 +161,7 @@ def _check_generation(inst: Instance) -> Verdict:
     return True, {"ladder_levels": len(g.ladder)}
 
 
-def _grid_base(tower: Tower) -> tuple[list[set[int]], TopologyFamily]:
+def _grid_base(tower: Tower) -> tuple[list[frozenset[int]], TopologyFamily]:
     """Every point's grid base balls (the oracle) and the topology they
     generate."""
     n = tower.ground_size

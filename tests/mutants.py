@@ -100,6 +100,23 @@ MUTANTS = {
         "test_core.py",
         ("verify", "tests"),
     ),
+    # a field one bit short lets d(i,j) - d(i,k) - d(k,j) reach below 0 in
+    # a field of t, which then borrows from the next
+    "packed closure fields one bit short": Mutant(
+        "core.py",
+        "w = (2 * span).bit_length() + 1",
+        "w = max(1, (2 * span).bit_length())",
+        "test_core.py",
+        ("verify", "tests"),
+    ),
+    # with the top bit in the mask, a relaxed field loses 2^(w-1) as well
+    "closure mask keeps the top bit": Mutant(
+        "core.py",
+        "t & (m - (m >> top_bit))",
+        "t & (m - (m >> top_bit) | m)",
+        "test_core.py",
+        ("verify", "tests"),
+    ),
 }
 
 

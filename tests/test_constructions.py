@@ -231,6 +231,8 @@ def test_product_levels_match_fraction_reference(drawn):
     (a, _), (b, _) = drawn
     prod = product_tower(a, b)
     order = _product_order(a, b)
+    pairs = [(i, j) for i in range(a.ground_size) for j in range(b.ground_size)]
+    assert order == sorted(pairs, key=lambda p: (max(a.height(p[0]), b.height(p[1])), *p))
     for n, m in enumerate(prod.level_sizes):
         ref = fraction_coordinate_max([a.metric(n), b.metric(n)], order[:m])
         assert same_table(prod.metric(n), ref)

@@ -10,6 +10,7 @@ from unilim.core import (
     MonotonePseudometricSequence,
     Pseudometric,
     Tower,
+    closure_in_place,
     shortest_path_closure,
 )
 from unilim.errors import (
@@ -389,3 +390,45 @@ def test_equality_and_hash_agree_with_the_fraction_tables(m1, m2, k):
     # the same values over a k times larger denominator
     c = Pseudometric._from_numer(a.den * k, [[v * k for v in row] for row in a.numer])
     assert c == a and hash(c) == hash(a) and c.dist == a.dist
+
+
+# -- the packed closure against the entry-by-entry reference --------------------
+
+
+@st.composite
+def closure_tables(draw):
+    """Square int tables whose largest magnitude M is at, one below or one
+    above a power of two up to 2^40, or within one of 10^12: symmetric
+    with a zero diagonal (often triangle-violating), raw nonnegative
+    (asymmetric, positive diagonal), or signed (negative entries and
+    diagonals)."""
+    if draw(st.booleans()):
+        top = max(1, 2 ** draw(st.integers(0, 40)) + draw(st.sampled_from((-1, 0, 1))))
+    else:
+        top = 10**12 + draw(st.sampled_from((-1, 0, 1)))
+    kind = draw(st.sampled_from(("symmetric", "raw", "signed")))
+    n = draw(st.integers(0, 7))
+    low = -top if kind == "signed" else 0
+    m = [[draw(st.integers(low, top)) for _ in range(n)] for _ in range(n)]
+    if kind == "symmetric":
+        m = [[0 if i == j else m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if n > 1:
+        m[0][n - 1] = m[n - 1][0] = top
+    elif n:
+        m[0][0] = low or top
+    return m
+
+
+@settings(max_examples=500, deadline=None)
+@given(closure_tables())
+@example([])
+@example([[0]])
+@example([[-3]])
+@example([[5]])
+@example([[0, 6], [6, 0]])
+@example([[0, -2], [1, 0]])
+@example([[-1, 4], [4, -1]])
+def test_packed_closure_matches_entry_by_entry_reference(m):
+    d = [list(row) for row in m]
+    assert closure_in_place(d) is d
+    assert d == fraction_closure([[Fraction(v) for v in row] for row in m])

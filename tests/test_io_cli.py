@@ -1,5 +1,6 @@
 import json
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from unilim.fixtures import (
     three_point_tower,
 )
 from unilim.generate import generate_instance
-from unilim.relations import compose
+from unilim.relations import compose, multiple
 
 from .conftest import MIXED_POOL, mixed_towers, same_table
 from .oracles import fraction_metric_from_json
@@ -218,6 +219,30 @@ def test_cli_rel_mul_and_sigma(capsys, tower_file, e_u):
     )
     assert code == 0
     assert {tuple(p) for p in lines[0]["pairs"]} == double
+
+
+def _rel_timeout(signum, frame):
+    raise TimeoutError("(mul k U) did not stop at a stable sum")
+
+
+def test_cli_rel_huge_multiple_stops_at_the_stable_sum(capsys, tower_file, tower, e_u, e_v):
+    u = compose(e_u, e_v)  # not transitive: its double is the full square
+    previous = signal.signal(signal.SIGALRM, _rel_timeout)
+    signal.alarm(10)
+    try:
+        code, lines = run(
+            capsys, "rel", "--tower", tower_file,
+            "--expr", "(mul 99999999999999999 (sum E_U E_V))",
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    expected = multiple(u, u.size - 1)
+    assert expected != u
+    assert {tuple(p) for p in lines[0]["pairs"]} == {
+        (tower.labels[i], tower.labels[j]) for i, j in expected.sorted_pairs()
+    }
 
 
 def test_cli_rel_bad_expression(capsys, tower_file):

@@ -152,8 +152,12 @@ class _Parser:
                 idx = self.integer("a point label or index")
             u = self.entourage()
             self.expect(")")
-            return ("ball", idx, u)
-        return ("entourage", self.entourage())
+            parsed = ("ball", idx, u)
+        else:
+            parsed = ("entourage", self.entourage())
+        if self.pos < len(self.tokens):
+            raise _ExprError(f"unexpected {self.tokens[self.pos]!r} after the expression")
+        return parsed
 
 
 # -- subcommands --------------------------------------------------------------
@@ -232,7 +236,12 @@ def cmd_product(args) -> int:
 
 def cmd_group(args) -> int:
     g = io.group_from_json(io.load(args.group))
-    radii = [Fraction(r) for r in args.radii.split(",")]
+    radii = []
+    for i, r in enumerate(args.radii.split(",")):
+        try:
+            radii.append(io.rational_from_json(r))
+        except ValidationError as e:
+            raise ValidationError(f"radii[{i}]: {e}") from None
     if args.check:
         v = check_group_limit(g, radii)
         print(io.dumps(v.to_json()))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Entourage, Pseudometric, Tower
+from .core import Entourage, Pseudometric, Tower, bits
 from .errors import InvarianceViolation, LevelCountMismatch, ValidationError
 from .relations import EntourageSequence, ball, sigma_sum
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
@@ -78,14 +78,9 @@ def product_topology(
     n = len(index)
     nbhd = [0] * n
     for (i, j), k in index.items():
-        m = 0
-        for i2 in range(ta.ground_size):
-            if not ta.min_nbhd[i] >> i2 & 1:
-                continue
-            for j2 in range(tb.ground_size):
-                if tb.min_nbhd[j] >> j2 & 1:
-                    m |= 1 << index[(i2, j2)]
-        nbhd[k] = m
+        nbhd[k] = sum(
+            1 << index[i2, j2] for i2 in bits(ta.min_nbhd[i]) for j2 in bits(tb.min_nbhd[j])
+        )
     return TopologyFamily(n, nbhd)
 
 
@@ -173,16 +168,20 @@ class GroupTower:
 
 def ordered_product_ball(g: GroupTower, radii: Sequence[Fraction]) -> frozenset[int]:
     """The ordered product U_0 U_1 ... U_m of the per-level identity balls."""
-    t = g.tower
-    if len(radii) != t.num_levels:
-        raise LevelCountMismatch("one radius per level required")
-    for r in radii:
-        if Fraction(r) <= 0:
-            raise ValidationError("radii must be positive")
     acc: frozenset[int] = frozenset([g.identity])
-    for n, r in enumerate(radii):
-        acc = g.set_product(acc, g.metric_ball(n, Fraction(r)))
+    for n, r in enumerate(_radii(g, radii)):
+        acc = g.set_product(acc, g.metric_ball(n, r))
     return acc
+
+
+def _radii(g: GroupTower, radii: Sequence[Fraction]) -> list[Fraction]:
+    """The radii as ``Fraction``s: one per level, all positive."""
+    if len(radii) != g.tower.num_levels:
+        raise LevelCountMismatch("one radius per level required")
+    radii = [Fraction(r) for r in radii]
+    if any(r <= 0 for r in radii):
+        raise ValidationError("radii must be positive")
+    return radii
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
     balls at different levels commute as sets; and halved radii square
     into the original ordered product."""
     t = g.tower
-    radii = [Fraction(r) for r in radii]
+    radii = _radii(g, radii)
     entries = tuple(g.two_sided_entourage(n, r) for n, r in enumerate(radii))
     seq = EntourageSequence(t, 0, entries)
     # the finite sum through the top level: one factor per level, exactly

@@ -9,6 +9,10 @@ over one common denominator, on which the kernels compute, and its
 closure run on packed rows, one int per row with a field per entry, wide
 enough that no field can carry into the next (see ``Pseudometric.validate``
 and ``closure_in_place``).  No floating point is used anywhere.
+
+Point sets (balls, neighborhoods, relation rows) are int bitmasks, bit i
+set iff point i is in the set.  Outside the chain oracle of ``verify``,
+``bits`` and ``members`` are the only code that lists a mask's points.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import lshift
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -28,6 +32,20 @@ from .errors import (
     TriangleViolation,
     ValidationError,
 )
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first: the lowest
+    set bit is ``mask & -mask`` (Warren, Hacker's Delight, 2-1)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def members(mask: int) -> frozenset[int]:
+    """The point set of a bitmask."""
+    return frozenset(bits(mask))
 
 
 def _over_common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -365,7 +383,10 @@ class Tower:
         d = self.metric(level)
         z = self._zero_relations[level]
         if z is None:
-            z = self._zero_relations[level] = Entourage(level, d.size, d.zero_pairs())
+            rows = [sum(1 << j for j, v in enumerate(row) if not v) for row in d.numer]
+            z = self._zero_relations[level] = Entourage._from_rows(level, rows)
+            # {d = 0} is symmetric: its columns are its rows
+            z._cols = z.rows
         return z
 
     def grid_entourages(self, level: int) -> tuple["Entourage", ...]:
@@ -455,9 +476,7 @@ class Entourage:
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j) for i in range(self.size) for j in range(self.size) if self.rows[i] >> j & 1
-        )
+        return frozenset((i, j) for i, r in enumerate(self.rows) for j in bits(r))
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
@@ -466,14 +485,7 @@ class Entourage:
         return bool(self.rows[i] >> j & 1)
 
     def transpose(self) -> "Entourage":
-        rows = [0] * self.size
-        for i in range(self.size):
-            r = self.rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                rows[j] |= 1 << i
-                r &= r - 1
-        return Entourage._from_rows(self.level, rows)
+        return Entourage._from_rows(self.level, self.columns())
 
     def union(self, other: "Entourage") -> "Entourage":
         if (self.level, self.size) != (other.level, other.size):
@@ -505,12 +517,9 @@ class Entourage:
         except AttributeError:
             pass
         cols = [0] * self.size
-        for i in range(self.size):
-            r = self.rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
+        for i, r in enumerate(self.rows):
+            for j in bits(r):
                 cols[j] |= 1 << i
-                r &= r - 1
         self._cols = tuple(cols)
         return self._cols
 

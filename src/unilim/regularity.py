@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Entourage, Tower
+from .core import Entourage, Tower, bits, members
 from .errors import GroundMismatch, LevelOutOfRange, NotInverse
 from .relations import ball_set
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
@@ -50,19 +50,13 @@ class RegularityVerdict:
     subset_closed: bool = True
 
 
-def _condition_holds(
-    f: SpaceMap, n: int, u: Entourage, v: Entourage, w: Entourage
-) -> Optional[int]:
-    """Definition-4 body for fixed (U, V, W) at level n: every point of
-    B(X_{n-1}; W) admits a point of X_{n-1} that is V-close in the source
-    and U-close in the image.  Returns a defeating point or None."""
-    t = f.source
-    below = range(t.level_sizes[n - 1])
-    for x in ball_set(below, w):
-        ok = any(
-            v.contains(a, x) and u.contains(f(x), f(a)) for a in below
-        )
-        if not ok:
+def _condition_holds(f: SpaceMap, n: int, u: Entourage, z: Entourage) -> Optional[int]:
+    """Definition-4 body at level n for U = u and V = W = z: every point of
+    B(X_{n-1}; z) admits a point of X_{n-1} that is z-close in the source
+    and u-close in the image.  Returns a defeating point or None."""
+    below = range(f.source.level_sizes[n - 1])
+    for x in ball_set(below, z):
+        if not any(z.contains(a, x) and u.contains(f(x), f(a)) for a in below):
             return x
     return None
 
@@ -85,7 +79,7 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     z = t.zero_relation(level)
     below = range(t.level_sizes[level - 1])
     closed = ball_set(below, z) <= frozenset(below)
-    bad = _condition_holds(f, level, u0, z, z)
+    bad = _condition_holds(f, level, u0, z)
     if bad is None:
         return RegularityVerdict(True, level, subset_closed=closed)
     return RegularityVerdict(
@@ -109,14 +103,9 @@ def is_continuous(f: SpaceMap) -> ContinuityVerdict:
     tgt = ulim_topology(f.target).min_nbhd
     for x, m in enumerate(src):
         u = tgt[f(x)]
-        while m:
-            y = (m & -m).bit_length() - 1
+        for y in bits(m):
             if not u >> f(y) & 1:
-                return ContinuityVerdict(
-                    False,
-                    frozenset(i for i in range(f.target.ground_size) if u >> i & 1),
-                )
-            m &= m - 1
+                return ContinuityVerdict(False, members(u))
     return ContinuityVerdict(True)
 
 
@@ -153,10 +142,10 @@ def continuity_criterion(f: SpaceMap) -> CriterionVerdict:
     conclusion.  A true hypothesis with a false conclusion is an
     implementation bug and is flagged as a theorem violation."""
     t = f.source
+    cont = is_continuous(f)
     for n in range(t.num_levels):
         bad = _restriction_continuous(f, n)
         if bad is not None:
-            cont = is_continuous(f)
             return CriterionVerdict(
                 False,
                 cont.continuous,
@@ -169,11 +158,9 @@ def continuity_criterion(f: SpaceMap) -> CriterionVerdict:
         r = is_regular_at(f, n)
         regs.append(r)
         if not r.regular:
-            cont = is_continuous(f)
             return CriterionVerdict(
                 False, cont.continuous, regularity=tuple(regs), continuity=cont
             )
-    cont = is_continuous(f)
     return CriterionVerdict(
         True,
         cont.continuous,
@@ -227,12 +214,6 @@ def transport_topology(top, bijection):
     """Push a topology forward along a bijection of the ground set."""
     n = top.ground_size
     nbhd = [0] * n
-    for x in range(n):
-        m = top.min_nbhd[x]
-        out = 0
-        while m:
-            y = (m & -m).bit_length() - 1
-            out |= 1 << bijection[y]
-            m &= m - 1
-        nbhd[bijection[x]] = out
+    for x, m in enumerate(top.min_nbhd):
+        nbhd[bijection[x]] = sum(1 << bijection[y] for y in bits(m))
     return TopologyFamily(n, nbhd)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .core import Entourage, Tower
+from .core import Entourage, Tower, bits, members
 from .errors import IndexOutOfRange, LevelMismatch, NotAnEntourage, StartMismatch
 
 OMEGA = "omega"
@@ -48,13 +48,10 @@ def compose(u: Entourage, v: Entourage) -> Entourage:
     u, v = _promoted(u, v)
     urows = u.rows
     rows = []
-    for x in range(u.size):
-        r = v.rows[x]
+    for r in v.rows:
         acc = 0
-        while r:
-            y = (r & -r).bit_length() - 1
+        for y in bits(r):
             acc |= urows[y]
-            r &= r - 1
         rows.append(acc)
     return Entourage._from_rows(u.level, rows)
 
@@ -144,30 +141,25 @@ def ball(x: int, u: Entourage) -> frozenset[int]:
     """B(x; U) = {y : (y, x) in U}."""
     if not 0 <= x < u.size:
         raise IndexOutOfRange(f"element {x} outside level of size {u.size}")
-    mask = u.columns()[x]
-    return frozenset(i for i in range(u.size) if mask >> i & 1)
+    return members(u.columns()[x])
 
 
 def ball_set(a: Iterable[int], u: Entourage) -> frozenset[int]:
     """B(A; U): union of the balls around the points of A."""
     mask = 0
-    cols = u.columns()
     for x in a:
         if not 0 <= x < u.size:
             raise IndexOutOfRange(f"element {x} outside level of size {u.size}")
-        mask |= cols[x]
-    return frozenset(i for i in range(u.size) if mask >> i & 1)
+        mask |= 1 << x
+    return members(ball_set_mask(mask, u))
 
 
 def ball_set_mask(mask: int, u: Entourage) -> int:
     """ball_set on bitmasks; used by the topology enumeration loops."""
     cols = u.columns()
     out = 0
-    m = mask
-    while m:
-        x = (m & -m).bit_length() - 1
+    for x in bits(mask):
         out |= cols[x]
-        m &= m - 1
     return out
 
 

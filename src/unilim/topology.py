@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Tower
+from .core import Tower, bits, members
 from .errors import GroundMismatch, IndexOutOfRange, StartMismatch, TooManyOpens
 from .relations import (
     OMEGA,
@@ -50,14 +50,10 @@ class TopologyFamily:
         changed = True
         while changed:
             changed = False
-            for x in range(ground_size):
-                m = nbhd[x]
+            for x, m in enumerate(nbhd):
                 acc = m
-                mm = m
-                while mm:
-                    y = (mm & -mm).bit_length() - 1
+                for y in bits(m):
                     acc |= nbhd[y]
-                    mm &= mm - 1
                 if acc != m:
                     nbhd[x] = acc
                     changed = True
@@ -71,9 +67,8 @@ class TopologyFamily:
         full = (1 << ground_size) - 1
         nbhd = [full] * ground_size
         for s in sets:
-            for x in range(ground_size):
-                if s >> x & 1:
-                    nbhd[x] &= s
+            for x in bits(s & full):
+                nbhd[x] &= s
         return cls(ground_size, nbhd)
 
     @classmethod
@@ -86,13 +81,7 @@ class TopologyFamily:
         return cls(ground_size, [full] * ground_size)
 
     def is_open_mask(self, s: int) -> bool:
-        m = s
-        while m:
-            x = (m & -m).bit_length() - 1
-            if self.min_nbhd[x] & ~s:
-                return False
-            m &= m - 1
-        return True
+        return not any(self.min_nbhd[x] & ~s for x in bits(s))
 
     def is_open(self, s: Iterable[int]) -> bool:
         mask = 0
@@ -117,10 +106,7 @@ class TopologyFamily:
         return sorted(found)
 
     def opens(self) -> list[frozenset[int]]:
-        return [
-            frozenset(i for i in range(self.ground_size) if s >> i & 1)
-            for s in self.opens_masks()
-        ]
+        return [members(s) for s in self.opens_masks()]
 
     def __eq__(self, other) -> bool:
         return (
@@ -150,9 +136,6 @@ def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparis
     if a.ground_size != b.ground_size:
         raise GroundMismatch(f"ground sizes {a.ground_size} != {b.ground_size}")
 
-    def as_set(mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(a.ground_size) if mask >> i & 1)
-
     # a is finer than b iff every open of b is open in a iff every minimal
     # a-neighborhood lies inside the corresponding b-neighborhood
     a_finer = all(a.min_nbhd[x] & ~b.min_nbhd[x] == 0 for x in range(a.ground_size))
@@ -162,11 +145,11 @@ def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparis
     diff = next(x for x in range(a.ground_size) if a.min_nbhd[x] != b.min_nbhd[x])
     if a_finer:
         # the minimal a-neighborhood at a differing point cannot be b-open
-        return TopologyComparison("A_finer", as_set(a.min_nbhd[diff]), "A")
+        return TopologyComparison("A_finer", members(a.min_nbhd[diff]), "A")
     if b_finer:
-        return TopologyComparison("B_finer", as_set(b.min_nbhd[diff]), "B")
+        return TopologyComparison("B_finer", members(b.min_nbhd[diff]), "B")
     bad = next(x for x in range(a.ground_size) if a.min_nbhd[x] & ~b.min_nbhd[x])
-    return TopologyComparison("incomparable", as_set(b.min_nbhd[bad]), "B")
+    return TopologyComparison("incomparable", members(b.min_nbhd[bad]), "B")
 
 
 def base_ball(tower: Tower, x: int, seq: EntourageSequence) -> frozenset[int]:
@@ -217,8 +200,7 @@ def minimal_grid_ball(tower: Tower, x: int) -> frozenset[int]:
     zero-relations: the top zero-class of x.  Contained in every grid base
     ball around x."""
     tower.height(x)  # IndexOutOfRange outside the ground set
-    s = tower.zero_relation(tower.top_level).columns()[x]
-    return frozenset(i for i in range(tower.ground_size) if s >> i & 1)
+    return members(tower.zero_relation(tower.top_level).columns()[x])
 
 
 def ulim_topology(tower: Tower) -> TopologyFamily:
@@ -247,15 +229,11 @@ def tlim_topology(tower: Tower) -> TopologyFamily:
         changed = True
         while changed:
             changed = False
-            for lvl in range(tower.num_levels):
-                cols = zero_cols[lvl]
-                m = s & ((1 << tower.level_sizes[lvl]) - 1)
-                while m:
-                    y = (m & -m).bit_length() - 1
+            for cols, size in zip(zero_cols, tower.level_sizes):
+                for y in bits(s & ((1 << size) - 1)):
                     if cols[y] & ~s:
                         s |= cols[y]
                         changed = True
-                    m &= m - 1
         nbhd.append(s)
     return TopologyFamily(n, nbhd)
 

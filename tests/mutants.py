@@ -66,6 +66,15 @@ MUTANTS = {
         "test_topology.py",
         ("tests",),
     ),
+    # every point set is read through core.bits, so a shifted index moves
+    # every ball, neighborhood and composed row
+    "bits one index too high": Mutant(
+        "core.py",
+        "yield low.bit_length() - 1",
+        "yield low.bit_length()",
+        "test_core.py",
+        ("verify", "tests"),
+    ),
     "Warshall takes the original row k": Mutant(
         "core.py",
         "rk, bit = rows[k], 1 << k",

@@ -147,8 +147,9 @@ def test_group_checks_pass_on_fixture(group):
 def test_group_radii_validation(group):
     with pytest.raises(LevelCountMismatch):
         ordered_product_ball(group, [Fraction(1)])
-    with pytest.raises(ValidationError):
-        ordered_product_ball(group, [Fraction(0)] * 3)
+    for check in (ordered_product_ball, check_group_limit):
+        with pytest.raises(ValidationError, match="radii must be positive"):
+            check(group, [Fraction(1), Fraction(0), Fraction(1)])
 
 
 @settings(max_examples=25, deadline=None)

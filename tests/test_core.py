@@ -10,7 +10,9 @@ from unilim.core import (
     MonotonePseudometricSequence,
     Pseudometric,
     Tower,
+    bits,
     closure_in_place,
+    members,
     shortest_path_closure,
 )
 from unilim.errors import (
@@ -119,6 +121,24 @@ def test_entourage_promote_keeps_pairs():
     e = Entourage(1, 2, [(0, 0), (1, 1), (0, 1)])
     p = e.promote(2, 3)
     assert set(p.sorted_pairs()) == {(0, 0), (1, 1), (2, 2), (0, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 80).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+    )
+)
+@example((0, 0))
+@example((1, 1))
+@example((64, 1 << 63))
+@example((65, 1 << 64 | 1))
+@example((80, (1 << 80) - 1))
+def test_bits_and_members_read_the_set_bits(case):
+    n, m = case
+    ref = [i for i in range(n) if m >> i & 1]
+    assert list(bits(m)) == ref
+    assert members(m) == frozenset(ref)
 
 
 def test_entourage_transpose():
@@ -298,8 +318,11 @@ def test_cached_tower_data_match_definitions(m):
         grids = t.grid_entourages(level)
         thresholds = grid_thresholds(d)
         assert grids == tuple(Entourage(level, d.size, d.sublevel_pairs(eps)) for eps in thresholds)
-        assert all(g.columns() == g.transpose().rows for g in grids)
-        assert grids[0] == t.zero_relation(level)
+        # grids and the zero-relation take their rows as their columns
+        z = t.zero_relation(level)
+        assert z == Entourage(level, d.size, d.zero_pairs()) == grids[0]
+        for e in grids + (z,):
+            assert e.columns() == Entourage(level, d.size, {(j, i) for i, j in e.pairs}).rows
         assert t.grid_entourages(level) is grids
 
 

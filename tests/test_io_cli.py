@@ -268,6 +268,17 @@ def test_cli_rel_names_expression_errors(capsys, tower_file, expr, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "expr, extra",
+    [("E_U extra", "extra"), ("(ball a E_U) junk", "junk"), ("(sum E_U E_V))", ")")],
+)
+def test_cli_rel_rejects_tokens_after_the_expression(capsys, tower_file, expr, extra):
+    assert cli.main(["rel", "--tower", tower_file, "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unexpected {extra!r} after the expression\n"
+
+
 def test_cli_limit(capsys, tower_file, seq_file):
     code, lines = run(
         capsys, "limit", "--tower", tower_file, "--seq", seq_file,
@@ -388,6 +399,27 @@ def test_cli_group(capsys, tmp_path):
     assert code == 0
     assert "(0,0,0)" in lines[0]
     assert cli.main(["group", str(path), "--radii", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "radii, check, message",
+    [
+        ("1,1/0,1", False, "radii[1]: not a rational: '1/0'"),
+        ("1/0,1,1", True, "radii[0]: not a rational: '1/0'"),
+        ("1,x,1", False, "radii[1]: not a rational: 'x'"),
+        ("0,1,1", True, "radii must be positive"),
+        ("1,-1/2,1", True, "radii must be positive"),
+        ("0,1,1", False, "radii must be positive"),
+    ],
+)
+def test_cli_group_names_bad_radii(capsys, tmp_path, radii, check, message):
+    path = tmp_path / "group.json"
+    io.dump(io.group_to_json(binary_group_tower()), str(path))
+    argv = ["group", str(path), "--radii", radii] + ["--check"] * check
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 GOOD_GROUP = io.group_to_json(binary_group_tower())

@@ -31,6 +31,7 @@ from .errors import (
     LevelCountMismatch,
     LevelMismatch,
     LevelOutOfRange,
+    NeighborhoodViolation,
     NestingViolation,
     NotAnEntourage,
     NotInverse,

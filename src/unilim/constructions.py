@@ -1,6 +1,12 @@
 """Derived towers and their coincidence checks: binary products,
 invariant-metric abelian group towers, and truncated small box products.
 
+Product and box levels are built from spread factor rows: per level (per
+coordinate for a box), each factor row is spread once over the level's
+points, as ints over the common denominator, and each row of the derived
+table is the entrywise max of the spread rows its coordinates pick.  The
+derived tower is validated in full like any other.
+
 All comparison verdicts run through the shared topology-comparison
 oracle; nothing here argues by hand.
 """
@@ -37,7 +43,12 @@ def _product_order(a: Tower, b: Tower) -> list[tuple[int, int]]:
 
 def product_tower(a: Tower, b: Tower) -> Tower:
     """Level-wise product with the coordinate-max pseudometric, which
-    presents the product uniformity."""
+    presents the product uniformity.
+
+    Per level, each factor row is spread once over the level's pairs, over
+    the common denominator: ``ra[i][k]`` is d_a(i, i_k) for the k-th pair
+    (i_k, j_k), and ``rb[j][k]`` is d_b(j, j_k).  The row of the pair (i, j)
+    is then the entrywise max of ``ra[i]`` and ``rb[j]``."""
     if a.num_levels != b.num_levels:
         raise LevelCountMismatch(f"{a.num_levels} levels vs {b.num_levels}")
     order = _product_order(a, b)
@@ -47,22 +58,15 @@ def product_tower(a: Tower, b: Tower) -> Tower:
     for n in range(a.num_levels):
         da, db = a.metric(n), b.metric(n)
         den = math.lcm(da.den, db.den)
-        na, nb = _scaled(da, den), _scaled(db, den)
+        fa, fb = den // da.den, den // db.den
         pts = order[: sizes[n]]
         first = [i for i, _ in pts]
         second = [j for _, j in pts]
-        dist = [
-            list(map(max, map(na[i].__getitem__, first), map(nb[j].__getitem__, second)))
-            for i, j in pts
-        ]
+        ra = [[row[i2] * fa for i2 in first] for row in da.numer]
+        rb = [[row[j2] * fb for j2 in second] for row in db.numer]
+        dist = [[x if x > y else y for x, y in zip(ra[i], rb[j])] for i, j in pts]
         metrics.append(Pseudometric._from_numer(den, dist))
     return Tower(labels, sizes, metrics)
-
-
-def _scaled(d: Pseudometric, den: int) -> list[list[int]]:
-    """The numerators of ``d`` over ``den``, a multiple of ``d.den``."""
-    f = den // d.den
-    return [[v * f for v in row] for row in d.numer]
 
 
 def product_index(a: Tower, b: Tower) -> dict[tuple[int, int], int]:
@@ -73,15 +77,22 @@ def product_topology(
     ta: TopologyFamily, tb: TopologyFamily, index: dict[tuple[int, int], int]
 ) -> TopologyFamily:
     """Product of two finite topologies on the indexed pair set: the
-    minimal neighborhood of a pair is the rectangle of the factors'
-    minimal neighborhoods."""
-    n = len(index)
-    nbhd = [0] * n
+    minimal neighborhood of a pair (i, j) is the rectangle of the factors'
+    minimal neighborhoods, ``rows[i] & cols[j]``, where ``rows[i]`` holds
+    the pairs whose first coordinate lies in U_i and ``cols[j]`` those
+    whose second coordinate lies in U_j."""
+    first = [0] * ta.ground_size
+    second = [0] * tb.ground_size
     for (i, j), k in index.items():
-        nbhd[k] = sum(
-            1 << index[i2, j2] for i2 in bits(ta.min_nbhd[i]) for j2 in bits(tb.min_nbhd[j])
-        )
-    return TopologyFamily(n, nbhd)
+        first[i] |= 1 << k
+        second[j] |= 1 << k
+    # the masks of distinct coordinates are disjoint: their sum is their union
+    rows = [sum(first[i2] for i2 in bits(m)) for m in ta.min_nbhd]
+    cols = [sum(second[j2] for j2 in bits(m)) for m in tb.min_nbhd]
+    nbhd = [0] * len(index)
+    for (i, j), k in index.items():
+        nbhd[k] = rows[i] & cols[j]
+    return TopologyFamily(len(index), nbhd)
 
 
 def check_multiplicativity(a: Tower, b: Tower, prod: Tower) -> TopologyComparison:
@@ -287,14 +298,18 @@ def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
         raise LevelCountMismatch(f"depth {depth} with {len(factors)} factors")
     order, labels, sizes = _box_coordinates(factors, depth)
     # each level is a prefix of the order and takes the max over all
-    # ``depth`` coordinates, so its table is a corner of the top one
+    # ``depth`` coordinates, so its table is a corner of the top one.  Per
+    # coordinate c, each factor row is spread once over the tuples' c-th
+    # coordinates; the row of tuple t takes in the spread row of t[c].
     den = math.lcm(*(f.metric.den for f in factors[:depth]))
-    top = [[0] * len(order) for _ in order]
+    top = [[0] * len(order)] * len(order)
     for c, f in enumerate(factors[:depth]):
-        nc = _scaled(f.metric, den)
+        fc = den // f.metric.den
         coords = [t[c] for t in order]
-        for row, tc in zip(top, coords):
-            row[:] = map(max, row, map(nc[tc].__getitem__, coords))
+        spread = [[row[tc] * fc for tc in coords] for row in f.metric.numer]
+        top = [
+            [x if x > y else y for x, y in zip(row, spread[tc])] for row, tc in zip(top, coords)
+        ]
     metrics = [
         Pseudometric._from_numer(den, [row[:m] for row in top[:m]]) for m in sizes
     ]

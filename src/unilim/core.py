@@ -379,11 +379,18 @@ class Tower:
     # -- entourage bases ----------------------------------------------------
 
     def zero_relation(self, level: int) -> "Entourage":
-        """Smallest entourage of the level's uniformity: {d = 0}."""
+        """Smallest entourage of the level's uniformity: {d = 0}.
+
+        In a pseudometric d(i, j) = 0 iff rows i and j of the table are
+        equal (each bounds the other through the triangle inequality), so
+        the zero-class of i is the set of rows equal to row i."""
         d = self.metric(level)
         z = self._zero_relations[level]
         if z is None:
-            rows = [sum(1 << j for j, v in enumerate(row) if not v) for row in d.numer]
+            classes: dict[tuple[int, ...], int] = {}
+            for i, row in enumerate(d.numer):
+                classes[row] = classes.get(row, 0) | 1 << i
+            rows = [classes[row] for row in d.numer]
             z = self._zero_relations[level] = Entourage._from_rows(level, rows)
             # {d = 0} is symmetric: its columns are its rows
             z._cols = z.rows

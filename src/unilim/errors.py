@@ -47,6 +47,12 @@ class NotAnEntourage(ValidationError):
         super().__init__(msg or f"relation at level {level} misses a zero-pair")
 
 
+class NeighborhoodViolation(ValidationError):
+    """A family of minimal neighborhoods that no topology has: a point
+    outside its own, or one not holding the neighborhood of each of its
+    points."""
+
+
 class IndexOutOfRange(UnilimError):
     pass
 

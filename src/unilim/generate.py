@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .constructions import GroupTower, PointedSpace, coordinate_tuples
-from .core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower, shortest_path_closure
+from .core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower, closure_in_place
+from .core import _over_common_denominator
 from .errors import ProfileTooLarge
 from .limitmetric import adequate_sequence, sum_of_extensions
 from .regularity import SpaceMap
@@ -45,43 +46,58 @@ class Profile:
             raise ProfileTooLarge("value pool must be nonempty and positive")
 
 
+def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators and the values as int numerators
+    over it, in order."""
+    den, (numer,) = _over_common_denominator([[Fraction(v) for v in values]])
+    return den, numer
+
+
+def _random_numer(
+    rng: random.Random, size: int, pool: Sequence[int], zero_prob: float
+) -> list[list[int]]:
+    """Random symmetric int matrix over the pool numerators, closed by
+    shortest paths."""
+    d = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i):
+            v = 0 if rng.random() < zero_prob else rng.choice(pool)
+            d[i][j] = d[j][i] = v
+    return closure_in_place(d)
+
+
 def _random_metric(
     rng: random.Random, size: int, pool: Sequence[Fraction], zero_prob: float
 ) -> Pseudometric:
     """Random symmetric matrix over the pool, repaired into a pseudometric
     by shortest-path closure."""
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i):
-            v = Fraction(0) if rng.random() < zero_prob else Fraction(rng.choice(pool))
-            dist[i][j] = dist[j][i] = v
-    return Pseudometric(shortest_path_closure(dist))
+    den, numer = _numerators(pool)
+    return Pseudometric._from_numer(den, _random_numer(rng, size, numer, zero_prob))
 
 
 def random_tower(rng: random.Random, profile: Profile) -> Tower:
     """Tower with strictly increasing level sizes; zero-pairs between a new
     point and an older one are avoided so that closure at a higher level
-    never collapses a pair that a lower level keeps apart."""
+    never collapses a pair that a lower level keeps apart.  Each level
+    keeps the level below as its corner; the tables are ints over the
+    pool's common denominator."""
     sizes = sorted(rng.sample(range(1, profile.max_size + 1), profile.levels))
-    pool = profile.value_pool
-    metrics = [_random_metric(rng, sizes[0], pool, 0.2)]
-    for n in range(1, profile.levels):
-        prev = metrics[-1]
-        m = sizes[n]
-        dist = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(prev.size):
-            for j in range(prev.size):
-                dist[i][j] = prev.dist[i][j]
-        for i in range(prev.size, m):
+    den, pool = _numerators(profile.value_pool)
+    tables = [_random_numer(rng, sizes[0], pool, 0.2)]
+    for m in sizes[1:]:
+        prev = tables[-1]
+        k = len(prev)
+        d = [row + [0] * (m - k) for row in prev] + [[0] * m for _ in range(k, m)]
+        for i in range(k, m):
             for j in range(i):
-                if j < prev.size:
-                    v = Fraction(rng.choice(pool))
+                if j < k:
+                    v = rng.choice(pool)
                 else:
-                    v = Fraction(0) if rng.random() < 0.2 else Fraction(rng.choice(pool))
-                dist[i][j] = dist[j][i] = v
-        metrics.append(Pseudometric(shortest_path_closure(dist)))
+                    v = 0 if rng.random() < 0.2 else rng.choice(pool)
+                d[i][j] = d[j][i] = v
+        tables.append(closure_in_place(d))
     labels = [f"x{i}" for i in range(sizes[-1])]
-    return Tower(labels, sizes, metrics)
+    return Tower(labels, sizes, [Pseudometric._from_numer(den, t) for t in tables])
 
 
 def random_monotone_sequence(
@@ -146,21 +162,14 @@ def cyclic_group_tower(
     if sizes[-1] > MAX_TOP_SIZE:
         raise ProfileTooLarge(f"group of order {sizes[-1]} exceeds {MAX_TOP_SIZE}")
 
-    weights = [Fraction(w) for w in weights]
-    metrics = []
-    for n in range(depth):
-        pts = tuples[: sizes[n]]
-        dist = [
-            [
-                sum(
-                    (w for w, a, b in zip(weights, t1, t2) if a != b),
-                    Fraction(0),
-                )
-                for t2 in pts
-            ]
-            for t1 in pts
-        ]
-        metrics.append(Pseudometric(dist))
+    # the weighted Hamming table of the top level, as ints over the
+    # weights' common denominator; level n is its corner
+    den, numer = _numerators(weights)
+    top = [
+        [sum(w for w, a, b in zip(numer, t1, t2) if a != b) for t2 in tuples]
+        for t1 in tuples
+    ]
+    metrics = [Pseudometric._from_numer(den, [row[:m] for row in top[:m]]) for m in sizes]
     tower = Tower(labels, sizes, metrics)
 
     op = tuple(

@@ -50,12 +50,15 @@ class RegularityVerdict:
     subset_closed: bool = True
 
 
-def _condition_holds(f: SpaceMap, n: int, u: Entourage, z: Entourage) -> Optional[int]:
+def _condition_holds(
+    f: SpaceMap, n: int, u: Entourage, z: Entourage, ball: frozenset[int]
+) -> Optional[int]:
     """Definition-4 body at level n for U = u and V = W = z: every point of
-    B(X_{n-1}; z) admits a point of X_{n-1} that is z-close in the source
-    and u-close in the image.  Returns a defeating point or None."""
+    ``ball``, B(X_{n-1}; z), admits a point of X_{n-1} that is z-close in
+    the source and u-close in the image.  Returns a defeating point or
+    None."""
     below = range(f.source.level_sizes[n - 1])
-    for x in ball_set(below, z):
+    for x in ball:
         if not any(z.contains(a, x) and u.contains(f(x), f(a)) for a in below):
             return x
     return None
@@ -78,8 +81,9 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     u0 = f.target.zero_relation(f.target.top_level)
     z = t.zero_relation(level)
     below = range(t.level_sizes[level - 1])
-    closed = ball_set(below, z) <= frozenset(below)
-    bad = _condition_holds(f, level, u0, z)
+    ball = ball_set(below, z)
+    closed = ball <= frozenset(below)
+    bad = _condition_holds(f, level, u0, z, ball)
     if bad is None:
         return RegularityVerdict(True, level, subset_closed=closed)
     return RegularityVerdict(

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Tower, bits, members
-from .errors import GroundMismatch, IndexOutOfRange, StartMismatch, TooManyOpens
+from .errors import (
+    GroundMismatch, IndexOutOfRange, NeighborhoodViolation, StartMismatch, TooManyOpens,
+)
 from .relations import (
     OMEGA,
     EntourageSequence,
@@ -34,7 +36,9 @@ class TopologyFamily:
     minimal open neighborhood of each point.
 
     Contains the empty and full sets and is closed under union and finite
-    intersection by construction.
+    intersection by construction.  The constructor raises
+    ``NeighborhoodViolation`` unless each given set holds its point and the
+    set of each of its points, as minimal neighborhoods do.
     """
 
     __slots__ = ("ground_size", "min_nbhd")
@@ -44,21 +48,15 @@ class TopologyFamily:
             raise GroundMismatch("one minimal neighborhood per point required")
         for x, m in enumerate(min_nbhd):
             if not m >> x & 1:
-                raise ValueError(f"minimal neighborhood of {x} does not contain {x}")
-        # saturate: minimal neighborhoods must themselves be open
-        nbhd = list(min_nbhd)
-        changed = True
-        while changed:
-            changed = False
-            for x, m in enumerate(nbhd):
-                acc = m
-                for y in bits(m):
-                    acc |= nbhd[y]
-                if acc != m:
-                    nbhd[x] = acc
-                    changed = True
+                raise NeighborhoodViolation(f"minimal neighborhood of {x} does not contain {x}")
+            # minimal neighborhoods must themselves be open
+            for y in bits(m):
+                if min_nbhd[y] & ~m:
+                    raise NeighborhoodViolation(
+                        f"minimal neighborhood of {x} holds {y} but not all of its neighborhood"
+                    )
         self.ground_size = ground_size
-        self.min_nbhd = tuple(nbhd)
+        self.min_nbhd = tuple(min_nbhd)
 
     @classmethod
     def from_subbase(cls, ground_size: int, sets: Iterable[int]) -> "TopologyFamily":

@@ -126,6 +126,38 @@ MUTANTS = {
         "test_core.py",
         ("verify", "tests"),
     ),
+    "product takes the coordinate min": Mutant(
+        "constructions.py",
+        "[[x if x > y else y for x, y in zip(ra[i], rb[j])]",
+        "[[x if x < y else y for x, y in zip(ra[i], rb[j])]",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
+    # a spread row that reads the factor row at its own coordinate holds
+    # d(i, i) = 0 throughout, so no factor adds to the max
+    "box_tower spreads the row coordinate for the column coordinate": Mutant(
+        "constructions.py",
+        "spread = [[row[tc] * fc for tc in coords] for row in f.metric.numer]",
+        "spread = [[row[r] * fc for tc in coords] for r, row in enumerate(f.metric.numer)]",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
+    "product_topology takes the union of the strips": Mutant(
+        "constructions.py",
+        "nbhd[k] = rows[i] & cols[j]",
+        "nbhd[k] = rows[i] | cols[j]",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
+    # rows with the same distance to point 0 need not be equal rows
+    "zero-relation classes keyed on each row's first entry": Mutant(
+        "core.py",
+        "classes[row] = classes.get(row, 0) | 1 << i\n            rows = [classes[row] for row in",
+        "classes[row[0]] = classes.get(row[0], 0) | 1 << i\n"
+        "            rows = [classes[row[0]] for row in",
+        "test_core.py",
+        ("verify", "tests"),
+    ),
 }
 
 

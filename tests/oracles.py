@@ -7,7 +7,8 @@ over pairs, exhaustive set enumeration, no bit tricks.
 from fractions import Fraction
 from itertools import chain, combinations
 
-from unilim.core import Entourage, Pseudometric
+from unilim.constructions import GroupTower, coordinate_tuples
+from unilim.core import Entourage, Pseudometric, Tower, bits, shortest_path_closure
 from unilim.errors import TriangleViolation, ValidationError
 from unilim.relations import ball_set_mask, compose
 from unilim.topology import TopologyFamily
@@ -321,3 +322,75 @@ def random_entourage(rng, level, size, density=0.4):
             if i != j and rng.random() < density:
                 pairs.add((i, j))
     return Entourage(level, size, pairs)
+
+
+def fraction_random_metric(rng, size, pool, zero_prob):
+    """Reference for ``generate._random_metric``: the same draws on
+    Fractions, repaired by the Fraction shortest-path closure."""
+    dist = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i):
+            v = Fraction(0) if rng.random() < zero_prob else Fraction(rng.choice(pool))
+            dist[i][j] = dist[j][i] = v
+    return Pseudometric(shortest_path_closure(dist))
+
+
+def fraction_random_tower(rng, profile):
+    """Reference for ``generate.random_tower``: the same draws in the same
+    order on Fractions, each level holding the level below as its corner."""
+    sizes = sorted(rng.sample(range(1, profile.max_size + 1), profile.levels))
+    pool = profile.value_pool
+    metrics = [fraction_random_metric(rng, sizes[0], pool, 0.2)]
+    for n in range(1, profile.levels):
+        prev = metrics[-1]
+        m = sizes[n]
+        dist = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(prev.size):
+            for j in range(prev.size):
+                dist[i][j] = prev.dist[i][j]
+        for i in range(prev.size, m):
+            for j in range(i):
+                if j < prev.size:
+                    v = Fraction(rng.choice(pool))
+                else:
+                    v = Fraction(0) if rng.random() < 0.2 else Fraction(rng.choice(pool))
+                dist[i][j] = dist[j][i] = v
+        metrics.append(Pseudometric(shortest_path_closure(dist)))
+    labels = [f"x{i}" for i in range(sizes[-1])]
+    return Tower(labels, sizes, metrics)
+
+
+def fraction_cyclic_group_tower(orders, weights):
+    """Reference for ``generate.cyclic_group_tower``: every level's weighted
+    Hamming table summed on Fractions."""
+    depth = len(orders)
+    tuples, labels, sizes = coordinate_tuples(orders, [0] * depth)
+    index = {t: k for k, t in enumerate(tuples)}
+    weights = [Fraction(w) for w in weights]
+    metrics = []
+    for n in range(depth):
+        pts = tuples[: sizes[n]]
+        dist = [
+            [sum((w for w, a, b in zip(weights, t1, t2) if a != b), Fraction(0)) for t2 in pts]
+            for t1 in pts
+        ]
+        metrics.append(Pseudometric(dist))
+    tower = Tower(labels, sizes, metrics)
+    op = tuple(
+        tuple(index[tuple((a + b) % k for a, b, k in zip(t1, t2, orders))] for t2 in tuples)
+        for t1 in tuples
+    )
+    neg = tuple(index[tuple((-a) % k for a, k in zip(t, orders))] for t in tuples)
+    return GroupTower(tower, op, neg)
+
+
+def rectangle_topology(ta, tb, index):
+    """Reference for ``product_topology``: the minimal neighborhood of each
+    indexed pair (i, j) summed point by point over U_i x U_j."""
+    n = len(index)
+    nbhd = [0] * n
+    for (i, j), k in index.items():
+        nbhd[k] = sum(
+            1 << index[i2, j2] for i2 in bits(ta.min_nbhd[i]) for j2 in bits(tb.min_nbhd[j])
+        )
+    return TopologyFamily(n, nbhd)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,21 +16,22 @@ from unilim.constructions import (
     check_group_limit,
     check_multiplicativity,
     ordered_product_ball,
+    product_topology,
     product_tower,
 )
 from unilim.core import Pseudometric, Tower
 from unilim.errors import InvarianceViolation, LevelCountMismatch, ValidationError
 from unilim.generate import (
     Profile,
-    _random_metric,
     cyclic_group_tower,
     random_factors,
     random_group_tower,
     random_tower,
 )
+from unilim.topology import TopologyFamily
 
-from .conftest import MIXED_POOL, flat_tower, frac_matrix, mixed_towers, same_table
-from .oracles import fraction_coordinate_max
+from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
+from .oracles import fraction_coordinate_max, rectangle_topology
 
 
 def test_product_sizes(tower):
@@ -92,6 +94,27 @@ def test_multiplicativity_randomized(seed):
     a = random_tower(rng, Profile(levels=3, max_size=4))
     b = random_tower(rng, Profile(levels=3, max_size=4))
     assert check_multiplicativity(a, b, product_tower(a, b)).relation == "equal"
+
+
+@st.composite
+def topologies(draw, max_size=5):
+    """A topology generated by random subsets of 1..``max_size`` points:
+    discrete, indiscrete and everything between."""
+    n = draw(st.integers(1, max_size))
+    sets = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=2 * n))
+    return TopologyFamily.from_subbase(n, sets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(topologies(), topologies(), st.booleans())
+def test_product_topology_matches_rectangle_reference(ta, tb, row_major):
+    na, nb = ta.ground_size, tb.ground_size
+    pairs = itertools.product(range(na), range(nb))
+    if row_major:
+        index = {(i, j): i * nb + j for i, j in pairs}
+    else:
+        index = {(i, j): j * na + i for i, j in pairs}
+    assert product_topology(ta, tb, index) == rectangle_topology(ta, tb, index)
 
 
 # -- group towers -------------------------------------------------------------
@@ -226,27 +249,34 @@ def test_box_limit_randomized(seed):
 # -- the integer coordinate max against its Fraction reference ----------------
 
 
+def _zero_tower(t):
+    """The tower on the levels of ``t`` where every pair is a zero pair."""
+    return Tower(t.labels, t.level_sizes, [Pseudometric.zero(m) for m in t.level_sizes])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda k: st.tuples(*[mixed_towers(k, 4)] * 2)))
 def test_product_levels_match_fraction_reference(drawn):
     (a, _), (b, _) = drawn
-    prod = product_tower(a, b)
-    order = _product_order(a, b)
-    pairs = [(i, j) for i in range(a.ground_size) for j in range(b.ground_size)]
-    assert order == sorted(pairs, key=lambda p: (max(a.height(p[0]), b.height(p[1])), *p))
-    for n, m in enumerate(prod.level_sizes):
-        ref = fraction_coordinate_max([a.metric(n), b.metric(n)], order[:m])
-        assert same_table(prod.metric(n), ref)
+    for a, b in ((a, b), (a, _zero_tower(b)), (_zero_tower(a), b)):
+        prod = product_tower(a, b)
+        order = _product_order(a, b)
+        pairs = [(i, j) for i in range(a.ground_size) for j in range(b.ground_size)]
+        assert order == sorted(pairs, key=lambda p: (max(a.height(p[0]), b.height(p[1])), *p))
+        for n, m in enumerate(prod.level_sizes):
+            ref = fraction_coordinate_max([a.metric(n), b.metric(n)], order[:m])
+            assert same_table(prod.metric(n), ref)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 3))
-def test_box_levels_match_fraction_reference(seed, depth):
-    rng = random.Random(seed)
-    factors = [
-        PointedSpace(_random_metric(rng, rng.randrange(2, 4), MIXED_POOL, 0.25), 0)
-        for _ in range(3)
-    ]
+@given(st.lists(mixed_towers(3, 4), min_size=3, max_size=3), st.integers(1, 3), st.data())
+def test_box_levels_match_fraction_reference(drawn, depth, data):
+    # each factor is a level of two or more points of a mixed tower, or a
+    # zero metric of its size
+    factors = []
+    for t, _ in drawn:
+        d = data.draw(st.sampled_from([d for d in t.level_metrics if d.size > 1]))
+        factors.append(PointedSpace(data.draw(st.sampled_from([d, Pseudometric.zero(d.size)]))))
     box = box_tower(factors, depth)
     order = _box_coordinates(factors, depth)[0]
     tables = [f.metric for f in factors[:depth]]

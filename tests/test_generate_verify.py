@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilim import io
+from unilim import generate, io
 from unilim.core import Entourage
 from unilim.errors import PreconditionFailed, ProfileTooLarge, UnknownTheoremId
 from unilim.generate import (
@@ -22,6 +22,12 @@ from unilim.verify import (
     fixture_reports,
     run_theorem,
     verify_suite,
+)
+
+from .oracles import (
+    fraction_cyclic_group_tower,
+    fraction_random_metric,
+    fraction_random_tower,
 )
 
 
@@ -47,6 +53,23 @@ def test_generate_instance_is_deterministic():
     assert a.group.op == b.group.op
     assert [f.metric.dist for f in a.factors] == [f.metric.dist for f in b.factors]
     assert a.instance_id == "seed42"
+
+
+def test_generation_on_ints_matches_the_fraction_reference(monkeypatch):
+    """The int generators give the towers, sequences, groups, factors, maps
+    and targets the Fraction ones gave, from the same draws."""
+    ints = [generate_instance(s) for s in range(201)]
+    monkeypatch.setattr(generate, "_random_metric", fraction_random_metric)
+    monkeypatch.setattr(generate, "random_tower", fraction_random_tower)
+    monkeypatch.setattr(generate, "cyclic_group_tower", fraction_cyclic_group_tower)
+    for got in ints:
+        ref = generate_instance(got.seed)
+        assert (got.tower, got.second_tower) == (ref.tower, ref.second_tower)
+        assert got.seq.metrics == ref.seq.metrics
+        assert (got.space_map, got.targets) == (ref.space_map, ref.targets)
+        g, r = got.generation, ref.generation
+        assert (g.u, g.ladder, g.seq.metrics) == (r.u, r.ladder, r.seq.metrics)
+        assert (got.group, got.factors) == (ref.group, ref.factors)
 
 
 def test_generate_instance_varies_with_seed():

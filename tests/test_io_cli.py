@@ -507,6 +507,25 @@ def test_cli_check_lists_no_open_sets(capsys, tmp_path, discrete17_file):
     assert cli.main(["topo", "--tower", discrete17_file]) == 2
 
 
+def test_cli_check_on_a_tower_with_zero_classes_exits_0(capsys, tmp_path):
+    """Minimal neighborhoods larger than a point pass the topology check:
+    the zero-classes {p0, p1} and {p2, p3} of a valid tower."""
+    file = tmp_path / "classes.json"
+    doc = {"labels": ["p0", "p1", "p2", "p3"], "level_sizes": [2, 4],
+           "metrics": [[[], [0]], [[], [0], [1, 1], [1, 1, 0]]]}
+    io.dump(doc, str(file))
+    ident = tmp_path / "ident.json"
+    io.dump(io.map_to_json((0, 1, 2, 3)), str(ident))
+    swap = tmp_path / "swap.json"
+    io.dump(io.map_to_json((1, 0, 3, 2)), str(swap))
+    base = ["check", "--tower", str(file), "--map", str(ident)]
+    assert run(capsys, *base) == (0, [{"continuous": True, "hypothesis": True}])
+    assert run(capsys, *base, "--direct") == (0, [{"continuous": True}])
+    homeo = ["check", "--tower", str(file), "--map", str(swap), "--homeo", str(swap)]
+    assert run(capsys, *homeo) == (0, [{"homeomorphism": True, "transport": "equal"}])
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_calls_in_one_process_share_no_options(capsys, monkeypatch, tower_file, seq_file):
     monkeypatch.delenv("UNILIM_SEED", raising=False)
     code, lines = run(capsys, "verify", "--targets", "L-mod", "--seed", "1")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilim import regularity
 from unilim.core import Pseudometric, Tower, shortest_path_closure
 from unilim.errors import GroundMismatch, LevelOutOfRange, NotInverse
 from unilim.fixtures import rescaled_homeo, three_point_tower
@@ -112,6 +113,26 @@ def test_zero_relation_shortcut_matches_naive_quantifier(seed):
     f = random_space_map(rng, t, tgt)
     for n in range(1, t.num_levels):
         assert is_regular_at(f, n).regular == naive_regular(f, n)
+
+
+def test_regularity_ball_is_computed_once(monkeypatch):
+    """B(X_{n-1}; z) serves both the closedness flag and the condition."""
+    calls = []
+
+    def counted(points, u):
+        calls.append(u)
+        return ball_set(points, u)
+
+    monkeypatch.setattr(regularity, "ball_set", counted)
+    for seed in range(20):
+        rng = random.Random(seed)
+        t = prefix_tower(rng, 3, 6)
+        f = random_space_map(rng, t, prefix_tower(rng, 2, 4))
+        for n in range(1, t.num_levels):
+            calls.clear()
+            v = is_regular_at(f, n)
+            assert calls == [t.zero_relation(n)]
+            assert v.regular == naive_regular(f, n)
 
 
 def test_is_continuous_identity(identity_into_top):

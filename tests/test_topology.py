@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from unilim.constructions import box_tower, product_tower
 from unilim.core import Entourage
-from unilim.errors import GroundMismatch, IndexOutOfRange, NotAnEntourage, StartMismatch
+from unilim.errors import (
+    GroundMismatch,
+    IndexOutOfRange,
+    NeighborhoodViolation,
+    NotAnEntourage,
+    StartMismatch,
+)
 from unilim.generate import Profile, random_factors, random_monotone_sequence, random_tower
 from unilim.limitmetric import limit_pseudometric
 from unilim.relations import EntourageSequence
@@ -113,6 +119,17 @@ def test_repr_gives_sizes_without_listing_opens():
     top = TopologyFamily.discrete(17)
     assert repr(top) == f"TopologyFamily(ground_size=17, nbhd_sizes={[1] * 17})"
     assert repr(TopologyFamily(2, [0b11, 0b10])) == "TopologyFamily(ground_size=2, nbhd_sizes=[2, 1])"
+
+
+def test_minimal_neighborhoods_of_no_topology_are_named():
+    # 0 outside its own neighborhood
+    with pytest.raises(NeighborhoodViolation, match="of 0 does not contain 0"):
+        TopologyFamily(2, [0b10, 0b10])
+    # 1 lies in U_0 but U_1 = {1, 2} is not inside U_0 = {0, 1}
+    with pytest.raises(NeighborhoodViolation, match="of 0 holds 1 but not all"):
+        TopologyFamily(3, [0b011, 0b110, 0b100])
+    # saturated families pass, and are kept as given
+    assert TopologyFamily(3, [0b111, 0b110, 0b100]).min_nbhd == (0b111, 0b110, 0b100)
 
 
 def test_compare_topologies_verdicts():

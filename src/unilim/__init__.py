@@ -56,7 +56,6 @@ from .limitmetric import (
     extend_pseudometric,
     limit_pseudometric,
     valley_distance,
-    valley_witness_chain,
     verify_generation,
     witness_chain,
 )

@@ -21,7 +21,7 @@ from .constructions import (
 from .core import Entourage, MonotonePseudometricSequence, Tower
 from .errors import UnilimError, ValidationError
 from .generate import Profile, generate_instance
-from .limitmetric import limit_pseudometric, valley_witness_chain
+from .limitmetric import limit_pseudometric, witness_chain
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
 from .relations import OMEGA, REPEAT_LAST, EntourageSequence, ball, compose, multiple, sigma_sum
 from .topology import compare_topologies, tlim_topology, ulim_topology
@@ -183,7 +183,7 @@ def cmd_limit(args) -> int:
     if args.witness:
         x = tower.index_of(args.witness[0])
         y = tower.index_of(args.witness[1])
-        chain = valley_witness_chain(seq, x, y, lim)
+        chain = witness_chain(seq, x, y)
         print(io.dumps({"chain": [tower.labels[p] for p in chain.points]}))
     return EXIT_TRUE
 
@@ -283,18 +283,22 @@ def cmd_gen(args) -> int:
 def _parse_seeds(spec: str) -> list[int]:
     """A half-open range "lo..hi" or a comma list; an empty range would
     make a run that checks no seeded instance, so it is refused."""
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        seeds = list(range(int(lo), int(hi)))
-        if not seeds:
-            raise ValidationError(f"seed range {spec!r} is empty")
-        return seeds
-    return [int(s) for s in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise ValidationError(f"--seeds {spec!r} is not lo..hi or a comma list of ints") from None
+    if not seeds:
+        raise ValidationError(f"seed range {spec!r} is empty")
+    return seeds
 
 
 def cmd_verify(args) -> int:
     targets = list(THEOREM_IDS) if args.all else (args.targets or [])
-    if args.seeds:
+    if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
     else:
         seeds = [args.seed if args.seed is not None else _default_seed()]

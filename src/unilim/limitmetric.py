@@ -5,14 +5,17 @@ tower, adequate sequences, and the quantitative generation check.
 The defining infimum over chains is attained by a simple chain (edge
 weights are nonnegative, so deleting a revisited point never increases the
 weight), which turns the limit pseudometric into an all-pairs shortest
-path problem over exact rationals.
+path problem over exact rationals.  It is also attained by a valley chain,
+whose heights strictly fall, take at most one flat link and strictly rise;
+one forward DP from x over (point, phase) states gives both the valley
+distance to every point and, from its predecessors, the witness chain.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Sequence
@@ -24,7 +27,9 @@ from .core import (
     Tower,
     closure_in_place,
 )
-from .errors import IndexOutOfRange, NotAnEntourage, NotUniform, PreconditionFailed
+from .errors import (
+    IndexOutOfRange, NotAnEntourage, NotUniform, PreconditionFailed, ValidationError,
+)
 from .relations import multiple
 
 
@@ -36,7 +41,7 @@ class Chain:
 
     def __post_init__(self):
         if not self.points:
-            raise ValueError("chain must be nonempty")
+            raise ValidationError("chain must be nonempty")
 
 
 def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
@@ -56,7 +61,7 @@ def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
 def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Each pair's distance at its pair height, as ints over ``den``, the
     lcm of the sequence's denominators.  Kept for the last sequence asked
-    for, since ``valley_distance`` asks once per pair.
+    for, since the valley DP asks once per start point.
 
     Heights grow with the index, so row x takes level h(x) up to that
     level's size and then, level by level, the points born higher.
@@ -79,17 +84,10 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[i
 
 @dataclass(frozen=True)
 class LimitPseudometric:
-    """The limit pseudometric on the full ground set, with its source.
-
-    ``links`` holds the link weights and ``closed`` their closure, both as
-    ints over the lcm of the sequence's denominators; witness chains test
-    their steps on these.  Neither is modified after construction.
-    """
+    """The limit pseudometric on the full ground set, with its source."""
 
     dist: Pseudometric
     source: MonotonePseudometricSequence
-    links: Sequence[Sequence[int]] = field(compare=False, repr=False)
-    closed: Sequence[Sequence[int]] = field(compare=False, repr=False)
 
     def __call__(self, x: int, y: int) -> Fraction:
         return self.dist.dist[x][y]
@@ -100,125 +98,74 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> LimitPseudometric:
     complete graph weighted by pair-height distances."""
     den, w = _link_weights(seq)
     closed = closure_in_place([list(row) for row in w])
-    return LimitPseudometric(Pseudometric._from_numer(den, closed), seq, w, closed)
+    return LimitPseudometric(Pseudometric._from_numer(den, closed), seq)
 
 
-def witness_chain(
-    seq: MonotonePseudometricSequence, x: int, y: int, lim: LimitPseudometric | None = None
-) -> Chain:
-    """A minimum-weight simple chain from x to y: the lexicographically
-    smallest one made of optimal steps, a to z with w(a, z) + d(z, y) =
-    d(a, y).  Zero-weight links can close cycles of optimal steps, so each
-    step takes the smallest unvisited z from which y is still reachable by
-    optimal steps through unvisited points; every step adds a point, so the
-    walk ends.  ``lim``, the limit of ``seq``, is built when not given."""
-    if lim is None:
-        lim = limit_pseudometric(seq)
-    n = seq.tower.ground_size
-    w, dist = lim.links, lim.closed
-    steps = [
-        [z for z in range(n) if z != a and w[a][z] + dist[z][y] == dist[a][y]] for a in range(n)
-    ]
-
-    def reaches_y(z: int, seen: set[int]) -> bool:
-        frontier = [z]
-        while frontier:
-            a = frontier.pop()
-            if a == y:
-                return True
-            fresh = [b for b in steps[a] if b not in seen]
-            seen.update(fresh)
-            frontier += fresh
-        return False
-
-    points = [x]
-    while points[-1] != y:
-        on_chain = set(points)
-        for z in steps[points[-1]]:
-            if z not in on_chain and reaches_y(z, on_chain | {z}):
-                points.append(z)
-                break
-        else:
-            raise AssertionError("no optimal step; shortest paths inconsistent")
-    return Chain(tuple(points))
-
-
-def valley_witness_chain(
-    seq: MonotonePseudometricSequence, x: int, y: int, lim: LimitPseudometric | None = None
-) -> Chain:
-    """An optimal chain in valley normal form.
-
-    Starts from an optimal simple chain and repeatedly deletes an interior
-    point at least as high as both neighbors; monotonicity and the triangle
-    inequality make the deletion weight-nonincreasing.  ``lim``, the limit
-    of ``seq``, is built when not given.
-    """
+@functools.lru_cache(maxsize=1)
+def _valley_row(
+    seq: MonotonePseudometricSequence, x: int
+) -> tuple[int, tuple[int, ...], tuple[int | None, ...]]:
+    """The cheapest valley chain from x to every point, by one forward DP
+    over (point, phase) states: v is "descending at v", n + v "past the
+    turn at v".  State v costs the cheapest strictly descending chain from
+    x to v; state n + v starts at that cost, and only a strictly cheaper
+    flat link from a descending state or rising link from a state past the
+    turn replaces it, so no recorded chain revisits a point.  Returns
+    ``den``, the costs past the turn as ints over ``den``, and each state's
+    predecessor.  Kept for the last (seq, x): L-mod asks once per pair."""
     t = seq.tower
-    pts = list(witness_chain(seq, x, y, lim).points)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(pts) - 1):
-            h = t.height(pts[i])
-            if h >= t.height(pts[i - 1]) and h >= t.height(pts[i + 1]):
-                del pts[i]
-                changed = True
-                break
-    return Chain(tuple(pts))
+    n = t.ground_size
+    den, w = _link_weights(seq)
+    h = [t.height(p) for p in range(n)]
+    cost: list[float] = [math.inf] * (2 * n)  # inf: no chain reaches the state
+    back: list[int | None] = [None] * (2 * n)
+    cost[x] = 0
+    # heights grow with the index, so every point higher than v comes after it
+    for v in reversed(range(x)):
+        for u in range(v + 1, n):
+            if h[v] < h[u] and cost[u] + w[u][v] < cost[v]:
+                cost[v], back[v] = cost[u] + w[u][v], u
+    for v in range(n):
+        cost[n + v], back[n + v] = cost[v], v
+        for u in range(n):
+            if u != v and h[u] == h[v]:
+                s = u  # flat link, from the descent
+            elif h[u] < h[v]:
+                s = n + u  # rising link, past the turn
+            else:
+                continue
+            if cost[s] + w[u][v] < cost[n + v]:
+                cost[n + v], back[n + v] = cost[s] + w[u][v], s
+    return den, tuple(cost[n:]), tuple(back)
+
+
+def _valley_row_to(seq: MonotonePseudometricSequence, x: int, y: int):
+    """The valley DP row from x, once x and y are known to be points."""
+    for p in (x, y):
+        if not 0 <= p < seq.tower.ground_size:
+            raise IndexOutOfRange(f"element {p}")
+    return _valley_row(seq, x)
 
 
 def valley_distance(seq: MonotonePseudometricSequence, x: int, y: int) -> Fraction:
-    """Minimum weight over valley chains: every interior point lower than
-    the higher of its neighbors, i.e. heights strictly decrease to a valley
-    and then strictly increase.
+    """Minimum weight over valley chains from x to y: every interior point
+    lower than the higher of its neighbors, i.e. heights strictly decrease
+    to a valley, take at most one flat link, and then strictly increase."""
+    den, up, _ = _valley_row_to(seq, x, y)
+    return Fraction(up[y], den)
 
-    Dynamic programming: D[u] is the cheapest strictly-descending chain
-    from x to u, A[v] the cheapest strictly-ascending chain from v to y;
-    the valley step joins them (u = v joins at a shared bottom point).
-    """
-    t = seq.tower
-    n = t.ground_size
-    for p in (x, y):
-        if not 0 <= p < n:
-            raise IndexOutOfRange(f"element {p}")
-    den, w = _link_weights(seq)
-    heights = [t.height(p) for p in range(n)]
-    order = sorted(range(n), key=lambda p: -heights[p])
 
-    desc: list[int | None] = [None] * n
-    desc[x] = 0
-    for u in order:
-        if desc[u] is None:
-            continue
-        for v in range(n):
-            if heights[v] < heights[u]:
-                c = desc[u] + w[u][v]
-                if desc[v] is None or c < desc[v]:
-                    desc[v] = c
-
-    asc: list[int | None] = [None] * n
-    asc[y] = 0
-    for v in order:
-        if asc[v] is None:
-            continue
-        for u in range(n):
-            if heights[u] < heights[v]:
-                c = asc[v] + w[u][v]
-                if asc[u] is None or c < asc[u]:
-                    asc[u] = c
-
-    best: int | None = None
-    for u in range(n):
-        if desc[u] is None:
-            continue
-        for v in range(n):
-            if asc[v] is None or heights[u] > heights[v]:
-                continue
-            c = desc[u] + (0 if u == v else w[u][v]) + asc[v]
-            if best is None or c < best:
-                best = c
-    assert best is not None  # u = v = bottom of x and y always connects
-    return Fraction(best, den)
+def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
+    """A valley chain from x to y of weight d(x, y), simple and optimal: the
+    valley DP's predecessors walked back from y past the turn to x."""
+    _, _, back = _valley_row_to(seq, x, y)
+    n = seq.tower.ground_size
+    points, s = [y], n + y
+    while s != x:
+        s = back[s]
+        if s % n != points[-1]:
+            points.append(s % n)
+    return Chain(tuple(reversed(points)))
 
 
 def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseudometric:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .core import Entourage, Tower, bits, members
-from .errors import IndexOutOfRange, LevelMismatch, NotAnEntourage, StartMismatch
+from .errors import IndexOutOfRange, LevelMismatch, NotAnEntourage, StartMismatch, ValidationError
 
 OMEGA = "omega"
 
@@ -60,7 +60,7 @@ def multiple(u: Entourage, k: int) -> Entourage:
     """k-fold sum: 1*U = U, (k+1)*U = k*U + U.  Once j*U + U == j*U, every
     later multiple is j*U too, so the sums stop there."""
     if k < 1:
-        raise ValueError("multiple requires k >= 1")
+        raise ValidationError(f"multiple requires k >= 1, got {k}")
     acc = u
     for _ in range(k - 1):
         nxt = compose(acc, u)
@@ -98,7 +98,7 @@ class EntourageSequence:
             if tail.size != t.ground_size:
                 raise LevelMismatch("tail entourage must live on the top level")
         elif tail != REPEAT_LAST:
-            raise ValueError(f"unknown tail policy {tail!r}")
+            raise ValidationError(f"unknown tail policy {tail!r}")
 
     def entry(self, n: int) -> Entourage:
         return self.entries[n - self.start]

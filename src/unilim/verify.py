@@ -25,7 +25,10 @@ from .core import MonotonePseudometricSequence, Tower
 from .errors import UnilimError, UnknownTheoremId
 from .generate import Instance, Profile, generate_instance
 from .io import rational_to_json
-from .limitmetric import adequate_sequence, limit_pseudometric, valley_distance, verify_generation
+from .limitmetric import (
+    adequate_sequence, chain_weight, limit_pseudometric, valley_distance, verify_generation,
+    witness_chain,
+)
 from .relations import multiple
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion
 from .topology import (
@@ -106,31 +109,47 @@ class VerifyReport:
 Verdict = tuple[bool, Any]
 
 
-def _limit_matches(
-    seq: MonotonePseudometricSequence, other: Callable, limit_key: str, other_key: str
-) -> Verdict:
-    """The limit distance of every pair equals ``other(seq, x, y)``; a
-    mismatch is certified with both values under the given keys."""
+def _check_limit_oracle(seq: MonotonePseudometricSequence) -> Verdict:
+    """The limit distance of every pair equals the chain oracle's; a
+    mismatch is certified with both values."""
     lim = limit_pseudometric(seq)
     n = seq.tower.ground_size
     for x in range(n):
         for y in range(n):
-            want = other(seq, x, y)
+            want = exhaustive_limit_distance(seq, x, y)
             if lim(x, y) != want:
                 return False, {
+                    "got": rational_to_json(lim(x, y)),
+                    "oracle": rational_to_json(want),
                     "pair": [x, y],
-                    limit_key: rational_to_json(lim(x, y)),
-                    other_key: rational_to_json(want),
                 }
     return True, {"pairs_checked": n * n}
 
 
-def _check_limit_oracle(seq: MonotonePseudometricSequence) -> Verdict:
-    return _limit_matches(seq, exhaustive_limit_distance, "got", "oracle")
-
-
 def _check_valley(seq: MonotonePseudometricSequence) -> Verdict:
-    return _limit_matches(seq, valley_distance, "limit", "valley")
+    """For every pair, the valley distance is the limit distance, and the
+    chain ``unilim limit --witness`` prints runs from x to y, is simple and
+    valley-shaped, and weighs the limit distance by ``chain_weight``, which
+    reads the sequence's metrics, not the valley DP's link table."""
+    lim = limit_pseudometric(seq)
+    n = seq.tower.ground_size
+    for x in range(n):
+        for y in range(n):
+            d, valley = lim(x, y), valley_distance(seq, x, y)
+            chain = witness_chain(seq, x, y)
+            pts, weight = chain.points, chain_weight(seq, chain)
+            hs = [seq.tower.height(p) for p in pts]
+            shaped = all(b < max(a, c) for a, b, c in zip(hs, hs[1:], hs[2:]))
+            ends = (pts[0], pts[-1]) == (x, y)
+            if valley != d or weight != d or not (ends and shaped and len(set(pts)) == len(pts)):
+                return False, {
+                    "chain": list(pts),
+                    "limit": rational_to_json(d),
+                    "pair": [x, y],
+                    "valley": rational_to_json(valley),
+                    "weight": rational_to_json(weight),
+                }
+    return True, {"pairs_checked": n * n}
 
 
 def _check_three_point_limit() -> Verdict:

@@ -158,6 +158,34 @@ MUTANTS = {
         "test_core.py",
         ("verify", "tests"),
     ),
+    # the first two only add chains that are not valley-shaped, all of
+    # weight at least the limit, so every value stays; only the shape check
+    # of L-mod and the chain property test see them
+    "valley descent allows equal heights": Mutant(
+        "limitmetric.py",
+        "if h[v] < h[u] and cost[u] + w[u][v] < cost[v]:",
+        "if h[v] <= h[u] and cost[u] + w[u][v] < cost[v]:",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # only states past the turn the DP has reached (u < v): the others still
+    # cost inf, and dropping those links would change values as well
+    "valley flat link taken past the turn": Mutant(
+        "limitmetric.py",
+        "s = u  # flat link, from the descent",
+        "s = n + u if u < v else u  # flat link, from the descent",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # reading every predecessor as a descending state forgets whether a link
+    # was flat or rising, so a rising link resumes the cheapest descent
+    "valley walk-back ignores the phase": Mutant(
+        "limitmetric.py",
+        "s = back[s]\n",
+        "s = back[s] % n\n",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
 }
 
 

@@ -15,6 +15,7 @@ from unilim.generate import (
     random_generation_instance,
     random_tower,
 )
+from unilim.limitmetric import Chain, witness_chain
 from unilim.verify import (
     THEOREM_IDS,
     THEOREMS,
@@ -152,6 +153,27 @@ def test_library_errors_fail_the_report_and_other_errors_propagate(monkeypatch):
     monkeypatch.setattr("unilim.verify.limit_pseudometric", interrupted)
     with pytest.raises(RuntimeError):
         run_theorem("T3", inst)
+
+
+# on the three-point fixture d(a, b) = d(b, c) = 1 and d(a, c) = 2 via b
+@pytest.mark.parametrize("pair, points, weight", [
+    ((0, 2), (0, 2), 3),  # the direct link, heavier than the limit
+    ((0, 2), (0, 1, 0, 1, 2), 4),  # revisits a and b
+    ((0, 2), (0, 1), 1),  # stops short of c
+    ((1, 0), (1, 2, 0), 4),  # c higher than both its neighbors
+])
+def test_l_mod_fails_on_a_bad_witness_chain(monkeypatch, pair, points, weight):
+    chain = witness_chain
+    monkeypatch.setattr(
+        "unilim.verify.witness_chain",
+        lambda seq, x, y: Chain(points) if (x, y) == pair else chain(seq, x, y),
+    )
+    limit = 2 if pair == (0, 2) else 1
+    report = fixture_reports("L-mod")[0]
+    assert not report.verdict
+    assert report.certificate == {
+        "chain": list(points), "limit": limit, "pair": list(pair), "valley": limit, "weight": weight,
+    }
 
 
 def test_t1_requires_closures_to_equal_repeated_sums(monkeypatch):

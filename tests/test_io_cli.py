@@ -597,6 +597,21 @@ def test_cli_verify_rejects_empty_seed_range(capsys):
     assert "checks passed" not in captured.err and "empty" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["5..x", "1..2..3", "1,x"])
+def test_cli_verify_names_a_malformed_seed_spec(capsys, spec):
+    assert cli.main(["verify", "--all", "--seeds", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seeds {spec!r} is not lo..hi or a comma list of ints\n"
+
+
+def test_cli_verify_refuses_empty_seeds(capsys):
+    assert cli.main(["verify", "--all", "--seeds", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seeds '' is not lo..hi or a comma list of ints\n"
+
+
 def test_cli_verify_library_error_in_a_check_is_a_failure(capsys, monkeypatch):
     # a library error on a generated (valid) instance is a bug, exit 3, not
     # bad input

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim.core import Entourage, Pseudometric, Tower
-from unilim.errors import NotAnEntourage, NotUniform, PreconditionFailed
+from unilim.errors import NotAnEntourage, NotUniform, PreconditionFailed, ValidationError
 from unilim.generate import Profile, generate_instance, random_monotone_sequence, random_tower
 from unilim.limitmetric import (
     Chain,
@@ -17,7 +17,6 @@ from unilim.limitmetric import (
     limit_pseudometric,
     sum_of_extensions,
     valley_distance,
-    valley_witness_chain,
     verify_generation,
     witness_chain,
 )
@@ -98,13 +97,26 @@ def test_valley_distance_frozen(mono_seq):
     assert valley_distance(mono_seq, 1, 1) == 0
 
 
-def test_valley_witness_is_valley_shaped(mono_seq):
-    ch = valley_witness_chain(mono_seq, 0, 2)
-    assert chain_weight(mono_seq, ch) == 2
-    t = mono_seq.tower
-    hs = [t.height(p) for p in ch.points]
+def assert_valley_witness(seq, x, y, d):
+    """``witness_chain(seq, x, y)`` runs from x to y, visits no point twice,
+    has every interior point lower than the higher of its neighbors, and
+    weighs ``d``."""
+    pts = witness_chain(seq, x, y).points
+    assert pts[0] == x and pts[-1] == y
+    assert len(set(pts)) == len(pts)
+    hs = [seq.tower.height(p) for p in pts]
     for i in range(1, len(hs) - 1):
         assert hs[i] < max(hs[i - 1], hs[i + 1])
+    assert chain_weight(seq, Chain(pts)) == d
+
+
+def test_valley_witness_is_valley_shaped(mono_seq):
+    assert_valley_witness(mono_seq, 0, 2, 2)
+
+
+def test_empty_chain_is_named():
+    with pytest.raises(ValidationError):
+        Chain(())
 
 
 def test_extension_restricts_exactly(tower):
@@ -243,6 +255,25 @@ def test_valley_equals_limit(seed):
     for x in range(t.ground_size):
         for y in range(t.ground_size):
             assert valley_distance(seq, x, y) == lim(x, y)
+
+
+@st.composite
+def random_sequences(draw):
+    """A random monotone sequence on a random tower of 3 or 4 levels and at
+    most 8 points."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    profile = Profile(levels=draw(st.integers(3, 4)), max_size=draw(st.integers(4, 8)))
+    return random_monotone_sequence(rng, random_tower(rng, profile))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(mixed_towers().map(lambda drawn: sum_of_extensions(*drawn)), random_sequences()))
+def test_witness_chain_is_a_simple_optimal_valley_chain(seq):
+    lim = limit_pseudometric(seq)
+    n = seq.tower.ground_size
+    for x in range(n):
+        for y in range(n):
+            assert_valley_witness(seq, x, y, lim(x, y))
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim.core import Entourage
-from unilim.errors import LevelMismatch, NotAnEntourage, StartMismatch
+from unilim.errors import LevelMismatch, NotAnEntourage, StartMismatch, ValidationError
 from unilim.generate import Profile, random_tower
 from unilim.relations import (
     OMEGA,
@@ -51,7 +51,7 @@ def test_multiple_frozen(e_u):
     assert multiple(e_u, 1) == e_u
     d = Entourage.diagonal(2, 3)
     assert multiple(d, 5) == d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         multiple(e_u, 0)
 
 

@@ -50,7 +50,6 @@ from .generate import Instance, Profile, cyclic_group_tower, generate_instance
 from .limitmetric import (
     Chain,
     GenerationVerdict,
-    LimitPseudometric,
     adequate_sequence,
     chain_weight,
     extend_pseudometric,

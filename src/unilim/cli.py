@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
 from . import io
 from .constructions import (
@@ -179,7 +178,7 @@ def cmd_limit(args) -> int:
     tower, _ = _load_tower(args.tower)
     seq = _load_sequence(tower, args.seq)
     lim = limit_pseudometric(seq)
-    print(io.dumps({"labels": list(tower.labels), "matrix": io.matrix_to_json(lim.dist)}))
+    print(io.dumps({"labels": list(tower.labels), "matrix": io.matrix_to_json(lim)}))
     if args.witness:
         x = tower.index_of(args.witness[0])
         y = tower.index_of(args.witness[1])
@@ -320,7 +319,10 @@ def cmd_verify(args) -> int:
     return EXIT_SOUNDNESS if failed else EXIT_TRUE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it,
+    each call gets a fresh namespace."""
     p = argparse.ArgumentParser(prog="unilim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -346,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--map", required=True)
     chk.add_argument("--target", help="target tower file (defaults to the source)")
     group = chk.add_mutually_exclusive_group()
-    group.add_argument("--criterion", action="store_true", default=True)
     group.add_argument("--direct", action="store_true")
     group.add_argument("--homeo", metavar="INV", help="inverse map file")
     chk.set_defaults(func=cmd_check)
@@ -386,15 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing keeps no state in it,
-    each call gets a fresh namespace."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UnilimError, OSError, ValueError, KeyError, IndexError) as e:

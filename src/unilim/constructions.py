@@ -111,12 +111,12 @@ def check_multiplicativity(a: Tower, b: Tower, prod: Tower) -> TopologyCompariso
 class GroupTower:
     """A tower whose levels are subgroups of a finite abelian group with
     translation-invariant level metrics (the finite SIN model: all four
-    group uniformities coincide)."""
+    group uniformities coincide).  The identity is element 0, which every
+    level holds."""
 
     tower: Tower
     op: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
-    identity: int = 0
 
     def __post_init__(self):
         t = self.tower
@@ -125,8 +125,6 @@ class GroupTower:
             raise ValidationError("operation table must be square on the top level")
         if len(self.neg) != n:
             raise ValidationError("inverse table must cover the top level")
-        if self.identity != 0 or t.height(0) != 0:
-            raise ValidationError("identity must be element 0 at level 0")
         op, neg = self.op, self.neg
         for x in range(n):
             if op[x][0] != x or op[0][x] != x:
@@ -165,7 +163,7 @@ class GroupTower:
         """Elements of the level subgroup at distance < radius from e."""
         d = self.tower.metric(level)
         q, bound = radius.denominator, radius.numerator * d.den
-        return frozenset(g for g in range(d.size) if d.numer[g][self.identity] * q < bound)
+        return frozenset(g for g in range(d.size) if d.numer[g][0] * q < bound)
 
     def set_product(self, a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
         return frozenset(self.op[x][y] for x in a for y in b)
@@ -179,7 +177,7 @@ class GroupTower:
 
 def ordered_product_ball(g: GroupTower, radii: Sequence[Fraction]) -> frozenset[int]:
     """The ordered product U_0 U_1 ... U_m of the per-level identity balls."""
-    acc: frozenset[int] = frozenset([g.identity])
+    acc: frozenset[int] = frozenset([0])
     for n, r in enumerate(_radii(g, radii)):
         acc = g.set_product(acc, g.metric_ball(n, r))
     return acc
@@ -226,7 +224,7 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
     # the finite sum through the top level: one factor per level, exactly
     # matching the ordered product (a repeat-last tail would append extra
     # copies of the top ball that the ordered product does not contain)
-    limit_ball = ball(g.identity, sigma_sum(seq, t.top_level))
+    limit_ball = ball(0, sigma_sum(seq, t.top_level))
     ordered = ordered_product_ball(g, radii)
     ball_eq = limit_ball == ordered
     detail = ""

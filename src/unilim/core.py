@@ -249,9 +249,6 @@ class Pseudometric:
         den = self.den
         return [Fraction(v, den) for v in sorted({v for row in self.numer for v in row if v > 0})]
 
-    def max_value(self) -> Fraction:
-        return Fraction(max(v for row in self.numer for v in row), self.den)
-
     def zero_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(
             (i, j) for i, row in enumerate(self.numer) for j, v in enumerate(row) if v == 0
@@ -490,9 +487,6 @@ class Entourage:
 
     def contains(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    def transpose(self) -> "Entourage":
-        return Entourage._from_rows(self.level, self.columns())
 
     def union(self, other: "Entourage") -> "Entourage":
         if (self.level, self.size) != (other.level, other.size):

@@ -75,9 +75,9 @@ def identity_map() -> SpaceMap:
     return SpaceMap(t, target, (0, 1, 2))
 
 
-def rescaled_homeo() -> tuple[SpaceMap, SpaceMap]:
-    """Identity between the three-point tower and its uniform rescale by 2;
-    a homeomorphism of the limits."""
-    t = three_point_tower()
+def rescaled_homeo(t: Tower) -> tuple[SpaceMap, SpaceMap]:
+    """The identity from a tower to its uniform rescale by 2, and back; a
+    homeomorphism of the limits."""
     s = Tower(t.labels, t.level_sizes, [d.scale(2) for d in t.level_metrics])
-    return SpaceMap(t, s, (0, 1, 2)), SpaceMap(s, t, (0, 1, 2))
+    idx = tuple(range(t.ground_size))
+    return SpaceMap(t, s, idx), SpaceMap(s, t, idx)

@@ -35,15 +35,12 @@ DEFAULT_POOL = (
 class Profile:
     levels: int = 3
     max_size: int = 6
-    value_pool: tuple[Fraction, ...] = DEFAULT_POOL
 
     def __post_init__(self):
         if self.levels < 1 or self.max_size < self.levels:
             raise ProfileTooLarge(f"levels={self.levels}, max_size={self.max_size}")
         if self.max_size > MAX_TOP_SIZE:
             raise ProfileTooLarge(f"top size {self.max_size} exceeds {MAX_TOP_SIZE}")
-        if not self.value_pool or any(Fraction(v) <= 0 for v in self.value_pool):
-            raise ProfileTooLarge("value pool must be nonempty and positive")
 
 
 def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -82,7 +79,7 @@ def random_tower(rng: random.Random, profile: Profile) -> Tower:
     keeps the level below as its corner; the tables are ints over the
     pool's common denominator."""
     sizes = sorted(rng.sample(range(1, profile.max_size + 1), profile.levels))
-    den, pool = _numerators(profile.value_pool)
+    den, pool = _numerators(DEFAULT_POOL)
     tables = [_random_numer(rng, sizes[0], pool, 0.2)]
     for m in sizes[1:]:
         prev = tables[-1]
@@ -199,9 +196,9 @@ def random_group_tower(rng: random.Random) -> GroupTower:
     return cyclic_group_tower(orders, weights)
 
 
-def random_factors(rng: random.Random, count: int = 3) -> list[PointedSpace]:
+def random_factors(rng: random.Random) -> list[PointedSpace]:
     out = []
-    for _ in range(count):
+    for _ in range(3):
         size = rng.randrange(2, 4)
         out.append(PointedSpace(_random_metric(rng, size, DEFAULT_POOL, 0.25), 0))
     return out

@@ -99,10 +99,6 @@ def _metric_from_json(rows: Any, path: str, parsed: dict[Any, Fraction]) -> Pseu
     return Pseudometric._from_numer(den, numer)
 
 
-def metric_from_json(rows: list[list[Any]]) -> Pseudometric:
-    return _metric_from_json(rows, "metric", {})
-
-
 def tower_to_json(t: Tower, entourages: dict[str, Entourage] | None = None) -> dict:
     doc: dict[str, Any] = {
         "labels": list(t.labels),
@@ -176,21 +172,10 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
     return [_metric_from_json(rows, f"metrics[{n}]", parsed) for n, rows in enumerate(metrics)]
 
 
-def map_to_json(values) -> list[int]:
-    return [int(v) for v in values]
-
-
 def map_from_json(doc) -> tuple[int, ...]:
     if not isinstance(doc, list):
         raise ValidationError("map document must be a JSON array of target indices")
     return tuple(_integer(v, f"map[{k}]") for k, v in enumerate(doc))
-
-
-def group_to_json(g: GroupTower) -> dict:
-    doc = tower_to_json(g.tower)
-    doc["op"] = [list(row) for row in g.op]
-    doc["neg"] = list(g.neg)
-    return doc
 
 
 def group_from_json(doc: dict) -> GroupTower:
@@ -212,10 +197,6 @@ def group_from_json(doc: dict) -> GroupTower:
     return GroupTower(tower, op, neg)
 
 
-def factor_to_json(f: PointedSpace) -> dict:
-    return {"basepoint": f.basepoint, "metric": metric_to_json(f.metric)}
-
-
 def _factor_from_json(doc: Any, path: str) -> PointedSpace:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {doc!r}")
@@ -227,10 +208,6 @@ def _factor_from_json(doc: Any, path: str) -> PointedSpace:
         return PointedSpace(metric, basepoint)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-
-
-def factor_from_json(doc: dict) -> PointedSpace:
-    return _factor_from_json(doc, "factor")
 
 
 def factors_from_json(doc) -> list[PointedSpace]:
@@ -250,5 +227,11 @@ def dump(obj: Any, path: str) -> None:
 
 
 def load(path: str) -> Any:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in the file at ``path``.  A file that is not one
+    (bad syntax, bytes that are not UTF-8, nesting too deep to parse) is a
+    ``ValidationError`` naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise ValidationError(f"{path}: not a JSON document: {e}") from None

@@ -82,23 +82,11 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[i
     return den, tuple(w)
 
 
-@dataclass(frozen=True)
-class LimitPseudometric:
-    """The limit pseudometric on the full ground set, with its source."""
-
-    dist: Pseudometric
-    source: MonotonePseudometricSequence
-
-    def __call__(self, x: int, y: int) -> Fraction:
-        return self.dist.dist[x][y]
-
-
-def limit_pseudometric(seq: MonotonePseudometricSequence) -> LimitPseudometric:
+def limit_pseudometric(seq: MonotonePseudometricSequence) -> Pseudometric:
     """Minimum chain weight for each pair: all-pairs shortest path of the
     complete graph weighted by pair-height distances."""
     den, w = _link_weights(seq)
-    closed = closure_in_place([list(row) for row in w])
-    return LimitPseudometric(Pseudometric._from_numer(den, closed), seq)
+    return Pseudometric._from_numer(den, closure_in_place([list(row) for row in w]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -281,27 +269,24 @@ def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometr
     return Pseudometric._from_numer(1, [[0 if v == 0 else 1 for v in row] for row in d.numer])
 
 
-def adequate_sequence(tower: Tower, targets) -> MonotonePseudometricSequence:
+def adequate_sequence(tower: Tower, targets: Sequence[Entourage]) -> MonotonePseudometricSequence:
     """A monotone sequence (d_n) with {d_n < 1} inside the n-th target.
 
-    ``targets`` is an EntourageSequence starting at level 0 (or any list of
-    per-level entourages); each target must contain its level's
-    zero-relation.  The n-th metric is the sum over k <= n of the
-    level-by-level extensions of a bounded 0/1 pseudometric whose unit
-    sublevel lies inside the k-th target; the n-th summand alone forces
-    {d_n < 1} inside the n-th target.
+    ``targets`` holds one entourage per level, from level 0; each must
+    contain its level's zero-relation.  The n-th metric is the sum over
+    k <= n of the level-by-level extensions of a bounded 0/1 pseudometric
+    whose unit sublevel lies inside the k-th target; the n-th summand alone
+    forces {d_n < 1} inside the n-th target.
     """
-    entries = targets.entries if hasattr(targets, "entries") else tuple(targets)
-    if len(entries) != tower.num_levels:
-        raise NotAnEntourage(len(entries), "need one target per level")
-    for n, e in enumerate(entries):
+    if len(targets) != tower.num_levels:
+        raise NotAnEntourage(len(targets), "need one target per level")
+    for n, e in enumerate(targets):
         if e.size != tower.level_sizes[n]:
             raise NotAnEntourage(n, f"target at level {n} has wrong size")
         if not tower.zero_relation(n).issubset(e):
             raise NotAnEntourage(n)
-
     return sum_of_extensions(
-        tower, [_target_indicator(tower, k, entries[k]) for k in range(tower.num_levels)]
+        tower, [_target_indicator(tower, k, e) for k, e in enumerate(targets)]
     )
 
 
@@ -327,8 +312,7 @@ def verify_generation(
     top = tower.top_level
     size = tower.ground_size
     u = u.promote(top, size)
-    entries = ladder.entries if hasattr(ladder, "entries") else ladder
-    steps = [e.promote(top, size) for e in entries]
+    steps = [e.promote(top, size) for e in ladder]
     if len(steps) < tower.num_levels:
         raise PreconditionFailed("ladder must cover every level of the tower")
     if not multiple(steps[0], 5).issubset(u):

@@ -69,27 +69,12 @@ class TopologyFamily:
                 nbhd[x] &= s
         return cls(ground_size, nbhd)
 
-    @classmethod
-    def discrete(cls, ground_size: int) -> "TopologyFamily":
-        return cls(ground_size, [1 << x for x in range(ground_size)])
-
-    @classmethod
-    def indiscrete(cls, ground_size: int) -> "TopologyFamily":
-        full = (1 << ground_size) - 1
-        return cls(ground_size, [full] * ground_size)
-
     def is_open_mask(self, s: int) -> bool:
         return not any(self.min_nbhd[x] & ~s for x in bits(s))
 
-    def is_open(self, s: Iterable[int]) -> bool:
-        mask = 0
-        for x in s:
-            mask |= 1 << x
-        return self.is_open_mask(mask)
-
-    def opens_masks(self, limit: int = 1 << 16) -> list[int]:
-        """All open sets, as bitmasks, canonically sorted.  Opens are
-        exactly the unions of minimal neighborhoods."""
+    def opens_masks(self) -> list[int]:
+        """All open sets, as bitmasks, canonically sorted, at most 65,536 of
+        them.  Opens are exactly the unions of minimal neighborhoods."""
         found = {0}
         frontier = [0]
         while frontier:
@@ -97,8 +82,8 @@ class TopologyFamily:
             for m in self.min_nbhd:
                 t = s | m
                 if t not in found:
-                    if len(found) >= limit:
-                        raise TooManyOpens(f"more than {limit} open sets")
+                    if len(found) >= 1 << 16:
+                        raise TooManyOpens("more than 65536 open sets")
                     found.add(t)
                     frontier.append(t)
         return sorted(found)
@@ -125,12 +110,11 @@ class TopologyFamily:
 class TopologyComparison:
     relation: str  # equal | A_finer | B_finer | incomparable
     witness: frozenset[int] | None = None
-    witness_side: str | None = None  # which family owns the witness open
 
 
 def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparison:
     """Set-family comparison; the witness is an open set of one family that
-    is not open in the other."""
+    is not open in the other: of a when a is finer, otherwise of b."""
     if a.ground_size != b.ground_size:
         raise GroundMismatch(f"ground sizes {a.ground_size} != {b.ground_size}")
 
@@ -143,11 +127,11 @@ def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparis
     diff = next(x for x in range(a.ground_size) if a.min_nbhd[x] != b.min_nbhd[x])
     if a_finer:
         # the minimal a-neighborhood at a differing point cannot be b-open
-        return TopologyComparison("A_finer", members(a.min_nbhd[diff]), "A")
+        return TopologyComparison("A_finer", members(a.min_nbhd[diff]))
     if b_finer:
-        return TopologyComparison("B_finer", members(b.min_nbhd[diff]), "B")
+        return TopologyComparison("B_finer", members(b.min_nbhd[diff]))
     bad = next(x for x in range(a.ground_size) if a.min_nbhd[x] & ~b.min_nbhd[x])
-    return TopologyComparison("incomparable", members(b.min_nbhd[bad]), "B")
+    return TopologyComparison("incomparable", members(b.min_nbhd[bad]))
 
 
 def base_ball(tower: Tower, x: int, seq: EntourageSequence) -> frozenset[int]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from unilim import io
 from unilim.core import (
     Entourage,
     MonotonePseudometricSequence,
@@ -19,7 +20,9 @@ from unilim.fixtures import (
     three_point_sequence,
     three_point_tower,
 )
-from unilim.generate import Profile, random_tower
+from unilim.generate import Profile
+
+from .oracles import fraction_random_tower
 
 
 @pytest.fixture
@@ -122,10 +125,36 @@ def mixed_towers(draw, levels=None, max_size=6):
     levels = levels or draw(st.integers(1, 3))
     rng = random.Random(draw(st.integers(0, 10**6)))
     size = draw(st.integers(max(levels, 4), max_size))
-    tower = random_tower(rng, Profile(levels, size, MIXED_POOL))
+    tower = fraction_random_tower(rng, Profile(levels, size), MIXED_POOL)
     return tower, [_random_piece(rng, tower.metric(k)) for k in range(levels)]
 
 
 def same_table(got, ref):
     """Equal values, held the same way: over the same denominator."""
     return (got.dist, got.den, got.numer) == (ref.dist, ref.den, ref.numer)
+
+
+# -- document writers the CLI tests build their input files with -------------
+
+
+def metric_from_json(rows):
+    return io._metric_from_json(rows, "metric", {})
+
+
+def map_to_json(values):
+    return [int(v) for v in values]
+
+
+def group_to_json(g):
+    doc = io.tower_to_json(g.tower)
+    doc["op"] = [list(row) for row in g.op]
+    doc["neg"] = list(g.neg)
+    return doc
+
+
+def factor_to_json(f):
+    return {"basepoint": f.basepoint, "metric": io.metric_to_json(f.metric)}
+
+
+def factor_from_json(doc):
+    return io._factor_from_json(doc, "factor")

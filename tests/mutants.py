@@ -41,7 +41,7 @@ MUTANTS = {
     "ulim_topology on the diagonal": Mutant(
         "topology.py",
         "TopologyFamily(tower.ground_size, tower.zero_relation(tower.top_level).columns())",
-        "TopologyFamily.discrete(tower.ground_size)",
+        "TopologyFamily(tower.ground_size, [1 << x for x in range(tower.ground_size)])",
         "test_topology.py",
         ("verify", "tests"),
     ),
@@ -185,6 +185,24 @@ MUTANTS = {
         "s = back[s] % n\n",
         "test_limitmetric.py",
         ("verify", "tests"),
+    ),
+    # verify reads no JSON, so only the reader's tests see a table whose
+    # upper triangle stays zero
+    "JSON metric reader fills only the lower triangle": Mutant(
+        "io.py",
+        "numer[i][j] = numer[j][i] = numer_of[v]",
+        "numer[i][j] = numer_of[v]",
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # "0..20" then runs seeds 0 to 20, one more report than the digest test
+    # pins; verify itself still passes on every seed
+    "--seeds lo..hi includes hi": Mutant(
+        "cli.py",
+        "seeds = list(range(int(lo), int(hi)))",
+        "seeds = list(range(int(lo), int(hi) + 1))",
+        "test_acceptance.py",
+        ("tests",),
     ),
 }
 

@@ -8,10 +8,38 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from unilim.constructions import GroupTower, coordinate_tuples
-from unilim.core import Entourage, Pseudometric, Tower, bits, shortest_path_closure
+from unilim.core import Entourage, Pseudometric, Tower, bits, members, shortest_path_closure
 from unilim.errors import TriangleViolation, ValidationError
+from unilim.generate import DEFAULT_POOL
 from unilim.relations import ball_set_mask, compose
 from unilim.topology import TopologyFamily
+
+
+def max_value(d):
+    """The largest entry of the pseudometric ``d``, as a ``Fraction``."""
+    return max(v for row in d.dist for v in row)
+
+
+def transpose(e):
+    """The relation {(j, i) : (i, j) in e}, built pair by pair."""
+    return Entourage(e.level, e.size, [(j, i) for i, j in e.pairs])
+
+
+def discrete(n):
+    """The topology on n points in which every point is open."""
+    return TopologyFamily(n, [1 << x for x in range(n)])
+
+
+def indiscrete(n):
+    """The topology on n points whose only opens are the empty and full sets."""
+    return TopologyFamily(n, [(1 << n) - 1] * n)
+
+
+def is_open(top, points):
+    """Whether the point set holds the minimal neighborhood of each of its
+    points, the definition of open in a finite topology."""
+    s = set(points)
+    return all(members(top.min_nbhd[x]) <= s for x in s)
 
 
 def loop_validate(dist, level=0, labels=None):
@@ -88,7 +116,7 @@ def fraction_extend_one(tower, rho, n):
     positive_base = [
         d.dist[i][j] for i in range(m_low) for j in range(m_low) if rho.dist[i][j] > 0
     ]
-    lip = rho.max_value() / min(positive_base)
+    lip = max_value(rho) / min(positive_base)
     big = [[lip * d.dist[i][j] for j in range(m)] for i in range(m)]
     out = [[Fraction(0)] * m for _ in range(m)]
     for x in range(m):
@@ -335,11 +363,12 @@ def fraction_random_metric(rng, size, pool, zero_prob):
     return Pseudometric(shortest_path_closure(dist))
 
 
-def fraction_random_tower(rng, profile):
+def fraction_random_tower(rng, profile, pool=DEFAULT_POOL):
     """Reference for ``generate.random_tower``: the same draws in the same
-    order on Fractions, each level holding the level below as its corner."""
+    order on Fractions, each level holding the level below as its corner.
+    Another ``pool`` of positive values gives towers over other
+    denominators."""
     sizes = sorted(rng.sample(range(1, profile.max_size + 1), profile.levels))
-    pool = profile.value_pool
     metrics = [fraction_random_metric(rng, sizes[0], pool, 0.2)]
     for n in range(1, profile.levels):
         prev = metrics[-1]

@@ -242,7 +242,7 @@ def test_pointed_space_validation():
 @given(st.integers(0, 10**6))
 def test_box_limit_randomized(seed):
     rng = random.Random(seed)
-    fs = random_factors(rng, 3)
+    fs = random_factors(rng)
     assert check_box_limit(fs, 3, box_tower(fs, 3)).relation == "equal"
 
 

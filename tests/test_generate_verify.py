@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -40,8 +39,6 @@ def test_profile_gates():
         Profile(levels=4, max_size=3)
     with pytest.raises(ProfileTooLarge):
         Profile(max_size=MAX_TOP_SIZE + 1)
-    with pytest.raises(ProfileTooLarge):
-        Profile(value_pool=(Fraction(0),))
 
 
 def test_generate_instance_is_deterministic():
@@ -224,9 +221,4 @@ def test_verify_suite_ordering_and_coverage():
         ("P-lc", "seed3"),
         ("P-lc", "seed1"),
     ]
-    assert all(r.verdict for r in reports)
-
-
-def test_verify_suite_accepts_custom_profile():
-    reports = verify_suite(["P-lc"], [0], profile=Profile(levels=2, max_size=4))
     assert all(r.verdict for r in reports)

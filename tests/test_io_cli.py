@@ -22,7 +22,16 @@ from unilim.fixtures import (
 from unilim.generate import generate_instance
 from unilim.relations import compose, multiple
 
-from .conftest import MIXED_POOL, mixed_towers, same_table
+from .conftest import (
+    MIXED_POOL,
+    factor_from_json,
+    factor_to_json,
+    group_to_json,
+    map_to_json,
+    metric_from_json,
+    mixed_towers,
+    same_table,
+)
 from .oracles import fraction_metric_from_json
 
 
@@ -47,7 +56,7 @@ def test_metric_round_trip(tower):
     d = tower.metric(2)
     rows = io.metric_to_json(d)
     assert rows == [[], [1], [2, 1]]
-    assert io.metric_from_json(rows).dist == d.dist
+    assert metric_from_json(rows).dist == d.dist
 
 
 def test_tower_round_trip(tower, e_u, e_v):
@@ -125,32 +134,32 @@ def test_malformed_sequence_documents_are_input_errors(tmp_path, capsys, tower_f
 
 
 def test_map_round_trip():
-    assert io.map_from_json(io.map_to_json((0, 2, 1))) == (0, 2, 1)
+    assert io.map_from_json(map_to_json((0, 2, 1))) == (0, 2, 1)
     with pytest.raises(ValidationError):
         io.map_from_json({"0": 1})
 
 
 def test_group_round_trip(group):
-    back = io.group_from_json(io.group_to_json(group))
+    back = io.group_from_json(group_to_json(group))
     assert back.op == group.op
     assert back.neg == group.neg
     assert back.tower.level_sizes == group.tower.level_sizes
 
 
 def test_group_json_requires_tables(group):
-    doc = io.group_to_json(group)
+    doc = group_to_json(group)
     del doc["op"]
     with pytest.raises(ValidationError):
         io.group_from_json(doc)
 
 
 def test_factors_round_trip(factors):
-    back = io.factors_from_json([io.factor_to_json(f) for f in factors])
+    back = io.factors_from_json([factor_to_json(f) for f in factors])
     assert [f.metric.dist for f in back] == [f.metric.dist for f in factors]
     with pytest.raises(ValidationError):
         io.factors_from_json({"metric": [[]]})
     with pytest.raises(ValidationError):
-        io.factor_from_json({"basepoint": 0})
+        factor_from_json({"basepoint": 0})
 
 
 def test_dumps_is_deterministic():
@@ -328,7 +337,7 @@ def _write_map(tmp_path, name, f):
     val = tmp_path / f"{name}-map.json"
     io.dump(io.tower_to_json(f.source), str(src))
     io.dump(io.tower_to_json(f.target), str(tgt))
-    io.dump(io.map_to_json(f.values), str(val))
+    io.dump(map_to_json(f.values), str(val))
     return str(src), str(tgt), str(val)
 
 
@@ -354,10 +363,10 @@ def test_cli_check_direct(capsys, tmp_path):
 
 
 def test_cli_check_homeo(capsys, tmp_path):
-    h, h_inv = rescaled_homeo()
+    h, h_inv = rescaled_homeo(three_point_tower())
     src, tgt, val = _write_map(tmp_path, "fwd", h)
     inv = tmp_path / "inv-map.json"
-    io.dump(io.map_to_json(h_inv.values), str(inv))
+    io.dump(map_to_json(h_inv.values), str(inv))
     code, lines = run(
         capsys, "check", "--tower", src, "--map", val, "--target", tgt,
         "--homeo", str(inv),
@@ -387,7 +396,7 @@ def test_cli_product(capsys, tower_file):
 
 def test_cli_group(capsys, tmp_path):
     path = tmp_path / "group.json"
-    io.dump(io.group_to_json(binary_group_tower()), str(path))
+    io.dump(group_to_json(binary_group_tower()), str(path))
     code, lines = run(capsys, "group", str(path), "--radii", "1,1/2,1/4", "--check")
     assert code == 0
     assert lines[0] == {
@@ -414,7 +423,7 @@ def test_cli_group(capsys, tmp_path):
 )
 def test_cli_group_names_bad_radii(capsys, tmp_path, radii, check, message):
     path = tmp_path / "group.json"
-    io.dump(io.group_to_json(binary_group_tower()), str(path))
+    io.dump(group_to_json(binary_group_tower()), str(path))
     argv = ["group", str(path), "--radii", radii] + ["--check"] * check
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -422,7 +431,7 @@ def test_cli_group_names_bad_radii(capsys, tmp_path, radii, check, message):
     assert captured.err == f"error: {message}\n"
 
 
-GOOD_GROUP = io.group_to_json(binary_group_tower())
+GOOD_GROUP = group_to_json(binary_group_tower())
 
 
 @pytest.mark.parametrize(
@@ -467,7 +476,7 @@ def test_cli_box_rejects_malformed_factors(capsys, tmp_path, doc, path):
 
 def test_cli_box(capsys, tmp_path):
     path = tmp_path / "factors.json"
-    io.dump([io.factor_to_json(f) for f in halving_factors()], str(path))
+    io.dump([factor_to_json(f) for f in halving_factors()], str(path))
     code, lines = run(capsys, "box", str(path), "--depth", "3", "--check")
     assert code == 0
     assert io.tower_from_json(lines[0]).level_sizes == (2, 4, 8)
@@ -496,7 +505,7 @@ def test_cli_topo_with_too_many_opens_is_an_input_error(capsys, discrete17_file)
 
 def test_cli_check_lists_no_open_sets(capsys, tmp_path, discrete17_file):
     ident = tmp_path / "ident.json"
-    io.dump(io.map_to_json(tuple(range(17))), str(ident))
+    io.dump(map_to_json(tuple(range(17))), str(ident))
     base = ["check", "--tower", discrete17_file, "--map", str(ident)]
     assert run(capsys, *base) == (0, [{"continuous": True, "hypothesis": True}])
     assert run(capsys, *base, "--direct") == (0, [{"continuous": True}])
@@ -515,9 +524,9 @@ def test_cli_check_on_a_tower_with_zero_classes_exits_0(capsys, tmp_path):
            "metrics": [[[], [0]], [[], [0], [1, 1], [1, 1, 0]]]}
     io.dump(doc, str(file))
     ident = tmp_path / "ident.json"
-    io.dump(io.map_to_json((0, 1, 2, 3)), str(ident))
+    io.dump(map_to_json((0, 1, 2, 3)), str(ident))
     swap = tmp_path / "swap.json"
-    io.dump(io.map_to_json((1, 0, 3, 2)), str(swap))
+    io.dump(map_to_json((1, 0, 3, 2)), str(swap))
     base = ["check", "--tower", str(file), "--map", str(ident)]
     assert run(capsys, *base) == (0, [{"continuous": True, "hypothesis": True}])
     assert run(capsys, *base, "--direct") == (0, [{"continuous": True}])
@@ -638,6 +647,22 @@ def test_cli_missing_file_is_input_error(capsys, tmp_path):
     assert cli.main(["topo", "--tower", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000,  # nested too deep for the parser: RecursionError
+    b'{"labels": [}',  # bad syntax
+    b'{"labels": ["\xff"]}',  # not UTF-8
+], ids=["deep", "syntax", "not-utf8"])
+def test_cli_malformed_json_file_is_a_named_input_error(capsys, tmp_path, content):
+    path = tmp_path / "tower.json"
+    path.write_bytes(content)
+    with pytest.raises(ValidationError):
+        io.load(str(path))
+    assert cli.main(["topo", "--tower", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not a JSON document: ")
+
+
 # -- the JSON edge on int tables ---------------------------------------------------
 
 
@@ -694,4 +719,4 @@ def test_limit_matrix_matches_per_entry_values(seed):
     lim = limitmetric.limit_pseudometric(seq)
     n = seq.tower.ground_size
     per_entry = [[io.rational_to_json(lim(i, j)) for j in range(n)] for i in range(n)]
-    assert io.dumps(io.matrix_to_json(lim.dist)) == io.dumps(per_entry)
+    assert io.dumps(io.matrix_to_json(lim)) == io.dumps(per_entry)

@@ -44,7 +44,7 @@ def test_limit_values_frozen(mono_seq):
     assert lim(0, 1) == 1
     assert lim(1, 2) == 1
     assert lim(0, 2) == 2  # via the middle point: 1+1 beats the direct 3
-    lim.dist.validate()
+    lim.validate()
 
 
 def test_limit_dominated_by_single_link(mono_seq):
@@ -62,7 +62,7 @@ def test_single_level_limit_is_the_metric():
 
     seq = MonotonePseudometricSequence(t, [d])
     lim = limit_pseudometric(seq)
-    assert lim.dist == d
+    assert lim == d
 
 
 def test_witness_chain_is_optimal(mono_seq):
@@ -308,7 +308,7 @@ def test_extensions_and_their_sums_match_fraction_reference(drawn):
 def test_limit_valley_and_oracle_match_fraction_reference(drawn):
     seq = sum_of_extensions(*drawn)
     lim = limit_pseudometric(seq)
-    assert same_table(lim.dist, fraction_limit(seq))
+    assert same_table(lim, fraction_limit(seq))
     n = seq.tower.ground_size
     for x in range(n):
         for y in range(n):

@@ -30,7 +30,10 @@ from unilim.topology import (
 from .conftest import flat_tower, mixed_towers
 from .oracles import (
     brute_topology_opens,
+    discrete,
     fixpoint_grid_ball_masks,
+    indiscrete,
+    is_open,
     level_by_level_minimal_ball,
     level_by_level_topology,
 )
@@ -91,12 +94,12 @@ def test_minimal_grid_ball_rejects_points_outside_the_ground_set(tower, x):
 
 def test_ulim_topology_discrete_for_genuine_metrics(tower):
     top = ulim_topology(tower)
-    assert top == TopologyFamily.discrete(3)
+    assert top == discrete(3)
 
 
 def test_ulim_topology_indiscrete_for_zero_metrics():
     t = flat_tower([1, 2, 3], value=0)
-    assert ulim_topology(t) == TopologyFamily.indiscrete(3)
+    assert ulim_topology(t) == indiscrete(3)
 
 
 def test_ulim_topology_respects_glued_pair(glued):
@@ -106,17 +109,17 @@ def test_ulim_topology_respects_glued_pair(glued):
 
 
 def test_tlim_topology_discrete(tower):
-    assert tlim_topology(tower) == TopologyFamily.discrete(3)
+    assert tlim_topology(tower) == discrete(3)
 
 
 def test_tlim_topology_indiscrete():
     t = flat_tower([1, 2], value=0)
-    assert tlim_topology(t) == TopologyFamily.indiscrete(2)
+    assert tlim_topology(t) == indiscrete(2)
 
 
 def test_repr_gives_sizes_without_listing_opens():
     # 2**17 open sets, more than opens_masks lists
-    top = TopologyFamily.discrete(17)
+    top = discrete(17)
     assert repr(top) == f"TopologyFamily(ground_size=17, nbhd_sizes={[1] * 17})"
     assert repr(TopologyFamily(2, [0b11, 0b10])) == "TopologyFamily(ground_size=2, nbhd_sizes=[2, 1])"
 
@@ -133,15 +136,15 @@ def test_minimal_neighborhoods_of_no_topology_are_named():
 
 
 def test_compare_topologies_verdicts():
-    d = TopologyFamily.discrete(2)
-    i = TopologyFamily.indiscrete(2)
+    d = discrete(2)
+    i = indiscrete(2)
     assert compare_topologies(d, d).relation == "equal"
     cmp = compare_topologies(d, i)
     assert cmp.relation == "A_finer"
     assert cmp.witness is not None and len(cmp.witness) == 1
     assert compare_topologies(i, d).relation == "B_finer"
     with pytest.raises(GroundMismatch):
-        compare_topologies(d, TopologyFamily.discrete(3))
+        compare_topologies(d, discrete(3))
 
 
 def test_compare_topologies_incomparable():
@@ -174,7 +177,7 @@ def test_every_grid_ball_is_open_and_contains_minimal(tower):
         mg = minimal_grid_ball(tower, x)
         for mask in grid_ball_masks(tower, x):
             members = {i for i in range(tower.ground_size) if mask >> i & 1}
-            assert top.is_open(members)
+            assert is_open(top, members)
             assert mg <= members
 
 
@@ -213,12 +216,12 @@ def test_limit_metric_unit_balls_are_open(seed):
     lim = limit_pseudometric(seq)
     top = ulim_topology(t)
     scales = sorted(
-        {v for row in lim.dist.dist for v in row if v > 0} | {Fraction(1)}
+        {v for row in lim.dist for v in row if v > 0} | {Fraction(1)}
     )
     for x in range(t.ground_size):
         for eps in scales:
             sub = {y for y in range(t.ground_size) if lim(x, y) < eps}
-            assert top.is_open(sub)
+            assert is_open(top, sub)
 
 
 # -- grid balls with the omega tail as one closure, against the old loop ------
@@ -241,7 +244,7 @@ def test_grid_balls_match_fixpoint_on_products(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_grid_balls_match_fixpoint_on_boxes(seed, depth):
-    _same_grid_balls(box_tower(random_factors(random.Random(seed), 3), depth))
+    _same_grid_balls(box_tower(random_factors(random.Random(seed)), depth))
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,7 +265,7 @@ def _random_product(seed):
 
 def _random_box(seed_depth):
     seed, depth = seed_depth
-    return box_tower(random_factors(random.Random(seed), 3), depth)
+    return box_tower(random_factors(random.Random(seed)), depth)
 
 
 @settings(max_examples=90, deadline=None)

@@ -77,7 +77,6 @@ from .relations import (
     ball,
     ball_set,
     compose,
-    grid_sequence,
     multiple,
     sigma_sum,
 )

@@ -268,14 +268,11 @@ def _default_seed() -> int:
 def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     profile = Profile(levels=args.levels, max_size=args.max_size)
-    inst = generate_instance(seed, profile)
-    doc = io.dumps(io.tower_to_json(inst.tower))
+    doc = io.tower_to_json(generate_instance(seed, profile).tower)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-            fh.write("\n")
+        io.dump(doc, args.out)
     else:
-        print(doc)
+        print(io.dumps(doc))
     return EXIT_TRUE
 
 

@@ -280,8 +280,10 @@ class Tower:
     levels must agree on zero-pairs (the finite-scale uniform-subspace
     condition); in strict mode the higher metric must restrict exactly.
     A tower is not modified after construction, so the heights, and each
-    level's zero-relation and grid entourages once asked for, are kept, as
-    are the grid balls ``topology.grid_ball_masks`` finds from each (level,
+    level's zero-relation and grid entourages once asked for, are kept.  So
+    is what ``topology.grid_ball_masks`` builds: per level, each point's
+    tuple of balls under that level's grid entourages (at the top level,
+    under their components), and the grid balls found from each (level,
     set) it reaches.
     """
 
@@ -303,6 +305,7 @@ class Tower:
         self._heights = tuple(heights)
         self._zero_relations: list[Entourage | None] = [None] * self.num_levels
         self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
+        self._grid_ball_rows: list[tuple[tuple[int, ...], ...] | None] = [None] * self.num_levels
         self._grid_balls: dict[tuple[int, int], frozenset[int]] = {}
 
     # -- structure ---------------------------------------------------------
@@ -447,7 +450,7 @@ class Entourage:
     destroys it); reflexivity is.
     """
 
-    __slots__ = ("level", "size", "rows", "_cols", "_closure")
+    __slots__ = ("level", "size", "rows", "_cols", "_closure", "_components")
 
     def __init__(self, level: int, size: int, pairs: Iterable[tuple[int, int]]):
         rows = [0] * size
@@ -469,14 +472,6 @@ class Entourage:
         e.size = len(rows)
         e.rows = tuple(rows)
         return e
-
-    @classmethod
-    def diagonal(cls, level: int, size: int) -> "Entourage":
-        return cls._from_rows(level, [1 << i for i in range(size)])
-
-    @classmethod
-    def full(cls, level: int, size: int) -> "Entourage":
-        return cls._from_rows(level, [(1 << size) - 1] * size)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -542,6 +537,40 @@ class Entourage:
             c._cols = c.rows
         c._closure = c
         self._closure = c
+        return c
+
+    def components(self) -> "Entourage":
+        """The reflexive-transitive closure of a symmetric relation: each
+        point is related to every point of its connected component
+        (Hopcroft & Tarjan 1973).  A component grows from its lowest point,
+        each round ORing in the rows of the points the last round reached,
+        so every row is read once.  Raises ``ValidationError`` when the
+        relation is not symmetric; ``closure`` takes directed relations."""
+        try:
+            return self._components
+        except AttributeError:
+            pass
+        rows = self.rows
+        if self.columns() != rows:
+            raise ValidationError("components of a relation that is not symmetric")
+        out = [0] * self.size
+        unseen = (1 << self.size) - 1
+        while unseen:
+            seed = unseen & -unseen
+            comp = rows[seed.bit_length() - 1] | seed
+            ring = comp ^ seed
+            while ring:
+                reached = 0
+                for y in bits(ring):
+                    reached |= rows[y]
+                ring = reached & ~comp
+                comp |= ring
+            for y in bits(comp):
+                out[y] = comp
+            unseen &= ~comp
+        c = Entourage._from_rows(self.level, out)
+        c._cols = c.rows
+        self._components = c
         return c
 
     def __eq__(self, other) -> bool:

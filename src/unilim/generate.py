@@ -209,7 +209,6 @@ class Instance:
     """Everything the verification runners consume for one seed."""
 
     seed: int
-    profile: Profile
     tower: Tower
     seq: MonotonePseudometricSequence
     space_map: SpaceMap
@@ -236,6 +235,6 @@ def generate_instance(seed: int, profile: Profile | None = None) -> Instance:
     group = random_group_tower(rng)
     factors = tuple(random_factors(rng))
     return Instance(
-        seed, profile, tower, seq, space_map, targets, generation, group, factors,
+        seed, tower, seq, space_map, targets, generation, group, factors,
         second_tower=second,
     )

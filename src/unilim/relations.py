@@ -15,7 +15,7 @@ level, exactly as the openness argument for the direct-limit base uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .core import Entourage, Tower, bits, members
 from .errors import IndexOutOfRange, LevelMismatch, NotAnEntourage, StartMismatch, ValidationError
@@ -155,19 +155,10 @@ def ball_set(a: Iterable[int], u: Entourage) -> frozenset[int]:
 
 
 def ball_set_mask(mask: int, u: Entourage) -> int:
-    """ball_set on bitmasks; used by the topology enumeration loops."""
+    """ball_set on bitmasks."""
     cols = u.columns()
     out = 0
     for x in bits(mask):
         out |= cols[x]
     return out
 
-
-def grid_sequence(tower: Tower, start: int, choices: Sequence[int]) -> EntourageSequence:
-    """Entourage sequence picking, per level, the grid entourage with the
-    given threshold index."""
-    entries = []
-    for offset, c in enumerate(choices):
-        n = start + offset
-        entries.append(tower.grid_entourages(n)[c])
-    return EntourageSequence(tower, start, tuple(entries))

@@ -11,11 +11,19 @@ top-level zero-classes: ``Tower.validate`` makes consecutive levels agree
 on zero-pairs, so each level's zero-relation is the top one restricted to
 that level, and the ball of {x} under the zero-relations of levels
 height(x), ..., top is the top zero-class of x.
+
+``grid_ball_masks``, the oracle verify checks that against, enumerates
+every grid base ball.  Per level, each point's balls under all the level's
+grid entourages are kept on the tower as one tuple, so a reached set's
+balls under all of them are one sweep over its points; at the top level,
+where the tail closes each ball, the tuples hold the balls under the grid
+entourages' connected components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Sequence
 
 from .core import Tower, bits, members
@@ -26,7 +34,6 @@ from .relations import (
     OMEGA,
     EntourageSequence,
     ball,
-    ball_set_mask,
     sigma_sum,
 )
 
@@ -152,7 +159,8 @@ def grid_ball_masks(tower: Tower, x: int) -> frozenset[int]:
     Enumerated by propagating the reachable sets level by level (the ball
     of a sum grows by one level per summand); at the top level the entry
     and its repeat-last tail together are one step by the entry's
-    reflexive-transitive closure.
+    reflexive-transitive closure, which for a grid entourage, a sublevel
+    of a symmetric table, is its connected components.
     """
     return _grid_balls(tower, tower.height(x), 1 << x)
 
@@ -160,19 +168,32 @@ def grid_ball_masks(tower: Tower, x: int) -> frozenset[int]:
 def _grid_balls(tower: Tower, level: int, s: int) -> frozenset[int]:
     """The balls the set ``s`` reaches from ``level`` to the top: its ball
     under each grid entourage of ``level``, carried on through the levels
-    above, or at the top level its ball under each one's
-    reflexive-transitive closure.  The points of a tower reach many of the
-    same sets, so the results are kept on the tower."""
+    above, or at the top level its ball under each one's components.
+
+    Each point's balls under all of a level's grid entourages are built
+    once per level, as one tuple, so the balls of ``s`` are the entry-wise
+    OR of its points' tuples, one sweep over ``s``.  The points of a tower
+    reach many of the same sets, so the tuples and the results are kept on
+    the tower."""
     memo = tower._grid_balls
     out = memo.get((level, s))
     if out is None:
-        grid = tower.grid_entourages(level)
+        rows = tower._grid_ball_rows[level]
+        if rows is None:
+            grid = tower.grid_entourages(level)
+            if level == tower.top_level:
+                grid = tuple(u.components() for u in grid)
+            rows = tower._grid_ball_rows[level] = tuple(zip(*(u.columns() for u in grid)))
+        balls = [0] * len(rows[0])
+        for x in bits(s):
+            balls = list(map(or_, balls, rows[x]))
         if level == tower.top_level:
-            out = frozenset(ball_set_mask(s, u.closure()) for u in grid)
+            out = frozenset(balls)
         else:
-            out = frozenset().union(
-                *(_grid_balls(tower, level + 1, ball_set_mask(s, u)) for u in grid)
-            )
+            out = frozenset()
+            # the balls of the nested grid entourages repeat one another
+            for b in set(balls):
+                out |= _grid_balls(tower, level + 1, b)
         memo[level, s] = out
     return out
 

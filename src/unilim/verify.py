@@ -198,10 +198,10 @@ def _grid_base(tower: Tower) -> tuple[list[frozenset[int]], TopologyFamily]:
 def _check_base(tower: Tower) -> Verdict:
     """The grid base balls generate the closed-form topology; each is open
     and contains the minimal neighborhood of its center.  The top grid
-    entourages' closures, which close every ball's tail, must equal their
-    (size-1)-fold sums."""
+    entourages' components, which close every ball's tail, must equal
+    their Warshall closures and their (size-1)-fold sums."""
     for u in tower.grid_entourages(tower.top_level):
-        if u.closure() != multiple(u, max(1, u.size - 1)):
+        if not u.components() == u.closure() == multiple(u, max(1, u.size - 1)):
             reason = "closure of a top grid entourage is not its reflexive-transitive closure"
             return False, {"reason": reason}
     balls, enumerated = _grid_base(tower)

@@ -82,6 +82,24 @@ MUTANTS = {
         "test_relations.py",
         ("verify", "tests"),
     ),
+    # each component is then its lowest point's ball, which is a partition
+    # only by chance
+    "components grow only one ring": Mutant(
+        "core.py",
+        "ring = comp ^ seed",
+        "ring = 0",
+        "test_relations.py",
+        ("verify", "tests"),
+    ),
+    # a one-point set then has no balls at all, so no point reaches its
+    # minimal neighborhood
+    "one-sweep grid ball skips the set's lowest point": Mutant(
+        "topology.py",
+        "for x in bits(s):",
+        "for x in bits(s & s - 1):",
+        "test_topology.py",
+        ("verify", "tests"),
+    ),
     "<= in sublevel_pairs": Mutant(
         "core.py",
         "if v * q < bound",

@@ -11,7 +11,7 @@ from unilim.constructions import GroupTower, coordinate_tuples
 from unilim.core import Entourage, Pseudometric, Tower, bits, members, shortest_path_closure
 from unilim.errors import TriangleViolation, ValidationError
 from unilim.generate import DEFAULT_POOL
-from unilim.relations import ball_set_mask, compose
+from unilim.relations import EntourageSequence, ball_set_mask, compose
 from unilim.topology import TopologyFamily
 
 
@@ -23,6 +23,23 @@ def max_value(d):
 def transpose(e):
     """The relation {(j, i) : (i, j) in e}, built pair by pair."""
     return Entourage(e.level, e.size, [(j, i) for i, j in e.pairs])
+
+
+def diagonal_entourage(level, size):
+    """The diagonal {(i, i)} of a level of ``size`` points."""
+    return Entourage(level, size, [(i, i) for i in range(size)])
+
+
+def full_entourage(level, size):
+    """The full square of a level of ``size`` points."""
+    return Entourage(level, size, [(i, j) for i in range(size) for j in range(size)])
+
+
+def grid_sequence(tower, start, choices):
+    """The entourage sequence from level ``start`` that takes, per level,
+    the grid entourage with the given threshold index."""
+    entries = [tower.grid_entourages(start + k)[c] for k, c in enumerate(choices)]
+    return EntourageSequence(tower, start, tuple(entries))
 
 
 def discrete(n):

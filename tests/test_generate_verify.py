@@ -184,6 +184,17 @@ def test_t1_requires_closures_to_equal_repeated_sums(monkeypatch):
     }
 
 
+def test_t1_requires_components_to_equal_closures(monkeypatch):
+    # components that stop short of transitivity feed every top-level grid
+    # ball; T1 compares them with the Warshall closure
+    monkeypatch.setattr(Entourage, "components", lambda self: self)
+    r = run_theorem("T1", generate_instance(0))
+    assert not r.verdict
+    assert r.certificate == {
+        "reason": "closure of a top grid entourage is not its reflexive-transitive closure"
+    }
+
+
 def test_fixture_reports_expected_verdicts():
     for tid in THEOREM_IDS:
         for r in fixture_reports(tid):

@@ -25,11 +25,13 @@ from unilim.verify import exhaustive_limit_distance
 
 from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
 from .oracles import (
+    diagonal_entourage,
     fraction_chain_distance,
     fraction_extend_one,
     fraction_limit,
     fraction_sum,
     fraction_valley_distance,
+    full_entourage,
 )
 
 
@@ -165,7 +167,7 @@ def test_adequate_sequence_refines_targets(tower):
 
 
 def test_adequate_sequence_full_targets_gives_zero(tower):
-    targets = [Entourage.full(n, tower.level_sizes[n]) for n in range(3)]
+    targets = [full_entourage(n, tower.level_sizes[n]) for n in range(3)]
     seq = adequate_sequence(tower, targets)
     # the refinement property is all that is promised; with nothing to
     # separate, the zero sequence qualifies
@@ -176,7 +178,7 @@ def test_adequate_sequence_full_targets_gives_zero(tower):
 def test_adequate_single_level():
     d = frac_matrix([[0, 1], [1, 0]])
     t = Tower(["a", "b"], [2], [d])
-    seq = adequate_sequence(t, [Entourage.full(0, 2)])
+    seq = adequate_sequence(t, [full_entourage(0, 2)])
     assert len(seq) == 1
 
 
@@ -184,7 +186,7 @@ def test_adequate_rejects_bad_target(glued):
     t = glued.source  # zero-pair (a,b) at level 1
     with pytest.raises(NotAnEntourage):
         adequate_sequence(
-            t, [Entourage.diagonal(0, 1), Entourage.diagonal(1, 2)]
+            t, [diagonal_entourage(0, 1), diagonal_entourage(1, 2)]
         )
 
 
@@ -208,7 +210,7 @@ def test_verify_generation_confirms(tower):
 
 
 def test_verify_generation_vacuous_on_full(tower):
-    u = Entourage.full(2, 3)
+    u = full_entourage(2, 3)
     ladder = _halving_ladder(tower, Fraction(1))
     seq = adequate_sequence(tower, [tower.zero_relation(n) for n in range(3)])
     assert verify_generation(tower, u, seq, ladder).confirmed
@@ -216,15 +218,15 @@ def test_verify_generation_vacuous_on_full(tower):
 
 def test_verify_generation_precondition_gate(tower):
     seq = adequate_sequence(tower, [tower.zero_relation(n) for n in range(3)])
-    u = Entourage.full(2, 3)
-    bad_ladder = [Entourage.full(2, 3)] * 3  # 2*U_1 not inside U_0? no: full
+    u = full_entourage(2, 3)
+    bad_ladder = [full_entourage(2, 3)] * 3  # 2*U_1 not inside U_0? no: full
     # full relations satisfy the inclusions; violate 5U_0 instead
     small_u = tower.zero_relation(2)
     with pytest.raises(PreconditionFailed):
         verify_generation(tower, small_u, seq, bad_ladder)
 
     # a ladder whose second rung is too coarse
-    ladder = [tower.zero_relation(2), Entourage.full(2, 3), Entourage.full(2, 3)]
+    ladder = [tower.zero_relation(2), full_entourage(2, 3), full_entourage(2, 3)]
     assert not multiple(ladder[1], 2).issubset(ladder[0])
     with pytest.raises(PreconditionFailed):
         verify_generation(tower, u, seq, ladder)

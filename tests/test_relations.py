@@ -14,7 +14,6 @@ from unilim.relations import (
     ball,
     ball_set,
     compose,
-    grid_sequence,
     multiple,
     sigma_sum,
 )
@@ -24,8 +23,10 @@ from .oracles import (
     brute_ball,
     brute_compose,
     brute_sigma,
+    diagonal_entourage,
     fixpoint_closure,
     fixpoint_sigma_omega,
+    grid_sequence,
     random_entourage,
     transpose,
 )
@@ -42,7 +43,7 @@ def test_compose_noncommutative(e_u, e_v):
 
 
 def test_diagonal_is_identity(e_u):
-    d = Entourage.diagonal(2, 3)
+    d = diagonal_entourage(2, 3)
     assert compose(e_u, d) == e_u
     assert compose(d, e_u) == e_u
 
@@ -50,7 +51,7 @@ def test_diagonal_is_identity(e_u):
 def test_multiple_frozen(e_u):
     assert multiple(e_u, 2) == e_u
     assert multiple(e_u, 1) == e_u
-    d = Entourage.diagonal(2, 3)
+    d = diagonal_entourage(2, 3)
     assert multiple(d, 5) == d
     with pytest.raises(ValidationError):
         multiple(e_u, 0)
@@ -76,7 +77,7 @@ def test_sigma_frozen_value(tower):
         tower,
         0,
         (
-            Entourage.diagonal(0, 1),
+            diagonal_entourage(0, 1),
             Entourage(1, 2, [(0, 0), (1, 1), (0, 1), (1, 0)]),
             Entourage(2, 3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)]),
         ),
@@ -89,7 +90,7 @@ def test_sigma_frozen_value(tower):
 
 def test_sigma_of_diagonals_is_diagonal(tower):
     seq = EntourageSequence(
-        tower, 0, tuple(Entourage.diagonal(n, tower.level_sizes[n]) for n in range(3))
+        tower, 0, tuple(diagonal_entourage(n, tower.level_sizes[n]) for n in range(3))
     )
     assert pairs(sigma_sum(seq, OMEGA)) == diag(3)
 
@@ -109,7 +110,7 @@ def test_sigma_upto_below_start(tower):
 
 def test_sequence_entry_levels_enforced(tower):
     with pytest.raises(LevelMismatch):
-        EntourageSequence(tower, 0, (Entourage.diagonal(0, 1),))
+        EntourageSequence(tower, 0, (diagonal_entourage(0, 1),))
 
 
 def test_check_entourages(tower):
@@ -121,9 +122,9 @@ def test_check_entourages(tower):
         tower,
         0,
         (
-            Entourage.diagonal(0, 1),
-            Entourage.diagonal(1, 2),
-            Entourage.diagonal(2, 3),
+            diagonal_entourage(0, 1),
+            diagonal_entourage(1, 2),
+            diagonal_entourage(2, 3),
         ),
     )
     merged_tower_rel.check_entourages()
@@ -132,7 +133,7 @@ def test_check_entourages(tower):
 def test_check_entourages_rejects_missing_zero_pair(glued):
     t = glued.source  # d_1(a,b) = 0, so the zero-relation joins a and b
     seq = EntourageSequence(
-        t, 0, (Entourage.diagonal(0, 1), Entourage.diagonal(1, 2))
+        t, 0, (diagonal_entourage(0, 1), diagonal_entourage(1, 2))
     )
     with pytest.raises(NotAnEntourage):
         seq.check_entourages()
@@ -143,13 +144,13 @@ def test_ball_orientation_frozen(e_u, e_v):
     vu = compose(e_v, e_u)
     assert ball(0, uv) == {0, 1, 2}
     assert ball(0, vu) == {0, 1}
-    assert ball(0, Entourage.diagonal(2, 3)) == {0}
+    assert ball(0, diagonal_entourage(2, 3)) == {0}
 
 
 def test_ball_set(e_v):
     assert ball_set({0, 1}, e_v) == {0, 1, 2}
     assert ball_set(set(), e_v) == set()
-    assert ball_set({0, 2}, Entourage.diagonal(2, 3)) == {0, 2}
+    assert ball_set({0, 2}, diagonal_entourage(2, 3)) == {0, 2}
 
 
 def test_grid_sequence(tower):
@@ -248,6 +249,40 @@ def test_closure_matches_compose_until_stable(u):
     assert c == fixpoint_closure(u)
     assert c.columns() == transpose(c).rows
     assert u.closure() is c and c.closure() is c
+
+
+@st.composite
+def symmetric_relations(draw):
+    """A symmetric reflexive relation on 0 to 40 points: sparse, dense, one
+    class (a path through every point in a random order, so a component
+    takes many rounds to grow) or all singletons (the diagonal)."""
+    n = draw(st.integers(0, 40))
+    level = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(("sparse", "dense", "one class", "singletons")))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if kind == "singletons":
+        return diagonal_entourage(level, n)
+    if kind == "one class":
+        order = rng.sample(range(n), n)
+        u = Entourage(level, n, [(i, i) for i in range(n)] + list(zip(order, order[1:])))
+    else:
+        u = random_entourage(rng, level, n, 0.02 if kind == "sparse" else 0.3)
+    return u.union(transpose(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_relations())
+def test_components_match_closure(u):
+    c = u.components()
+    assert c == u.closure() == fixpoint_closure(u)
+    assert c.columns() == transpose(c).rows
+    assert u.components() is c
+
+
+def test_components_refuse_a_directed_relation():
+    u = Entourage(0, 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match="not symmetric"):
+        u.components()
 
 
 def test_closure_follows_direction():

@@ -30,6 +30,7 @@ from unilim.topology import (
 from .conftest import flat_tower, mixed_towers
 from .oracles import (
     brute_topology_opens,
+    diagonal_entourage,
     discrete,
     fixpoint_grid_ball_masks,
     indiscrete,
@@ -49,7 +50,7 @@ def test_base_ball_frozen(tower):
         tower,
         0,
         (
-            Entourage.diagonal(0, 1),
+            diagonal_entourage(0, 1),
             _grid_entourage(tower, 1, Fraction(3, 2)),
             _grid_entourage(tower, 2, Fraction(3, 2)),
         ),
@@ -74,7 +75,7 @@ def test_base_ball_start_must_match_height(tower):
 def test_base_ball_requires_entourages(glued):
     t = glued.source
     seq = EntourageSequence(
-        t, 0, (Entourage.diagonal(0, 1), Entourage.diagonal(1, 2))
+        t, 0, (diagonal_entourage(0, 1), diagonal_entourage(1, 2))
     )
     with pytest.raises(NotAnEntourage):
         base_ball(t, 0, seq)
@@ -239,6 +240,22 @@ def test_grid_balls_match_fixpoint_on_products(seed):
     a = random_tower(rng, Profile(levels=rng.randint(1, 3), max_size=4))
     b = random_tower(rng, Profile(levels=a.num_levels, max_size=4))
     _same_grid_balls(product_tower(a, b))
+
+
+def _six_point_tower(rng):
+    """A seeded 3-level tower whose top level has 6 points."""
+    while True:
+        t = random_tower(rng, Profile(levels=3, max_size=6))
+        if t.ground_size == 6:
+            return t
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_grid_balls_match_fixpoint_on_36_point_products(seed):
+    # the size of verify's largest T2 products
+    rng = random.Random(seed)
+    _same_grid_balls(product_tower(_six_point_tower(rng), _six_point_tower(rng)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -294,6 +294,9 @@ def _parse_seeds(spec: str) -> list[int]:
 
 def cmd_verify(args) -> int:
     targets = list(THEOREM_IDS) if args.all else (args.targets or [])
+    if not targets:
+        # a run with no theorem id checks nothing, so it is refused
+        raise ValidationError("verify needs --all or at least one theorem id after --targets")
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
     else:

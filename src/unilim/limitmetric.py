@@ -45,16 +45,22 @@ class Chain:
 
 
 def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
-    """Sum of link distances, each measured at the link's pair height."""
+    """Sum of link distances, each measured at the link's pair height in
+    the sequence's own metrics: a sum of ints over the lcm of the
+    sequence's denominators, read as one ``Fraction`` at the end."""
     t = seq.tower
-    total = Fraction(0)
     pts = chain.points
+    n = t.ground_size
     for x in pts:
-        if not 0 <= x < t.ground_size:
+        if not 0 <= x < n:
             raise IndexOutOfRange(f"chain point {x}")
+    metrics = seq.metrics
+    den = math.lcm(*(d.den for d in metrics))
+    total = 0
     for a, b in zip(pts, pts[1:]):
-        total += seq[t.pair_height(a, b)].dist[a][b]
-    return total
+        d = metrics[t.pair_height(a, b)]
+        total += d.numer[a][b] * (den // d.den)
+    return Fraction(total, den)
 
 
 @functools.lru_cache(maxsize=1)
@@ -129,8 +135,9 @@ def _valley_row(
 
 def _valley_row_to(seq: MonotonePseudometricSequence, x: int, y: int):
     """The valley DP row from x, once x and y are known to be points."""
+    n = seq.tower.ground_size
     for p in (x, y):
-        if not 0 <= p < seq.tower.ground_size:
+        if not 0 <= p < n:
             raise IndexOutOfRange(f"element {p}")
     return _valley_row(seq, x)
 
@@ -245,27 +252,20 @@ def _extend_one(tower: Tower, rho: Pseudometric, n: int) -> Pseudometric:
 def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometric:
     """Bounded uniform pseudometric with {rho < 1} inside the target.
 
-    The mutual-membership pairs of the target, repaired to a pseudometric
-    by one shortest-path pass, vanish on their transitive closure; that
-    closure can escape a non-transitive target, in which case the zero-set
-    falls back to the level's zero-relation (always inside any entourage
-    of the level's uniformity).
+    The mutual-membership pairs of the target, ``rows & columns``, form a
+    symmetric reflexive relation; the 0/1 pseudometric vanishing on its
+    connected components (``Entourage.components``), and 1 elsewhere, is
+    the shortest-path repair of its 0/1 indicator.  A component can escape
+    a non-transitive target, in which case the zero-set falls back to the
+    level's zero-relation (always inside any entourage of the level's
+    uniformity).
     """
+    mutual = Entourage._from_rows(level, [r & c for r, c in zip(target.rows, target.columns())])
+    comps = mutual.components().rows
+    if all(c & ~r == 0 for c, r in zip(comps, target.rows)):
+        m = len(comps)
+        return Pseudometric._from_numer(1, [[1 - (c >> j & 1) for j in range(m)] for c in comps])
     d = tower.metric(level)
-    m = d.size
-    mutual = [
-        [target.contains(i, j) and target.contains(j, i) for j in range(m)]
-        for i in range(m)
-    ]
-    closed = closure_in_place([[0 if mutual[i][j] else 1 for j in range(m)] for i in range(m)])
-    inside = all(
-        target.contains(i, j)
-        for i in range(m)
-        for j in range(m)
-        if closed[i][j] == 0
-    )
-    if inside:
-        return Pseudometric._from_numer(1, closed)
     return Pseudometric._from_numer(1, [[0 if v == 0 else 1 for v in row] for row in d.numer])
 
 
@@ -320,15 +320,18 @@ def verify_generation(
     for n in range(len(steps) - 1):
         if not multiple(steps[n + 1], 2).issubset(steps[n]):
             raise PreconditionFailed(f"2*U_{n + 1} is not contained in U_{n}")
+    # {d < 1} is {numer < den}, compared row by row with the ladder's rows
     for n in range(tower.num_levels):
-        unit = seq[n].sublevel_pairs(Fraction(1))
-        for i, j in unit:
-            if not steps[n].contains(i, j):
+        d, rows = seq[n], steps[n].rows
+        for i, row in enumerate(d.numer):
+            unit = sum(1 << j for j, v in enumerate(row) if v < d.den)
+            if unit & ~rows[i]:
                 raise PreconditionFailed(f"{{d_{n} < 1}} is not contained in U_{n}")
 
     dlim = limit_pseudometric(seq)
-    for x in range(size):
-        for y in range(size):
-            if dlim(x, y) < 1 and not u.contains(x, y):
+    for x, row in enumerate(dlim.numer):
+        ux = u.rows[x]
+        for y, v in enumerate(row):
+            if v < dlim.den and not ux >> y & 1:
                 return GenerationVerdict(False, (x, y))
     return GenerationVerdict(True)

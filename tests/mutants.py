@@ -204,6 +204,36 @@ MUTANTS = {
         "test_limitmetric.py",
         ("verify", "tests"),
     ),
+    # a bound that prunes a prefix lighter than the best chain found can
+    # drop the lightest chain, so the oracle reads more than the limit
+    "chain oracle prunes a lighter prefix": Mutant(
+        "verify.py",
+        "if head >= best:",
+        "if 2 * head >= best:",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # the lower endpoint's level does not hold the higher endpoint, so any
+    # link across heights reads outside its table: verify stops with an
+    # IndexError (exit 2), the tests with a failure
+    "chain_weight reads a link at its lower endpoint's level": Mutant(
+        "limitmetric.py",
+        "d = metrics[t.pair_height(a, b)]",
+        "d = metrics[min(t.height(a), t.height(b))]",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # verify cannot see a grid-ball enumerator that drops balls until T1
+    # also checks base_ball (ROADMAP item 3): every ball it keeps is still
+    # open and holds the minimal neighborhood, and the smallest is still
+    # kept; only the tests' fixpoint oracle sees the missing ones
+    "grid balls keep only the smallest top-level ball": Mutant(
+        "topology.py",
+        "out = frozenset(balls)",
+        "out = frozenset(balls[:1])",
+        "test_topology.py",
+        ("tests",),
+    ),
     # verify reads no JSON, so only the reader's tests see a table whose
     # upper triangle stays zero
     "JSON metric reader fills only the lower triangle": Mutant(

@@ -8,7 +8,9 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from unilim.constructions import GroupTower, coordinate_tuples
-from unilim.core import Entourage, Pseudometric, Tower, bits, members, shortest_path_closure
+from unilim.core import (
+    Entourage, Pseudometric, Tower, bits, closure_in_place, members, shortest_path_closure,
+)
 from unilim.errors import TriangleViolation, ValidationError
 from unilim.generate import DEFAULT_POOL
 from unilim.relations import EntourageSequence, ball_set_mask, compose
@@ -119,6 +121,29 @@ def fraction_link_weights(seq):
 def fraction_limit(seq):
     """Reference for ``limit_pseudometric``: closure of the link weights."""
     return Pseudometric(fraction_closure(fraction_link_weights(seq)))
+
+
+def closure_target_indicator(tower, level, target):
+    """Reference for ``limitmetric._target_indicator``: the mutual pairs of
+    the target as a 0/1 matrix, closed by one shortest-path pass, kept
+    when its zero-set lies inside the target and otherwise replaced by the
+    0/1 indicator of the level's zero-relation."""
+    d = tower.metric(level)
+    m = d.size
+    mutual = [
+        [target.contains(i, j) and target.contains(j, i) for j in range(m)]
+        for i in range(m)
+    ]
+    closed = closure_in_place([[0 if mutual[i][j] else 1 for j in range(m)] for i in range(m)])
+    inside = all(
+        target.contains(i, j)
+        for i in range(m)
+        for j in range(m)
+        if closed[i][j] == 0
+    )
+    if inside:
+        return Pseudometric._from_numer(1, closed)
+    return Pseudometric._from_numer(1, [[0 if v == 0 else 1 for v in row] for row in d.numer])
 
 
 def fraction_extend_one(tower, rho, n):

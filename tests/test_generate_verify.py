@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim import generate, io
-from unilim.core import Entourage
+from unilim.core import Entourage, Pseudometric
 from unilim.errors import PreconditionFailed, ProfileTooLarge, UnknownTheoremId
 from unilim.generate import (
     MAX_TOP_SIZE,
@@ -14,11 +14,12 @@ from unilim.generate import (
     random_generation_instance,
     random_tower,
 )
-from unilim.limitmetric import Chain, witness_chain
+from unilim.limitmetric import Chain, limit_pseudometric, witness_chain
 from unilim.verify import (
     THEOREM_IDS,
     THEOREMS,
     VerifyReport,
+    exhaustive_limit_distance,
     fixture_reports,
     run_theorem,
     verify_suite,
@@ -150,6 +151,29 @@ def test_library_errors_fail_the_report_and_other_errors_propagate(monkeypatch):
     monkeypatch.setattr("unilim.verify.limit_pseudometric", interrupted)
     with pytest.raises(RuntimeError):
         run_theorem("T3", inst)
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (4, 2)])
+def test_t3_fails_at_a_corrupted_entry_below_the_diagonal(monkeypatch, pair):
+    """The oracle runs once per unordered pair, but both orientations of
+    the limit are compared with it: an entry corrupted below the diagonal
+    alone fails at that pair, certified with the oracle's true value."""
+    inst = generate_instance(0)
+    true = limit_pseudometric(inst.seq)
+    x, y = pair
+    numer = [list(row) for row in true.numer]
+    numer[x][y] += true.den
+    monkeypatch.setattr(
+        "unilim.verify.limit_pseudometric", lambda seq: Pseudometric._from_numer(true.den, numer)
+    )
+    r = run_theorem("T3", inst)
+    assert not r.verdict
+    assert r.certificate == {
+        "got": io.rational_to_json(true(x, y) + 1),
+        "oracle": io.rational_to_json(exhaustive_limit_distance(inst.seq, x, y)),
+        "pair": [x, y],
+    }
+    assert exhaustive_limit_distance(inst.seq, x, y) == true(x, y)
 
 
 # on the three-point fixture d(a, b) = d(b, c) = 1 and d(a, c) = 2 via b

@@ -594,9 +594,16 @@ def test_cli_verify_stdout_and_seed_list(capsys):
     assert [r["instance"] for r in lines] == ["fixture:three-point", "seed1", "seed3"]
 
 
-def test_cli_verify_no_targets_is_trivially_true(capsys):
-    code, lines = run(capsys, "verify", "--targets")
-    assert code == 0 and lines == []
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--targets"]])
+def test_cli_verify_refuses_a_run_with_no_targets(capsys, argv):
+    with pytest.raises(ValidationError):
+        cli.cmd_verify(cli.build_parser().parse_args(argv))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify needs --all or at least one theorem id after --targets\n"
+    )
 
 
 def test_cli_verify_rejects_empty_seed_range(capsys):

@@ -11,6 +11,7 @@ from unilim.errors import NotAnEntourage, NotUniform, PreconditionFailed, Valida
 from unilim.generate import Profile, generate_instance, random_monotone_sequence, random_tower
 from unilim.limitmetric import (
     Chain,
+    _target_indicator,
     adequate_sequence,
     chain_weight,
     extend_pseudometric,
@@ -25,6 +26,7 @@ from unilim.verify import exhaustive_limit_distance
 
 from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
 from .oracles import (
+    closure_target_indicator,
     diagonal_entourage,
     fraction_chain_distance,
     fraction_extend_one,
@@ -32,6 +34,7 @@ from .oracles import (
     fraction_sum,
     fraction_valley_distance,
     full_entourage,
+    random_entourage,
 )
 
 
@@ -39,6 +42,28 @@ def test_chain_weight_frozen(mono_seq):
     assert chain_weight(mono_seq, Chain((0, 1, 2))) == 2
     assert chain_weight(mono_seq, Chain((0, 2))) == 3
     assert chain_weight(mono_seq, Chain((1,))) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_towers(), st.data())
+def test_chain_weight_matches_a_fraction_sum_of_links(drawn, data):
+    """Any chain, repeated points and one-point chains included, weighs
+    the Fraction sum of its links at their pair heights."""
+    seq = sum_of_extensions(*drawn)
+    t = seq.tower
+    n = t.ground_size
+    pts = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+
+    def reference(points):
+        return sum(
+            (seq[t.pair_height(a, b)].dist[a][b] for a, b in zip(points, points[1:])),
+            Fraction(0),
+        )
+
+    assert chain_weight(seq, Chain(pts)) == reference(pts)
+    there_and_back = pts + pts[-2::-1]
+    assert chain_weight(seq, Chain(there_and_back)) == 2 * reference(pts)
+    assert chain_weight(seq, Chain(pts[-1:])) == 0
 
 
 def test_limit_values_frozen(mono_seq):
@@ -164,6 +189,32 @@ def test_adequate_sequence_refines_targets(tower):
     for n, target in enumerate(targets):
         for i, j in seq[n].sublevel_pairs(Fraction(1)):
             assert target.contains(i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.05, 0.6))
+def test_target_indicator_matches_the_closure_reference(seed, density):
+    """Components of the mutual relation against the shortest-path repair
+    of its 0/1 indicator, on random reflexive targets holding the level's
+    zero-relation; most are not transitive, so both branches are taken."""
+    rng = random.Random(seed)
+    t = random_tower(rng, Profile(levels=3, max_size=8))
+    for n in range(t.num_levels):
+        target = random_entourage(rng, n, t.level_sizes[n], density).union(t.zero_relation(n))
+        got = _target_indicator(t, n, target)
+        assert same_table(got, closure_target_indicator(t, n, target))
+
+
+def test_target_indicator_takes_both_branches():
+    """A non-transitive target whose mutual pairs chain out of it falls back
+    to the zero-relation; a transitive one is kept."""
+    d = frac_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    t = Tower(["a", "b", "c"], [3], [d])
+    path = Entourage(0, 3, [(i, i) for i in range(3)] + [(0, 1), (1, 0), (1, 2), (2, 1)])
+    assert _target_indicator(t, 0, path) == closure_target_indicator(t, 0, path) == d
+    pair = Entourage(0, 3, [(i, i) for i in range(3)] + [(0, 1), (1, 0), (1, 2)])
+    kept = frac_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    assert _target_indicator(t, 0, pair) == closure_target_indicator(t, 0, pair) == kept
 
 
 def test_adequate_sequence_full_targets_gives_zero(tower):

@@ -40,7 +40,6 @@ from .errors import (
     ProfileTooLarge,
     StartMismatch,
     SubspaceViolation,
-    TooManyOpens,
     TriangleViolation,
     UnilimError,
     UnknownTheoremId,

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success or verdict true, 1 verdict false, 2 input error,
-3 internal soundness violation (a theorem check failed, which is always
-an implementation bug).
+3 internal soundness violation (a theorem check failed, or an unexpected
+exception escaped; either is an implementation bug).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .constructions import (
     box_tower, check_box_limit, check_group_limit, check_multiplicativity, ordered_product_ball,
     product_tower,
 )
-from .core import Entourage, MonotonePseudometricSequence, Tower
+from .core import Entourage, MonotonePseudometricSequence, Tower, bits
 from .errors import UnilimError, ValidationError
 from .generate import Profile, generate_instance
 from .limitmetric import limit_pseudometric, witness_chain
@@ -190,8 +190,10 @@ def cmd_limit(args) -> int:
 def cmd_topo(args) -> int:
     tower, _ = _load_tower(args.tower)
     top = ulim_topology(tower)
-    opens = [sorted(tower.labels[i] for i in o) for o in top.opens()]
-    print(io.dumps({"opens": sorted(opens, key=lambda o: (len(o), o))}))
+    # the minimal neighborhoods are the top zero-classes, a partition, so
+    # each class first occurs at its lowest point
+    classes = [[tower.labels[i] for i in bits(m)] for m in dict.fromkeys(top.min_nbhd)]
+    print(io.dumps({"classes": classes}))
     if args.compare == "tlim":
         cmp = compare_topologies(top, tlim_topology(tower))
         print(io.dumps({"comparison": cmp.relation}))
@@ -388,13 +390,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; input errors exit 2, and any other exception
+    propagates, so a bug on valid input never reads as bad input."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnilimError, OSError, ValueError, KeyError, IndexError) as e:
+    except (UnilimError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 
+def console_main(argv=None) -> int:
+    """The process entry point: ``main``, with any exception that escapes
+    it, an implementation bug, reported on stderr as exit 3."""
+    try:
+        return main(argv)
+    except Exception:
+        import traceback  # only on this path, so no command loads it
+
+        traceback.print_exc()
+        return EXIT_SOUNDNESS
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

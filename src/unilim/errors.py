@@ -93,9 +93,5 @@ class ProfileTooLarge(UnilimError):
     pass
 
 
-class TooManyOpens(UnilimError):
-    """A topology has more open sets than may be listed."""
-
-
 class UnknownTheoremId(UnilimError):
     pass

@@ -4,7 +4,7 @@ topology, and comparison of explicit open-set families.
 
 Every topology on a finite set is determined by the minimal open
 neighborhood of each point; families are stored that way (as bitmasks),
-and only ``unilim topo`` lists their open sets.
+and no command lists their open sets.
 
 At finite scale the uniform direct-limit topology is the partition into
 top-level zero-classes: ``Tower.validate`` makes consecutive levels agree
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .core import Tower, bits, members
 from .errors import (
-    GroundMismatch, IndexOutOfRange, NeighborhoodViolation, StartMismatch, TooManyOpens,
+    GroundMismatch, IndexOutOfRange, NeighborhoodViolation, StartMismatch,
 )
 from .relations import (
     OMEGA,
@@ -80,8 +80,9 @@ class TopologyFamily:
         return not any(self.min_nbhd[x] & ~s for x in bits(s))
 
     def opens_masks(self) -> list[int]:
-        """All open sets, as bitmasks, canonically sorted, at most 65,536 of
-        them.  Opens are exactly the unions of minimal neighborhoods."""
+        """All open sets, as bitmasks, sorted: the unions of minimal
+        neighborhoods.  The tests' reference enumeration, exponential in
+        the number of distinct neighborhoods; no production path calls it."""
         found = {0}
         frontier = [0]
         while frontier:
@@ -89,14 +90,9 @@ class TopologyFamily:
             for m in self.min_nbhd:
                 t = s | m
                 if t not in found:
-                    if len(found) >= 1 << 16:
-                        raise TooManyOpens("more than 65536 open sets")
                     found.add(t)
                     frontier.append(t)
         return sorted(found)
-
-    def opens(self) -> list[frozenset[int]]:
-        return [members(s) for s in self.opens_masks()]
 
     def __eq__(self, other) -> bool:
         return (

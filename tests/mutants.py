@@ -215,7 +215,7 @@ MUTANTS = {
     ),
     # the lower endpoint's level does not hold the higher endpoint, so any
     # link across heights reads outside its table: verify stops with an
-    # IndexError (exit 2), the tests with a failure
+    # IndexError (exit 3), the tests with a failure
     "chain_weight reads a link at its lower endpoint's level": Mutant(
         "limitmetric.py",
         "d = metrics[t.pair_height(a, b)]",
@@ -224,7 +224,7 @@ MUTANTS = {
         ("verify", "tests"),
     ),
     # verify cannot see a grid-ball enumerator that drops balls until T1
-    # also checks base_ball (ROADMAP item 3): every ball it keeps is still
+    # also checks base_ball (ROADMAP item 4): every ball it keeps is still
     # open and holds the minimal neighborhood, and the smallest is still
     # kept; only the tests' fixpoint oracle sees the missing ones
     "grid balls keep only the smallest top-level ball": Mutant(
@@ -232,6 +232,38 @@ MUTANTS = {
         "out = frozenset(balls)",
         "out = frozenset(balls[:1])",
         "test_topology.py",
+        ("tests",),
+    ),
+    "compose with its operands swapped": Mutant(
+        "relations.py",
+        "u, v = _promoted(u, v)",
+        "v, u = _promoted(u, v)",
+        "test_relations.py",
+        ("verify", "tests"),
+    ),
+    # verify sums sequences only through a finite level until T1 also
+    # checks base_ball (ROADMAP item 4)
+    "sigma_sum's omega tail left unclosed": Mutant(
+        "relations.py",
+        "seq.tail().closure())",
+        "seq.tail())",
+        "test_relations.py",
+        ("tests",),
+    ),
+    # verify takes ball sets only under zero-relations, whose rows are
+    # their columns
+    "ball_set_mask reads rows for columns": Mutant(
+        "relations.py",
+        "cols = u.columns()",
+        "cols = u.rows",
+        "test_relations.py",
+        ("tests",),
+    ),
+    "topo prints one class per point": Mutant(
+        "cli.py",
+        "dict.fromkeys(top.min_nbhd)",
+        "top.min_nbhd",
+        "test_io_cli.py",
         ("tests",),
     ),
     # verify reads no JSON, so only the reader's tests see a table whose

@@ -1,0 +1,169 @@
+"""The exit-code contract at the process boundary: 0 true, 1 false, 2 bad
+input, 3 an implementation bug.
+
+Randomly mutated tower, sequence, map and expression documents may be
+rejected, but only as input errors: ``cli.main`` returns 0, 1 or 2 and
+lets nothing escape, and the unmutated documents never exit 2.
+"""
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unilim import cli, io
+from unilim.core import Entourage
+from unilim.fixtures import glued_map, identity_map, three_point_sequence, three_point_tower
+
+from .conftest import map_to_json
+
+
+def _documents():
+    tower = three_point_tower()
+    u = Entourage(2, 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
+    v = Entourage(2, 3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)])
+    glued = glued_map()
+    return {
+        "tower": io.tower_to_json(tower, {"U": u, "V": v}),
+        "seq": {"metrics": [io.metric_to_json(d) for d in three_point_sequence().metrics]},
+        "glued_src": io.tower_to_json(glued.source),
+        "glued_tgt": io.tower_to_json(glued.target),
+        "glued_map": map_to_json(glued.values),
+        "top": io.tower_to_json(identity_map().target),
+        "ident": map_to_json(range(3)),
+        # 17 classes, 2**17 open sets
+        "discrete17": {"labels": [f"p{i}" for i in range(17)], "level_sizes": [17],
+                       "metrics": [[[1] * i for i in range(17)]]},
+    }
+
+
+DOCS = _documents()
+
+EXPRS = (
+    "(sum U V)",
+    "(mul 3 (sum V U))",
+    "(sigma omega [U] repeat_last)",
+    "(sigma 2 [(sum U U)] V)",
+    "(ball a (sum U V))",
+    "(ball 2 (sigma w [V] U))",
+)
+
+# argv templates; "{name}" is the file holding DOCS[name]
+CALLS = (
+    ("topo", "--tower", "{tower}"),
+    ("topo", "--tower", "{tower}", "--compare", "tlim"),
+    ("topo", "--tower", "{discrete17}"),
+    ("limit", "--tower", "{tower}", "--seq", "{seq}", "--witness", "c", "a"),
+    ("check", "--tower", "{glued_src}", "--map", "{glued_map}", "--target", "{glued_tgt}"),
+    ("check", "--tower", "{tower}", "--map", "{ident}", "--target", "{top}", "--direct"),
+    ("check", "--tower", "{tower}", "--map", "{ident}", "--target", "{top}", "--homeo", "{ident}"),
+    ("product", "{tower}", "{tower}", "--check"),
+    *(("rel", "--tower", "{tower}", f"--expr={e}") for e in EXPRS),
+)
+
+TOKENS = ("(", ")", "[", "]", "sum", "mul", "sigma", "ball", "omega", "repeat_last",
+          "U", "V", "W", "a", "z", "0", "2", "-1", "99")
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats()
+    | st.sampled_from(["", "a", "x", "1/2", "-3/4", "1/0", "omega", "2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["labels", "level", "pairs", "metrics"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _paths(doc, at=()):
+    """Every place in a JSON document, as a key path."""
+    yield at
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for k, v in items:
+        yield from _paths(v, at + (k,))
+
+
+def _mutate(doc, data):
+    """A copy of the document with one place replaced, deleted or given a
+    sibling."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    op = data.draw(st.sampled_from(("replace", "delete", "insert")))
+    junk = data.draw(JUNK)
+    if not path:
+        return junk
+    root = copy.deepcopy(doc)
+    parent = root
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if op == "replace":
+        parent[key] = junk
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, junk)
+    else:
+        parent[key + "_"] = junk
+    return root
+
+
+def _mutate_expr(expr, data):
+    tokens = cli._tokenize(expr)
+    k = data.draw(st.integers(0, len(tokens) - 1))
+    op = data.draw(st.sampled_from(("replace", "delete", "insert")))
+    if op == "delete":
+        del tokens[k]
+    else:
+        tokens[k:k + (op == "replace")] = [data.draw(st.sampled_from(TOKENS))]
+    return " ".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("docs")
+    out = {}
+    for name, doc in DOCS.items():
+        out[name] = str(root / f"{name}.json")
+        io.dump(doc, out[name])
+    return out
+
+
+def _argv(call, files):
+    return [a.format(**files) if a.startswith("{") else a for a in call]
+
+
+@pytest.mark.parametrize("call", CALLS, ids=" ".join)
+def test_unmutated_documents_never_exit_2(call, files):
+    assert cli.main(_argv(call, files)) in (0, 1)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(CALLS), st.data())
+def test_mutated_documents_exit_0_1_or_2(files, call, data):
+    argv = _argv(call, files)
+    k = data.draw(st.sampled_from([i for i, a in enumerate(call) if a.startswith(("{", "--expr="))]))
+    if call[k].startswith("--expr="):
+        argv[k] = "--expr=" + _mutate_expr(call[k][len("--expr="):], data)
+    else:
+        name = call[k][1:-1]
+        argv[k] = files[name] + ".mutated"
+        io.dump(_mutate(DOCS[name], data), argv[k])
+    # any other exception escapes main and fails the test
+    assert cli.main(argv) in (0, 1, 2)
+
+
+def test_an_exception_on_valid_input_exits_3(monkeypatch, capsys, files):
+    def broken(tower):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "ulim_topology", broken)
+    argv = ["topo", "--tower", files["tower"]]
+    with pytest.raises(ValueError):
+        cli.main(argv)
+    assert cli.console_main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("ValueError: a bug\n")

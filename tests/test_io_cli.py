@@ -322,13 +322,42 @@ def test_cli_limit_accepts_bare_metric_array(capsys, tower_file, tmp_path):
 
 def test_cli_topo(capsys, tower_file):
     code, lines = run(capsys, "topo", "--tower", tower_file)
-    assert code == 0
-    opens = lines[0]["opens"]
-    # genuine metrics make the limit topology discrete: all 8 subsets
-    assert len(opens) == 8
+    # genuine metrics make the limit topology discrete: one class per point
+    assert (code, lines) == (0, [{"classes": [["a"], ["b"], ["c"]]}])
     code, lines = run(capsys, "topo", "--tower", tower_file, "--compare", "tlim")
     assert code == 0
     assert lines[1]["comparison"] == "equal"
+
+
+def test_cli_topo_classes_span_levels(capsys, tmp_path):
+    """Each point joins the zero-class of a point of a lower level, so every
+    class spans two levels.  Classes are listed by their lowest point, each
+    in ground order, not by label."""
+    file = tmp_path / "classes.json"
+    doc = {"labels": ["f", "e", "d", "c", "b", "a"], "level_sizes": [2, 4, 6],
+           "metrics": [[[], [1]],
+                       [[], [1], [0, 1], [2, 2, 2]],
+                       [[], [1], [0, 1], [2, 2, 2], [1, 0, 1, 2], [2, 2, 2, 0, 2]]]}
+    io.dump(doc, str(file))
+    code, lines = run(capsys, "topo", "--tower", str(file), "--compare", "tlim")
+    assert (code, lines) == (
+        0, [{"classes": [["f", "d"], ["e", "b"], ["c", "a"]]}, {"comparison": "equal"}]
+    )
+
+
+def test_cli_topo_on_36_points_in_18_classes(capsys, tmp_path):
+    """Point i sits at i mod 18 on a line, so the 18 points of the top level
+    repeat the 18 of the bottom one: 2**18 open sets, 18 classes."""
+    n = 36
+    pos = [i % 18 for i in range(n)]
+    rows = [[abs(pos[i] - pos[j]) for j in range(i)] for i in range(n)]
+    file = tmp_path / "line.json"
+    io.dump({"labels": [f"p{i}" for i in range(n)], "level_sizes": [18, n],
+             "metrics": [rows[:18], rows]}, str(file))
+    code, lines = run(capsys, "topo", "--tower", str(file), "--compare", "tlim")
+    assert code == 0
+    assert lines[0]["classes"] == [[f"p{i}", f"p{i + 18}"] for i in range(18)]
+    assert lines[1] == {"comparison": "equal"}
 
 
 def _write_map(tmp_path, name, f):
@@ -496,11 +525,9 @@ def discrete17_file(tmp_path):
     return str(file)
 
 
-def test_cli_topo_with_too_many_opens_is_an_input_error(capsys, discrete17_file):
-    assert cli.main(["topo", "--tower", discrete17_file]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: more than 65536 open sets\n"
+def test_cli_topo_lists_17_singleton_classes(capsys, discrete17_file):
+    code, lines = run(capsys, "topo", "--tower", discrete17_file)
+    assert (code, lines) == (0, [{"classes": [[f"p{i}"] for i in range(17)]}])
 
 
 def test_cli_check_lists_no_open_sets(capsys, tmp_path, discrete17_file):
@@ -512,8 +539,8 @@ def test_cli_check_lists_no_open_sets(capsys, tmp_path, discrete17_file):
     assert run(capsys, *base, "--homeo", str(ident)) == (
         0, [{"homeomorphism": True, "transport": "equal"}]
     )
-    # the topology itself is still too large to list
-    assert cli.main(["topo", "--tower", discrete17_file]) == 2
+    # nor does topo, which lists the 17 classes
+    assert cli.main(["topo", "--tower", discrete17_file]) == 0
 
 
 def test_cli_check_on_a_tower_with_zero_classes_exits_0(capsys, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim.constructions import box_tower, product_tower
-from unilim.core import Entourage
+from unilim.core import Entourage, members
 from unilim.errors import (
     GroundMismatch,
     IndexOutOfRange,
@@ -105,7 +105,7 @@ def test_ulim_topology_indiscrete_for_zero_metrics():
 
 def test_ulim_topology_respects_glued_pair(glued):
     top = ulim_topology(glued.source)
-    for o in top.opens():
+    for o in map(members, top.opens_masks()):
         assert (0 in o) == (1 in o)
 
 
@@ -119,7 +119,7 @@ def test_tlim_topology_indiscrete():
 
 
 def test_repr_gives_sizes_without_listing_opens():
-    # 2**17 open sets, more than opens_masks lists
+    # 2**17 open sets, none of them listed
     top = discrete(17)
     assert repr(top) == f"TopologyFamily(ground_size=17, nbhd_sizes={[1] * 17})"
     assert repr(TopologyFamily(2, [0b11, 0b10])) == "TopologyFamily(ground_size=2, nbhd_sizes=[2, 1])"
@@ -168,7 +168,7 @@ def test_opens_match_bruteforce_subbase(glued):
         {i for i in range(t.ground_size) if m >> i & 1} for m in balls
     ]
     expected = brute_topology_opens(t.ground_size, subbase)
-    got = {frozenset(o) for o in ulim_topology(t).opens()}
+    got = {members(o) for o in ulim_topology(t).opens_masks()}
     assert got == expected
 
 
@@ -177,9 +177,9 @@ def test_every_grid_ball_is_open_and_contains_minimal(tower):
     for x in range(tower.ground_size):
         mg = minimal_grid_ball(tower, x)
         for mask in grid_ball_masks(tower, x):
-            members = {i for i in range(tower.ground_size) if mask >> i & 1}
-            assert is_open(top, members)
-            assert mg <= members
+            pts = members(mask)
+            assert is_open(top, pts)
+            assert mg <= pts
 
 
 # -- randomized properties ----------------------------------------------------
@@ -203,7 +203,7 @@ def test_opens_match_bruteforce_randomized(seed):
         balls |= grid_ball_masks(t, x)
     subbase = [{i for i in range(t.ground_size) if m >> i & 1} for m in balls]
     expected = brute_topology_opens(t.ground_size, subbase)
-    got = {frozenset(o) for o in ulim_topology(t).opens()}
+    got = {members(o) for o in ulim_topology(t).opens_masks()}
     assert got == expected
 
 

@@ -25,6 +25,7 @@ from .core import (
     shortest_path_closure,
 )
 from .errors import (
+    CertificateFailure,
     GroundMismatch,
     IndexOutOfRange,
     InvarianceViolation,

@@ -4,8 +4,16 @@ invariant-metric abelian group towers, and truncated small box products.
 Product and box levels are built from spread factor rows: per level (per
 coordinate for a box), each factor row is spread once over the level's
 points, as ints over the common denominator, and each row of the derived
-table is the entrywise max of the spread rows its coordinates pick.  The
-derived tower is validated in full like any other.
+table is the entrywise max of the spread rows its coordinates pick.
+
+A derived tower is checked by its construction, not re-validated: the
+coordinate max of validated pseudometrics is a pseudometric whose
+zero-pairs are the pairs where every coordinate is a zero-pair, so once
+``_certify_coordinate_max`` has confirmed in O(n^2) that each table is
+that max, the O(n^3) triangle pass and the zero-pair agreement pass
+(implied by the factors') have nothing left to find (program checking,
+Blum & Kannan, JACM 42(1), 1995).  A table that fails its certificate is
+an implementation bug and raises ``CertificateFailure``.
 
 All comparison verdicts run through the shared topology-comparison
 oracle; nothing here argues by hand.
@@ -21,9 +29,52 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Entourage, Pseudometric, Tower, bits
-from .errors import InvarianceViolation, LevelCountMismatch, ValidationError
+from .errors import (
+    CertificateFailure, InvarianceViolation, LevelCountMismatch, ValidationError,
+)
 from .relations import EntourageSequence, ball, sigma_sum
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
+
+
+# -- the coordinate-max certificate ------------------------------------------
+
+
+def _certify_coordinate_max(
+    tables: Sequence[Pseudometric],
+    points: Sequence[tuple[int, ...]],
+    d: Pseudometric,
+    level: int,
+    labels: Sequence[str],
+) -> None:
+    """Raise ``CertificateFailure`` unless d(p, q) is the max over the
+    coordinates c of tables[c](p[c], q[c]) for every two points p, q.
+
+    The factor entries are read here, through ``points``, not through the
+    rows a construction spread, so an indexing slip in the construction
+    cannot pass.  Per coordinate, the entries of all pairs (p, q) in
+    row-major order form one flat list, and the lists are folded by one
+    entrywise max each: O(k n^2) for n points and k coordinates."""
+    n = len(points)
+    if d.size != n or any(len(row) != n for row in d.numer):
+        raise CertificateFailure(f"level {level}: the table is not {n} by {n}")
+    den = math.lcm(d.den, *(t.den for t in tables))
+    want: list[int] = []
+    for c, (t, col) in enumerate(zip(tables, zip(*points))):
+        f = den // t.den
+        # row x of the factor read at every point's c-th coordinate
+        picked = [[row[y] * f for y in col] for row in t.numer]
+        flat = itertools.chain.from_iterable(map(picked.__getitem__, col))
+        want = list(flat) if c == 0 else [x if x > y else y for x, y in zip(want, flat)]
+    got = list(itertools.chain.from_iterable(d.numer))
+    scale = den // d.den
+    if scale > 1:
+        got = [v * scale for v in got]
+    if got != want:
+        p, q = divmod(next(k for k, (g, w) in enumerate(zip(got, want)) if g != w), n)
+        raise CertificateFailure(
+            f"level {level}: d({labels[p]},{labels[q]}) is {Fraction(got[p * n + q], den)}, "
+            f"the coordinate max of the factors is {Fraction(want[p * n + q], den)}"
+        )
 
 
 # -- binary products ---------------------------------------------------------
@@ -48,7 +99,8 @@ def product_tower(a: Tower, b: Tower) -> Tower:
     Per level, each factor row is spread once over the level's pairs, over
     the common denominator: ``ra[i][k]`` is d_a(i, i_k) for the k-th pair
     (i_k, j_k), and ``rb[j][k]`` is d_b(j, j_k).  The row of the pair (i, j)
-    is then the entrywise max of ``ra[i]`` and ``rb[j]``."""
+    is then the entrywise max of ``ra[i]`` and ``rb[j]``.  Every level is
+    certified against the factor tables."""
     if a.num_levels != b.num_levels:
         raise LevelCountMismatch(f"{a.num_levels} levels vs {b.num_levels}")
     order = _product_order(a, b)
@@ -65,8 +117,10 @@ def product_tower(a: Tower, b: Tower) -> Tower:
         ra = [[row[i2] * fa for i2 in first] for row in da.numer]
         rb = [[row[j2] * fb for j2 in second] for row in db.numer]
         dist = [[x if x > y else y for x, y in zip(ra[i], rb[j])] for i, j in pts]
-        metrics.append(Pseudometric._from_numer(den, dist))
-    return Tower(labels, sizes, metrics)
+        d = Pseudometric._from_numer(den, dist)
+        _certify_coordinate_max([da, db], pts, d, n, labels)
+        metrics.append(d)
+    return Tower._derived(labels, sizes, metrics)
 
 
 def product_index(a: Tower, b: Tower) -> dict[tuple[int, int], int]:
@@ -291,7 +345,9 @@ def _box_coordinates(factors: Sequence[PointedSpace], depth: int):
 
 def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
     """Truncated small box product: level n holds the tuples supported on
-    the first n+1 coordinates, with the coordinate-max metric."""
+    the first n+1 coordinates, with the coordinate-max metric.  The top
+    table is certified against the factor tables, and every level is a
+    corner of it."""
     if not 1 <= depth <= len(factors):
         raise LevelCountMismatch(f"depth {depth} with {len(factors)} factors")
     order, labels, sizes = _box_coordinates(factors, depth)
@@ -308,10 +364,9 @@ def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
         top = [
             [x if x > y else y for x, y in zip(row, spread[tc])] for row, tc in zip(top, coords)
         ]
-    metrics = [
-        Pseudometric._from_numer(den, [row[:m] for row in top[:m]]) for m in sizes
-    ]
-    return Tower(labels, sizes, metrics)
+    d = Pseudometric._from_numer(den, top)
+    _certify_coordinate_max([f.metric for f in factors[:depth]], order, d, depth - 1, labels)
+    return Tower._derived(labels, sizes, [*(d.restrict(m) for m in sizes[:-1]), d])
 
 
 def box_topology(factors: Sequence[PointedSpace], depth: int) -> TopologyFamily:

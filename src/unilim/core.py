@@ -299,6 +299,29 @@ class Tower:
         self.level_metrics = tuple(level_metrics)
         self.strict = strict
         self.validate()
+        self._init_caches()
+
+    @classmethod
+    def _derived(
+        cls,
+        labels: Sequence[str],
+        level_sizes: Sequence[int],
+        level_metrics: Sequence[Pseudometric],
+    ) -> "Tower":
+        """A tower whose tables a construction has already certified: shape,
+        labels and nesting are checked, the triangle and zero-pair passes
+        are not.  Only for levels that are, by a checked construction,
+        pseudometrics agreeing on zero-pairs level to level."""
+        t = object.__new__(cls)
+        t.labels = tuple(labels)
+        t.level_sizes = tuple(level_sizes)
+        t.level_metrics = tuple(level_metrics)
+        t.strict = False
+        t._validate_shape()
+        t._init_caches()
+        return t
+
+    def _init_caches(self) -> None:
         heights: list[int] = []
         for n, m in enumerate(self.level_sizes):
             heights += [n] * (m - len(heights))
@@ -328,6 +351,22 @@ class Tower:
         return self.level_metrics[n]
 
     def validate(self) -> None:
+        self._validate_shape()
+        for n, d in enumerate(self.level_metrics):
+            d.validate(n, self.labels)
+        for n in range(self.num_levels - 1):
+            lo, hi = self.level_metrics[n], self.level_metrics[n + 1]
+            m = self.level_sizes[n]
+            for i in range(m):
+                for j in range(m):
+                    if (lo.numer[i][j] == 0) != (hi.numer[i][j] == 0):
+                        raise SubspaceViolation(n, self.labels[i], self.labels[j])
+                    if self.strict and lo.numer[i][j] * hi.den != hi.numer[i][j] * lo.den:
+                        raise SubspaceViolation(n, self.labels[i], self.labels[j])
+
+    def _validate_shape(self) -> None:
+        """Labels one per point and unique, level sizes strictly
+        increasing, one table per level of the level's size."""
         if not self.level_sizes:
             raise NestingViolation("tower has no levels")
         if len(self.labels) != self.level_sizes[-1]:
@@ -348,16 +387,6 @@ class Tower:
                 raise NestingViolation(
                     f"metric at level {n} has size {d.size}, expected {self.level_sizes[n]}"
                 )
-            d.validate(n, self.labels)
-        for n in range(self.num_levels - 1):
-            lo, hi = self.level_metrics[n], self.level_metrics[n + 1]
-            m = self.level_sizes[n]
-            for i in range(m):
-                for j in range(m):
-                    if (lo.numer[i][j] == 0) != (hi.numer[i][j] == 0):
-                        raise SubspaceViolation(n, self.labels[i], self.labels[j])
-                    if self.strict and lo.numer[i][j] * hi.den != hi.numer[i][j] * lo.den:
-                        raise SubspaceViolation(n, self.labels[i], self.labels[j])
 
     # -- heights -----------------------------------------------------------
 

@@ -95,3 +95,9 @@ class ProfileTooLarge(UnilimError):
 
 class UnknownTheoremId(UnilimError):
     pass
+
+
+class CertificateFailure(Exception):
+    """A derived table is not what its construction certifies: an
+    implementation bug, never bad input, so not a ``UnilimError`` and the
+    CLI exits 3 on it."""

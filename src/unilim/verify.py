@@ -240,7 +240,10 @@ def _check_base(tower: Tower) -> Verdict:
 def _derived_equal(tower: Tower, cmp: TopologyComparison) -> Verdict:
     """A derived tower's coincidence comparison is "equal", and the topology
     generated by every grid base ball of it equals its closed-form limit
-    topology."""
+    topology.  The tower is first validated in full, the oracle side of the
+    construction certificate that let it skip the triangle and zero-pair
+    passes: a violation is a library error, so a failing report."""
+    tower.validate()
     cert = {"relation": cmp.relation}
     if _grid_base(tower)[1] != ulim_topology(tower):
         return False, {**cert, "oracle": "grid base balls disagree with the closed form"}

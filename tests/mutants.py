@@ -160,6 +160,24 @@ MUTANTS = {
         "test_constructions.py",
         ("verify", "tests"),
     ),
+    # a certificate that expects the min rejects every product with a
+    # positive distance, so verify stops on CertificateFailure (exit 3)
+    "certificate compares against min": Mutant(
+        "constructions.py",
+        "want = list(flat) if c == 0 else [x if x > y else y for x, y in zip(want, flat)]",
+        "want = list(flat) if c == 0 else [x if x < y else y for x, y in zip(want, flat)]",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
+    # the certificate then expects the max over the first depth - 1
+    # coordinates, less than the table wherever the last one dominates
+    "box certificate skips a coordinate": Mutant(
+        "constructions.py",
+        "_certify_coordinate_max([f.metric for f in factors[:depth]], order,",
+        "_certify_coordinate_max([f.metric for f in factors[:depth - 1]], order,",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
     "product_topology takes the union of the strips": Mutant(
         "constructions.py",
         "nbhd[k] = rows[i] & cols[j]",
@@ -201,6 +219,26 @@ MUTANTS = {
         "limitmetric.py",
         "s = back[s]\n",
         "s = back[s] % n\n",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # D = L * d then need not dominate rho on the lower square, so the
+    # extension can fall below rho there and restrict to it no longer: the
+    # seeded sums of extensions stop being monotone, and verify stops while
+    # it generates its instances
+    "extension's Lipschitz factor from the largest lower distance": Mutant(
+        "limitmetric.py",
+        "low = min(",
+        "low = max(",
+        "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # a component of the mutual pairs of a target that is not transitive
+    # escapes the target, so {d_n < 1} is no longer inside it
+    "target indicator keeps components that escape the target": Mutant(
+        "limitmetric.py",
+        "if all(c & ~r == 0 for c, r in zip(comps, target.rows)):",
+        "if True:",
         "test_limitmetric.py",
         ("verify", "tests"),
     ),

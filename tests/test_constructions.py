@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilim import io
 from unilim.constructions import (
     GroupTower,
     _box_coordinates,
+    _certify_coordinate_max,
     _product_order,
     PointedSpace,
     box_tower,
@@ -20,15 +22,19 @@ from unilim.constructions import (
     product_tower,
 )
 from unilim.core import Pseudometric, Tower
-from unilim.errors import InvarianceViolation, LevelCountMismatch, ValidationError
+from unilim.errors import (
+    CertificateFailure, InvarianceViolation, LevelCountMismatch, UnilimError, ValidationError,
+)
 from unilim.generate import (
     Profile,
     cyclic_group_tower,
+    generate_instance,
     random_factors,
     random_group_tower,
     random_tower,
 )
 from unilim.topology import TopologyFamily
+from unilim.verify import run_theorem
 
 from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
 from .oracles import fraction_coordinate_max, rectangle_topology
@@ -282,3 +288,72 @@ def test_box_levels_match_fraction_reference(drawn, depth, data):
     tables = [f.metric for f in factors[:depth]]
     for n, m in enumerate(box.level_sizes):
         assert same_table(box.metric(n), fraction_coordinate_max(tables, order[:m]))
+
+
+# -- derived towers: the certified construction against full validation -------
+
+
+def test_certificate_compares_over_a_common_denominator():
+    # the two points meet only the factor value 1/2, so the table is held
+    # over 2 and the factor over 6
+    factor = frac_matrix([[0, "1/2", "1/3"], ["1/2", 0, "1/3"], ["1/3", "1/3", 0]])
+    points = [(0,), (1,)]
+    _certify_coordinate_max([factor], points, frac_matrix([[0, "1/2"], ["1/2", 0]]), 4, "pq")
+    with pytest.raises(CertificateFailure, match="level 4: d.p,q. is 1/3, the coordinate max") as e:
+        _certify_coordinate_max([factor], points, frac_matrix([[0, "1/3"], ["1/3", 0]]), 4, "pq")
+    assert not isinstance(e.value, UnilimError)
+
+
+def _fully_validated(t):
+    """The tables of ``t`` through the public constructor, which validates
+    them in full."""
+    return Tower(t.labels, t.level_sizes, t.level_metrics)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(*[mixed_towers(k, 5)] * 2)))
+def test_product_tower_equals_its_fully_validated_tower(drawn):
+    (a, _), (b, _) = drawn
+    for a, b in ((a, b), (a, _zero_tower(b))):
+        prod = product_tower(a, b)
+        assert prod == _fully_validated(prod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_box_tower_equals_its_fully_validated_tower(seed, depth):
+    box = box_tower(random_factors(random.Random(seed)), depth)
+    assert box == _fully_validated(box)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The size of each table ``Pseudometric.validate`` is called on."""
+    calls = []
+    validate = Pseudometric.validate
+
+    def counted(self, *args):
+        calls.append(self.size)
+        return validate(self, *args)
+
+    monkeypatch.setattr(Pseudometric, "validate", counted)
+    return calls
+
+
+def test_product_tower_validates_no_product_level(tower, validate_calls):
+    a = io.tower_from_json(io.tower_to_json(tower))
+    assert validate_calls == [1, 2, 3]
+    validate_calls.clear()
+    product_tower(a, a)
+    assert validate_calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_t2_and_p_box_validate_each_derived_level_once(seed, validate_calls):
+    inst = generate_instance(seed)
+    prod = product_tower(inst.tower, inst.second_tower)
+    box = box_tower(inst.factors, min(3, len(inst.factors)))
+    for tid, derived in (("T2", prod), ("P-box", box)):
+        validate_calls.clear()
+        assert run_theorem(tid, inst).verdict
+        assert validate_calls == list(derived.level_sizes)

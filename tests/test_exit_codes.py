@@ -1,22 +1,28 @@
 """The exit-code contract at the process boundary: 0 true, 1 false, 2 bad
 input, 3 an implementation bug.
 
-Randomly mutated tower, sequence, map and expression documents may be
-rejected, but only as input errors: ``cli.main`` returns 0, 1 or 2 and
-lets nothing escape, and the unmutated documents never exit 2.
+Randomly mutated tower, sequence, map, factor, group and expression
+documents may be rejected, but only as input errors: ``cli.main`` returns
+0, 1 or 2 and lets nothing escape, and the unmutated documents never exit
+2.
 """
 
 import copy
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilim import cli, io
-from unilim.core import Entourage
-from unilim.fixtures import glued_map, identity_map, three_point_sequence, three_point_tower
+from unilim import cli, constructions, io
+from unilim.core import Entourage, Pseudometric
+from unilim.errors import CertificateFailure
+from unilim.fixtures import (
+    binary_group_tower, glued_map, halving_factors, identity_map, three_point_sequence,
+    three_point_tower,
+)
 
-from .conftest import map_to_json
+from .conftest import factor_to_json, group_to_json, map_to_json
 
 
 def _documents():
@@ -32,6 +38,8 @@ def _documents():
         "glued_map": map_to_json(glued.values),
         "top": io.tower_to_json(identity_map().target),
         "ident": map_to_json(range(3)),
+        "factors": [factor_to_json(f) for f in halving_factors()],
+        "group": group_to_json(binary_group_tower()),
         # 17 classes, 2**17 open sets
         "discrete17": {"labels": [f"p{i}" for i in range(17)], "level_sizes": [17],
                        "metrics": [[[1] * i for i in range(17)]]},
@@ -59,6 +67,8 @@ CALLS = (
     ("check", "--tower", "{tower}", "--map", "{ident}", "--target", "{top}", "--direct"),
     ("check", "--tower", "{tower}", "--map", "{ident}", "--target", "{top}", "--homeo", "{ident}"),
     ("product", "{tower}", "{tower}", "--check"),
+    ("box", "{factors}", "--depth", "3", "--check"),
+    ("group", "{group}", "--radii", "1,1/2,3/8", "--check"),
     *(("rel", "--tower", "{tower}", f"--expr={e}") for e in EXPRS),
 )
 
@@ -141,7 +151,7 @@ def test_unmutated_documents_never_exit_2(call, files):
     assert cli.main(_argv(call, files)) in (0, 1)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=290, deadline=None)
 @given(st.sampled_from(CALLS), st.data())
 def test_mutated_documents_exit_0_1_or_2(files, call, data):
     argv = _argv(call, files)
@@ -167,3 +177,26 @@ def test_an_exception_on_valid_input_exits_3(monkeypatch, capsys, files):
     assert cli.console_main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and err.endswith("ValueError: a bug\n")
+
+
+def test_a_derived_table_failing_its_certificate_exits_3(monkeypatch, capsys, files):
+    """A product table that is not the coordinate max of its factors is a
+    bug in the construction, not bad input: exit 3, nothing on stdout."""
+
+    def corrupted(den, numer):
+        numer = [list(row) for row in numer]
+        if len(numer) > 2:
+            # symmetric, so only the triangle pass of a full validation
+            # would see it
+            numer[-1][0] = numer[0][-1] = numer[-1][0] + 100 * den
+        return Pseudometric._from_numer(den, numer)
+
+    monkeypatch.setattr(constructions, "Pseudometric", SimpleNamespace(_from_numer=corrupted))
+    argv = ["product", files["tower"], files["tower"], "--check"]
+    with pytest.raises(CertificateFailure, match=r"level 1: d\(\(a,a\),\(b,b\)\) is 101,"):
+        cli.main(argv)
+    capsys.readouterr()
+    assert cli.console_main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback") and "CertificateFailure: level 1" in err

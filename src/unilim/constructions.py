@@ -21,6 +21,7 @@ oracle; nothing here argues by hand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -83,13 +84,18 @@ def _certify_coordinate_max(
 def _product_order(a: Tower, b: Tower) -> list[tuple[int, int]]:
     """Pairs sorted so that each product level is a prefix: by the level at
     which the pair first appears, then lexicographically."""
-    ha = [a.height(i) for i in range(a.ground_size)]
-    hb = [b.height(j) for j in range(b.ground_size)]
+    return list(_pair_order(a._heights, b._heights))
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_order(ha: tuple[int, ...], hb: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``_product_order`` from the factors' heights, kept for the last
+    factors asked for: ``product_tower`` and ``product_index`` both ask."""
     # the pairs start in lexicographic order and the sort is stable
-    return sorted(
-        itertools.product(range(a.ground_size), range(b.ground_size)),
+    return tuple(sorted(
+        itertools.product(range(len(ha)), range(len(hb))),
         key=lambda p: max(ha[p[0]], hb[p[1]]),
-    )
+    ))
 
 
 def product_tower(a: Tower, b: Tower) -> Tower:
@@ -338,9 +344,17 @@ class PointedSpace:
 
 def _box_coordinates(factors: Sequence[PointedSpace], depth: int):
     """``coordinate_tuples`` over the first ``depth`` factors."""
-    return coordinate_tuples(
-        [f.metric.size for f in factors[:depth]], [f.basepoint for f in factors[:depth]]
+    return _box_order(
+        tuple(f.metric.size for f in factors[:depth]), tuple(f.basepoint for f in factors[:depth])
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _box_order(sizes: tuple[int, ...], basepoints: tuple[int, ...]):
+    """``coordinate_tuples``, kept for the last factor shapes asked for:
+    ``box_tower`` and ``box_topology`` both ask.  Held as tuples, since the
+    callers share them."""
+    return tuple(map(tuple, coordinate_tuples(sizes, basepoints)))
 
 
 def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:

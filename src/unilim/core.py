@@ -149,7 +149,7 @@ class Pseudometric:
         same values as ``Fraction``s would hold it: ``den`` and ``numer`` are
         divided by their gcd, so ``den`` is the lcm of the reduced
         denominators.  Not validated."""
-        g = math.gcd(den, *(math.gcd(*row) for row in numer))
+        g = math.gcd(den, *itertools.starmap(math.gcd, numer))
         if g != 1:
             den //= g
             numer = [[v // g for v in row] for row in numer]
@@ -196,12 +196,18 @@ class Pseudometric:
                 raise ValidationError(f"distance table row {i} is not square")
             if d[i][i] != 0:
                 raise ValidationError(f"nonzero diagonal at {name(i)}")
-        for i in range(n):
+        for i, di in enumerate(d):
             for j in range(i):
-                if d[i][j] != d[j][i]:
+                v = di[j]
+                if v != d[j][i]:
                     raise ValidationError(f"asymmetric pair ({name(i)},{name(j)})")
-                if d[i][j] < 0:
+                if v < 0:
                     raise ValidationError(f"negative distance ({name(i)},{name(j)})")
+        # The table is symmetric, so swapping a point for one with an equal
+        # row changes no side of any triangle: the triangle inequality holds
+        # iff it holds on one representative per distinct row, read at the
+        # representatives' columns (q below).  In a pseudometric rows are
+        # equal exactly on zero-pairs, so this is one pass per zero class.
         # d(i,k) <= d(i,j) + d(j,k) for every k iff max_k d(i,k) - d(j,k)
         # <= d(i,j); with d symmetric, the pairs (i, j) and (j, i) together
         # ask max_k |d(i,k) - d(j,k)| <= d(i,j), so j < i covers them all.
@@ -212,19 +218,24 @@ class Pseudometric:
         # 2^(w-1) + 2*max]; w is chosen so 2*max < 2^(w-1), so no field
         # carries into or borrows from the next, and its top bit is set iff
         # d(i,k) <= d(i,j) + d(j,k).
-        top = max(map(max, d), default=0)
+        reps = list(dict(zip(d, range(n))).values())
+        q = d if len(reps) == n else [[row[b] for b in reps] for row in map(d.__getitem__, reps)]
+        m = len(q)
+        top = max(map(max, q), default=0)
         w = (2 * top).bit_length() + 1
-        shifts = range(0, n * w, w)
-        ones = sum(1 << s for s in shifts)
+        shifts = range(0, m * w, w)
+        # 1 + 2^w + ... + 2^((m-1)w) = (2^(mw) - 1) / (2^w - 1)
+        ones = ((1 << m * w) - 1) // ((1 << w) - 1)
         h = ones << (w - 1)
-        packed = [sum(map(lshift, row, shifts)) for row in d]
+        packed = [sum(map(lshift, row, shifts)) for row in q]
         lifted = [p + h for p in packed]
-        for i, di in enumerate(d):
+        for i, di in enumerate(q):
             pi, li = packed[i], lifted[i]
             for j in range(i):
                 dij = di[j] * ones
                 if (lifted[j] + dij - pi) & h != h or (li + dij - packed[j]) & h != h:
-                    # name the first failing (a, b, c) in (a, b, c) order
+                    # name the first failing (a, b, c) of the full table in
+                    # (a, b, c) order
                     first = next(
                         (a, b, c)
                         for a, b, c in itertools.product(range(n), repeat=3)
@@ -354,14 +365,17 @@ class Tower:
         self._validate_shape()
         for n, d in enumerate(self.level_metrics):
             d.validate(n, self.labels)
+        # both tables of each check are symmetric with a zero diagonal, so
+        # the first failing pair in row-major order has j > i
         for n in range(self.num_levels - 1):
             lo, hi = self.level_metrics[n], self.level_metrics[n + 1]
-            m = self.level_sizes[n]
+            m, strict = self.level_sizes[n], self.strict
             for i in range(m):
-                for j in range(m):
-                    if (lo.numer[i][j] == 0) != (hi.numer[i][j] == 0):
+                lo_i, hi_i = lo.numer[i], hi.numer[i]
+                for j in range(i + 1, m):
+                    if (lo_i[j] == 0) != (hi_i[j] == 0):
                         raise SubspaceViolation(n, self.labels[i], self.labels[j])
-                    if self.strict and lo.numer[i][j] * hi.den != hi.numer[i][j] * lo.den:
+                    if strict and lo_i[j] * hi.den != hi_i[j] * lo.den:
                         raise SubspaceViolation(n, self.labels[i], self.labels[j])
 
     def _validate_shape(self) -> None:
@@ -633,19 +647,24 @@ class MonotonePseudometricSequence:
             if d.size != t.level_sizes[n]:
                 raise NestingViolation(f"sequence metric at level {n} has wrong size")
             d.validate(n, t.labels)
+            # both tables of each check are symmetric with a zero diagonal,
+            # so the first failing pair in row-major order has j > i
             level = t.level_metrics[n]
             for i in range(d.size):
-                for j in range(d.size):
-                    if level.numer[i][j] == 0 and d.numer[i][j] != 0:
+                level_i, d_i = level.numer[i], d.numer[i]
+                for j in range(i + 1, d.size):
+                    if level_i[j] == 0 and d_i[j] != 0:
                         raise NotUniform(
                             f"d_{n} positive on zero-pair "
                             f"({t.labels[i]},{t.labels[j]}) of level {n}"
                         )
         for n in range(t.num_levels - 1):
             lo, hi = self.metrics[n], self.metrics[n + 1]
+            lo_den, hi_den = lo.den, hi.den
             for i in range(lo.size):
-                for j in range(lo.size):
-                    if lo.numer[i][j] * hi.den > hi.numer[i][j] * lo.den:
+                lo_i, hi_i = lo.numer[i], hi.numer[i]
+                for j in range(i + 1, lo.size):
+                    if lo_i[j] * hi_den > hi_i[j] * lo_den:
                         raise ValidationError(
                             f"monotonicity fails at level {n} on pair "
                             f"({t.labels[i]},{t.labels[j]})"

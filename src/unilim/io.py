@@ -7,8 +7,10 @@ serialize byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -32,6 +34,30 @@ def rational_from_json(v: Any) -> Fraction:
         raise ValidationError(f"not a rational: {v!r}") from e
 
 
+# the most digits int() reads from a string, 0 for no limit (Pythons
+# before 3.10.7 have none)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", int)
+
+
+def _pair_from_json(v: Any) -> tuple[int, int]:
+    """A JSON value as an exact (numerator, denominator) int pair, not
+    necessarily reduced.  A JSON int is taken as is, and "p/q" in ASCII
+    digits with q nonzero is split at the slash; every other spelling goes
+    through ``rational_from_json``, which accepts and rejects as
+    ``Fraction`` does."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str and v.isascii():
+        p, _, q = v.partition("/")
+        limit = _max_str_digits() or len(v)
+        if p.isdigit() and q.isdigit() and len(p) <= limit and len(q) <= limit:
+            q = int(q)
+            if q:
+                return int(p), q
+    f = rational_from_json(v)
+    return f.numerator, f.denominator
+
+
 def _array(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{path}: expected a JSON array, got {value!r}")
@@ -53,9 +79,13 @@ def _index(value: Any, path: str, size: int) -> int:
 
 def _json_values(d: Pseudometric) -> dict[int, Any]:
     """Each distinct numerator of ``d``'s table, as its value over ``d.den``
-    in JSON."""
+    in JSON, reduced by one gcd: an int, or "p/q"."""
     den = d.den
-    return {v: rational_to_json(Fraction(v, den)) for v in set().union(*d.numer)}
+    out: dict[int, Any] = {}
+    for v in set().union(*d.numer):
+        g = math.gcd(v, den)
+        out[v] = v // g if g == den else f"{v // g}/{den // g}"
+    return out
 
 
 def metric_to_json(d: Pseudometric) -> list[list[Any]]:
@@ -70,27 +100,50 @@ def matrix_to_json(d: Pseudometric) -> list[list[Any]]:
     return [list(map(as_json, row)) for row in d.numer]
 
 
-def _metric_from_json(rows: Any, path: str, parsed: dict[Any, Fraction]) -> Pseudometric:
-    """Lower-triangular rows to a pseudometric (not yet validated); a
-    malformed document names its first offending path.  ``parsed`` holds
-    the ints and strings already parsed in the same document, so each
-    distinct entry is parsed once; the table is written as int numerators
-    over the lcm of its values' denominators."""
-    table = _array(rows, path)
+_LIST = frozenset((list,))
+_INT_OR_STR = frozenset((int, str))
+
+
+def _name_bad_entry(table: list, path: str) -> None:
+    """Raise for the first row of ``table`` that is not an array or entry
+    that is not a rational, in row-major order, naming its path."""
     for i, row in enumerate(table):
         for j, v in enumerate(_array(row, f"{path}[{i}]")):
-            # JSON true is not the int 1, though it hashes like it
-            if (type(v) is not int and type(v) is not str) or v not in parsed:
-                try:
-                    parsed[v] = rational_from_json(v)
-                except ValidationError as e:
-                    raise ValidationError(f"{path}[{i}][{j}]: {e}") from None
+            try:
+                _pair_from_json(v)
+            except ValidationError as e:
+                raise ValidationError(f"{path}[{i}][{j}]: {e}") from None
+
+
+def _metric_from_json(
+    rows: Any, path: str, parsed: dict[Any, tuple[int, int]]
+) -> Pseudometric:
+    """Lower-triangular rows to a pseudometric (not yet validated); a
+    malformed document names its first offending path.  ``parsed`` holds
+    the ints and strings already read in the same document as int pairs,
+    so each distinct entry is read once; the table is written as int
+    numerators over the lcm of the pairs' denominators, which
+    ``Pseudometric._from_numer`` reduces."""
+    table = _array(rows, path)
+    # JSON true is not the int 1, though it hashes like it, so the types
+    # are checked before the distinct entries are taken
+    if not (
+        _LIST.issuperset(map(type, table))
+        and _INT_OR_STR.issuperset(map(type, itertools.chain.from_iterable(table)))
+    ):
+        _name_bad_entry(table, path)
+    values = set().union(*table)
+    try:
+        for v in values.difference(parsed):
+            parsed[v] = _pair_from_json(v)
+    except ValidationError:
+        _name_bad_entry(table, path)
     for i, row in enumerate(table):
         if len(row) != i:
             raise ValidationError(f"{path}: lower-triangular row {i} has length {len(row)}")
-    values = {v: parsed[v] for row in table for v in row}
-    den = math.lcm(*(v.denominator for v in values.values()))
-    numer_of = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+    pairs = {v: parsed[v] for v in values}
+    den = math.lcm(*(q for _, q in pairs.values()))
+    numer_of = {v: p * (den // q) for v, (p, q) in pairs.items()}
     n = len(table)
     numer = [[0] * n for _ in range(n)]
     for i, row in enumerate(table):
@@ -130,7 +183,7 @@ def tower_from_json(doc: dict) -> Tower:
         raise ValidationError(f"strict: expected true or false, got {strict!r}")
     sizes = _array(doc["level_sizes"], "level_sizes")
     metrics = _array(doc["metrics"], "metrics")
-    parsed: dict[Any, Fraction] = {}
+    parsed: dict[Any, tuple[int, int]] = {}
     return Tower(
         labels,
         [_integer(m, f"level_sizes[{n}]") for n, m in enumerate(sizes)],
@@ -168,7 +221,7 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
             raise ValidationError("sequence document missing 'metrics'")
         doc = doc["metrics"]
     metrics = _array(doc, "metrics")
-    parsed: dict[Any, Fraction] = {}
+    parsed: dict[Any, tuple[int, int]] = {}
     return [_metric_from_json(rows, f"metrics[{n}]", parsed) for n, rows in enumerate(metrics)]
 
 
@@ -228,10 +281,13 @@ def dump(obj: Any, path: str) -> None:
 
 def load(path: str) -> Any:
     """The JSON document in the file at ``path``.  A file that is not one
-    (bad syntax, bytes that are not UTF-8, nesting too deep to parse) is a
-    ``ValidationError`` naming the path."""
+    (bad syntax, bytes that are not UTF-8, an int literal longer than
+    ``int`` reads, nesting too deep to parse) is a ``ValidationError``
+    naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+        # an int literal past sys.get_int_max_str_digits()
+        except (ValueError, RecursionError) as e:
             raise ValidationError(f"{path}: not a JSON document: {e}") from None

@@ -351,12 +351,22 @@ def fixture_reports(theorem_id: str) -> list[VerifyReport]:
     ]
 
 
+def _generated(seed: int) -> Instance:
+    """The seeded instance; a library error while building it is an
+    implementation bug, not bad input, so it leaves as a ``RuntimeError``
+    (exit 3 from the CLI)."""
+    try:
+        return generate_instance(seed)
+    except UnilimError as e:
+        raise RuntimeError(f"generating seed {seed}: {type(e).__name__}: {e}") from e
+
+
 def verify_suite(targets: Sequence[str], seeds: Iterable[int]) -> list[VerifyReport]:
     """Run the selected checks over fixtures and generated instances;
     reports are ordered by (theorem id, instance)."""
     for tid in targets:
         _entry(tid)
-    instances = [generate_instance(s) for s in seeds]
+    instances = [_generated(s) for s in seeds]
     reports: list[VerifyReport] = []
     for tid in sorted(targets):
         reports.extend(fixture_reports(tid))

@@ -100,6 +100,15 @@ MUTANTS = {
         "test_topology.py",
         ("verify", "tests"),
     ),
+    # distinct rows can share their first entry, so the quotient drops rows
+    # and can miss a violation; verify validates only valid tables
+    "zero-class quotient keyed on each row's first entry": Mutant(
+        "core.py",
+        "reps = list(dict(zip(d, range(n))).values())",
+        "reps = list(dict(zip((row[0] for row in d), range(n))).values())",
+        "test_core.py",
+        ("tests",),
+    ),
     "<= in sublevel_pairs": Mutant(
         "core.py",
         "if v * q < bound",
@@ -312,6 +321,26 @@ MUTANTS = {
         "numer[i][j] = numer_of[v]",
         "test_io_cli.py",
         ("tests",),
+    ),
+    # "²/4" then reaches int(), whose ValueError is no input error; digit
+    # strings int() reads are read as Fraction reads them, so only a digit
+    # that str.isdigit takes and int() refuses tells the two apart
+    "rational fast path without isascii": Mutant(
+        "io.py",
+        'if type(v) is str and v.isascii():',
+        'if type(v) is str:',
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # each level above the first keeps its drawn values unclosed, so the
+    # generated towers fail their triangle check: verify stops while it
+    # generates its instances (exit 3)
+    "generated levels left unclosed": Mutant(
+        "generate.py",
+        "tables.append(closure_in_place(d))",
+        "tables.append(d)",
+        "test_generate_verify.py",
+        ("verify", "tests"),
     ),
     # "0..20" then runs seeds 0 to 20, one more report than the digest test
     # pins; verify itself still passes on every seed

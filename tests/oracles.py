@@ -11,7 +11,7 @@ from unilim.constructions import GroupTower, coordinate_tuples
 from unilim.core import (
     Entourage, Pseudometric, Tower, bits, closure_in_place, members, shortest_path_closure,
 )
-from unilim.errors import TriangleViolation, ValidationError
+from unilim.errors import NotUniform, SubspaceViolation, TriangleViolation, ValidationError
 from unilim.generate import DEFAULT_POOL
 from unilim.relations import EntourageSequence, ball_set_mask, compose
 from unilim.topology import TopologyFamily
@@ -83,6 +83,45 @@ def loop_validate(dist, level=0, labels=None):
             for k in range(n):
                 if dist[i][k] > dist[i][j] + dist[j][k]:
                     raise TriangleViolation(level, name(i), name(j), name(k))
+
+
+def loop_tower_validate(labels, sizes, metrics, strict=False):
+    """Reference for ``Tower.validate`` on levels of the right sizes: each
+    level through ``loop_validate``, then consecutive levels compared entry
+    by entry over the full square of the lower one, so the first failing
+    pair in row-major order is named."""
+    for n, d in enumerate(metrics):
+        loop_validate(d.dist, n, labels)
+    for n in range(len(sizes) - 1):
+        lo, hi = metrics[n].dist, metrics[n + 1].dist
+        for i in range(sizes[n]):
+            for j in range(sizes[n]):
+                if (lo[i][j] == 0) != (hi[i][j] == 0) or (strict and lo[i][j] != hi[i][j]):
+                    raise SubspaceViolation(n, labels[i], labels[j])
+
+
+def loop_sequence_validate(tower, metrics):
+    """Reference for ``MonotonePseudometricSequence.validate`` on metrics of
+    the level sizes: per level ``loop_validate`` and uniformity, then
+    monotonicity, each entry by entry over the full square."""
+    labels = tower.labels
+    for n, d in enumerate(metrics):
+        loop_validate(d.dist, n, labels)
+        level = tower.metric(n).dist
+        for i in range(d.size):
+            for j in range(d.size):
+                if level[i][j] == 0 and d.dist[i][j] != 0:
+                    raise NotUniform(
+                        f"d_{n} positive on zero-pair ({labels[i]},{labels[j]}) of level {n}"
+                    )
+    for n in range(len(metrics) - 1):
+        lo, hi = metrics[n].dist, metrics[n + 1].dist
+        for i in range(len(lo)):
+            for j in range(len(lo)):
+                if lo[i][j] > hi[i][j]:
+                    raise ValidationError(
+                        f"monotonicity fails at level {n} on pair ({labels[i]},{labels[j]})"
+                    )
 
 
 def fraction_metric_from_json(rows):

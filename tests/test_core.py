@@ -24,7 +24,15 @@ from unilim.errors import (
 )
 
 from .conftest import flat_tower, frac_matrix
-from .oracles import fraction_closure, grid_thresholds, loop_validate, max_value, transpose
+from .oracles import (
+    fraction_closure,
+    grid_thresholds,
+    loop_sequence_validate,
+    loop_tower_validate,
+    loop_validate,
+    max_value,
+    transpose,
+)
 
 
 def test_three_point_tower_is_valid(tower):
@@ -208,28 +216,34 @@ def test_level_metrics_form_monotone_sequence_in_strict_tower():
 # -- the integer kernels against their Fraction references ---------------------
 
 MIXED = [Fraction(v) for v in ("0", "1/3", "1/4", "5/6", "1", "3/2", "7/12")]
-KINDS = ("raw", "zero diagonal", "symmetric", "nonnegative", "pseudometric")
+KINDS = ("raw", "zero diagonal", "symmetric", "nonnegative", "pseudometric", "duplicated")
 
 
 @st.composite
 def mixed_matrices(draw, kinds=KINDS, min_size=0):
     """Square tables over values with denominators 1, 2, 3, 4, 6 and 12:
     raw (asymmetric, negative, nonzero diagonal), with a zero diagonal,
-    symmetric, symmetric and nonnegative (often triangle-violating), or
-    repaired into a pseudometric."""
-    n = draw(st.integers(min_size, 6))
+    symmetric, symmetric and nonnegative (often triangle-violating),
+    repaired into a pseudometric, or a symmetric nonnegative table, closed
+    or not, with some points repeated, so that validation meets zero
+    classes of several points and triangle violations among them."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(max(min_size, 1) if kind == "duplicated" else min_size, 6))
     values = st.sampled_from(MIXED + [-MIXED[1], -MIXED[2]])
     m = [[draw(values) for _ in range(n)] for _ in range(n)]
-    kind = draw(st.sampled_from(kinds))
     if kind != "raw":
         for i in range(n):
             m[i][i] = Fraction(0)
-    if kind in ("symmetric", "nonnegative", "pseudometric"):
+    if kind in ("symmetric", "nonnegative", "pseudometric", "duplicated"):
         m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    if kind in ("nonnegative", "pseudometric"):
+    if kind in ("nonnegative", "pseudometric", "duplicated"):
         m = [[abs(v) for v in row] for row in m]
-    if kind == "pseudometric":
+    if kind == "pseudometric" or (kind == "duplicated" and draw(st.booleans())):
         m = fraction_closure(m)
+    if kind == "duplicated":
+        # each point of the table becomes a copy of a drawn point
+        source = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=8))
+        m = [[m[a][b] for b in source] for a in source]
     return m
 
 
@@ -253,13 +267,70 @@ TRIANGLE_FAILS = [
 ]
 
 
+# points 0 and 3 are one zero class; rows 1 and 2 differ but share their
+# first entry, and d(1,2) = 3 > d(1,0) + d(0,2) = 2 (and the same through 3)
+# is the only violation
+SHARED_FIRST_ENTRY = [
+    [Fraction(v) for v in row]
+    for row in ((0, 1, 1, 0), (1, 0, 3, 1), (1, 3, 0, 1), (0, 1, 1, 0))
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(mixed_matrices(), st.booleans())
 @example(TRIANGLE_FAILS, True)
+@example(SHARED_FIRST_ENTRY, False)
 def test_validate_matches_fraction_reference(m, labelled):
     labels = [f"p{i}" for i in range(len(m))] if labelled else None
     got = _outcome(lambda: Pseudometric(m).validate(3, labels))
     assert got == _outcome(lambda: loop_validate(m, 3, labels))
+
+
+def _pseudometric(draw, n):
+    """The closure of a symmetric table of ``MIXED`` values, zeros among
+    them, on n points."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            m[i][j] = m[j][i] = draw(st.sampled_from(MIXED))
+    return Pseudometric(fraction_closure(m))
+
+
+@st.composite
+def level_tables(draw):
+    """Two or three level sizes and a pseudometric per level: a corner of
+    one top table, scaled or not, or a fresh table, which often disagrees
+    with its neighbours on zero-pairs or order."""
+    sizes = sorted(draw(st.sets(st.integers(1, 6), min_size=2, max_size=3)))
+    top = _pseudometric(draw, sizes[-1])
+    metrics = []
+    for m in sizes:
+        kind = draw(st.sampled_from(("corner", "scaled corner", "fresh")))
+        d = _pseudometric(draw, m) if kind == "fresh" else top.restrict(m)
+        if kind == "scaled corner":
+            d = d.scale(draw(st.sampled_from(MIXED[1:])))
+        metrics.append(d)
+    return sizes, metrics
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_tables(), st.booleans())
+def test_tower_validation_names_the_reference_first_pair(case, strict):
+    sizes, metrics = case
+    labels = [f"p{i}" for i in range(sizes[-1])]
+    got = _outcome(lambda: Tower(labels, sizes, metrics, strict=strict))
+    assert got == _outcome(lambda: loop_tower_validate(labels, sizes, metrics, strict))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_tables())
+def test_sequence_validation_names_the_reference_first_pair(case):
+    sizes, metrics = case
+    # the corners of the top table agree on zero-pairs, so this tower is valid
+    tower = Tower([f"p{i}" for i in range(sizes[-1])], sizes,
+                  [metrics[-1].restrict(m) for m in sizes])
+    got = _outcome(lambda: MonotonePseudometricSequence(tower, metrics))
+    assert got == _outcome(lambda: loop_sequence_validate(tower, metrics))
 
 
 # d(0,1) > d(0,2) + d(2,1): the middle point 2 has the largest index, so

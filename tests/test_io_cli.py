@@ -672,6 +672,21 @@ def test_cli_verify_library_error_in_a_check_is_a_failure(capsys, monkeypatch):
     }]
 
 
+def test_cli_verify_library_error_while_generating_is_a_bug(capsys, monkeypatch):
+    # seeded generation builds valid instances, so a library error there is
+    # a bug: it leaves main, and the process exits 3, not 2
+    def broken(seed):
+        raise ValidationError("monotonicity fails at level 1 on pair (x1,x2)")
+
+    monkeypatch.setattr("unilim.verify.generate_instance", broken)
+    with pytest.raises(RuntimeError, match="generating seed 4: ValidationError: monotonicity"):
+        cli.main(["verify", "--targets", "T1", "--seed", "4"])
+    assert cli.console_main(["verify", "--all", "--seeds", "0..3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: generating seed 0: ValidationError" in captured.err
+
+
 def test_cli_verify_rejects_unknown_target():
     with pytest.raises(SystemExit):
         cli.main(["verify", "--targets", "T99"])
@@ -685,7 +700,9 @@ def test_cli_missing_file_is_input_error(capsys, tmp_path):
     b"[" * 100_000,  # nested too deep for the parser: RecursionError
     b'{"labels": [}',  # bad syntax
     b'{"labels": ["\xff"]}',  # not UTF-8
-], ids=["deep", "syntax", "not-utf8"])
+    # an int literal longer than int() reads: a plain ValueError
+    b'{"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [' + b"1" * 5000 + b"]]]}",
+], ids=["deep", "syntax", "not-utf8", "long-int"])
 def test_cli_malformed_json_file_is_a_named_input_error(capsys, tmp_path, content):
     path = tmp_path / "tower.json"
     path.write_bytes(content)
@@ -700,18 +717,92 @@ def test_cli_malformed_json_file_is_a_named_input_error(capsys, tmp_path, conten
 # -- the JSON edge on int tables ---------------------------------------------------
 
 
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
 def tokenized(data, rows):
     """``rows`` of JSON values with each entry rewritten as an int, a
-    reduced "p/q" or an unreduced "kp/kq"."""
+    reduced "p/q" or an unreduced "kp/kq", or as a spelling the reader
+    leaves to ``Fraction``: padded with spaces, signed, with a leading zero
+    in either part, with an underscore, in fullwidth digits, and, where the
+    value has one, a finite decimal with or without an exponent."""
     def token(v):
         f = Fraction(v)
-        form = data.draw(st.sampled_from(("plain", "reduced", "unreduced")))
+        p, q = f.numerator, f.denominator
+        forms = ["plain", "reduced", "unreduced", "padded", "signed", "zero-led numerator",
+                 "zero-led denominator", "underscore", "fullwidth"]
+        places = next((k for k in range(6) if 10**k % q == 0), None)
+        if places is not None:
+            forms += ["decimal", "exponent"]
+        form = data.draw(st.sampled_from(forms))
         if form == "plain":
-            return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-        k = 1 if form == "reduced" else data.draw(st.integers(2, 12))
-        return f"{f.numerator * k}/{f.denominator * k}"
+            return int(f) if q == 1 else f"{p}/{q}"
+        if form in ("reduced", "unreduced"):
+            k = 1 if form == "reduced" else data.draw(st.integers(2, 12))
+            return f"{p * k}/{q * k}"
+        if form in ("decimal", "exponent"):
+            digits = str(p * 10**places // q)
+            if form == "exponent":
+                return f"{digits}e-{places}"
+            digits = digits.rjust(places + 1, "0")
+            return f"{digits[:len(digits) - places]}.{digits[len(digits) - places:]}"
+        return {
+            "padded": f" {p}/{q} ",
+            "signed": f"+{p}/{q}",
+            "zero-led numerator": f"0{p}/{q}",
+            "zero-led denominator": f"{p}/0{q}",
+            "underscore": f"{p}0_0/{q}00",
+            "fullwidth": f"{p}/{q}".translate(FULLWIDTH),
+        }[form]
 
     return [[token(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("spelling, value", [
+    (" 3/4 ", Fraction(3, 4)),
+    ("+3/4", Fraction(3, 4)),
+    ("0.75", Fraction(3, 4)),
+    ("75e-2", Fraction(3, 4)),
+    ("03/4", Fraction(3, 4)),
+    ("3/04", Fraction(3, 4)),
+    ("1_0/4", Fraction(5, 2)),
+    ("３/4", Fraction(3, 4)),
+])
+def test_json_reader_reads_every_spelling_fraction_reads(spelling, value):
+    rows = [[], [spelling], [1, spelling]]
+    got = metric_from_json(rows)
+    assert got(1, 0) == got(2, 1) == value
+    assert same_table(got, fraction_metric_from_json(rows))
+
+
+LONG_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("bad", [
+    "²/4",  # str.isdigit accepts "²", int and Fraction do not
+    "3/-4",
+    "/4",
+    "1/0",
+    LONG_DIGITS,
+    f"{LONG_DIGITS}/4",  # more digits than int() reads
+    f"4/{LONG_DIGITS}",
+], ids=["superscript", "signed-denominator", "no-numerator", "zero-denominator",
+        "long-int", "long-numerator", "long-denominator"])
+def test_json_reader_rejects_what_fraction_rejects_with_the_same_message(bad):
+    doc = {"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [bad]]]}
+    with pytest.raises(ValidationError) as got:
+        io.tower_from_json(doc)
+    assert str(got.value) == f"metrics[0][1][0]: not a rational: {bad!r}"
+
+
+def test_cli_long_rational_string_is_an_input_error(capsys, tmp_path):
+    bad = f"{LONG_DIGITS}/4"
+    path = tmp_path / "tower.json"
+    io.dump({"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [bad]]]}, str(path))
+    assert cli.console_main(["topo", "--tower", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,9 +25,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Entourage, Pseudometric, Tower, bits
 from .errors import (
@@ -167,25 +166,22 @@ def check_multiplicativity(a: Tower, b: Tower, prod: Tower) -> TopologyCompariso
 # -- abelian group towers ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GroupTower:
     """A tower whose levels are subgroups of a finite abelian group with
     translation-invariant level metrics (the finite SIN model: all four
     group uniformities coincide).  The identity is element 0, which every
     level holds."""
 
-    tower: Tower
-    op: tuple[tuple[int, ...], ...]
-    neg: tuple[int, ...]
+    __slots__ = ("tower", "op", "neg")
 
-    def __post_init__(self):
-        t = self.tower
+    def __init__(self, tower: Tower, op: tuple[tuple[int, ...], ...], neg: tuple[int, ...]):
+        self.tower, self.op, self.neg = tower, op, neg
+        t = tower
         n = t.ground_size
-        if len(self.op) != n or any(len(r) != n for r in self.op):
+        if len(op) != n or any(len(r) != n for r in op):
             raise ValidationError("operation table must be square on the top level")
-        if len(self.neg) != n:
+        if len(neg) != n:
             raise ValidationError("inverse table must cover the top level")
-        op, neg = self.op, self.neg
         for x in range(n):
             if op[x][0] != x or op[0][x] != x:
                 raise ValidationError(f"identity axiom fails at {t.labels[x]}")
@@ -199,12 +195,20 @@ class GroupTower:
                         raise ValidationError("operation is not associative")
         for lvl, m in enumerate(t.level_sizes):
             for x in range(m):
-                if self.neg[x] >= m:
+                if neg[x] >= m:
                     raise ValidationError(f"level {lvl} not closed under inverse")
                 for y in range(m):
                     if op[x][y] >= m:
                         raise ValidationError(f"level {lvl} not closed under the operation")
         self.check_invariance()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroupTower) and (
+            (self.tower, self.op, self.neg) == (other.tower, other.op, other.neg)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.tower, self.op, self.neg))
 
     def check_invariance(self) -> None:
         t, op = self.tower, self.op
@@ -253,8 +257,7 @@ def _radii(g: GroupTower, radii: Sequence[Fraction]) -> list[Fraction]:
     return radii
 
 
-@dataclass(frozen=True)
-class GroupLimitVerdict:
+class GroupLimitVerdict(NamedTuple):
     ball_equals_product: bool
     commutation: bool
     square_inclusion: bool
@@ -331,15 +334,22 @@ def coordinate_tuples(
     return tuples, labels, list(itertools.accumulate(sizes, operator.mul))
 
 
-@dataclass(frozen=True)
 class PointedSpace:
-    metric: Pseudometric
-    basepoint: int = 0
+    __slots__ = ("metric", "basepoint")
 
-    def __post_init__(self):
-        self.metric.validate()
-        if not 0 <= self.basepoint < self.metric.size:
+    def __init__(self, metric: Pseudometric, basepoint: int = 0):
+        self.metric, self.basepoint = metric, basepoint
+        metric.validate()
+        if not 0 <= basepoint < metric.size:
             raise ValidationError("basepoint out of range")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointedSpace) and (
+            (self.metric, self.basepoint) == (other.metric, other.basepoint)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.metric, self.basepoint))
 
 
 def _box_coordinates(factors: Sequence[PointedSpace], depth: int):

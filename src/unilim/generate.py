@@ -8,9 +8,8 @@ once serialized.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .constructions import GroupTower, PointedSpace, coordinate_tuples
 from .core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower, closure_in_place
@@ -31,16 +30,15 @@ DEFAULT_POOL = (
 )
 
 
-@dataclass(frozen=True)
 class Profile:
-    levels: int = 3
-    max_size: int = 6
+    __slots__ = ("levels", "max_size")
 
-    def __post_init__(self):
-        if self.levels < 1 or self.max_size < self.levels:
-            raise ProfileTooLarge(f"levels={self.levels}, max_size={self.max_size}")
-        if self.max_size > MAX_TOP_SIZE:
-            raise ProfileTooLarge(f"top size {self.max_size} exceeds {MAX_TOP_SIZE}")
+    def __init__(self, levels: int = 3, max_size: int = 6):
+        self.levels, self.max_size = levels, max_size
+        if levels < 1 or max_size < levels:
+            raise ProfileTooLarge(f"levels={levels}, max_size={max_size}")
+        if max_size > MAX_TOP_SIZE:
+            raise ProfileTooLarge(f"top size {max_size} exceeds {MAX_TOP_SIZE}")
 
 
 def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -120,8 +118,7 @@ def random_target_entourages(rng: random.Random, tower: Tower) -> list[Entourage
     return [rng.choice(tower.grid_entourages(n)) for n in range(tower.num_levels)]
 
 
-@dataclass(frozen=True)
-class GenerationInstance:
+class GenerationInstance(NamedTuple):
     """Inputs for the quantitative generation check: a target entourage U
     on the top level, the ladder below it, and an adequate sequence."""
 
@@ -204,19 +201,42 @@ def random_factors(rng: random.Random) -> list[PointedSpace]:
     return out
 
 
-@dataclass(frozen=True)
 class Instance:
-    """Everything the verification runners consume for one seed."""
+    """Everything the verification runners consume for one seed.  Equality
+    leaves out ``second_tower``."""
 
-    seed: int
-    tower: Tower
-    seq: MonotonePseudometricSequence
-    space_map: SpaceMap
-    targets: tuple[Entourage, ...]
-    generation: GenerationInstance
-    group: GroupTower
-    factors: tuple[PointedSpace, ...]
-    second_tower: Tower = field(compare=False, default=None)  # type: ignore[assignment]
+    __slots__ = (
+        "seed", "tower", "seq", "space_map", "targets", "generation", "group", "factors",
+        "second_tower",
+    )
+
+    def __init__(
+        self,
+        seed: int,
+        tower: Tower,
+        seq: MonotonePseudometricSequence,
+        space_map: SpaceMap,
+        targets: tuple[Entourage, ...],
+        generation: GenerationInstance,
+        group: GroupTower,
+        factors: tuple[PointedSpace, ...],
+        second_tower: Tower = None,  # type: ignore[assignment]
+    ):
+        self.seed, self.tower, self.seq, self.space_map = seed, tower, seq, space_map
+        self.targets, self.generation, self.group = targets, generation, group
+        self.factors, self.second_tower = factors, second_tower
+
+    def _key(self) -> tuple:
+        return (
+            self.seed, self.tower, self.seq, self.space_map, self.targets, self.generation,
+            self.group, self.factors,
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Instance) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def instance_id(self) -> str:

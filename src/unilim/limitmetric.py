@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Entourage,
@@ -33,14 +32,14 @@ from .errors import (
 from .relations import multiple
 
 
-@dataclass(frozen=True)
 class Chain:
     """A nonempty list of element indices; weight is defined for any chain."""
 
-    points: tuple[int, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[int, ...]):
+        self.points = points
+        if not points:
             raise ValidationError("chain must be nonempty")
 
 
@@ -290,8 +289,7 @@ def adequate_sequence(tower: Tower, targets: Sequence[Entourage]) -> MonotonePse
     )
 
 
-@dataclass(frozen=True)
-class GenerationVerdict:
+class GenerationVerdict(NamedTuple):
     confirmed: bool
     counterexample: tuple[int, int] | None = None
 

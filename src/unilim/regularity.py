@@ -7,8 +7,7 @@ False verdicts carry a concrete counterexample as their certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Entourage, Tower, bits, members
 from .errors import GroundMismatch, LevelOutOfRange, NotInverse
@@ -16,29 +15,34 @@ from .relations import ball_set
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
 
 
-@dataclass(frozen=True)
 class SpaceMap:
     """A function between tower ground sets, given by a value table over
     the source's top level.  A plain uniform space target is a one-level
     tower."""
 
-    source: Tower
-    target: Tower
-    values: tuple[int, ...]
+    __slots__ = ("source", "target", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.source.ground_size:
+    def __init__(self, source: Tower, target: Tower, values: tuple[int, ...]):
+        self.source, self.target, self.values = source, target, values
+        if len(values) != source.ground_size:
             raise GroundMismatch("value table must cover the top source level")
-        for v in self.values:
-            if not 0 <= v < self.target.ground_size:
+        for v in values:
+            if not 0 <= v < target.ground_size:
                 raise GroundMismatch(f"target index {v} out of range")
 
     def __call__(self, x: int) -> int:
         return self.values[x]
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SpaceMap) and (
+            (self.source, self.target, self.values) == (other.source, other.target, other.values)
+        )
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.values))
+
+
+class RegularityVerdict(NamedTuple):
     regular: bool
     level: int
     failing_u: Optional[Entourage] = None
@@ -91,8 +95,7 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     )
 
 
-@dataclass(frozen=True)
-class ContinuityVerdict:
+class ContinuityVerdict(NamedTuple):
     continuous: bool
     witness_open: Optional[frozenset[int]] = None  # target open with non-open preimage
 
@@ -113,8 +116,7 @@ def is_continuous(f: SpaceMap) -> ContinuityVerdict:
     return ContinuityVerdict(True)
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     hypothesis: bool
     conclusion: bool
     # certificates
@@ -174,8 +176,7 @@ def continuity_criterion(f: SpaceMap) -> CriterionVerdict:
     )
 
 
-@dataclass(frozen=True)
-class HomeoVerdict:
+class HomeoVerdict(NamedTuple):
     homeomorphism: bool
     forward: CriterionVerdict
     backward: CriterionVerdict

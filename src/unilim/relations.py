@@ -14,7 +14,6 @@ level, exactly as the openness argument for the direct-limit base uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .core import Entourage, Tower, bits, members
@@ -70,35 +69,37 @@ def multiple(u: Entourage, k: int) -> Entourage:
     return acc
 
 
-@dataclass(frozen=True)
 class EntourageSequence:
     """One entourage per level from ``start`` up to the tower's top, plus a
     tail policy describing the entries beyond the top level."""
 
-    tower: Tower
-    start: int
-    entries: tuple[Entourage, ...]
-    tail_policy: Union[str, Entourage] = REPEAT_LAST
+    __slots__ = ("tower", "start", "entries", "tail_policy")
 
-    def __post_init__(self):
-        t = self.tower
-        if not 0 <= self.start <= t.top_level:
-            raise IndexOutOfRange(f"start level {self.start}")
-        if len(self.entries) != t.top_level - self.start + 1:
+    def __init__(
+        self,
+        tower: Tower,
+        start: int,
+        entries: tuple[Entourage, ...],
+        tail_policy: Union[str, Entourage] = REPEAT_LAST,
+    ):
+        self.tower, self.start, self.entries, self.tail_policy = tower, start, entries, tail_policy
+        t = tower
+        if not 0 <= start <= t.top_level:
+            raise IndexOutOfRange(f"start level {start}")
+        if len(entries) != t.top_level - start + 1:
             raise LevelMismatch(
-                f"expected entries for levels {self.start}..{t.top_level}, "
-                f"got {len(self.entries)}"
+                f"expected entries for levels {start}..{t.top_level}, "
+                f"got {len(entries)}"
             )
-        for offset, e in enumerate(self.entries):
-            n = self.start + offset
+        for offset, e in enumerate(entries):
+            n = start + offset
             if e.level != n or e.size != t.level_sizes[n]:
                 raise LevelMismatch(f"entry for level {n} has level {e.level}")
-        tail = self.tail_policy
-        if isinstance(tail, Entourage):
-            if tail.size != t.ground_size:
+        if isinstance(tail_policy, Entourage):
+            if tail_policy.size != t.ground_size:
                 raise LevelMismatch("tail entourage must live on the top level")
-        elif tail != REPEAT_LAST:
-            raise ValidationError(f"unknown tail policy {tail!r}")
+        elif tail_policy != REPEAT_LAST:
+            raise ValidationError(f"unknown tail policy {tail_policy!r}")
 
     def entry(self, n: int) -> Entourage:
         return self.entries[n - self.start]

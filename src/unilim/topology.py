@@ -22,9 +22,8 @@ entourages' connected components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Tower, bits, members
 from .errors import (
@@ -109,8 +108,7 @@ class TopologyFamily:
         return f"TopologyFamily(ground_size={self.ground_size}, nbhd_sizes={sizes})"
 
 
-@dataclass(frozen=True)
-class TopologyComparison:
+class TopologyComparison(NamedTuple):
     relation: str  # equal | A_finer | B_finer | incomparable
     witness: frozenset[int] | None = None
 

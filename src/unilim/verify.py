@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -101,13 +100,27 @@ def exhaustive_limit_distance(
     return Fraction(best, den)
 
 
-@dataclass
 class VerifyReport:
-    instance_id: str
-    theorem_id: str
-    verdict: bool
-    certificate: Any
-    wall_time: float = field(default=0.0, compare=False)
+    """One check's outcome.  Equality leaves out ``wall_time``."""
+
+    __slots__ = ("instance_id", "theorem_id", "verdict", "certificate", "wall_time")
+
+    def __init__(
+        self,
+        instance_id: str,
+        theorem_id: str,
+        verdict: bool,
+        certificate: Any,
+        wall_time: float = 0.0,
+    ):
+        self.instance_id, self.theorem_id = instance_id, theorem_id
+        self.verdict, self.certificate, self.wall_time = verdict, certificate, wall_time
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, VerifyReport) and (
+            (self.instance_id, self.theorem_id, self.verdict, self.certificate)
+            == (other.instance_id, other.theorem_id, other.verdict, other.certificate)
+        )
 
     def to_json(self) -> dict:
         # wall time is intentionally omitted so reports for a fixed seed

@@ -7,7 +7,13 @@ the copy.  A check kills a mutant when it fails on it (a non-zero exit or
 a timeout).  Every mutant names the checks expected to kill it; the script
 exits 1 if any of them lets its mutant survive, and 0 otherwise.
 
-    python tests/mutants.py          # every mutant, about a minute on 2 cores
+An equivalent mutant changes the code but not what it computes, so no
+check can kill it (DeMillo, Lipton & Sayward 1978).  It names no killers
+and gives its reason instead; the script still runs it, reports it as
+equivalent rather than as a survivor, and exits 1 if any check kills it,
+since then it was not equivalent.
+
+    python tests/mutants.py          # every mutant, about 90 s on 2 cores
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -34,7 +40,8 @@ class Mutant(NamedTuple):
     old: str  # must occur exactly once in the file
     new: str
     test_file: str  # under tests/
-    killers: tuple[str, ...]  # "verify" and/or "tests"
+    killers: tuple[str, ...]  # "verify" and/or "tests"; none when equivalent
+    equivalent: str = ""  # why no check can kill it, in one line
 
 
 MUTANTS = {
@@ -44,6 +51,15 @@ MUTANTS = {
         "TopologyFamily(tower.ground_size, [1 << x for x in range(tower.ground_size)])",
         "test_topology.py",
         ("verify", "tests"),
+    ),
+    "tlim_topology fixpoint stopped after one pass": Mutant(
+        "topology.py",
+        "while changed:",
+        "for _ in range(1):",
+        "test_topology.py",
+        (),
+        "consecutive levels agree on zero-pairs, so one ascending sweep already "
+        "reaches the top zero-class",
     ),
     "ulim_topology on the full square": Mutant(
         "topology.py",
@@ -342,6 +358,22 @@ MUTANTS = {
         "test_generate_verify.py",
         ("verify", "tests"),
     ),
+    # verify builds neither an empty chain nor a profile with fewer points
+    # than levels; only the tests' bad inputs do
+    "Chain accepts an empty point tuple": Mutant(
+        "limitmetric.py",
+        "if not points:",
+        "if False:",
+        "test_records.py",
+        ("tests",),
+    ),
+    "Profile accepts max_size below levels": Mutant(
+        "generate.py",
+        "if levels < 1 or max_size < levels:",
+        "if levels < 1:",
+        "test_generate_verify.py",
+        ("tests",),
+    ),
     # "0..20" then runs seeds 0 to 20, one more report than the digest test
     # pins; verify itself still passes on every seed
     "--seeds lo..hi includes hi": Mutant(
@@ -398,7 +430,7 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
         return 2
-    survivors = []
+    failures, equivalent = [], 0
     with tempfile.TemporaryDirectory(prefix="unilim-mutants-") as tmp:
         workdir = Path(tmp)
         # a kill means something only if the unmutated copy passes
@@ -409,17 +441,25 @@ def main(argv: list[str]) -> int:
             mutant = MUTANTS[name]
             start = time.perf_counter()
             killed = run_mutant(mutant, workdir)
-            missed = [c for c in mutant.killers if not killed[c]]
             by = ", ".join(c for c, k in killed.items() if k) or "nothing"
-            print(f"{'SURVIVED' if missed else 'killed':8} {name}: by {by} "
-                  f"(expected {', '.join(mutant.killers)}; tests/{mutant.test_file}; "
-                  f"{time.perf_counter() - start:.1f} s)")
-            if missed:
-                survivors.append(name)
-    if survivors:
-        print(f"{len(survivors)} of {len(names)} mutants survived an expected killer")
+            took = f"tests/{mutant.test_file}; {time.perf_counter() - start:.1f} s"
+            if mutant.equivalent:
+                equivalent += 1
+                failed = any(killed.values())
+                print(f"{'KILLED' if failed else 'equivalent':10} {name}: by {by} "
+                      f"({mutant.equivalent}; {took})")
+            else:
+                failed = any(not killed[c] for c in mutant.killers)
+                print(f"{'SURVIVED' if failed else 'killed':10} {name}: by {by} "
+                      f"(expected {', '.join(mutant.killers)}; {took})")
+            if failed:
+                failures.append(name)
+    if failures:
+        print(f"{len(failures)} of {len(names)} mutants survived an expected killer "
+              "or were killed though marked equivalent")
         return 1
-    print(f"all {len(names)} mutants killed by their expected killers")
+    print(f"all {len(names) - equivalent} mutants killed by their expected killers; "
+          f"{equivalent} equivalent, killed by nothing")
     return 0
 
 

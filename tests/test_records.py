@@ -1,0 +1,217 @@
+"""The record classes: what importing them costs, and the contract each
+keeps now that none is generated at import time.
+
+Every record is a ``typing.NamedTuple`` or a plain class with
+``__slots__`` and an explicit ``__init__``; these tests pin their
+signatures, defaults, validation errors, immutability and equality.
+"""
+
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import unilim
+from unilim.constructions import GroupLimitVerdict, GroupTower, PointedSpace
+from unilim.core import Pseudometric, Tower
+from unilim.errors import GroundMismatch, LevelMismatch, ProfileTooLarge, ValidationError
+from unilim.fixtures import binary_group_tower, three_point_sequence, three_point_tower
+from unilim.generate import GenerationInstance, Instance, Profile, generate_instance
+from unilim.limitmetric import Chain, GenerationVerdict
+from unilim.regularity import (
+    ContinuityVerdict, CriterionVerdict, HomeoVerdict, RegularityVerdict, SpaceMap,
+)
+from unilim.relations import REPEAT_LAST, EntourageSequence
+from unilim.topology import TopologyComparison
+from unilim.verify import VerifyReport
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """Python on args, importing ``unilim`` from where this process did."""
+    env = {**os.environ, "PYTHONPATH": str(Path(unilim.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, most of what a fresh ``import unilim.cli`` used to cost."""
+    probe = _run(
+        "-c", "import sys, unilim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+    help_run = _run("-m", "unilim", "--help")
+    assert help_run.returncode == 0, help_run.stderr
+    assert help_run.stdout.startswith("usage: unilim")
+
+
+def _s3_tower() -> tuple[Tower, tuple, tuple]:
+    """The symmetric group on three letters, identity first, on a one-level
+    tower with the zero table: a group that is not abelian."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    op = tuple(tuple(index[tuple(p[i] for i in q)] for q in perms) for p in perms)
+    neg = tuple(next(b for b in range(6) if op[a][b] == 0) for a in range(6))
+    tower = Tower([f"g{k}" for k in range(6)], [6], [Pseudometric.zero(6)])
+    return tower, op, neg
+
+
+def _cases() -> dict:
+    """{record: (class, field names in signature order, one value per
+    field, the defaults of the trailing fields)}."""
+    t = three_point_tower()
+    seq = three_point_sequence()
+    zeros = tuple(t.zero_relation(n) for n in range(t.num_levels))
+    g = binary_group_tower()
+    d = t.metric(2)
+    top = zeros[-1]
+    inst = generate_instance(0)
+    regular = RegularityVerdict(False, 1, top, zeros[1], 2, False)
+    continuity = ContinuityVerdict(False, frozenset({0}))
+    criterion = CriterionVerdict(True, False, 1, (0, 1), (regular,), continuity, True)
+    return {
+        "GroupTower": (GroupTower, ("tower", "op", "neg"), (g.tower, g.op, g.neg), {}),
+        "GroupLimitVerdict": (
+            GroupLimitVerdict,
+            ("ball_equals_product", "commutation", "square_inclusion", "detail"),
+            (True, False, True, "why"),
+            {"detail": ""},
+        ),
+        "PointedSpace": (PointedSpace, ("metric", "basepoint"), (d, 2), {"basepoint": 0}),
+        "Profile": (Profile, ("levels", "max_size"), (4, 8), {"levels": 3, "max_size": 6}),
+        "GenerationInstance": (
+            GenerationInstance, ("u", "ladder", "seq"), (top, zeros, seq), {},
+        ),
+        "Instance": (
+            Instance,
+            (
+                "seed", "tower", "seq", "space_map", "targets", "generation", "group",
+                "factors", "second_tower",
+            ),
+            (
+                inst.seed, inst.tower, inst.seq, inst.space_map, inst.targets,
+                inst.generation, inst.group, inst.factors, inst.second_tower,
+            ),
+            {"second_tower": None},
+        ),
+        "Chain": (Chain, ("points",), ((0, 2, 1),), {}),
+        "GenerationVerdict": (
+            GenerationVerdict, ("confirmed", "counterexample"), (False, (1, 2)),
+            {"counterexample": None},
+        ),
+        "SpaceMap": (SpaceMap, ("source", "target", "values"), (t, t, (0, 1, 2)), {}),
+        "RegularityVerdict": (
+            RegularityVerdict,
+            ("regular", "level", "failing_u", "failing_v", "failing_point", "subset_closed"),
+            (False, 1, top, zeros[1], 2, False),
+            {"failing_u": None, "failing_v": None, "failing_point": None, "subset_closed": True},
+        ),
+        "ContinuityVerdict": (
+            ContinuityVerdict, ("continuous", "witness_open"), (False, frozenset({0})),
+            {"witness_open": None},
+        ),
+        "CriterionVerdict": (
+            CriterionVerdict,
+            (
+                "hypothesis", "conclusion", "discontinuous_level", "zero_pair", "regularity",
+                "continuity", "theorem_violation",
+            ),
+            (True, False, 1, (0, 1), (regular,), continuity, True),
+            {
+                "discontinuous_level": None, "zero_pair": None, "regularity": (),
+                "continuity": None, "theorem_violation": False,
+            },
+        ),
+        "HomeoVerdict": (
+            HomeoVerdict,
+            ("homeomorphism", "forward", "backward", "transport_comparison"),
+            (False, criterion, criterion, TopologyComparison("A_finer", frozenset({1}))),
+            {},
+        ),
+        "EntourageSequence": (
+            EntourageSequence, ("tower", "start", "entries", "tail_policy"),
+            (t, 1, zeros[1:], top), {"tail_policy": REPEAT_LAST},
+        ),
+        "TopologyComparison": (
+            TopologyComparison, ("relation", "witness"), ("B_finer", frozenset({0, 2})),
+            {"witness": None},
+        ),
+        "VerifyReport": (
+            VerifyReport,
+            ("instance_id", "theorem_id", "verdict", "certificate", "wall_time"),
+            ("seed3", "T5", True, {"hypothesis": True}, 0.5),
+            {"wall_time": 0.0},
+        ),
+    }
+
+
+# one bad input per validating record: (build, error class, message)
+BAD_INPUTS = {
+    "Chain": (lambda: Chain(()), ValidationError, "chain must be nonempty"),
+    "Profile": (lambda: Profile(0, 6), ProfileTooLarge, "levels=0, max_size=6"),
+    "SpaceMap": (
+        lambda: SpaceMap(three_point_tower(), three_point_tower(), (0, 1, 3)),
+        GroundMismatch, "target index 3 out of range",
+    ),
+    "EntourageSequence": (
+        lambda: EntourageSequence(
+            three_point_tower(), 1, (three_point_tower().zero_relation(2),) * 2
+        ),
+        LevelMismatch, "entry for level 1 has level 2",
+    ),
+    "PointedSpace": (
+        lambda: PointedSpace(Pseudometric([[0, 1], [2, 0]])),
+        ValidationError, "asymmetric pair (1,0)",
+    ),
+    "GroupTower": (lambda: GroupTower(*_s3_tower()), ValidationError, "group is not abelian"),
+}
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_record_contract(name):
+    cls, fields, values, defaults = CASES[name]
+    assert cls.__name__ == name
+    assert issubclass(cls, tuple) or "__slots__" in vars(cls)
+
+    def attrs(record):
+        return [getattr(record, f) for f in fields]
+
+    positional = cls(*values)
+    assert all(a is v for a, v in zip(attrs(positional), values))
+    assert all(a is v for a, v in zip(attrs(cls(**dict(zip(fields, values)))), values))
+    required = len(fields) - len(defaults)
+    short = cls(*values[:required])
+    assert attrs(short)[required:] == list(defaults.values())
+    assert list(defaults) == list(fields[required:])
+
+    if name in BAD_INPUTS:
+        build, error, message = BAD_INPUTS[name]
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+    if issubclass(cls, tuple):
+        with pytest.raises(AttributeError):
+            setattr(positional, fields[0], values[0])
+
+
+def test_value_equality_leaves_out_the_run_only_fields():
+    """Reports compare without their wall time, instances without their
+    second tower; the records the tests compare by value still do."""
+    r = VerifyReport("seed0", "T3", True, {"pairs_checked": 9}, wall_time=1.23)
+    assert r == VerifyReport("seed0", "T3", True, {"pairs_checked": 9}, wall_time=9.87)
+    assert r != VerifyReport("seed0", "T3", False, {"pairs_checked": 9}, wall_time=1.23)
+    a = generate_instance(5)
+    fields = [getattr(a, f) for f in CASES["Instance"][1]]
+    b = Instance(*fields[:-1], second_tower=a.tower)
+    assert b == a and hash(b) == hash(a)
+    assert Instance(6, *fields[1:]) != a
+    for name in ("GroupTower", "PointedSpace", "SpaceMap"):
+        cls, _, values, _ = CASES[name]
+        x, y = cls(*values), cls(*values)
+        assert x is not y and x == y and hash(x) == hash(y)

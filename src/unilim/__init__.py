@@ -8,7 +8,6 @@ from .constructions import (
     GroupLimitVerdict,
     GroupTower,
     PointedSpace,
-    box_topology,
     box_tower,
     check_box_limit,
     check_group_limit,

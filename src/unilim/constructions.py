@@ -1,10 +1,11 @@
 """Derived towers and their coincidence checks: binary products,
 invariant-metric abelian group towers, and truncated small box products.
 
-Product and box levels are built from spread factor rows: per level (per
-coordinate for a box), each factor row is spread once over the level's
-points, as ints over the common denominator, and each row of the derived
-table is the entrywise max of the spread rows its coordinates pick.
+Products and boxes share one core: points are tuples of factor points,
+ordered so that each level is a prefix (``_coordinates``); tables are the
+coordinate max of factor rows spread once over them (``_coordinate_max``);
+and the topology they are compared with has boxes of factor neighborhoods
+as minimal neighborhoods (``product_topology``).
 
 A derived tower is checked by its construction, not re-validated: the
 coordinate max of validated pseudometrics is a pseudometric whose
@@ -21,6 +22,7 @@ oracle; nothing here argues by hand.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -77,90 +79,98 @@ def _certify_coordinate_max(
         )
 
 
-# -- binary products ---------------------------------------------------------
-
-
-def _product_order(a: Tower, b: Tower) -> list[tuple[int, int]]:
-    """Pairs sorted so that each product level is a prefix: by the level at
-    which the pair first appears, then lexicographically."""
-    return list(_pair_order(a._heights, b._heights))
+# -- the coordinate-product core ---------------------------------------------
 
 
 @functools.lru_cache(maxsize=1)
-def _pair_order(ha: tuple[int, ...], hb: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """``_product_order`` from the factors' heights, kept for the last
-    factors asked for: ``product_tower`` and ``product_index`` both ask."""
-    # the pairs start in lexicographic order and the sort is stable
-    return tuple(sorted(
-        itertools.product(range(len(ha)), range(len(hb))),
-        key=lambda p: max(ha[p[0]], hb[p[1]]),
-    ))
+def _coordinates(
+    heights: tuple[tuple[int, ...], ...], names: tuple[tuple[str, ...], ...], levels: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...], tuple[int, ...]]:
+    """Every tuple of coordinate values, where value v of coordinate c
+    appears at level ``heights[c][v]`` and a tuple at the max of its
+    values' levels: the tuples, sorted stably by level from lexicographic
+    order; their labels "(n0,n1,...)" from ``names``; and the sizes of the
+    ``levels`` levels.  Kept for the last shape, which a construction and
+    its check both ask for."""
+    # the level of each tuple, in lexicographic order
+    tops = heights[0]
+    for h in heights[1:]:
+        tops = [t if t > x else x for t in tops for x in h]
+    values = itertools.product(*(range(len(h)) for h in heights))
+    keyed = sorted(zip(tops, values, itertools.product(*names)), key=operator.itemgetter(0))
+    height, tuples, named = zip(*keyed)
+    sizes = tuple(bisect.bisect_right(height, n) for n in range(levels))
+    return tuples, tuple([f"({','.join(n)})" for n in named]), sizes
+
+
+def _coordinate_max(
+    tables: Sequence[Pseudometric], points: Sequence[tuple[int, ...]],
+    level: int, labels: Sequence[str],
+) -> Pseudometric:
+    """The table of d(p, q) = max over c of tables[c](p[c], q[c]) on
+    ``points``, certified against ``tables``.  Per coordinate c, each
+    factor row is spread once over the points' c-th coordinates, as ints
+    over the common denominator, and the row of p takes in the spread row
+    of p[c]."""
+    den = math.lcm(*[t.den for t in tables])
+    dist: list = []
+    for c, (t, col) in enumerate(zip(tables, zip(*points))):
+        f = den // t.den
+        spread = [[row[y] * f for y in col] for row in t.numer]
+        rows = map(spread.__getitem__, col)
+        dist = list(rows) if c == 0 else [
+            [x if x > y else y for x, y in zip(r, s)] for r, s in zip(dist, rows)
+        ]
+    d = Pseudometric._from_numer(den, dist)
+    _certify_coordinate_max(tables, points, d, level, labels)
+    return d
+
+
+def product_topology(
+    points: Sequence[tuple[int, ...]], nbhds: Sequence[Sequence[int]]
+) -> TopologyFamily:
+    """The product topology on ``points``, tuples of factor points, given
+    the minimal neighborhood ``nbhds[c][v]`` of each v in each factor c:
+    the minimal neighborhood of p is the AND over the coordinates c of the
+    points whose c-th coordinate lies in ``nbhds[c][p[c]]``."""
+    nbhd: list[int] = []
+    for c, (masks, col) in enumerate(zip(nbhds, zip(*points))):
+        at = [0] * len(masks)
+        for k, v in enumerate(col):
+            at[v] |= 1 << k
+        # the masks of distinct values are disjoint: their sum is their union
+        strips = [sum(at[v] for v in bits(m)) for m in masks]
+        strip = list(map(strips.__getitem__, col))
+        nbhd = strip if c == 0 else list(map(operator.and_, nbhd, strip))
+    return TopologyFamily(len(points), nbhd)
+
+
+# -- binary products ---------------------------------------------------------
 
 
 def product_tower(a: Tower, b: Tower) -> Tower:
     """Level-wise product with the coordinate-max pseudometric, which
-    presents the product uniformity.
-
-    Per level, each factor row is spread once over the level's pairs, over
-    the common denominator: ``ra[i][k]`` is d_a(i, i_k) for the k-th pair
-    (i_k, j_k), and ``rb[j][k]`` is d_b(j, j_k).  The row of the pair (i, j)
-    is then the entrywise max of ``ra[i]`` and ``rb[j]``.  Every level is
-    certified against the factor tables."""
+    presents the product uniformity.  A pair appears at the higher of its
+    coordinates' heights, so each level is a prefix of the pairs."""
     if a.num_levels != b.num_levels:
         raise LevelCountMismatch(f"{a.num_levels} levels vs {b.num_levels}")
-    order = _product_order(a, b)
-    labels = [f"({a.labels[i]},{b.labels[j]})" for i, j in order]
-    sizes = [a.level_sizes[n] * b.level_sizes[n] for n in range(a.num_levels)]
-    metrics = []
-    for n in range(a.num_levels):
-        da, db = a.metric(n), b.metric(n)
-        den = math.lcm(da.den, db.den)
-        fa, fb = den // da.den, den // db.den
-        pts = order[: sizes[n]]
-        first = [i for i, _ in pts]
-        second = [j for _, j in pts]
-        ra = [[row[i2] * fa for i2 in first] for row in da.numer]
-        rb = [[row[j2] * fb for j2 in second] for row in db.numer]
-        dist = [[x if x > y else y for x, y in zip(ra[i], rb[j])] for i, j in pts]
-        d = Pseudometric._from_numer(den, dist)
-        _certify_coordinate_max([da, db], pts, d, n, labels)
-        metrics.append(d)
+    points, labels, sizes = _coordinates(
+        (a._heights, b._heights), (a.labels, b.labels), a.num_levels
+    )
+    metrics = [
+        _coordinate_max([a.metric(n), b.metric(n)], points[:m], n, labels)
+        for n, m in enumerate(sizes)
+    ]
     return Tower._derived(labels, sizes, metrics)
-
-
-def product_index(a: Tower, b: Tower) -> dict[tuple[int, int], int]:
-    return {p: k for k, p in enumerate(_product_order(a, b))}
-
-
-def product_topology(
-    ta: TopologyFamily, tb: TopologyFamily, index: dict[tuple[int, int], int]
-) -> TopologyFamily:
-    """Product of two finite topologies on the indexed pair set: the
-    minimal neighborhood of a pair (i, j) is the rectangle of the factors'
-    minimal neighborhoods, ``rows[i] & cols[j]``, where ``rows[i]`` holds
-    the pairs whose first coordinate lies in U_i and ``cols[j]`` those
-    whose second coordinate lies in U_j."""
-    first = [0] * ta.ground_size
-    second = [0] * tb.ground_size
-    for (i, j), k in index.items():
-        first[i] |= 1 << k
-        second[j] |= 1 << k
-    # the masks of distinct coordinates are disjoint: their sum is their union
-    rows = [sum(first[i2] for i2 in bits(m)) for m in ta.min_nbhd]
-    cols = [sum(second[j2] for j2 in bits(m)) for m in tb.min_nbhd]
-    nbhd = [0] * len(index)
-    for (i, j), k in index.items():
-        nbhd[k] = rows[i] & cols[j]
-    return TopologyFamily(len(index), nbhd)
 
 
 def check_multiplicativity(a: Tower, b: Tower, prod: Tower) -> TopologyComparison:
     """Limit topology of the product tower ``prod = product_tower(a, b)``
     versus the product of the limit topologies; the expected verdict is
     "equal"."""
-    lhs = ulim_topology(prod)
-    rhs = product_topology(ulim_topology(a), ulim_topology(b), product_index(a, b))
-    return compare_topologies(lhs, rhs)
+    points = _coordinates((a._heights, b._heights), (a.labels, b.labels), a.num_levels)[0]
+    rhs = product_topology(points, [ulim_topology(a).min_nbhd, ulim_topology(b).min_nbhd])
+    return compare_topologies(ulim_topology(prod), rhs)
 
 
 # -- abelian group towers ----------------------------------------------------
@@ -320,18 +330,14 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
 
 def coordinate_tuples(
     sizes: Sequence[int], basepoints: Sequence[int]
-) -> tuple[list[tuple[int, ...]], list[str], list[int]]:
-    """Every tuple with coordinate i in range(sizes[i]), sorted by (the last
-    coordinate off its basepoint, tuple), so that the tuples equal to the
-    basepoints beyond coordinate n form a prefix, level n; with the labels
-    "(c0,c1,...)" and the level sizes, the cumulative products of ``sizes``."""
-
-    def height(tup: tuple[int, ...]) -> int:
-        return max((i for i, (c, b) in enumerate(zip(tup, basepoints)) if c != b), default=0)
-
-    tuples = sorted(itertools.product(*map(range, sizes)), key=lambda t: (height(t), t))
-    labels = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
-    return tuples, labels, list(itertools.accumulate(sizes, operator.mul))
+) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...], tuple[int, ...]]:
+    """Every tuple with coordinate c in range(sizes[c]), ordered so that
+    the tuples equal to the basepoints beyond coordinate n form a prefix,
+    level n; with the labels "(v0,v1,...)" and the level sizes, the
+    cumulative products of ``sizes``."""
+    bases = enumerate(zip(sizes, basepoints))
+    heights = tuple(tuple(0 if v == b else c for v in range(s)) for c, (s, b) in bases)
+    return _coordinates(heights, tuple(tuple(map(str, range(s))) for s in sizes), len(sizes))
 
 
 class PointedSpace:
@@ -352,66 +358,28 @@ class PointedSpace:
         return hash((self.metric, self.basepoint))
 
 
-def _box_coordinates(factors: Sequence[PointedSpace], depth: int):
-    """``coordinate_tuples`` over the first ``depth`` factors."""
-    return _box_order(
-        tuple(f.metric.size for f in factors[:depth]), tuple(f.basepoint for f in factors[:depth])
-    )
-
-
-@functools.lru_cache(maxsize=1)
-def _box_order(sizes: tuple[int, ...], basepoints: tuple[int, ...]):
-    """``coordinate_tuples``, kept for the last factor shapes asked for:
-    ``box_tower`` and ``box_topology`` both ask.  Held as tuples, since the
-    callers share them."""
-    return tuple(map(tuple, coordinate_tuples(sizes, basepoints)))
-
-
 def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
     """Truncated small box product: level n holds the tuples supported on
-    the first n+1 coordinates, with the coordinate-max metric.  The top
-    table is certified against the factor tables, and every level is a
-    corner of it."""
+    the first n+1 coordinates, with the coordinate-max metric.  Every
+    level takes the max over all ``depth`` coordinates, so it is a corner
+    of the top table, the one table built and certified."""
     if not 1 <= depth <= len(factors):
         raise LevelCountMismatch(f"depth {depth} with {len(factors)} factors")
-    order, labels, sizes = _box_coordinates(factors, depth)
-    # each level is a prefix of the order and takes the max over all
-    # ``depth`` coordinates, so its table is a corner of the top one.  Per
-    # coordinate c, each factor row is spread once over the tuples' c-th
-    # coordinates; the row of tuple t takes in the spread row of t[c].
-    den = math.lcm(*(f.metric.den for f in factors[:depth]))
-    top = [[0] * len(order)] * len(order)
-    for c, f in enumerate(factors[:depth]):
-        fc = den // f.metric.den
-        coords = [t[c] for t in order]
-        spread = [[row[tc] * fc for tc in coords] for row in f.metric.numer]
-        top = [
-            [x if x > y else y for x, y in zip(row, spread[tc])] for row, tc in zip(top, coords)
-        ]
-    d = Pseudometric._from_numer(den, top)
-    _certify_coordinate_max([f.metric for f in factors[:depth]], order, d, depth - 1, labels)
+    spaces = factors[:depth]
+    points, labels, sizes = coordinate_tuples(
+        [f.metric.size for f in spaces], [f.basepoint for f in spaces]
+    )
+    d = _coordinate_max([f.metric for f in spaces], points, depth - 1, labels)
     return Tower._derived(labels, sizes, [*(d.restrict(m) for m in sizes[:-1]), d])
-
-
-def box_topology(factors: Sequence[PointedSpace], depth: int) -> TopologyFamily:
-    """The (truncated) box topology on the same indexed ground set:
-    minimal neighborhoods are boxes of factor zero-classes."""
-    order = _box_coordinates(factors, depth)[0]
-    index = {t: k for k, t in enumerate(order)}
-    zero_classes = [
-        [[j for j, v in enumerate(row) if v == 0] for row in f.metric.numer]
-        for f in factors[:depth]
-    ]
-    nbhd = [
-        sum(1 << index[b] for b in itertools.product(*(zc[c] for zc, c in zip(zero_classes, t))))
-        for t in order
-    ]
-    return TopologyFamily(len(order), nbhd)
 
 
 def check_box_limit(factors: Sequence[PointedSpace], depth: int, box: Tower) -> TopologyComparison:
     """Limit topology of the box tower ``box = box_tower(factors, depth)``
-    versus the box topology; the expected verdict is "equal"."""
-    lhs = ulim_topology(box)
-    rhs = box_topology(factors, depth)
-    return compare_topologies(lhs, rhs)
+    versus the (truncated) box topology, whose minimal neighborhoods are
+    boxes of factor zero-classes; the expected verdict is "equal"."""
+    spaces = factors[:depth]
+    points = coordinate_tuples([f.metric.size for f in spaces], [f.basepoint for f in spaces])[0]
+    zero_classes = [
+        [sum(1 << j for j, v in enumerate(row) if v == 0) for row in f.metric.numer] for f in spaces
+    ]
+    return compare_topologies(ulim_topology(box), product_topology(points, zero_classes))

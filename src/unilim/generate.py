@@ -202,8 +202,7 @@ def random_factors(rng: random.Random) -> list[PointedSpace]:
 
 
 class Instance:
-    """Everything the verification runners consume for one seed.  Equality
-    leaves out ``second_tower``."""
+    """Everything the verification runners consume for one seed."""
 
     __slots__ = (
         "seed", "tower", "seq", "space_map", "targets", "generation", "group", "factors",
@@ -225,18 +224,6 @@ class Instance:
         self.seed, self.tower, self.seq, self.space_map = seed, tower, seq, space_map
         self.targets, self.generation, self.group = targets, generation, group
         self.factors, self.second_tower = factors, second_tower
-
-    def _key(self) -> tuple:
-        return (
-            self.seed, self.tower, self.seq, self.space_map, self.targets, self.generation,
-            self.group, self.factors,
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Instance) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def instance_id(self) -> str:

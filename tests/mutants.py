@@ -169,19 +169,22 @@ MUTANTS = {
         "test_core.py",
         ("verify", "tests"),
     ),
+    # product and box tables share the coordinate max, so both then hold
+    # the min, which the certificate rejects
     "product takes the coordinate min": Mutant(
         "constructions.py",
-        "[[x if x > y else y for x, y in zip(ra[i], rb[j])]",
-        "[[x if x < y else y for x, y in zip(ra[i], rb[j])]",
+        "[x if x > y else y for x, y in zip(r, s)]",
+        "[x if x < y else y for x, y in zip(r, s)]",
         "test_constructions.py",
         ("verify", "tests"),
     ),
     # a spread row that reads the factor row at its own coordinate holds
-    # d(i, i) = 0 throughout, so no factor adds to the max
+    # d(i, i) = 0 throughout, so no factor adds to the max; box and product
+    # tables share the spread
     "box_tower spreads the row coordinate for the column coordinate": Mutant(
         "constructions.py",
-        "spread = [[row[tc] * fc for tc in coords] for row in f.metric.numer]",
-        "spread = [[row[r] * fc for tc in coords] for r, row in enumerate(f.metric.numer)]",
+        "spread = [[row[y] * f for y in col] for row in t.numer]",
+        "spread = [[row[r] * f for y in col] for r, row in enumerate(t.numer)]",
         "test_constructions.py",
         ("verify", "tests"),
     ),
@@ -194,19 +197,30 @@ MUTANTS = {
         "test_constructions.py",
         ("verify", "tests"),
     ),
-    # the certificate then expects the max over the first depth - 1
-    # coordinates, less than the table wherever the last one dominates
+    # the certificate then expects the max over all but the last coordinate,
+    # less than the table wherever the last one dominates (box and product
+    # tables share the certificate call)
     "box certificate skips a coordinate": Mutant(
         "constructions.py",
-        "_certify_coordinate_max([f.metric for f in factors[:depth]], order,",
-        "_certify_coordinate_max([f.metric for f in factors[:depth - 1]], order,",
+        "_certify_coordinate_max(tables, points, d, level, labels)",
+        "_certify_coordinate_max(tables[:-1], points, d, level, labels)",
         "test_constructions.py",
         ("verify", "tests"),
     ),
     "product_topology takes the union of the strips": Mutant(
         "constructions.py",
-        "nbhd[k] = rows[i] & cols[j]",
-        "nbhd[k] = rows[i] | cols[j]",
+        "list(map(operator.and_, nbhd, strip))",
+        "list(map(operator.or_, nbhd, strip))",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
+    # level 0 then holds no tuple, so every product, box and cyclic group
+    # tower fails its nesting check; verify stops while it generates its
+    # instances
+    "level sizes count tuples below the level": Mutant(
+        "constructions.py",
+        "bisect.bisect_right(height, n)",
+        "bisect.bisect_left(height, n)",
         "test_constructions.py",
         ("verify", "tests"),
     ),

@@ -4,10 +4,11 @@ Everything here is written in the most naive way possible: triple loops
 over pairs, exhaustive set enumeration, no bit tricks.
 """
 
+import operator
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations, product
 
-from unilim.constructions import GroupTower, coordinate_tuples
+from unilim.constructions import GroupTower
 from unilim.core import (
     Entourage, Pseudometric, Tower, bits, closure_in_place, members, shortest_path_closure,
 )
@@ -474,7 +475,7 @@ def fraction_cyclic_group_tower(orders, weights):
     """Reference for ``generate.cyclic_group_tower``: every level's weighted
     Hamming table summed on Fractions."""
     depth = len(orders)
-    tuples, labels, sizes = coordinate_tuples(orders, [0] * depth)
+    tuples, labels, sizes = keyed_coordinate_tuples(orders, [0] * depth)
     index = {t: k for k, t in enumerate(tuples)}
     weights = [Fraction(w) for w in weights]
     metrics = []
@@ -504,3 +505,35 @@ def rectangle_topology(ta, tb, index):
             1 << index[i2, j2] for i2 in bits(ta.min_nbhd[i]) for j2 in bits(tb.min_nbhd[j])
         )
     return TopologyFamily(n, nbhd)
+
+
+def keyed_coordinate_tuples(sizes, basepoints):
+    """Reference for ``constructions.coordinate_tuples``: every tuple with
+    coordinate i in range(sizes[i]), sorted by the key (the last coordinate
+    off its basepoint, tuple); with the labels "(c0,c1,...)" and the level
+    sizes, the cumulative products of ``sizes``."""
+
+    def height(tup):
+        return max((i for i, (c, b) in enumerate(zip(tup, basepoints)) if c != b), default=0)
+
+    tuples = sorted(product(*map(range, sizes)), key=lambda t: (height(t), t))
+    labels = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
+    return tuples, labels, list(accumulate(sizes, operator.mul))
+
+
+def enumerated_box_topology(factors, depth):
+    """Reference for the box topology ``constructions.check_box_limit``
+    compares against: the minimal neighborhood of each tuple is the set of
+    every tuple in the box of its coordinates' zero-classes, enumerated."""
+    order = keyed_coordinate_tuples(
+        [f.metric.size for f in factors[:depth]], [f.basepoint for f in factors[:depth]]
+    )[0]
+    index = {t: k for k, t in enumerate(order)}
+    zero_classes = [
+        [[j for j, v in enumerate(row) if v == 0] for row in f.metric.dist] for f in factors[:depth]
+    ]
+    nbhd = [
+        sum(1 << index[b] for b in product(*(zc[c] for zc, c in zip(zero_classes, t))))
+        for t in order
+    ]
+    return TopologyFamily(len(order), nbhd)

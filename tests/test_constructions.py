@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from unilim import io
 from unilim.constructions import (
     GroupTower,
-    _box_coordinates,
     _certify_coordinate_max,
-    _product_order,
+    _coordinates,
     PointedSpace,
     box_tower,
     check_box_limit,
     check_group_limit,
     check_multiplicativity,
+    coordinate_tuples,
     ordered_product_ball,
     product_topology,
     product_tower,
@@ -33,11 +33,13 @@ from unilim.generate import (
     random_group_tower,
     random_tower,
 )
-from unilim.topology import TopologyFamily
+from unilim.topology import TopologyFamily, ulim_topology
 from unilim.verify import run_theorem
 
 from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
-from .oracles import fraction_coordinate_max, rectangle_topology
+from .oracles import (
+    enumerated_box_topology, fraction_coordinate_max, keyed_coordinate_tuples, rectangle_topology,
+)
 
 
 def test_product_sizes(tower):
@@ -47,20 +49,15 @@ def test_product_sizes(tower):
 
 
 def test_product_heights_multiply(tower):
-    from unilim.constructions import product_index
-
     p = product_tower(tower, tower)
-    for (i, j), k in product_index(tower, tower).items():
-        assert p.height(k) == max(tower.height(i), tower.height(j))
+    for (i, x), (j, y) in itertools.product(enumerate(tower.labels), repeat=2):
+        assert p.height(p.index_of(f"({x},{y})")) == max(tower.height(i), tower.height(j))
 
 
 def test_product_distance_is_coordinate_max(tower):
-    from unilim.constructions import product_index
-
     p = product_tower(tower, tower)
-    idx = product_index(tower, tower)
     # d((a,b),(b,a)) at level 1 = max(d(a,b), d(b,a)) = 1
-    assert p.metric(1).dist[idx[(0, 1)]][idx[(1, 0)]] == 1
+    assert p.metric(1).dist[p.index_of("(a,b)")][p.index_of("(b,a)")] == 1
 
 
 def test_product_with_point_tower_is_isomorphic(tower):
@@ -69,12 +66,10 @@ def test_product_with_point_tower_is_isomorphic(tower):
     # sizes must strictly increase, so compare against a zero-metric factor:
     p = product_tower(tower, point)
     # distances are inherited from the non-degenerate factor on matching pairs
-    from unilim.constructions import product_index
-
-    idx = product_index(tower, point)
-    for i in range(3):
-        for j in range(3):
-            assert p.metric(2).dist[idx[(i, 0)]][idx[(j, 0)]] == tower.metric(2).dist[i][j]
+    for i, x in enumerate(tower.labels):
+        for j, y in enumerate(tower.labels):
+            pair = p.index_of(f"({x},p0)"), p.index_of(f"({y},p0)")
+            assert p.metric(2).dist[pair[0]][pair[1]] == tower.metric(2).dist[i][j]
 
 
 def test_product_level_count_mismatch(tower):
@@ -120,7 +115,9 @@ def test_product_topology_matches_rectangle_reference(ta, tb, row_major):
         index = {(i, j): i * nb + j for i, j in pairs}
     else:
         index = {(i, j): j * na + i for i, j in pairs}
-    assert product_topology(ta, tb, index) == rectangle_topology(ta, tb, index)
+    points = sorted(index, key=index.__getitem__)
+    got = product_topology(points, [ta.min_nbhd, tb.min_nbhd])
+    assert got == rectangle_topology(ta, tb, index)
 
 
 # -- group towers -------------------------------------------------------------
@@ -266,28 +263,69 @@ def test_product_levels_match_fraction_reference(drawn):
     (a, _), (b, _) = drawn
     for a, b in ((a, b), (a, _zero_tower(b)), (_zero_tower(a), b)):
         prod = product_tower(a, b)
-        order = _product_order(a, b)
+        order = _coordinates((a._heights, b._heights), (a.labels, b.labels), a.num_levels)[0]
         pairs = [(i, j) for i in range(a.ground_size) for j in range(b.ground_size)]
-        assert order == sorted(pairs, key=lambda p: (max(a.height(p[0]), b.height(p[1])), *p))
+        keyed = sorted((max(a.height(i), b.height(j)), i, j) for i, j in pairs)
+        assert list(order) == [(i, j) for _, i, j in keyed]
+        assert prod.labels == tuple(f"({a.labels[i]},{b.labels[j]})" for i, j in order)
+        assert prod.level_sizes == tuple(
+            a.level_sizes[n] * b.level_sizes[n] for n in range(a.num_levels)
+        )
         for n, m in enumerate(prod.level_sizes):
             ref = fraction_coordinate_max([a.metric(n), b.metric(n)], order[:m])
             assert same_table(prod.metric(n), ref)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(mixed_towers(3, 4), min_size=3, max_size=3), st.integers(1, 3), st.data())
-def test_box_levels_match_fraction_reference(drawn, depth, data):
-    # each factor is a level of two or more points of a mixed tower, or a
-    # zero metric of its size
+def _drawn_factors(drawn, data):
+    """Each factor is a level of two or more points of a mixed tower, or a
+    zero metric of its size, at a drawn basepoint."""
     factors = []
     for t, _ in drawn:
         d = data.draw(st.sampled_from([d for d in t.level_metrics if d.size > 1]))
-        factors.append(PointedSpace(data.draw(st.sampled_from([d, Pseudometric.zero(d.size)]))))
+        d = data.draw(st.sampled_from([d, Pseudometric.zero(d.size)]))
+        factors.append(PointedSpace(d, data.draw(st.integers(0, d.size - 1))))
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_towers(3, 4), min_size=3, max_size=3), st.integers(1, 3), st.data())
+def test_box_levels_match_fraction_reference(drawn, depth, data):
+    factors = _drawn_factors(drawn, data)[:depth]
     box = box_tower(factors, depth)
-    order = _box_coordinates(factors, depth)[0]
-    tables = [f.metric for f in factors[:depth]]
+    order = coordinate_tuples([f.metric.size for f in factors], [f.basepoint for f in factors])[0]
+    tables = [f.metric for f in factors]
     for n, m in enumerate(box.level_sizes):
         assert same_table(box.metric(n), fraction_coordinate_max(tables, order[:m]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed_towers(3, 4), min_size=3, max_size=3), st.integers(1, 3), st.data())
+def test_box_topology_matches_enumerated_reference(drawn, depth, data):
+    factors = _drawn_factors(drawn, data)
+    box = box_tower(factors, depth)
+    ref = enumerated_box_topology(factors, depth)
+    assert ulim_topology(box) == ref
+    assert check_box_limit(factors, depth, box).relation == "equal"
+    spaces = factors[:depth]
+    points = coordinate_tuples([f.metric.size for f in spaces], [f.basepoint for f in spaces])[0]
+    zero_classes = [
+        [sum(1 << j for j, v in enumerate(row) if v == 0) for row in f.metric.dist] for f in spaces
+    ]
+    assert product_topology(points, zero_classes) == ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+        lambda sizes: st.tuples(st.just(sizes), st.tuples(*[st.integers(0, s - 1) for s in sizes]))
+    )
+)
+def test_coordinate_tuples_match_keyed_reference(drawn):
+    sizes, basepoints = drawn
+    tuples, labels, level_sizes = coordinate_tuples(sizes, basepoints)
+    assert [list(tuples), list(labels), list(level_sizes)] == list(
+        keyed_coordinate_tuples(sizes, basepoints)
+    )
 
 
 # -- derived towers: the certified construction against full validation -------

@@ -201,16 +201,11 @@ def test_record_contract(name):
 
 
 def test_value_equality_leaves_out_the_run_only_fields():
-    """Reports compare without their wall time, instances without their
-    second tower; the records the tests compare by value still do."""
+    """Reports compare without their wall time; the records the tests
+    compare by value still do."""
     r = VerifyReport("seed0", "T3", True, {"pairs_checked": 9}, wall_time=1.23)
     assert r == VerifyReport("seed0", "T3", True, {"pairs_checked": 9}, wall_time=9.87)
     assert r != VerifyReport("seed0", "T3", False, {"pairs_checked": 9}, wall_time=1.23)
-    a = generate_instance(5)
-    fields = [getattr(a, f) for f in CASES["Instance"][1]]
-    b = Instance(*fields[:-1], second_tower=a.tower)
-    assert b == a and hash(b) == hash(a)
-    assert Instance(6, *fields[1:]) != a
     for name in ("GroupTower", "PointedSpace", "SpaceMap"):
         cls, _, values, _ = CASES[name]
         x, y = cls(*values), cls(*values)

@@ -51,23 +51,9 @@ def _print_entourage(tower: Tower, e: Entourage) -> None:
 
 
 def _tokenize(expr: str) -> list[str]:
-    out = []
-    cur = ""
-    for ch in expr:
-        if ch in "()[]":
-            if cur:
-                out.append(cur)
-                cur = ""
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append(cur)
-                cur = ""
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    return out
+    for ch in "()[]":
+        expr = expr.replace(ch, f" {ch} ")
+    return expr.split()
 
 
 class _ExprError(UnilimError):

@@ -56,57 +56,42 @@ def _over_common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, l
 
 
 def closure_in_place(d: list[list[int]]) -> list[list[int]]:
-    """Floyd-Warshall on a square int matrix, relaxing ``d`` in place;
-    returns ``d``.
+    """Floyd-Warshall on a square matrix of nonnegative ints, relaxing
+    ``d`` in place; returns ``d``.  Raises ``ValidationError`` on a
+    negative entry.
 
-    Runs on packed rows (SWAR): row i is one int P_i with d(i,j) + c in the
+    Runs on packed rows (SWAR): row i is one int P_i with d(i,j) in the
     w-bit field j, ONES has a 1 and H the top bit in every field.  Relaxing
     row i through k is d(i,j) <- min(d(i,j), d(i,k) + d(k,j)) for every j
-    at once: field j of s = d(i,k)*ONES + P_k is d(i,k) + d(k,j) + c, field
-    j of t = P_i + H - s is 2^(w-1) + d(i,j) - d(i,k) - d(k,j), whose top
-    bit is set iff s's entry is not larger, and subtracting t's low w-1 bits
-    in exactly those fields writes s's entry there.
-
-    The fields stay in range while every value, first to last, lies in an
-    interval [-c, span - c] holding 0: each field of P_i is in [0, span],
-    d(i,j) - d(i,k) - d(k,j) is in [-2 span, 2 span], and w is chosen so
-    2 span < 2^(w-1), so no field of t carries into or borrows from the
-    next.  Entries only decrease, so with no negative entry the interval
-    is [0, max] and c = 0.  Otherwise the pass through k at most triples
-    the most negative value L: a row relaxed before row k adds two values
-    >= L, row k relaxed through its own diagonal too, and a later row adds
-    d(i,k) >= L to row k's new entries >= 2L.  Over n passes no value falls
-    below -max|v| * 3^n, so c = max|v| * 4^(n+1) bounds |v| with a margin,
-    and span = 2c.
+    at once: field j of s = d(i,k)*ONES + P_k is d(i,k) + d(k,j), field j
+    of t = P_i + H - s is 2^(w-1) + d(i,j) - d(i,k) - d(k,j), whose top bit
+    is set iff s's entry is not larger, and subtracting t's low w-1 bits in
+    exactly those fields writes s's entry there.  Entries only decrease, so
+    every value stays in [0, max], d(i,j) - d(i,k) - d(k,j) in [-2 max, max],
+    and w is chosen so 2 max < 2^(w-1): no field of t carries into or
+    borrows from the next.
 
     P_k is read afresh for each i, so a row relaxes through row k as
     updated earlier in the same pass, as an entry-by-entry update would.
     """
     n = len(d)
-    low = min(map(min, d), default=0)
-    top = max(map(max, d), default=0)
-    if low >= 0:
-        c, span = 0, top
-    else:
-        c = max(top, -low) << (2 * n + 2)
-        span = 2 * c
-    w = (2 * span).bit_length() + 1
+    if min(map(min, d), default=0) < 0:
+        raise ValidationError("shortest-path closure of a table with a negative entry")
+    w = (2 * max(map(max, d), default=0)).bit_length() + 1
     shifts = range(0, n * w, w)
     ones = sum(1 << s for s in shifts)
     top_bit = w - 1
     h = ones << top_bit
     field = (1 << w) - 1
-    lift = c * ones
-    # field k of P_i is d(i,k) + c, so t = P_i + (H + c*ONES) - field*ONES - P_k
-    h_lift = h + lift
-    packed = [sum(map(lshift, row, shifts)) + lift for row in d]
+    # field k of P_i is d(i,k), so t = P_i + H - field*ONES - P_k
+    packed = [sum(map(lshift, row, shifts)) for row in d]
     for k, sk in enumerate(shifts):
         for i, pi in enumerate(packed):
-            t = pi + h_lift - (pi >> sk & field) * ones - packed[k]
+            t = pi + h - (pi >> sk & field) * ones - packed[k]
             m = t & h
             packed[i] = pi - (t & (m - (m >> top_bit)))
     for row, p in zip(d, packed):
-        row[:] = [(p >> s & field) - c for s in shifts]
+        row[:] = [p >> s & field for s in shifts]
     return d
 
 
@@ -115,7 +100,7 @@ def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fra
 
     Floyd-Warshall on the int numerators over the entries' common
     denominator, which is exact; the input must have a zero diagonal and be
-    symmetric.
+    symmetric, and a negative entry raises ``ValidationError``.
     """
     den, d = _over_common_denominator(matrix)
     closure_in_place(d)
@@ -493,7 +478,7 @@ class Entourage:
     destroys it); reflexivity is.
     """
 
-    __slots__ = ("level", "size", "rows", "_cols", "_closure", "_components")
+    __slots__ = ("level", "size", "rows", "_cols", "_components")
 
     def __init__(self, level: int, size: int, pairs: Iterable[tuple[int, int]]):
         rows = [0] * size
@@ -562,33 +547,14 @@ class Entourage:
         self._cols = tuple(cols)
         return self._cols
 
-    def closure(self) -> "Entourage":
-        """The reflexive-transitive closure, the union of all k-fold sums
-        k*U, by Warshall's algorithm on the bitmask rows: for each k, every
-        row holding k takes in row k.  Directed, so it needs no symmetry."""
-        try:
-            return self._closure
-        except AttributeError:
-            pass
-        rows = [r | 1 << i for i, r in enumerate(self.rows)]
-        for k in range(self.size):
-            rk, bit = rows[k], 1 << k
-            rows = [r | rk if r & bit else r for r in rows]
-        c = Entourage._from_rows(self.level, rows)
-        if self.columns() == self.rows:
-            # the closure of a symmetric relation is symmetric
-            c._cols = c.rows
-        c._closure = c
-        self._closure = c
-        return c
-
     def components(self) -> "Entourage":
         """The reflexive-transitive closure of a symmetric relation: each
         point is related to every point of its connected component
         (Hopcroft & Tarjan 1973).  A component grows from its lowest point,
         each round ORing in the rows of the points the last round reached,
         so every row is read once.  Raises ``ValidationError`` when the
-        relation is not symmetric; ``closure`` takes directed relations."""
+        relation is not symmetric; for a directed relation the closure is
+        the (size-1)-fold sum ``relations.multiple(u, size - 1)``."""
         try:
             return self._components
         except AttributeError:

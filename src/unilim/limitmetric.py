@@ -110,7 +110,8 @@ def _valley_row(
     n = t.ground_size
     den, w = _link_weights(seq)
     h = [t.height(p) for p in range(n)]
-    cost: list[float] = [math.inf] * (2 * n)  # inf: no chain reaches the state
+    # more than any chain weighs: no chain reaches the state yet
+    cost = [sum(map(sum, w)) + 1] * (2 * n)
     back: list[int | None] = [None] * (2 * n)
     cost[x] = 0
     # heights grow with the index, so every point higher than v comes after it

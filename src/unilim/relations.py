@@ -120,7 +120,7 @@ def sigma_sum(seq: EntourageSequence, upto) -> Entourage:
     """Sum of the sequence through level ``upto``, or the stabilized omega
     sum: the finite sum through the top level followed by every finite
     repeat of the tail entourage, which is the sum with the tail's
-    reflexive-transitive closure."""
+    reflexive-transitive closure, its (size-1)-fold sum."""
     t = seq.tower
     if upto == OMEGA:
         finite_top = t.top_level
@@ -135,7 +135,8 @@ def sigma_sum(seq: EntourageSequence, upto) -> Entourage:
         acc = compose(acc, seq.entry(n))
     if upto != OMEGA:
         return acc
-    return compose(acc.promote(t.top_level, t.ground_size), seq.tail().closure())
+    tail = seq.tail()
+    return compose(acc.promote(t.top_level, t.ground_size), multiple(tail, max(1, tail.size - 1)))
 
 
 def ball(x: int, u: Entourage) -> frozenset[int]:

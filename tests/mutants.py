@@ -91,10 +91,12 @@ MUTANTS = {
         "test_core.py",
         ("verify", "tests"),
     ),
-    "Warshall takes the original row k": Mutant(
-        "core.py",
-        "rk, bit = rows[k], 1 << k",
-        "rk, bit = self.rows[k], 1 << k",
+    # the sums then stop at 2*U, short of transitivity: a path of three
+    # links stays open, which T1's components and the omega-tail tests see
+    "multiple adds U to itself, not to the running sum": Mutant(
+        "relations.py",
+        "nxt = compose(acc, u)",
+        "nxt = compose(u, u)",
         "test_relations.py",
         ("verify", "tests"),
     ),
@@ -156,10 +158,19 @@ MUTANTS = {
     # a field of t, which then borrows from the next
     "packed closure fields one bit short": Mutant(
         "core.py",
-        "w = (2 * span).bit_length() + 1",
-        "w = max(1, (2 * span).bit_length())",
+        "w = (2 * max(map(max, d), default=0)).bit_length() + 1",
+        "w = max(1, (2 * max(map(max, d), default=0)).bit_length())",
         "test_core.py",
         ("verify", "tests"),
+    ),
+    # a negative entry can push a field of t below 0, which then borrows
+    # from the next; no generated table has one, so only the tests see it
+    "closure accepts a negative entry": Mutant(
+        "core.py",
+        "if min(map(min, d), default=0) < 0:",
+        "if False:",
+        "test_core.py",
+        ("tests",),
     ),
     # with the top bit in the mask, a relaxed field loses 2^(w-1) as well
     "closure mask keeps the top bit": Mutant(
@@ -244,7 +255,8 @@ MUTANTS = {
         ("verify", "tests"),
     ),
     # only states past the turn the DP has reached (u < v): the others still
-    # cost inf, and dropping those links would change values as well
+    # cost more than any chain, and dropping those links would change values
+    # as well
     "valley flat link taken past the turn": Mutant(
         "limitmetric.py",
         "s = u  # flat link, from the descent",
@@ -322,8 +334,8 @@ MUTANTS = {
     # checks base_ball (ROADMAP item 4)
     "sigma_sum's omega tail left unclosed": Mutant(
         "relations.py",
-        "seq.tail().closure())",
-        "seq.tail())",
+        "multiple(tail, max(1, tail.size - 1)))",
+        "tail)",
         "test_relations.py",
         ("tests",),
     ),

@@ -309,8 +309,10 @@ def brute_sigma(entourages, size):
 
 
 def fixpoint_closure(u):
-    """Reference for ``Entourage.closure``: add U to the sum until the
-    relation stops growing."""
+    """Reference for the reflexive-transitive closure of a reflexive U, the
+    (size-1)-fold sum that ``sigma_sum``'s omega tail and T1 take and
+    ``Entourage.components`` gives for a symmetric U: add U to the sum
+    until the relation stops growing."""
     acc = u
     while True:
         nxt = compose(acc, u)

@@ -3,7 +3,8 @@
 Each case runs ``cli.main`` in process on inputs written by ``unilim gen``
 and the ``fixtures`` module, and ``tests/cli_transcript.json`` holds the
 sha256 of its exit code, stdout and stderr.  A change that alters any
-byte of what ``gen``, ``product``, ``box`` or ``group`` print fails here.
+byte of what ``gen``, ``product``, ``box``, ``group``, ``rel``, ``limit``,
+``topo`` or ``check`` print fails here.
 
 The test never rewrites the file.  After a deliberate output change,
 regenerate it by hand from the repository root and commit it with the
@@ -29,10 +30,10 @@ import pytest
 from unilim import cli, fixtures
 from unilim import io as uio
 from unilim.constructions import PointedSpace
-from unilim.core import Pseudometric
-from unilim.generate import cyclic_group_tower
+from unilim.core import Entourage, Pseudometric
+from unilim.generate import cyclic_group_tower, generate_instance
 
-from .conftest import factor_to_json, group_to_json
+from .conftest import factor_to_json, group_to_json, map_to_json
 
 RECORD = Path(__file__).with_name("cli_transcript.json")
 
@@ -61,6 +62,82 @@ CASES: dict[str, list[str]] = {
     "group Z2xZ3 --check": ["group", "z2z3.json", "--radii", "1,1/2", "--check"],
 }
 
+REL_EXPRESSIONS = {
+    "sum": "(sum E_U E_V)",
+    "sum reversed": "(sum E_V E_U)",
+    "mul 2 of a sum": "(mul 2 (sum E_U E_V))",
+    "mul huge of a directed path": "(mul 99999999999999999 P)",
+    "sigma 1": "(sigma 1 [L1 E_V] repeat_last)",
+    "sigma 2": "(sigma 2 [L1 E_V] repeat_last)",
+    "sigma omega, symmetric tail": "(sigma omega [L1 E_V] E_U)",
+    "sigma omega, directed tail": "(sigma omega [L1 E_V] D)",
+    "sigma omega, directed path tail": "(sigma omega [E_U] P)",
+    "sigma omega, repeat_last": "(sigma omega [L1 P] repeat_last)",
+    "sigma w, repeat_last": "(sigma w [E_V] repeat_last)",
+    "ball by label": "(ball a (sum E_U E_V))",
+    "ball by index": "(ball 2 (sigma omega [L1 E_V] P))",
+    "whitespace and brackets": "\t(sum(mul 2 E_U)\u3000E_V\x1c)\n",
+    "unknown operation": "(frob E_U)",
+    "unexpected end": "(sigma 1 [",
+    "trailing token": "(sum E_U E_V))",
+    "unknown entourage": "(sum E_U NOPE)",
+    "non-integer multiple": "(mul x E_U)",
+}
+CASES.update(
+    (f"rel three-point {name}", ["rel", "--tower", "rel.json", "--expr", expr])
+    for name, expr in REL_EXPRESSIONS.items()
+)
+GEN_REL_EXPRESSIONS = {
+    "mul 5 of a directed chain": "(mul 5 C)",
+    "sigma omega, directed chain repeat_last": "(sigma omega [Z0 Z1 C] repeat_last)",
+    "sigma omega, reversed chain tail": "(sigma omega [Z0 Z1 C] R)",
+    "ball by label": "(ball x5 (sigma omega [Z0 Z1 C] repeat_last))",
+}
+CASES.update(
+    (f"rel gen0 {name}", ["rel", "--tower", "gen0_rel.json", "--expr", expr])
+    for name, expr in GEN_REL_EXPRESSIONS.items()
+)
+CASES.update({
+    "limit three-point": ["limit", "--tower", "three_point.json", "--seq", "three_point_seq.json"],
+    "limit three-point --witness a c": [
+        "limit", "--tower", "three_point.json", "--seq", "three_point_seq.json",
+        "--witness", "a", "c",
+    ],
+    "limit three-point --witness c a": [
+        "limit", "--tower", "three_point.json", "--seq", "three_point_seq.json",
+        "--witness", "c", "a",
+    ],
+})
+CASES.update(
+    (f"limit gen{seed} --witness {x} {y}",
+     ["limit", "--tower", f"gen{seed}.json", "--seq", f"gen{seed}_seq.json", "--witness", x, y])
+    for seed, x, y in ((0, "x0", "x5"), (1, "x4", "x0"), (2, "x1", "x5"), (3, "x0", "x3"),
+                       (4, "x2", "x1"))
+)
+CASES.update(
+    (f"topo {name}{flag}", ["topo", "--tower", f"{name}.json", *flag.split()])
+    for name in ("three_point", "gen0", "gen2", "gen3", "classes")
+    for flag in ("", " --compare tlim")
+)
+CASES.update({
+    "check glued criterion": ["check", "--tower", "glued_src.json", "--map", "glued_map.json",
+                              "--target", "glued_tgt.json"],
+    "check glued --direct": ["check", "--tower", "glued_src.json", "--map", "glued_map.json",
+                             "--target", "glued_tgt.json", "--direct"],
+    "check identity criterion": ["check", "--tower", "ident_src.json", "--map", "ident_map.json",
+                                 "--target", "ident_tgt.json"],
+    "check identity --direct": ["check", "--tower", "ident_src.json", "--map", "ident_map.json",
+                                "--target", "ident_tgt.json", "--direct"],
+    "check rescaled --homeo": ["check", "--tower", "homeo_src.json", "--map", "homeo_map.json",
+                               "--target", "homeo_tgt.json", "--homeo", "homeo_inv.json"],
+    "check swap is no inverse --homeo": ["check", "--tower", "three_point.json",
+                                         "--map", "ident.json", "--homeo", "swap.json"],
+    "check gen0 map criterion": ["check", "--tower", "gen0.json", "--map", "gen0_map.json",
+                                 "--target", "gen0_tgt.json"],
+    "check gen1 map --direct": ["check", "--tower", "gen1.json", "--map", "gen1_map.json",
+                                "--target", "gen1_tgt.json", "--direct"],
+})
+
 
 def _write_inputs() -> None:
     """The input files, in the current directory."""
@@ -81,6 +158,65 @@ def _write_inputs() -> None:
     uio.dump(factors, "gen_factors.json")
     uio.dump(group_to_json(fixtures.binary_group_tower()), "binary.json")
     uio.dump(group_to_json(cyclic_group_tower((2, 3), (Fraction(1), Fraction(1, 2)))), "z2z3.json")
+    _write_relation_inputs()
+    _write_limit_and_topo_inputs()
+    _write_map_inputs()
+
+
+def _entourage(level: int, size: int, arrows) -> Entourage:
+    return Entourage(level, size, [(i, i) for i in range(size)] + list(arrows))
+
+
+def _write_relation_inputs() -> None:
+    three = fixtures.three_point_tower()
+    uio.dump(uio.tower_to_json(three, {
+        "E_U": _entourage(2, 3, [(0, 1), (1, 0)]),  # a and b, both ways
+        "E_V": _entourage(2, 3, [(1, 2), (2, 1)]),  # b and c, both ways
+        "L1": _entourage(1, 2, [(1, 0)]),
+        "D": _entourage(2, 3, [(0, 1)]),
+        "P": _entourage(2, 3, [(0, 1), (1, 2)]),  # its closure adds (0, 2)
+    }), "rel.json")
+    gen0 = generate_instance(0).tower  # levels of 1, 4 and 6 points
+    uio.dump(uio.tower_to_json(gen0, {
+        "Z0": _entourage(0, 1, []),
+        "Z1": _entourage(1, 4, [(3, 1)]),
+        "C": _entourage(2, 6, [(i, i + 1) for i in range(5)]),
+        "R": _entourage(2, 6, [(i + 1, i) for i in range(5)]),
+    }), "gen0_rel.json")
+
+
+def _write_limit_and_topo_inputs() -> None:
+    seq = fixtures.three_point_sequence()
+    uio.dump({"metrics": [uio.metric_to_json(d) for d in seq.metrics]}, "three_point_seq.json")
+    for seed in GEN_SEEDS:
+        metrics = generate_instance(seed).seq.metrics
+        uio.dump({"metrics": [uio.metric_to_json(d) for d in metrics]}, f"gen{seed}_seq.json")
+    # each point joins the zero-class of a point of a lower level
+    uio.dump({"labels": ["f", "e", "d", "c", "b", "a"], "level_sizes": [2, 4, 6],
+              "metrics": [[[], [1]],
+                          [[], [1], [0, 1], [2, 2, 2]],
+                          [[], [1], [0, 1], [2, 2, 2], [1, 0, 1, 2], [2, 2, 2, 0, 2]]]},
+             "classes.json")
+
+
+def _write_map(name: str, f) -> None:
+    uio.dump(uio.tower_to_json(f.source), f"{name}_src.json")
+    uio.dump(uio.tower_to_json(f.target), f"{name}_tgt.json")
+    uio.dump(map_to_json(f.values), f"{name}_map.json")
+
+
+def _write_map_inputs() -> None:
+    _write_map("glued", fixtures.glued_map())
+    _write_map("ident", fixtures.identity_map())
+    h, h_inv = fixtures.rescaled_homeo(fixtures.three_point_tower())
+    _write_map("homeo", h)
+    uio.dump(map_to_json(h_inv.values), "homeo_inv.json")
+    uio.dump([0, 1, 2], "ident.json")
+    uio.dump([0, 2, 1], "swap.json")
+    for seed in (0, 1):
+        f = generate_instance(seed).space_map
+        uio.dump(uio.tower_to_json(f.target), f"gen{seed}_tgt.json")
+        uio.dump(map_to_json(f.values), f"gen{seed}_map.json")
 
 
 def _digest(argv: list[str]) -> str:

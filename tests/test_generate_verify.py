@@ -198,9 +198,9 @@ def test_l_mod_fails_on_a_bad_witness_chain(monkeypatch, pair, points, weight):
 
 
 def test_t1_requires_closures_to_equal_repeated_sums(monkeypatch):
-    # a closure that stops short of transitivity: T1 compares each top grid
-    # entourage's closure with its (size-1)-fold sum
-    monkeypatch.setattr(Entourage, "closure", lambda self: self)
+    # a sum that stops short of transitivity: T1 compares each top grid
+    # entourage's components with its (size-1)-fold sum
+    monkeypatch.setattr("unilim.verify.multiple", lambda u, k: u)
     r = run_theorem("T1", generate_instance(0))
     assert not r.verdict
     assert r.certificate == {
@@ -210,7 +210,7 @@ def test_t1_requires_closures_to_equal_repeated_sums(monkeypatch):
 
 def test_t1_requires_components_to_equal_closures(monkeypatch):
     # components that stop short of transitivity feed every top-level grid
-    # ball; T1 compares them with the Warshall closure
+    # ball; T1 compares them with the (size-1)-fold sum
     monkeypatch.setattr(Entourage, "components", lambda self: self)
     r = run_theorem("T1", generate_instance(0))
     assert not r.verdict

@@ -18,7 +18,7 @@ from unilim.relations import (
     sigma_sum,
 )
 
-from .conftest import diag, pairs
+from .conftest import diag, flat_tower, pairs
 from .oracles import (
     brute_ball,
     brute_compose,
@@ -228,7 +228,15 @@ def test_sigma_is_fixpoint(seed):
     assert pairs(s) == brute_sigma(entries, 3)
 
 
-# -- the omega tail as one closure, against the fixpoint loops it replaced ---
+# -- the omega tail as the (size-1)-fold sum, against the fixpoint loop -------
+
+
+def omega_tail(u):
+    """The omega sum of a one-level sequence whose one entry is the
+    diagonal and whose tail is ``u``: the closure the omega tail adds."""
+    n = u.size
+    seq = EntourageSequence(flat_tower([n]), 0, (diagonal_entourage(0, n),), u)
+    return sigma_sum(seq, OMEGA)
 
 
 @st.composite
@@ -245,10 +253,10 @@ def reflexive_relations(draw, max_size=12):
 @settings(max_examples=300, deadline=None)
 @given(reflexive_relations())
 def test_closure_matches_compose_until_stable(u):
-    c = u.closure()
-    assert c == fixpoint_closure(u)
+    c = multiple(u, max(1, u.size - 1))
+    assert c == omega_tail(u) == fixpoint_closure(u)
     assert c.columns() == transpose(c).rows
-    assert u.closure() is c and c.closure() is c
+    assert multiple(c, 2) == c
 
 
 @st.composite
@@ -274,7 +282,7 @@ def symmetric_relations(draw):
 @given(symmetric_relations())
 def test_components_match_closure(u):
     c = u.components()
-    assert c == u.closure() == fixpoint_closure(u)
+    assert c == multiple(u, max(1, u.size - 1)) == fixpoint_closure(u)
     assert c.columns() == transpose(c).rows
     assert u.components() is c
 
@@ -288,7 +296,9 @@ def test_components_refuse_a_directed_relation():
 def test_closure_follows_direction():
     # 0 -> 1 -> 2 only: the closure adds (0, 2) and nothing backwards
     u = Entourage(0, 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
-    assert pairs(u.closure()) == diag(3) | {(0, 1), (1, 2), (0, 2)}
+    c = multiple(u, 2)
+    assert pairs(c) == diag(3) | {(0, 1), (1, 2), (0, 2)}
+    assert c == omega_tail(u) == fixpoint_closure(u)
 
 
 @settings(max_examples=200, deadline=None)

@@ -245,11 +245,6 @@ class Pseudometric:
         den = self.den
         return [Fraction(v, den) for v in sorted({v for row in self.numer for v in row if v > 0})]
 
-    def zero_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j) for i, row in enumerate(self.numer) for j, v in enumerate(row) if v == 0
-        )
-
     def sublevel_pairs(self, eps: Fraction) -> frozenset[tuple[int, int]]:
         """The strict sublevel relation {d < eps}."""
         q, bound = eps.denominator, eps.numerator * self.den

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     MonotonePseudometricSequence,
     Pseudometric,
     Tower,
+    bits,
     closure_in_place,
 )
 from .errors import (
@@ -182,13 +182,13 @@ def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseud
     if not k <= to_level <= tower.top_level:
         raise IndexOutOfRange(f"target level {to_level}")
 
-    level_zero = tower.metric(k).zero_pairs()
-    for i, j in level_zero:
-        if rho.numer[i][j] != 0:
-            raise NotUniform(
-                f"pseudometric positive on zero-pair "
-                f"({tower.labels[i]},{tower.labels[j]}) of level {k}"
-            )
+    for i, row in enumerate(tower.zero_relation(k).rows):
+        for j in bits(row):
+            if rho.numer[i][j] != 0:
+                raise NotUniform(
+                    f"pseudometric positive on zero-pair "
+                    f"({tower.labels[i]},{tower.labels[j]}) of level {k}"
+                )
 
     cur = rho
     for n in range(k + 1, to_level + 1):
@@ -220,9 +220,13 @@ def _extend_one(tower: Tower, rho: Pseudometric, n: int) -> Pseudometric:
     and low the smallest numerator of d over the lower pairs where rho is
     positive.  The Lipschitz factor is L = (top / rho.den) / (low / d.den),
     so over the denominator rho.den * low, D = L * d has numerators
-    top * d.numer and rho has numerators low * rho.numer.  The glue minimum
-    over (a, b) is taken as the minimum over b of
-    (min over a of D(x, a) + rho(a, b)) + D(b, y)."""
+    top * d.numer and rho has numerators low * rho.numer.
+
+    The extension is the shortest-path closure of D with its lower square
+    overwritten by rho.  D dominates rho there and both are pseudometrics,
+    so any chain collapses to x - D - a - rho - b - D - y: the closure is
+    min(D(x, y), min over a, b below of D(x, a) + rho(a, b) + D(b, y)), the
+    two-sided gluing."""
     m_low = rho.size
     d = tower.metric(n)
     top = max(v for row in rho.numer for v in row)
@@ -234,19 +238,10 @@ def _extend_one(tower: Tower, rho: Pseudometric, n: int) -> Pseudometric:
         for dv, rv in zip(drow, rrow)
         if rv > 0
     )
-    big = [[top * v for v in row] for row in d.numer]
-    glue = [[low * v for v in row] for row in rho.numer]
-
-    out = []
-    for bx in big:
-        head = bx[:m_low]
-        # rho is symmetric, so its row b is its column b
-        reach = [min(map(add, head, g)) for g in glue]
-        row = bx
-        for rb, bb in zip(reach, big):
-            row = list(map(min, row, map(rb.__add__, bb)))
-        out.append(row)
-    return Pseudometric._from_numer(rho.den * low, out)
+    table = [[top * v for v in row] for row in d.numer]
+    for row, rrow in zip(table, rho.numer):
+        row[:m_low] = [low * v for v in rrow]
+    return Pseudometric._from_numer(rho.den * low, closure_in_place(table))
 
 
 def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometric:
@@ -262,11 +257,10 @@ def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometr
     """
     mutual = Entourage._from_rows(level, [r & c for r, c in zip(target.rows, target.columns())])
     comps = mutual.components().rows
-    if all(c & ~r == 0 for c, r in zip(comps, target.rows)):
-        m = len(comps)
-        return Pseudometric._from_numer(1, [[1 - (c >> j & 1) for j in range(m)] for c in comps])
-    d = tower.metric(level)
-    return Pseudometric._from_numer(1, [[0 if v == 0 else 1 for v in row] for row in d.numer])
+    if any(c & ~r for c, r in zip(comps, target.rows)):
+        comps = tower.zero_relation(level).rows
+    m = len(comps)
+    return Pseudometric._from_numer(1, [[1 - (c >> j & 1) for j in range(m)] for c in comps])
 
 
 def adequate_sequence(tower: Tower, targets: Sequence[Entourage]) -> MonotonePseudometricSequence:

@@ -197,9 +197,9 @@ def homeo_criterion(h: SpaceMap, h_inv: SpaceMap) -> HomeoVerdict:
     if ns != nt or sorted(h.values) != list(range(nt)):
         raise NotInverse("map is not a bijection of the top levels")
     # h is a bijection, so h_inv o h = id makes h o h_inv = id as well
-    for x in range(ns):
+    for x, label in enumerate(h.source.labels):
         if h_inv(h(x)) != x:
-            raise NotInverse(f"h_inv(h({x})) != {x}")
+            raise NotInverse(f"h_inv(h({label})) != {label}")
 
     fwd = continuity_criterion(h)
     bwd = continuity_criterion(h_inv)

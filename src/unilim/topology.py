@@ -214,23 +214,11 @@ def ulim_topology(tower: Tower) -> TopologyFamily:
 
 
 def tlim_topology(tower: Tower) -> TopologyFamily:
-    """Final topology: a set is open iff its trace on every level is a
-    union of that level's zero-classes."""
-    n = tower.ground_size
-    zero_cols = []
-    for lvl in range(tower.num_levels):
-        zero_cols.append(tower.zero_relation(lvl).columns())
-    nbhd = []
-    for x in range(n):
-        s = 1 << x
-        changed = True
-        while changed:
-            changed = False
-            for cols, size in zip(zero_cols, tower.level_sizes):
-                for y in bits(s & ((1 << size) - 1)):
-                    if cols[y] & ~s:
-                        s |= cols[y]
-                        changed = True
-        nbhd.append(s)
-    return TopologyFamily(n, nbhd)
-
+    """Final topology: a set is open iff its trace on every level is a union
+    of zero-classes, i.e. it is closed under every level's zero-relation, so
+    x's minimal neighborhood is its component in their union at the top."""
+    top, n = tower.top_level, tower.ground_size
+    union = tower.zero_relation(top)
+    for lvl in range(top):
+        union = union.union(tower.zero_relation(lvl).promote(top, n))
+    return TopologyFamily(n, union.components().rows)

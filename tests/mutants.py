@@ -54,12 +54,20 @@ MUTANTS = {
     ),
     "tlim_topology fixpoint stopped after one pass": Mutant(
         "topology.py",
-        "while changed:",
-        "for _ in range(1):",
+        "for lvl in range(top):",
+        "for lvl in range(0):",
         "test_topology.py",
         (),
-        "consecutive levels agree on zero-pairs, so one ascending sweep already "
-        "reaches the top zero-class",
+        "consecutive levels agree on zero-pairs, so every level's zero-relation "
+        "lies inside the top one",
+    ),
+    # points born at the top level then lose the zero-pairs they make there
+    "tlim leaves out the top level's zero-relation": Mutant(
+        "topology.py",
+        "union = tower.zero_relation(top)\n",
+        "union = tower.zero_relation(0).promote(top, n)\n",
+        "test_topology.py",
+        ("verify", "tests"),
     ),
     "ulim_topology on the full square": Mutant(
         "topology.py",
@@ -284,12 +292,21 @@ MUTANTS = {
         "test_limitmetric.py",
         ("verify", "tests"),
     ),
+    # the closure then glues D to itself, not to rho: the extension no
+    # longer restricts to the piece it extends, which no verify check reads
+    "extension keeps D on the lower square": Mutant(
+        "limitmetric.py",
+        "row[:m_low] = [low * v for v in rrow]",
+        "row[:m_low] = row[:m_low]",
+        "test_limitmetric.py",
+        ("tests",),
+    ),
     # a component of the mutual pairs of a target that is not transitive
     # escapes the target, so {d_n < 1} is no longer inside it
     "target indicator keeps components that escape the target": Mutant(
         "limitmetric.py",
-        "if all(c & ~r == 0 for c, r in zip(comps, target.rows)):",
-        "if True:",
+        "if any(c & ~r for c, r in zip(comps, target.rows)):",
+        "if False:",
         "test_limitmetric.py",
         ("verify", "tests"),
     ),

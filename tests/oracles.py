@@ -213,6 +213,32 @@ def fraction_extend_one(tower, rho, n):
     return Pseudometric(out)
 
 
+def glued_extension(tower, rho, n):
+    """Reference for ``limitmetric._extend_one``: the same Lipschitz factor
+    and denominator, and the two-sided glue minimum taken by explicit loops,
+    min over b of (min over a of D(x, a) + rho(a, b)) + D(b, y), on ints."""
+    m_low = rho.size
+    d = tower.metric(n)
+    top = max(v for row in rho.numer for v in row)
+    if top == 0:
+        return Pseudometric.zero(d.size)
+    low = min(
+        d.numer[i][j] for i in range(m_low) for j in range(m_low) if rho.numer[i][j] > 0
+    )
+    big = [[top * v for v in row] for row in d.numer]
+    glue = [[low * v for v in row] for row in rho.numer]
+    out = []
+    for bx in big:
+        head = bx[:m_low]
+        # rho is symmetric, so its row b is its column b
+        reach = [min(map(operator.add, head, g)) for g in glue]
+        row = bx
+        for rb, bb in zip(reach, big):
+            row = list(map(min, row, map(rb.__add__, bb)))
+        out.append(row)
+    return Pseudometric._from_numer(rho.den * low, out)
+
+
 def fraction_sum(metrics):
     """Entrywise sum of equal-sized pseudometrics, on Fractions."""
     m = metrics[0].size
@@ -377,6 +403,26 @@ def level_by_level_minimal_ball(tower, x):
     for n in range(tower.height(x), tower.num_levels):
         s = ball_set_mask(s, tower.zero_relation(n))
     return s
+
+
+def fixpoint_tlim_topology(tower):
+    """Reference for ``topology.tlim_topology``: grow {x} by every level's
+    zero-classes of its points on that level until nothing changes."""
+    n = tower.ground_size
+    zero_cols = [tower.zero_relation(lvl).columns() for lvl in range(tower.num_levels)]
+    nbhd = []
+    for x in range(n):
+        s = 1 << x
+        changed = True
+        while changed:
+            changed = False
+            for cols, size in zip(zero_cols, tower.level_sizes):
+                for y in bits(s & ((1 << size) - 1)):
+                    if cols[y] & ~s:
+                        s |= cols[y]
+                        changed = True
+        nbhd.append(s)
+    return TopologyFamily(n, nbhd)
 
 
 def level_by_level_topology(tower):

@@ -1,16 +1,21 @@
-"""Byte-level transcript of the derived-tower commands.
+"""Byte-level transcript of the CLI commands.
 
 Each case runs ``cli.main`` in process on inputs written by ``unilim gen``
 and the ``fixtures`` module, and ``tests/cli_transcript.json`` holds the
 sha256 of its exit code, stdout and stderr.  A change that alters any
 byte of what ``gen``, ``product``, ``box``, ``group``, ``rel``, ``limit``,
-``topo`` or ``check`` print fails here.
+``topo``, ``check`` or ``verify`` print fails here, malformed documents
+and refused runs included.
 
 The test never rewrites the file.  After a deliberate output change,
-regenerate it by hand from the repository root and commit it with the
-change that explains it:
+rewrite the cases it names from the repository root and commit the file
+with the change that explains it:
 
-    PYTHONPATH=src python -m tests.test_cli_transcript --update
+    PYTHONPATH=src python -m tests.test_cli_transcript --update NAME...
+
+This rewrites the named cases and the cases missing from the record, and
+no other.  It exits 1 and names every other case whose digest changed,
+keeping that case's recorded digest.
 """
 
 from __future__ import annotations
@@ -137,6 +142,23 @@ CASES.update({
     "check gen1 map --direct": ["check", "--tower", "gen1.json", "--map", "gen1_map.json",
                                 "--target", "gen1_tgt.json", "--direct"],
 })
+CASES.update({
+    "verify L-adeq L-pseudo P-lc seeds 0..20": [
+        "verify", "--targets", "L-adeq", "L-pseudo", "P-lc", "--seeds", "0..20",
+    ],
+    "verify T3 seeds 1,3": ["verify", "--targets", "T3", "--seeds", "1,3"],
+    "verify T1 seed 2": ["verify", "--targets", "T1", "--seed", "2"],
+    "verify empty seed range": ["verify", "--targets", "T1", "--seeds", "3..3"],
+    "verify no target": ["verify", "--seeds", "0..2"],
+    "verify seeds not ints": ["verify", "--all", "--seeds", "a..b"],
+    "malformed tower, metrics 5": ["topo", "--tower", "bad_tower.json"],
+    "malformed sequence, no metrics": [
+        "limit", "--tower", "three_point.json", "--seq", "bad_seq.json",
+    ],
+    "malformed map [[0], 1]": ["check", "--tower", "three_point.json", "--map", "bad_map.json"],
+    "malformed group, op 5": ["group", "bad_group.json", "--radii", "1,1/2,1/4"],
+    "malformed factor, no metric": ["box", "bad_factor.json", "--depth", "1"],
+})
 
 
 def _write_inputs() -> None:
@@ -161,6 +183,7 @@ def _write_inputs() -> None:
     _write_relation_inputs()
     _write_limit_and_topo_inputs()
     _write_map_inputs()
+    _write_malformed_inputs()
 
 
 def _entourage(level: int, size: int, arrows) -> Entourage:
@@ -219,6 +242,18 @@ def _write_map_inputs() -> None:
         uio.dump(map_to_json(f.values), f"gen{seed}_map.json")
 
 
+def _write_malformed_inputs() -> None:
+    """One document per kind, each with one field of the wrong shape."""
+    tower = uio.tower_to_json(fixtures.three_point_tower())
+    uio.dump({**tower, "metrics": 5}, "bad_tower.json")
+    uio.dump({}, "bad_seq.json")
+    uio.dump([[0], 1], "bad_map.json")
+    uio.dump({**group_to_json(fixtures.binary_group_tower()), "op": 5}, "bad_group.json")
+    factor = factor_to_json(fixtures.halving_factors()[0])
+    del factor["metric"]
+    uio.dump([factor], "bad_factor.json")
+
+
 def _digest(argv: list[str]) -> str:
     out, err = StringIO(), StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -252,8 +287,42 @@ def test_output_matches_the_record(digests, case):
     assert digests[case] == json.loads(RECORD.read_text())[case]
 
 
+def update(names: list[str]) -> int:
+    """Rewrite the named cases and the missing ones.  Returns 2 on an
+    unknown name, 1 if any other case's digest changed, else 0."""
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        print(f"unknown cases: {unknown}", file=sys.stderr)
+        return 2
+    old = json.loads(RECORD.read_text())
+    new = transcript()
+    changed = [n for n in CASES if n in old and n not in names and old[n] != new[n]]
+    record = {n: old[n] if n in changed else new[n] for n in CASES}
+    RECORD.write_text(json.dumps(record, indent=1) + "\n")
+    rewritten = [n for n in CASES if old.get(n) != record[n]]
+    print(f"rewrote {len(rewritten)} of {len(CASES)} digests in {RECORD}: {rewritten}")
+    for n in changed:
+        print(f"changed but not named, kept as recorded: {n}", file=sys.stderr)
+    return 1 if changed else 0
+
+
+def test_update_rewrites_only_named_and_missing_cases(tmp_path, monkeypatch, capsys):
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({"kept": "0", "named": "0", "moved": "0", "gone": "0"}))
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "RECORD", record)
+    monkeypatch.setattr(module, "CASES", dict.fromkeys(["kept", "named", "moved", "new"]))
+    monkeypatch.setattr(module, "transcript",
+                        lambda: {"kept": "0", "named": "1", "moved": "1", "new": "1"})
+    assert update(["named"]) == 1
+    assert json.loads(record.read_text()) == {"kept": "0", "named": "1", "moved": "0", "new": "1"}
+    assert "kept as recorded: moved" in capsys.readouterr().err
+    assert update(["moved"]) == 0
+    assert json.loads(record.read_text())["moved"] == "1"
+    assert update(["nope"]) == 2
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
+    if sys.argv[1:2] != ["--update"]:
         sys.exit(__doc__)
-    RECORD.write_text(json.dumps(transcript(), indent=1) + "\n")
-    print(f"wrote {len(CASES)} digests to {RECORD}")
+    sys.exit(update(sys.argv[2:]))

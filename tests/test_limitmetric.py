@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilim import limitmetric
 from unilim.core import Entourage, Pseudometric, Tower
 from unilim.errors import NotAnEntourage, NotUniform, PreconditionFailed, ValidationError
 from unilim.generate import Profile, generate_instance, random_monotone_sequence, random_tower
 from unilim.limitmetric import (
     Chain,
+    _extend_one,
     _target_indicator,
     adequate_sequence,
     chain_weight,
@@ -34,6 +36,7 @@ from .oracles import (
     fraction_sum,
     fraction_valley_distance,
     full_entourage,
+    glued_extension,
     random_entourage,
 )
 
@@ -176,8 +179,17 @@ def test_extension_rejects_nonuniform():
 def test_extension_preserves_uniformity(tower):
     rho = frac_matrix([[0, 1], [1, 0]])
     ext = extend_pseudometric(tower, rho, 2)
-    for i, j in tower.metric(2).zero_pairs():
-        assert ext.dist[i][j] == 0
+    for i, row in enumerate(tower.metric(2).numer):
+        for j, v in enumerate(row):
+            if v == 0:
+                assert ext.dist[i][j] == 0
+
+
+def test_extension_names_the_first_positive_zero_pair_in_row_major_order():
+    t = flat_tower([3], value=0)
+    rho = frac_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    with pytest.raises(NotUniform, match=r"zero-pair \(p0,p2\) of level 0"):
+        extend_pseudometric(t, rho, 0)
 
 
 def test_adequate_sequence_refines_targets(tower):
@@ -337,8 +349,10 @@ def test_limit_vanishes_on_level_zero_pairs(seed):
     seq = random_monotone_sequence(rng, t)
     lim = limit_pseudometric(seq)
     for n in range(t.num_levels):
-        for i, j in t.metric(n).zero_pairs():
-            assert lim(i, j) == 0
+        for i, row in enumerate(t.metric(n).numer):
+            for j, v in enumerate(row):
+                if v == 0:
+                    assert lim(i, j) == 0
 
 
 # -- the integer kernels against their Fraction references ---------------------
@@ -354,6 +368,34 @@ def test_extensions_and_their_sums_match_fraction_reference(drawn):
         for k, r in enumerate(carried):
             assert same_table(extend_pseudometric(t, pieces[k], n), r)
         assert same_table(sum_of_extensions(t, pieces)[n], fraction_sum(carried))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_towers())
+def test_extension_step_matches_the_glued_reference(drawn):
+    """The closure of D with rho on its lower square against the explicit
+    two-sided gluing, for every step of every piece's extension."""
+    t, pieces = drawn
+    for k, rho in enumerate(pieces):
+        for n in range(k + 1, t.num_levels):
+            ext = _extend_one(t, rho, n)
+            assert same_table(ext, glued_extension(t, rho, n))
+            rho = ext
+
+
+def test_extension_steps_of_seeded_instances_match_the_glued_reference(monkeypatch):
+    steps = []
+
+    def record(tower, rho, n):
+        steps.append((tower, rho, n))
+        return _extend_one(tower, rho, n)
+
+    monkeypatch.setattr(limitmetric, "_extend_one", record)
+    for seed in range(200):
+        generate_instance(seed)
+    assert len(steps) > 1000
+    for tower, rho, n in steps:
+        assert same_table(_extend_one(tower, rho, n), glued_extension(tower, rho, n))
 
 
 @settings(max_examples=100, deadline=None)

@@ -211,6 +211,12 @@ def test_homeo_onto_glued_tower_fails_one_direction():
     assert v.transport_comparison.relation != "equal"
 
 
+def test_homeo_names_a_non_inverse_point_by_label():
+    t = three_point_tower()
+    with pytest.raises(NotInverse, match=r"^h_inv\(h\(b\)\) != b$"):
+        homeo_criterion(SpaceMap(t, t, (0, 1, 2)), SpaceMap(t, t, (0, 2, 1)))
+
+
 def test_homeo_requires_inverse(tower):
     with pytest.raises(NotInverse):
         homeo_criterion(

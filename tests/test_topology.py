@@ -33,6 +33,7 @@ from .oracles import (
     diagonal_entourage,
     discrete,
     fixpoint_grid_ball_masks,
+    fixpoint_tlim_topology,
     indiscrete,
     is_open,
     level_by_level_minimal_ball,
@@ -299,3 +300,14 @@ def test_ulim_topology_is_the_top_zero_class_partition(t):
     for x in range(t.ground_size):
         mask = level_by_level_minimal_ball(t, x)
         assert minimal_grid_ball(t, x) == {i for i in range(t.ground_size) if mask >> i & 1}
+
+
+def test_tlim_topology_matches_the_fixpoint_on_seeded_towers_and_products():
+    """Components of the union of the level zero-relations against the
+    fixpoint that grows each point by its zero-classes level by level."""
+    for seed in range(200):
+        t = random_tower(random.Random(seed), Profile(levels=3, max_size=6))
+        assert tlim_topology(t) == fixpoint_tlim_topology(t)
+    for seed in range(50):
+        t = _random_product(seed)
+        assert tlim_topology(t) == fixpoint_tlim_topology(t)

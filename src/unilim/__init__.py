@@ -74,7 +74,6 @@ from .relations import (
     REPEAT_LAST,
     EntourageSequence,
     ball,
-    ball_set,
     compose,
     multiple,
     sigma_sum,

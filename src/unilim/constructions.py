@@ -245,8 +245,7 @@ class GroupTower:
     def two_sided_entourage(self, level: int, radius: Fraction) -> Entourage:
         """For an invariant metric the two-sided entourage is the metric
         sublevel {d < radius} on the level subgroup."""
-        d = self.tower.metric(level)
-        return Entourage(level, d.size, d.sublevel_pairs(Fraction(radius)))
+        return self.tower.metric(level).sublevel(level, Fraction(radius))
 
 
 def ordered_product_ball(g: GroupTower, radii: Sequence[Fraction]) -> frozenset[int]:

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     IndexOutOfRange,
-    LevelMismatch,
     NestingViolation,
     NotUniform,
     SubspaceViolation,
@@ -245,11 +244,15 @@ class Pseudometric:
         den = self.den
         return [Fraction(v, den) for v in sorted({v for row in self.numer for v in row if v > 0})]
 
-    def sublevel_pairs(self, eps: Fraction) -> frozenset[tuple[int, int]]:
-        """The strict sublevel relation {d < eps}."""
-        q, bound = eps.denominator, eps.numerator * self.den
-        return frozenset(
-            (i, j) for i, row in enumerate(self.numer) for j, v in enumerate(row) if v * q < bound
+    def sublevel(self, level: int, eps: Fraction) -> "Entourage":
+        """The strict sublevel entourage {d < eps} of ``level``; refused with
+        ``ValidationError`` for eps <= 0, whose sublevel misses the diagonal."""
+        if eps.numerator <= 0:
+            raise ValidationError(f"sublevel {{d < {eps}}} is not reflexive")
+        # v / den < p / q iff v < ceil(p * den / q), for an int v
+        limit = -(-eps.numerator * self.den // eps.denominator)
+        return Entourage._symmetric(
+            level, [sum(1 << j for j, v in enumerate(row) if v < limit) for row in self.numer]
         )
 
     def __eq__(self, other) -> bool:
@@ -414,9 +417,7 @@ class Tower:
             for i, row in enumerate(d.numer):
                 classes[row] = classes.get(row, 0) | 1 << i
             rows = [classes[row] for row in d.numer]
-            z = self._zero_relations[level] = Entourage._from_rows(level, rows)
-            # {d = 0} is symmetric: its columns are its rows
-            z._cols = z.rows
+            z = self._zero_relations[level] = Entourage._symmetric(level, rows)
         return z
 
     def grid_entourages(self, level: int) -> tuple["Entourage", ...]:
@@ -437,16 +438,8 @@ class Tower:
             for i, row in enumerate(d.numer):
                 for j, v in enumerate(row):
                     layers[rank[v]][i] |= 1 << j
-            acc = [0] * d.size
-            out = []
-            for layer in layers:
-                acc = [a | b for a, b in zip(acc, layer)]
-                e = Entourage._from_rows(level, acc)
-                # a sublevel of a symmetric table is symmetric: its columns
-                # are its rows
-                e._cols = e.rows
-                out.append(e)
-            grids = self._grids[level] = tuple(out)
+            sums = itertools.accumulate(layers, lambda acc, lay: [a | b for a, b in zip(acc, lay)])
+            grids = self._grids[level] = tuple(Entourage._symmetric(level, r) for r in sums)
         return grids
 
     def __eq__(self, other) -> bool:
@@ -470,7 +463,8 @@ class Entourage:
 
     Pairs are stored as per-point bitmask rows: bit j of ``rows[i]`` is set
     iff (i, j) is in the relation.  Symmetry is not required (composition
-    destroys it); reflexivity is.
+    destroys it); reflexivity is.  Relations read off a symmetric table are
+    built by ``_symmetric``; pair sets are read only at the JSON edge.
     """
 
     __slots__ = ("level", "size", "rows", "_cols", "_components")
@@ -496,22 +490,20 @@ class Entourage:
         e.rows = tuple(rows)
         return e
 
+    @classmethod
+    def _symmetric(cls, level: int, rows: Sequence[int]) -> "Entourage":
+        """A symmetric relation, such as {d = 0}, {d < eps} or a relation's
+        components: its rows are its columns.  Not validated."""
+        e = cls._from_rows(level, rows)
+        e._cols = e.rows
+        return e
+
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, r in enumerate(self.rows) for j in bits(r))
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
-
-    def contains(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def union(self, other: "Entourage") -> "Entourage":
-        if (self.level, self.size) != (other.level, other.size):
-            raise LevelMismatch(
-                f"levels {self.level} (size {self.size}) and {other.level} (size {other.size})"
-            )
-        return Entourage._from_rows(self.level, [a | b for a, b in zip(self.rows, other.rows)])
 
     def promote(self, level: int, size: int) -> "Entourage":
         """Embed into a larger level: keep the pairs, take the diagonal of
@@ -572,9 +564,7 @@ class Entourage:
             for y in bits(comp):
                 out[y] = comp
             unseen &= ~comp
-        c = Entourage._from_rows(self.level, out)
-        c._cols = c.rows
-        self._components = c
+        c = self._components = Entourage._symmetric(self.level, out)
         return c
 
     def __eq__(self, other) -> bool:

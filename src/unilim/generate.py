@@ -132,12 +132,8 @@ def random_generation_instance(rng: random.Random, tower: Tower) -> GenerationIn
     d = tower.metric(top)
     values = d.positive_values()
     delta = Fraction(rng.choice(values)) if values else Fraction(1)
-    size = tower.ground_size
-    u = Entourage(top, size, d.sublevel_pairs(delta))
-    ladder = tuple(
-        Entourage(top, size, d.sublevel_pairs(delta / (5 * 2**n)))
-        for n in range(tower.num_levels)
-    )
+    u = d.sublevel(top, delta)
+    ladder = tuple(d.sublevel(top, delta / (5 * 2**n)) for n in range(tower.num_levels))
     seq = adequate_sequence(tower, [tower.zero_relation(n) for n in range(tower.num_levels)])
     return GenerationInstance(u, ladder, seq)
 

@@ -255,7 +255,7 @@ def _target_indicator(tower: Tower, level: int, target: Entourage) -> Pseudometr
     level's zero-relation (always inside any entourage of the level's
     uniformity).
     """
-    mutual = Entourage._from_rows(level, [r & c for r, c in zip(target.rows, target.columns())])
+    mutual = Entourage._symmetric(level, [r & c for r, c in zip(target.rows, target.columns())])
     comps = mutual.components().rows
     if any(c & ~r for c, r in zip(comps, target.rows)):
         comps = tower.zero_relation(level).rows
@@ -313,18 +313,12 @@ def verify_generation(
     for n in range(len(steps) - 1):
         if not multiple(steps[n + 1], 2).issubset(steps[n]):
             raise PreconditionFailed(f"2*U_{n + 1} is not contained in U_{n}")
-    # {d < 1} is {numer < den}, compared row by row with the ladder's rows
     for n in range(tower.num_levels):
-        d, rows = seq[n], steps[n].rows
-        for i, row in enumerate(d.numer):
-            unit = sum(1 << j for j, v in enumerate(row) if v < d.den)
-            if unit & ~rows[i]:
-                raise PreconditionFailed(f"{{d_{n} < 1}} is not contained in U_{n}")
-
-    dlim = limit_pseudometric(seq)
-    for x, row in enumerate(dlim.numer):
-        ux = u.rows[x]
-        for y, v in enumerate(row):
-            if v < dlim.den and not ux >> y & 1:
-                return GenerationVerdict(False, (x, y))
+        if any(r & ~s for r, s in zip(seq[n].sublevel(n, Fraction(1)).rows, steps[n].rows)):
+            raise PreconditionFailed(f"{{d_{n} < 1}} is not contained in U_{n}")
+    # a counterexample is the first pair of {lim < 1} outside U in row-major order
+    unit = limit_pseudometric(seq).sublevel(top, Fraction(1)).rows
+    for x, (r, s) in enumerate(zip(unit, u.rows)):
+        if r & ~s:
+            return GenerationVerdict(False, (x, next(bits(r & ~s))))
     return GenerationVerdict(True)

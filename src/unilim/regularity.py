@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 from .core import Entourage, Tower, bits, members
 from .errors import GroundMismatch, LevelOutOfRange, NotInverse
-from .relations import ball_set
+from .relations import ball_set_mask
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
 
 
@@ -54,45 +54,33 @@ class RegularityVerdict(NamedTuple):
     subset_closed: bool = True
 
 
-def _condition_holds(
-    f: SpaceMap, n: int, u: Entourage, z: Entourage, ball: frozenset[int]
-) -> Optional[int]:
-    """Definition-4 body at level n for U = u and V = W = z: every point of
-    ``ball``, B(X_{n-1}; z), admits a point of X_{n-1} that is z-close in
-    the source and u-close in the image.  Returns a defeating point or
-    None."""
-    below = range(f.source.level_sizes[n - 1])
-    for x in ball:
-        if not any(z.contains(a, x) and u.contains(f(x), f(a)) for a in below):
-            return x
-    return None
-
-
 def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     """Regularity of f restricted to the given level, at the subset one
     level below, quantified over grid entourages.
 
     The condition is antitone in W and monotone in U and V, and each
     quantifier's smallest grid entourage is a zero-relation: the source
-    level's for V and W, the target's top level's for U (at finite scale
-    the target's limit uniformity is that of its top metric).  One check
-    at those three is therefore complete, and its defeating point is the
-    first one any (U, V) grid pair would give.
+    level's, z, for V and W, the target's top level's, u, for U (at finite
+    scale the target's limit uniformity is that of its top metric).  One
+    check at those three is therefore complete, and its defeating point is
+    the first one any (U, V) grid pair would give: the lowest x in
+    B(X_{n-1}; z) whose z-row meets X_{n-1} in no point a with f(a) in
+    u's row at f(x).
     """
     t = f.source
     if not 1 <= level <= t.top_level:
         raise LevelOutOfRange(f"regularity needs a level in 1..{t.top_level}")
     u0 = f.target.zero_relation(f.target.top_level)
     z = t.zero_relation(level)
-    below = range(t.level_sizes[level - 1])
-    ball = ball_set(below, z)
-    closed = ball <= frozenset(below)
-    bad = _condition_holds(f, level, u0, z, ball)
-    if bad is None:
-        return RegularityVerdict(True, level, subset_closed=closed)
-    return RegularityVerdict(
-        False, level, failing_u=u0, failing_v=z, failing_point=bad, subset_closed=closed
-    )
+    below = (1 << t.level_sizes[level - 1]) - 1
+    ball = ball_set_mask(below, z)
+    closed = not ball & ~below
+    for x in bits(ball):
+        if not any(u0.rows[f(x)] >> f(a) & 1 for a in bits(z.rows[x] & below)):
+            return RegularityVerdict(
+                False, level, failing_u=u0, failing_v=z, failing_point=x, subset_closed=closed
+            )
+    return RegularityVerdict(True, level, subset_closed=closed)
 
 
 class ContinuityVerdict(NamedTuple):

@@ -14,7 +14,7 @@ level, exactly as the openness argument for the direct-limit base uses it.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 from .core import Entourage, Tower, bits, members
 from .errors import IndexOutOfRange, LevelMismatch, NotAnEntourage, StartMismatch, ValidationError
@@ -146,18 +146,8 @@ def ball(x: int, u: Entourage) -> frozenset[int]:
     return members(u.columns()[x])
 
 
-def ball_set(a: Iterable[int], u: Entourage) -> frozenset[int]:
-    """B(A; U): union of the balls around the points of A."""
-    mask = 0
-    for x in a:
-        if not 0 <= x < u.size:
-            raise IndexOutOfRange(f"element {x} outside level of size {u.size}")
-        mask |= 1 << x
-    return members(ball_set_mask(mask, u))
-
-
 def ball_set_mask(mask: int, u: Entourage) -> int:
-    """ball_set on bitmasks."""
+    """B(A; U), the union of the balls around the points of A, a bitmask."""
     cols = u.columns()
     out = 0
     for x in bits(mask):

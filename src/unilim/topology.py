@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import Tower, bits, members
+from .core import Entourage, Tower, bits, members
 from .errors import (
     GroundMismatch, IndexOutOfRange, NeighborhoodViolation, StartMismatch,
 )
@@ -216,9 +216,11 @@ def ulim_topology(tower: Tower) -> TopologyFamily:
 def tlim_topology(tower: Tower) -> TopologyFamily:
     """Final topology: a set is open iff its trace on every level is a union
     of zero-classes, i.e. it is closed under every level's zero-relation, so
-    x's minimal neighborhood is its component in their union at the top."""
-    top, n = tower.top_level, tower.ground_size
-    union = tower.zero_relation(top)
+    x's minimal neighborhood is its component in their union: the top
+    zero-relation's rows ORed with each lower level's rows on its points."""
+    top = tower.top_level
+    rows = list(tower.zero_relation(top).rows)
     for lvl in range(top):
-        union = union.union(tower.zero_relation(lvl).promote(top, n))
-    return TopologyFamily(n, union.components().rows)
+        for x, r in enumerate(tower.zero_relation(lvl).rows):
+            rows[x] |= r
+    return TopologyFamily(tower.ground_size, Entourage._symmetric(top, rows).components().rows)

@@ -27,13 +27,13 @@ from . import fixtures
 from .constructions import (
     GroupTower, box_tower, check_box_limit, check_group_limit, check_multiplicativity, product_tower,
 )
-from .core import MonotonePseudometricSequence, Tower
+from .core import MonotonePseudometricSequence, Tower, bits
 from .errors import UnilimError, UnknownTheoremId
 from .generate import Instance, generate_instance
 from .io import rational_to_json
 from .limitmetric import (
-    adequate_sequence, chain_weight, limit_pseudometric, valley_distance, verify_generation,
-    witness_chain,
+    _target_indicator, adequate_sequence, chain_weight, limit_pseudometric, valley_distance,
+    verify_generation, witness_chain,
 )
 from .relations import multiple
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion
@@ -202,13 +202,24 @@ def _check_three_point_limit() -> Verdict:
 
 
 def _check_adequate(tower: Tower, targets) -> Verdict:
-    seq = adequate_sequence(tower, targets)
-    # monotone and uniform are validated on construction; re-verify the
-    # refinement property explicitly
-    for n, target in enumerate(targets):
-        for i, j in seq[n].sublevel_pairs(Fraction(1)):
-            if not target.contains(i, j):
-                return False, {"level": n, "pair": [i, j]}
+    """{d_n < 1} lies inside the n-th target, and d_n on level n-1 is d_{n-1}
+    plus the level-n piece, as it is when every carried extension restricts
+    to its piece; a failure names its first pair in row-major order."""
+    seq = adequate_sequence(tower, targets)  # validates monotone and uniform
+    for n, (d, target) in enumerate(zip(seq.metrics, targets)):
+        for i, (r, s) in enumerate(zip(d.sublevel(n, Fraction(1)).rows, target.rows)):
+            if r & ~s:
+                return False, {"level": n, "pair": [i, next(bits(r & ~s))]}
+        if not n:
+            continue
+        lower, piece = seq[n - 1], _target_indicator(tower, n, target)
+        den = math.lcm(d.den, lower.den)  # the piece is a 0/1 table over 1
+        fd, fl = den // d.den, den // lower.den
+        for i, (dr, lr, pr) in enumerate(zip(d.numer, lower.numer, piece.numer)):
+            for j, (a, b, c) in enumerate(zip(dr, lr, pr)):
+                if a * fd != b * fl + c * den:
+                    reason = "an extension does not restrict to its piece"
+                    return False, {"level": n, "pair": [i, j], "reason": reason}
     return True, {"levels_checked": tower.num_levels}
 
 

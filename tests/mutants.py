@@ -64,8 +64,8 @@ MUTANTS = {
     # points born at the top level then lose the zero-pairs they make there
     "tlim leaves out the top level's zero-relation": Mutant(
         "topology.py",
-        "union = tower.zero_relation(top)\n",
-        "union = tower.zero_relation(0).promote(top, n)\n",
+        "rows = list(tower.zero_relation(top).rows)\n",
+        "rows = [1 << x for x in range(tower.ground_size)]\n",
         "test_topology.py",
         ("verify", "tests"),
     ),
@@ -135,10 +135,10 @@ MUTANTS = {
         "test_core.py",
         ("tests",),
     ),
-    "<= in sublevel_pairs": Mutant(
+    "<= in sublevel": Mutant(
         "core.py",
-        "if v * q < bound",
-        "if v * q <= bound",
+        "if v < limit)",
+        "if v <= limit)",
         "test_core.py",
         ("verify", "tests"),
     ),
@@ -293,13 +293,14 @@ MUTANTS = {
         ("verify", "tests"),
     ),
     # the closure then glues D to itself, not to rho: the extension no
-    # longer restricts to the piece it extends, which no verify check reads
+    # longer restricts to the piece it extends, so d_n on level n-1 is no
+    # longer d_{n-1} plus the level-n piece, which L-adeq compares
     "extension keeps D on the lower square": Mutant(
         "limitmetric.py",
         "row[:m_low] = [low * v for v in rrow]",
         "row[:m_low] = row[:m_low]",
         "test_limitmetric.py",
-        ("tests",),
+        ("verify", "tests"),
     ),
     # a component of the mutual pairs of a target that is not transitive
     # escapes the target, so {d_n < 1} is no longer inside it
@@ -338,6 +339,27 @@ MUTANTS = {
         "out = frozenset(balls)",
         "out = frozenset(balls[:1])",
         "test_topology.py",
+        ("tests",),
+    ),
+    # a composed relation's columns are then its rows, so a ball of a
+    # directed sum reads the wrong side: the rel cases with directed
+    # operands print other balls, and P-group's ball of the sum of two
+    # different symmetric entourages, which is directed, is not the product
+    "directed relation marked symmetric": Mutant(
+        "relations.py",
+        "return Entourage._from_rows(u.level, rows)",
+        "return Entourage._symmetric(u.level, rows)",
+        "test_cli_transcript.py",
+        ("verify", "tests"),
+    ),
+    # every point of the ball is then its own candidate, so every map is
+    # regular; verify cannot see it, since a map continuous on the top
+    # level is continuous on the limit whether or not it is regular
+    "regularity candidates not masked to the lower level": Mutant(
+        "regularity.py",
+        "bits(z.rows[x] & below)",
+        "bits(z.rows[x])",
+        "test_regularity.py",
         ("tests",),
     ),
     "compose with its operands swapped": Mutant(

@@ -28,6 +28,11 @@ def transpose(e):
     return Entourage(e.level, e.size, [(j, i) for i, j in e.pairs])
 
 
+def union(u, v):
+    """The relation {(i, j) : (i, j) in u or in v}, built pair by pair."""
+    return Entourage(u.level, u.size, u.pairs | v.pairs)
+
+
 def diagonal_entourage(level, size):
     """The diagonal {(i, i)} of a level of ``size`` points."""
     return Entourage(level, size, [(i, i) for i in range(size)])
@@ -170,17 +175,10 @@ def closure_target_indicator(tower, level, target):
     0/1 indicator of the level's zero-relation."""
     d = tower.metric(level)
     m = d.size
-    mutual = [
-        [target.contains(i, j) and target.contains(j, i) for j in range(m)]
-        for i in range(m)
-    ]
+    pairs = target.pairs
+    mutual = [[(i, j) in pairs and (j, i) in pairs for j in range(m)] for i in range(m)]
     closed = closure_in_place([[0 if mutual[i][j] else 1 for j in range(m)] for i in range(m)])
-    inside = all(
-        target.contains(i, j)
-        for i in range(m)
-        for j in range(m)
-        if closed[i][j] == 0
-    )
+    inside = all((i, j) in pairs for i in range(m) for j in range(m) if closed[i][j] == 0)
     if inside:
         return Pseudometric._from_numer(1, closed)
     return Pseudometric._from_numer(1, [[0 if v == 0 else 1 for v in row] for row in d.numer])

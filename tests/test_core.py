@@ -22,6 +22,7 @@ from unilim.errors import (
     TriangleViolation,
     ValidationError,
 )
+from unilim.topology import tlim_topology
 
 from .conftest import flat_tower, frac_matrix
 from .oracles import (
@@ -32,6 +33,7 @@ from .oracles import (
     loop_validate,
     max_value,
     transpose,
+    union,
 )
 
 
@@ -371,7 +373,12 @@ def test_integer_helpers_match_fraction_values(m, eps):
     assert [[Fraction(v, d.den) for v in row] for row in d.numer] == m
     zeros = {(i, j) for i, row in enumerate(d.numer) for j, v in enumerate(row) if v == 0}
     assert zeros == {(i, j) for i in range(n) for j in range(n) if m[i][j] == 0}
-    assert d.sublevel_pairs(eps) == {(i, j) for i in range(n) for j in range(n) if m[i][j] < eps}
+    sub = d.sublevel(2, eps)
+    assert sub.level == 2
+    assert sub.pairs == {(i, j) for i in range(n) for j in range(n) if m[i][j] < eps}
+    for bad in (Fraction(0), -eps):
+        with pytest.raises(ValidationError, match="not reflexive"):
+            d.sublevel(0, bad)
     assert d.positive_values() == sorted({v for row in m for v in row if v > 0})
     if n:
         assert max_value(d) == max(v for row in m for v in row)
@@ -389,14 +396,26 @@ def test_cached_tower_data_match_definitions(m):
         d = t.metric(level)
         grids = t.grid_entourages(level)
         thresholds = grid_thresholds(d)
-        assert grids == tuple(Entourage(level, d.size, d.sublevel_pairs(eps)) for eps in thresholds)
-        # grids and the zero-relation take their rows as their columns
+        n = d.size
+        assert grids == tuple(
+            Entourage(level, n, {(i, j) for i in range(n) for j in range(n) if d(i, j) < eps})
+            for eps in thresholds
+        )
         z = t.zero_relation(level)
         zeros = [(i, j) for i, row in enumerate(d.numer) for j, v in enumerate(row) if v == 0]
         assert z == Entourage(level, d.size, zeros) == grids[0]
-        for e in grids + (z,):
-            assert e.columns() == Entourage(level, d.size, {(j, i) for i, j in e.pairs}).rows
+        # every relation built as symmetric takes its rows as its columns:
+        # recounted bit by bit from a fresh copy, they must be its rows
+        for e in grids + (z,) + tuple(g.components() for g in grids):
+            assert Entourage._from_rows(level, e.rows).columns() == e.rows
         assert t.grid_entourages(level) is grids
+    # so does the union of the level zero-relations whose components are
+    # the final topology's minimal neighborhoods
+    joined = t.zero_relation(t.top_level)
+    for level in range(t.top_level):
+        joined = union(joined, t.zero_relation(level).promote(t.top_level, top.size))
+    assert Entourage._from_rows(t.top_level, joined.rows).columns() == joined.rows
+    assert tlim_topology(t).min_nbhd == joined.components().rows
 
 
 @settings(max_examples=300, deadline=None)

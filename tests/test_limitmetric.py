@@ -38,6 +38,7 @@ from .oracles import (
     full_entourage,
     glued_extension,
     random_entourage,
+    union,
 )
 
 
@@ -194,13 +195,12 @@ def test_extension_names_the_first_positive_zero_pair_in_row_major_order():
 
 def test_adequate_sequence_refines_targets(tower):
     targets = [
-        Entourage(n, tower.level_sizes[n], tower.metric(n).sublevel_pairs(Fraction(1)))
+        tower.metric(n).sublevel(n, Fraction(1))
         for n in range(3)
     ]
     seq = adequate_sequence(tower, targets)
     for n, target in enumerate(targets):
-        for i, j in seq[n].sublevel_pairs(Fraction(1)):
-            assert target.contains(i, j)
+        assert seq[n].sublevel(n, Fraction(1)).pairs <= target.pairs
 
 
 @settings(max_examples=100, deadline=None)
@@ -212,7 +212,7 @@ def test_target_indicator_matches_the_closure_reference(seed, density):
     rng = random.Random(seed)
     t = random_tower(rng, Profile(levels=3, max_size=8))
     for n in range(t.num_levels):
-        target = random_entourage(rng, n, t.level_sizes[n], density).union(t.zero_relation(n))
+        target = union(random_entourage(rng, n, t.level_sizes[n], density), t.zero_relation(n))
         got = _target_indicator(t, n, target)
         assert same_table(got, closure_target_indicator(t, n, target))
 
@@ -257,14 +257,14 @@ def _halving_ladder(tower, delta):
     d = tower.metric(tower.top_level)
     size = tower.ground_size
     return [
-        Entourage(tower.top_level, size, d.sublevel_pairs(delta / (5 * 2**n)))
+        d.sublevel(tower.top_level, delta / (5 * 2**n))
         for n in range(tower.num_levels)
     ]
 
 
 def test_verify_generation_confirms(tower):
     d = tower.metric(2)
-    u = Entourage(2, 3, d.sublevel_pairs(Fraction(2)))
+    u = d.sublevel(2, Fraction(2))
     ladder = _halving_ladder(tower, Fraction(2))
     seq = adequate_sequence(tower, [tower.zero_relation(n) for n in range(3)])
     verdict = verify_generation(tower, u, seq, ladder)

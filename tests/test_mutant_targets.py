@@ -1,0 +1,16 @@
+"""The mutants of ``tests/mutants.py`` still aim at live code: checked
+without running any of them, so a mutant whose target text is gone shows
+up here rather than only in the opt-in mutation run."""
+
+import pytest
+
+from .mutants import MUTANTS, ROOT
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_targets_one_place_and_names_its_checks(name):
+    m = MUTANTS[name]
+    assert (ROOT / "src" / "unilim" / m.path).read_text().count(m.old) == 1
+    assert (ROOT / "tests" / m.test_file).is_file()
+    assert set(m.killers) <= {"verify", "tests"}
+    assert bool(m.killers) != bool(m.equivalent)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim.constructions import box_tower, product_tower
-from unilim.core import Entourage, members
+from unilim.core import members
 from unilim.errors import (
     GroundMismatch,
     IndexOutOfRange,
@@ -42,8 +42,7 @@ from .oracles import (
 
 
 def _grid_entourage(tower, level, eps):
-    d = tower.metric(level)
-    return Entourage(level, d.size, d.sublevel_pairs(Fraction(eps)))
+    return tower.metric(level).sublevel(level, Fraction(eps))
 
 
 def test_base_ball_frozen(tower):

@@ -42,12 +42,11 @@ def _load_sequence(tower: Tower, path: str) -> MonotonePseudometricSequence:
     return MonotonePseudometricSequence(tower, io.sequence_metrics_from_json(io.load(path)))
 
 
-def _print_entourage(tower: Tower, e: Entourage) -> None:
-    pairs = [[tower.labels[i], tower.labels[j]] for i, j in e.sorted_pairs()]
-    print(io.dumps({"level": e.level, "pairs": pairs}))
-
-
 # -- a tiny prefix expression grammar for relation arithmetic ----------------
+
+_SHAPES = {"sum": "(sum U V)", "mul": "(mul k U)", "sigma": "(sigma k [U...] tail)"}
+_BALL = "(ball x U)"
+_CLOSING = {"(": ")", "[": "]"}
 
 
 def _tokenize(expr: str) -> list[str]:
@@ -56,93 +55,59 @@ def _tokenize(expr: str) -> list[str]:
     return expr.split()
 
 
-class _ExprError(UnilimError):
-    pass
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], tower: Tower, names: dict[str, Entourage]):
-        self.tokens = tokens
-        self.pos = 0
-        self.tower = tower
-        self.names = names
-
-    def peek(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise _ExprError("unexpected end of expression")
-        return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.peek()
-        self.pos += 1
+def _read(tokens: list[str]) -> str | list:
+    """Pop one form off the reversed token list: a token, or a bracketed
+    group as a list of its opening bracket and its forms."""
+    if not tokens:
+        raise ValidationError("unexpected end of expression")
+    tok = tokens.pop()
+    if tok not in _CLOSING:
         return tok
+    form = [tok]
+    while not tokens or tokens[-1] not in _CLOSING.values():
+        form.append(_read(tokens))  # raises at the end of the tokens
+    if (got := tokens.pop()) != _CLOSING[tok]:
+        raise ValidationError(f"expected {_CLOSING[tok]!r}, got {got!r}")
+    return form
 
-    def integer(self, what: str) -> int:
-        tok = self.next()
-        try:
-            return int(tok)
-        except ValueError:
-            raise _ExprError(f"expected {what}, got {tok!r}") from None
 
-    def name(self, tok: str) -> Entourage:
-        if tok in self.names:
-            return self.names[tok]
-        raise _ExprError(f"unknown entourage {tok!r}")
+def _token(form) -> str:
+    """A token as itself, a bracketed group as its opening bracket."""
+    return form if isinstance(form, str) else form[0]
 
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise _ExprError(f"expected {tok!r}, got {got!r}")
 
-    def entourage(self) -> Entourage:
-        tok = self.next()
-        if tok != "(":
-            return self.name(tok)
-        head = self.next()
-        if head == "sum":
-            u = self.entourage()
-            v = self.entourage()
-            self.expect(")")
-            return compose(u, v)
-        if head == "mul":
-            k = self.integer("an integer multiple")
-            u = self.entourage()
-            self.expect(")")
-            return multiple(u, k)
-        if head == "sigma":
-            if self.peek() in ("omega", "w"):
-                self.next()
-                upto = OMEGA
-            else:
-                upto = self.integer("a level or omega")
-            self.expect("[")
-            entries = []
-            while self.peek() != "]":
-                entries.append(self.entourage())
-            self.expect("]")
-            tail_tok = self.next()
-            tail = REPEAT_LAST if tail_tok == REPEAT_LAST else self.name(tail_tok)
-            self.expect(")")
+def _integer(form, what: str) -> int:
+    try:
+        return int(form)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected {what}, got {_token(form)!r}") from None
+
+
+def _name(form, names: dict[str, Entourage]) -> Entourage:
+    if isinstance(form, str) and form in names:
+        return names[form]
+    raise ValidationError(f"unknown entourage {_token(form)!r}")
+
+
+def _evaluate(form, tower: Tower, names: dict[str, Entourage]) -> Entourage:
+    """The entourage a form names, one case per production of ``--expr``."""
+    match form:
+        case ["(", "sum", u, v]:
+            return compose(_evaluate(u, tower, names), _evaluate(v, tower, names))
+        case ["(", "mul", k, u]:
+            k = _integer(k, "an integer multiple")
+            return multiple(_evaluate(u, tower, names), k)
+        case ["(", "sigma", upto, ["[", *entries], tail]:
+            upto = OMEGA if upto in ("omega", "w") else _integer(upto, "a level or omega")
+            entries = tuple(_evaluate(e, tower, names) for e in entries)
+            tail = REPEAT_LAST if tail == REPEAT_LAST else _name(tail, names)
             start = entries[0].level if entries else 0
-            seq = EntourageSequence(self.tower, start, tuple(entries), tail)
-            return sigma_sum(seq, upto)
-        raise _ExprError(f"unknown operation {head!r}")
-
-    def expression(self):
-        if self.tokens[: 2] == ["(", "ball"]:
-            self.pos = 2
-            if self.peek() in self.tower.labels:
-                idx = self.tower.index_of(self.next())
-            else:
-                idx = self.integer("a point label or index")
-            u = self.entourage()
-            self.expect(")")
-            parsed = ("ball", idx, u)
-        else:
-            parsed = ("entourage", self.entourage())
-        if self.pos < len(self.tokens):
-            raise _ExprError(f"unexpected {self.tokens[self.pos]!r} after the expression")
-        return parsed
+            return sigma_sum(EntourageSequence(tower, start, entries, tail), upto)
+        case ["(", str(head), *_] if head in _SHAPES:
+            raise ValidationError(f"expected {_SHAPES[head]}")
+        case ["(", head, *_]:
+            raise ValidationError(f"unknown operation {_token(head)!r}")
+    return _name(form, names)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -150,13 +115,27 @@ class _Parser:
 
 def cmd_rel(args) -> int:
     tower, names = _load_tower(args.tower)
-    parsed = _Parser(_tokenize(args.expr), tower, names).expression()
-    if parsed[0] == "ball":
-        _, x, u = parsed
-        members = sorted(ball(x, u))
-        print(io.dumps([tower.labels[i] for i in members]))
-    else:
-        _print_entourage(tower, parsed[1])
+    tokens = _tokenize(args.expr)[::-1]
+    try:
+        form = _read(tokens)
+        if tokens:
+            raise ValidationError(f"unexpected {tokens[-1]!r} after the expression")
+        match form:
+            case ["(", "ball", x, u]:
+                if x in tower.labels:
+                    x = tower.index_of(x)
+                else:
+                    x = _integer(x, "a point label or index")
+                out = [tower.labels[i] for i in sorted(ball(x, _evaluate(u, tower, names)))]
+            case ["(", "ball", *_]:
+                raise ValidationError(f"expected {_BALL}")
+            case _:
+                e = _evaluate(form, tower, names)
+                pairs = [[tower.labels[i], tower.labels[j]] for i, j in e.sorted_pairs()]
+                out = {"level": e.level, "pairs": pairs}
+    except RecursionError:
+        raise ValidationError("expression nested too deeply") from None
+    print(io.dumps(out))
     return EXIT_TRUE
 
 
@@ -317,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel = sub.add_parser("rel", help="entourage arithmetic")
     rel.add_argument("--tower", required=True)
     rel.add_argument("--expr", required=True,
-                     help="(sum U V) | (mul k U) | (sigma k [U...] tail) | (ball x U)")
+                     help=" | ".join([*_SHAPES.values(), _BALL]))
     rel.set_defaults(func=cmd_rel)
 
     lim = sub.add_parser("limit", help="limit pseudometric of a monotone sequence")

@@ -439,6 +439,28 @@ MUTANTS = {
         "test_generate_verify.py",
         ("tests",),
     ),
+    # verify runs no rel expression, so only the transcript sees these
+    "sum composes in reverse": Mutant(
+        "cli.py",
+        "compose(_evaluate(u, tower, names), _evaluate(v, tower, names))",
+        "compose(_evaluate(v, tower, names), _evaluate(u, tower, names))",
+        "test_cli_transcript.py",
+        ("tests",),
+    ),
+    "w not read as omega": Mutant(
+        "cli.py",
+        'upto in ("omega", "w")',
+        'upto == "omega"',
+        "test_cli_transcript.py",
+        ("tests",),
+    ),
+    "tokens after the expression ignored": Mutant(
+        "cli.py",
+        "if tokens:",
+        "if False:",
+        "test_cli_transcript.py",
+        ("tests",),
+    ),
     # "0..20" then runs seeds 0 to 20, one more report than the digest test
     # pins; verify itself still passes on every seed
     "--seeds lo..hi includes hi": Mutant(

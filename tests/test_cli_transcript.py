@@ -87,6 +87,7 @@ REL_EXPRESSIONS = {
     "trailing token": "(sum E_U E_V))",
     "unknown entourage": "(sum E_U NOPE)",
     "non-integer multiple": "(mul x E_U)",
+    "nested 3000 deep": "(sum " * 3000,
 }
 CASES.update(
     (f"rel three-point {name}", ["rel", "--tower", "rel.json", "--expr", expr])

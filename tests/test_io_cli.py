@@ -268,6 +268,16 @@ def test_cli_rel_bad_expression(capsys, tower_file):
         ("(sigma x [E_U] repeat_last)", "expected a level or omega, got 'x'"),
         ("(ball zz E_U)", "expected a point label or index, got 'zz'"),
         ("(ball a", "unexpected end of expression"),
+        ("(sum " * 3000, "expression nested too deeply"),
+        ("(mul 2 " * 3000 + "E_U", "expression nested too deeply"),
+        ("(sum E_U)", "expected (sum U V)"),
+        ("(mul 2 E_U E_V)", "expected (mul k U)"),
+        ("(sigma 1 E_U E_V)", "expected (sigma k [U...] tail)"),
+        ("(ball a)", "expected (ball x U)"),
+        ("[E_U]", "unknown entourage '['"),
+        ("(sum E_U E_V]", "expected ')', got ']'"),
+        ("(mul (sum E_U E_V) E_U)", "expected an integer multiple, got '('"),
+        ("(sum (ball a E_U) E_V)", "unknown operation 'ball'"),
     ],
 )
 def test_cli_rel_names_expression_errors(capsys, tower_file, expr, message):

@@ -19,12 +19,10 @@ from .constructions import (
 )
 from .core import Entourage, MonotonePseudometricSequence, Tower, bits
 from .errors import UnilimError, ValidationError
-from .generate import Profile, generate_instance
 from .limitmetric import limit_pseudometric, witness_chain
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
 from .relations import OMEGA, REPEAT_LAST, EntourageSequence, ball, compose, multiple, sigma_sum
 from .topology import compare_topologies, tlim_topology, ulim_topology
-from .verify import THEOREM_IDS, verify_suite
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -229,13 +227,22 @@ def cmd_box(args) -> int:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("UNILIM_SEED", "0"))
+    value = os.environ.get("UNILIM_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"UNILIM_SEED={value!r} is not an int") from None
 
 
 def cmd_gen(args) -> int:
+    import random
+
+    from .generate import Profile, random_tower
+
     seed = args.seed if args.seed is not None else _default_seed()
     profile = Profile(levels=args.levels, max_size=args.max_size)
-    doc = io.tower_to_json(generate_instance(seed, profile).tower)
+    # the tower is the first draw of generate_instance(seed, profile)
+    doc = io.tower_to_json(random_tower(random.Random(seed), profile))
     if args.out:
         io.dump(doc, args.out)
     else:
@@ -260,6 +267,8 @@ def _parse_seeds(spec: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
+    from .verify import THEOREM_IDS, verify_suite
+
     targets = list(THEOREM_IDS) if args.all else (args.targets or [])
     if not targets:
         # a run with no theorem id checks nothing, so it is refused
@@ -284,6 +293,17 @@ def cmd_verify(args) -> int:
         file=sys.stderr,
     )
     return EXIT_SOUNDNESS if failed else EXIT_TRUE
+
+
+class _TheoremIds:
+    """The ``--targets`` choices, read from ``verify`` only when argparse
+    checks (``in`` iterates) or lists them, so that building the parser
+    loads no suite."""
+
+    def __iter__(self):
+        from .verify import THEOREM_IDS
+
+        return iter(THEOREM_IDS)
 
 
 @functools.cache
@@ -345,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the theorem suite")
     ver.add_argument("--all", action="store_true")
-    ver.add_argument("--targets", nargs="*", choices=list(THEOREM_IDS))
+    ver.add_argument("--targets", nargs="*", choices=_TheoremIds(), metavar="ID",
+                     help="theorem ids: %(choices)s")
     ver.add_argument("--seeds", help='"0..200" or comma list')
     ver.add_argument("--seed", type=int)
     ver.add_argument("--output", help="write reports as JSON lines")

@@ -470,6 +470,25 @@ MUTANTS = {
         "test_acceptance.py",
         ("tests",),
     ),
+    # every command then loads verify, generate and fixtures; the outputs
+    # stay the same, so only the fresh-process module check sees it
+    "cli imports the suite at load": Mutant(
+        "cli.py",
+        "from .topology import compare_topologies, tlim_topology, ulim_topology\n",
+        "from .topology import compare_topologies, tlim_topology, ulim_topology\n"
+        "from .verify import verify_suite\n",
+        "test_records.py",
+        ("tests",),
+    ),
+    # unilim.generate_instance then raises AttributeError; the library
+    # imports from its modules, so only the export test sees it
+    "export table points a name at the wrong module": Mutant(
+        "__init__.py",
+        'generate_instance",\n    "limitmetric": "Chain ',
+        '",\n    "limitmetric": "generate_instance Chain ',
+        "test_records.py",
+        ("tests",),
+    ),
 }
 
 

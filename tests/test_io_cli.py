@@ -606,6 +606,13 @@ def test_cli_gen_env_seed(tmp_path, monkeypatch, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["gen"], ["verify", "--targets", "P-lc"]], ids=["gen", "verify"])
+def test_cli_env_seed_not_an_int_is_input_error(argv, monkeypatch, capsys):
+    monkeypatch.setenv("UNILIM_SEED", "abc")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: UNILIM_SEED='abc' is not an int\n"
+
+
 def test_cli_gen_rejects_oversized_profile(capsys):
     assert cli.main(["gen", "--seed", "0", "--max-size", "100"]) == 2
 

@@ -1,5 +1,9 @@
-"""The record classes: what importing them costs, and the contract each
+"""What importing ``unilim`` costs, and the contract each record class
 keeps now that none is generated at import time.
+
+``import unilim`` loads no submodule, its exports resolve on first use,
+and the document commands run without the theorem suite (``verify``,
+``generate``, ``fixtures``); fresh processes check both.
 
 Every record is a ``typing.NamedTuple`` or a plain class with
 ``__slots__`` and an explicit ``__init__``; these tests pin their
@@ -15,10 +19,13 @@ from pathlib import Path
 import pytest
 
 import unilim
+from unilim import cli, io
 from unilim.constructions import GroupLimitVerdict, GroupTower, PointedSpace
 from unilim.core import Pseudometric, Tower
 from unilim.errors import GroundMismatch, LevelMismatch, ProfileTooLarge, ValidationError
-from unilim.fixtures import binary_group_tower, three_point_sequence, three_point_tower
+from unilim.fixtures import (
+    binary_group_tower, halving_factors, three_point_sequence, three_point_tower,
+)
 from unilim.generate import GenerationInstance, Instance, Profile, generate_instance
 from unilim.limitmetric import Chain, GenerationVerdict
 from unilim.regularity import (
@@ -26,7 +33,10 @@ from unilim.regularity import (
 )
 from unilim.relations import REPEAT_LAST, EntourageSequence
 from unilim.topology import TopologyComparison
-from unilim.verify import VerifyReport
+from unilim.verify import THEOREM_IDS, VerifyReport
+
+from .conftest import factor_to_json, group_to_json
+
 
 def _run(*args: str) -> subprocess.CompletedProcess:
     """Python on args, importing ``unilim`` from where this process did."""
@@ -47,6 +57,103 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     help_run = _run("-m", "unilim", "--help")
     assert help_run.returncode == 0, help_run.stderr
     assert help_run.stdout.startswith("usage: unilim")
+
+
+# every public name of the package, the submodules included
+EXPORTS = [
+    "CertificateFailure", "Chain", "ContinuityVerdict", "CriterionVerdict", "Entourage",
+    "EntourageSequence", "GenerationVerdict", "GroundMismatch", "GroupLimitVerdict", "GroupTower",
+    "HomeoVerdict", "IndexOutOfRange", "Instance", "InvarianceViolation", "LevelCountMismatch",
+    "LevelMismatch", "LevelOutOfRange", "MonotonePseudometricSequence", "NeighborhoodViolation",
+    "NestingViolation", "NotAnEntourage", "NotInverse", "NotUniform", "OMEGA", "PointedSpace",
+    "PreconditionFailed", "Profile", "ProfileTooLarge", "Pseudometric", "REPEAT_LAST",
+    "RegularityVerdict", "SpaceMap", "StartMismatch", "SubspaceViolation", "THEOREM_IDS",
+    "TopologyComparison", "TopologyFamily", "Tower", "TriangleViolation", "UnilimError",
+    "UnknownTheoremId", "ValidationError", "VerifyReport", "adequate_sequence", "ball",
+    "base_ball", "box_tower", "chain_weight", "check_box_limit", "check_group_limit",
+    "check_multiplicativity", "compare_topologies", "compose", "constructions",
+    "continuity_criterion", "core", "cyclic_group_tower", "errors", "extend_pseudometric",
+    "fixtures", "generate", "generate_instance", "homeo_criterion", "io", "is_continuous",
+    "is_regular_at", "limit_pseudometric", "limitmetric", "minimal_grid_ball", "multiple",
+    "ordered_product_ball", "product_topology", "product_tower", "regularity", "relations",
+    "shortest_path_closure", "sigma_sum", "tlim_topology", "topology", "transport_topology",
+    "ulim_topology", "valley_distance", "verify", "verify_generation", "verify_suite",
+    "witness_chain",
+]
+
+
+def test_every_export_resolves_from_its_module():
+    assert unilim.__all__ == EXPORTS
+    assert set(EXPORTS) <= set(dir(unilim))
+    for name in EXPORTS:
+        value = getattr(unilim, name)
+        if name in unilim._SUBMODULES:
+            assert value is sys.modules[f"unilim.{name}"]
+        else:
+            assert value is vars(sys.modules[f"unilim.{unilim._MODULE_OF[name]}"])[name]
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        unilim.nope
+
+
+def test_import_loads_no_submodule():
+    probe = _run("-c", "import sys, unilim; print(sorted(n for n in sys.modules if 'unilim.' in n))")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+# runs in a fresh process on the files in the directory argv[1]
+DOCUMENT_COMMANDS = """
+import contextlib, io, sys
+from unilim import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([a.replace("@", sys.argv[1] + "/") for a in argv])
+
+codes = [
+    run("limit", "--tower", "@tower.json", "--seq", "@seq.json", "--witness", "a", "c"),
+    run("topo", "--tower", "@tower.json", "--compare", "tlim"),
+    run("rel", "--tower", "@tower.json", "--expr", "(ball a (sum E_U E_U))"),
+    run("check", "--tower", "@tower.json", "--map", "@map.json"),
+    run("product", "@tower.json", "@tower.json", "--check"),
+    run("box", "@factors.json", "--depth", "2", "--check"),
+    run("group", "@group.json", "--radii", "1,1/2,1/4", "--check"),
+]
+print(codes, sorted({"unilim.verify", "unilim.generate", "unilim.fixtures"} & set(sys.modules)))
+print(run("gen", "--seed", "1"), run("verify", "--targets", "P-lc", "--seed", "0"))
+"""
+
+
+def test_document_commands_leave_the_suite_unloaded(tmp_path):
+    """Only ``gen`` and ``verify`` load ``verify``, ``generate`` or
+    ``fixtures``; the other commands run without them."""
+    t = three_point_tower()
+    docs = {
+        "tower": io.tower_to_json(t, {"E_U": t.zero_relation(2)}),
+        "seq": {"metrics": [io.metric_to_json(d) for d in three_point_sequence().metrics]},
+        "map": [0, 1, 2],
+        "factors": [factor_to_json(f) for f in halving_factors()],
+        "group": group_to_json(binary_group_tower()),
+    }
+    for name, doc in docs.items():
+        io.dump(doc, str(tmp_path / f"{name}.json"))
+    probe = _run("-c", DOCUMENT_COMMANDS, str(tmp_path))
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0] []", "0 0"]
+
+
+def test_verify_help_lists_every_theorem_id(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--help"])
+    assert info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--targets [ID ...]" in out
+    assert f"theorem ids: {', '.join(THEOREM_IDS)}" in out
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--targets", "T1", "T99"])
+    assert info.value.code == 2
+    choices = ", ".join(map(repr, THEOREM_IDS))
+    assert f"invalid choice: 'T99' (choose from {choices})" in capsys.readouterr().err
 
 
 def _s3_tower() -> tuple[Tower, tuple, tuple]:

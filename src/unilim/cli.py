@@ -8,6 +8,7 @@ exception escaped; either is an implementation bug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -250,13 +251,13 @@ def cmd_gen(args) -> int:
     return EXIT_TRUE
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """A half-open range "lo..hi" or a comma list; an empty range would
-    make a run that checks no seeded instance, so it is refused."""
+def _parse_seeds(spec: str) -> range | list[int]:
+    """A half-open range "lo..hi", as a ``range``, or a comma list; an empty
+    range would make a run that checks no seeded instance, so it is refused."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            seeds = list(range(int(lo), int(hi)))
+            seeds = range(int(lo), int(hi))
         else:
             seeds = [int(s) for s in spec.split(",")]
     except ValueError:
@@ -278,15 +279,9 @@ def cmd_verify(args) -> int:
     else:
         seeds = [args.seed if args.seed is not None else _default_seed()]
     reports = verify_suite(targets, seeds)
-    lines = [io.dumps(r.to_json()) for r in reports]
-    if args.output:
-        with open(args.output, "w") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-    else:
-        for line in lines:
-            print(line)
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        for r in reports:
+            print(io.dumps(r.to_json()), file=fh)
     failed = [r for r in reports if not r.verdict]
     print(
         f"{len(reports) - len(failed)}/{len(reports)} checks passed",

@@ -11,10 +11,11 @@ A derived tower is checked by its construction, not re-validated: the
 coordinate max of validated pseudometrics is a pseudometric whose
 zero-pairs are the pairs where every coordinate is a zero-pair, so once
 ``_certify_coordinate_max`` has confirmed in O(n^2) that each table is
-that max, the O(n^3) triangle pass and the zero-pair agreement pass
-(implied by the factors') have nothing left to find (program checking,
-Blum & Kannan, JACM 42(1), 1995).  A table that fails its certificate is
-an implementation bug and raises ``CertificateFailure``.
+that max, the triangle pass (one packed pass per zero class) and the
+zero-pair agreement pass (implied by the factors') have nothing left to
+find (program checking, Blum & Kannan, JACM 42(1), 1995).  A table that
+fails its certificate is an implementation bug and raises
+``CertificateFailure``.
 
 All comparison verdicts run through the shared topology-comparison
 oracle; nothing here argues by hand.
@@ -30,7 +31,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import Entourage, Pseudometric, Tower, bits
+from .core import Pseudometric, Tower, bits, members
 from .errors import (
     CertificateFailure, InvarianceViolation, LevelCountMismatch, ValidationError,
 )
@@ -234,26 +235,22 @@ class GroupTower:
                             )
 
     def metric_ball(self, level: int, radius: Fraction) -> frozenset[int]:
-        """Elements of the level subgroup at distance < radius from e."""
-        d = self.tower.metric(level)
-        q, bound = radius.denominator, radius.numerator * d.den
-        return frozenset(g for g in range(d.size) if d.numer[g][0] * q < bound)
+        """Elements of the level subgroup at distance < radius from e: row e
+        of the sublevel {d < radius}."""
+        return members(self.tower.metric(level).sublevel(level, radius).rows[0])
 
     def set_product(self, a: Sequence[int], b: Sequence[int]) -> frozenset[int]:
         return frozenset(self.op[x][y] for x in a for y in b)
 
-    def two_sided_entourage(self, level: int, radius: Fraction) -> Entourage:
-        """For an invariant metric the two-sided entourage is the metric
-        sublevel {d < radius} on the level subgroup."""
-        return self.tower.metric(level).sublevel(level, Fraction(radius))
-
 
 def ordered_product_ball(g: GroupTower, radii: Sequence[Fraction]) -> frozenset[int]:
     """The ordered product U_0 U_1 ... U_m of the per-level identity balls."""
-    acc: frozenset[int] = frozenset([0])
-    for n, r in enumerate(_radii(g, radii)):
-        acc = g.set_product(acc, g.metric_ball(n, r))
-    return acc
+    return _ordered_product(g, [g.metric_ball(n, r) for n, r in enumerate(_radii(g, radii))])
+
+
+def _ordered_product(g: GroupTower, balls: Sequence[frozenset[int]]) -> frozenset[int]:
+    """The product of ``balls`` in level order, from {e}."""
+    return functools.reduce(g.set_product, balls, frozenset([0]))
 
 
 def _radii(g: GroupTower, radii: Sequence[Fraction]) -> list[Fraction]:
@@ -291,32 +288,27 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
     into the original ordered product."""
     t = g.tower
     radii = _radii(g, radii)
-    entries = tuple(g.two_sided_entourage(n, r) for n, r in enumerate(radii))
+    entries = tuple(t.metric(n).sublevel(n, r) for n, r in enumerate(radii))
     seq = EntourageSequence(t, 0, entries)
     # the finite sum through the top level: one factor per level, exactly
     # matching the ordered product (a repeat-last tail would append extra
     # copies of the top ball that the ordered product does not contain)
     limit_ball = ball(0, sigma_sum(seq, t.top_level))
-    ordered = ordered_product_ball(g, radii)
+    balls = [g.metric_ball(n, r) for n, r in enumerate(radii)]
+    ordered = _ordered_product(g, balls)
     ball_eq = limit_ball == ordered
     detail = ""
     if not ball_eq:
         detail = f"ball {sorted(limit_ball)} != ordered product {sorted(ordered)}"
 
-    balls = [g.metric_ball(n, r) for n, r in enumerate(radii)]
     commutes = all(
-        g.set_product(balls[n], balls[m]) == g.set_product(balls[m], balls[n])
-        for n in range(len(balls))
-        for m in range(n, len(balls))
+        g.set_product(a, b) == g.set_product(b, a) for a, b in itertools.combinations(balls, 2)
     )
 
-    halved = [r / 2 for r in radii]
-    small = [g.metric_ball(n, r) for n, r in enumerate(halved)]
-    squares_ok = all(
-        g.set_product(small[n], small[n]) <= balls[n] for n in range(len(balls))
-    )
+    small = [g.metric_ball(n, r / 2) for n, r in enumerate(radii)]
+    squares_ok = all(g.set_product(s, s) <= b for s, b in zip(small, balls))
     if squares_ok:
-        lhs = ordered_product_ball(g, halved)
+        lhs = _ordered_product(g, small)
         square_incl = g.set_product(lhs, lhs) <= ordered
     else:
         square_incl = False

@@ -385,6 +385,20 @@ class Tower:
                     f"metric at level {n} has size {d.size}, expected {self.level_sizes[n]}"
                 )
 
+    def _check_uniform(self, level: int, d: Pseudometric, name: str) -> None:
+        """Raise ``NotUniform`` unless ``d``, a table of the level's size,
+        vanishes on the level's zero-pairs, the finite-scale meaning of
+        "uniform on the level", naming the first failing pair in row-major
+        order.  Both tables are symmetric with a zero diagonal, so that
+        pair has j > i."""
+        for i, (level_i, d_i) in enumerate(zip(self.level_metrics[level].numer, d.numer)):
+            for j in range(i + 1, d.size):
+                if level_i[j] == 0 and d_i[j] != 0:
+                    raise NotUniform(
+                        f"{name} positive on zero-pair "
+                        f"({self.labels[i]},{self.labels[j]}) of level {level}"
+                    )
+
     # -- heights -----------------------------------------------------------
 
     def height(self, x: int) -> int:
@@ -598,17 +612,7 @@ class MonotonePseudometricSequence:
             if d.size != t.level_sizes[n]:
                 raise NestingViolation(f"sequence metric at level {n} has wrong size")
             d.validate(n, t.labels)
-            # both tables of each check are symmetric with a zero diagonal,
-            # so the first failing pair in row-major order has j > i
-            level = t.level_metrics[n]
-            for i in range(d.size):
-                level_i, d_i = level.numer[i], d.numer[i]
-                for j in range(i + 1, d.size):
-                    if level_i[j] == 0 and d_i[j] != 0:
-                        raise NotUniform(
-                            f"d_{n} positive on zero-pair "
-                            f"({t.labels[i]},{t.labels[j]}) of level {n}"
-                        )
+            t._check_uniform(n, d, f"d_{n}")
         for n in range(t.num_levels - 1):
             lo, hi = self.metrics[n], self.metrics[n + 1]
             lo_den, hi_den = lo.den, hi.den

@@ -27,7 +27,7 @@ from .core import (
     closure_in_place,
 )
 from .errors import (
-    IndexOutOfRange, NotAnEntourage, NotUniform, PreconditionFailed, ValidationError,
+    IndexOutOfRange, NestingViolation, NotAnEntourage, PreconditionFailed, ValidationError,
 )
 from .relations import multiple
 
@@ -172,23 +172,14 @@ def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseud
     square, the extension is min(D(x,y), min over a,b below of
     D(x,a) + rho(a,b) + D(b,y)).
     """
-    k = None
-    for n, m in enumerate(tower.level_sizes):
-        if m == rho.size:
-            k = n
-            break
-    if k is None:
-        raise IndexOutOfRange(f"no level has size {rho.size}")
+    try:
+        k = tower.level_sizes.index(rho.size)
+    except ValueError:
+        raise IndexOutOfRange(f"no level has size {rho.size}") from None
     if not k <= to_level <= tower.top_level:
         raise IndexOutOfRange(f"target level {to_level}")
-
-    for i, row in enumerate(tower.zero_relation(k).rows):
-        for j in bits(row):
-            if rho.numer[i][j] != 0:
-                raise NotUniform(
-                    f"pseudometric positive on zero-pair "
-                    f"({tower.labels[i]},{tower.labels[j]}) of level {k}"
-                )
+    rho.validate(k, tower.labels)
+    tower._check_uniform(k, rho, "pseudometric")
 
     cur = rho
     for n in range(k + 1, to_level + 1):
@@ -199,14 +190,21 @@ def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseud
 def sum_of_extensions(tower: Tower, pieces: Sequence[Pseudometric]) -> MonotonePseudometricSequence:
     """The monotone sequence whose n-th metric is the sum over k <= n of
     the k-th piece (a uniform pseudometric on level k) extended level by
-    level up to level n."""
+    level up to level n.  Each piece is checked once, as it joins: its
+    size and its uniformity on its level; an extension of a uniform
+    pseudometric is uniform, so the carried pieces are not checked again."""
+    sizes = tower.level_sizes
     metrics = []
     carried: list[Pseudometric] = []
-    for n in range(tower.num_levels):
-        carried = [extend_pseudometric(tower, r, n) for r in carried]
-        carried.append(pieces[n])
+    for n, piece in enumerate(pieces):
+        # tower.metric refuses a piece past the top level, naming the level
+        if piece.size != tower.metric(n).size:
+            raise NestingViolation(f"piece at level {n} has size {piece.size}, expected {sizes[n]}")
+        tower._check_uniform(n, piece, "pseudometric")
+        carried = [_extend_one(tower, r, n) for r in carried]
+        carried.append(piece)
         den = math.lcm(*(r.den for r in carried))
-        total = [[0] * tower.level_sizes[n] for _ in range(tower.level_sizes[n])]
+        total = [[0] * sizes[n] for _ in range(sizes[n])]
         for r in carried:
             f = den // r.den
             for row, part in zip(total, r.numer):

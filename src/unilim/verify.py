@@ -386,14 +386,17 @@ def _generated(seed: int) -> Instance:
 
 
 def verify_suite(targets: Sequence[str], seeds: Iterable[int]) -> list[VerifyReport]:
-    """Run the selected checks over fixtures and generated instances;
-    reports are ordered by (theorem id, instance)."""
-    for tid in targets:
-        _entry(tid)
-    instances = [_generated(s) for s in seeds]
-    reports: list[VerifyReport] = []
-    for tid in sorted(targets):
-        reports.extend(fixture_reports(tid))
-        for inst in instances:
-            reports.append(run_theorem(tid, inst))
-    return reports
+    """Run the selected checks over fixtures and generated instances, each
+    id and each seed once; reports are ordered by (theorem id, instance).
+    Every id runs on one seed's instance before the next seed is read, so a
+    run keeps the reports and no list of instances."""
+    ids = sorted(set(targets))
+    reports = {tid: fixture_reports(tid) for tid in ids}
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed not in seen:
+            seen.add(seed)
+            inst = _generated(seed)
+            for tid in ids:
+                reports[tid].append(run_theorem(tid, inst))
+    return [r for tid in ids for r in reports[tid]]

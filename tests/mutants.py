@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # every mutant, about 90 s on 2 cores
+    python tests/mutants.py          # every mutant, about 2 minutes on 2 cores
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -465,9 +465,54 @@ MUTANTS = {
     # pins; verify itself still passes on every seed
     "--seeds lo..hi includes hi": Mutant(
         "cli.py",
-        "seeds = list(range(int(lo), int(hi)))",
-        "seeds = list(range(int(lo), int(hi) + 1))",
+        "seeds = range(int(lo), int(hi))",
+        "seeds = range(int(lo), int(hi) + 1)",
         "test_acceptance.py",
+        ("tests",),
+    ),
+    # P-group compares the product of these balls with the ball at e of the
+    # summed sublevels, which still reads row e
+    "metric_ball reads the wrong row of the sublevel": Mutant(
+        "constructions.py",
+        ".sublevel(level, radius).rows[0])",
+        ".sublevel(level, radius).rows[-1])",
+        "test_constructions.py",
+        ("verify", "tests"),
+    ),
+    # generated pieces and sequences are uniform, so verify never reaches
+    # the refusal; the oracle comparisons of the sequence validator do
+    "uniformity check skips the pairs next to the diagonal": Mutant(
+        "core.py",
+        "for j in range(i + 1, d.size):",
+        "for j in range(i + 2, d.size):",
+        "test_core.py",
+        ("tests",),
+    ),
+    # a top-level piece positive on a zero-pair is then refused by the
+    # sequence check under its "d_n" name, not as the piece it is
+    "sum_of_extensions appends a piece unchecked": Mutant(
+        "limitmetric.py",
+        '        tower._check_uniform(n, piece, "pseudometric")\n',
+        "",
+        "test_limitmetric.py",
+        ("tests",),
+    ),
+    # a nonzero diagonal then extends over the denominator 0; no library
+    # path calls extend_pseudometric, so only its tests see it
+    "extension skips the pseudometric check of its input": Mutant(
+        "limitmetric.py",
+        "    rho.validate(k, tower.labels)\n",
+        "",
+        "test_limitmetric.py",
+        ("tests",),
+    ),
+    # no check or transcript of verify composes a higher relation with a
+    # lower one; the compose tests do
+    "compose leaves a lower second operand unpromoted": Mutant(
+        "relations.py",
+        "return u, v.promote(u.level, u.size)",
+        "return u, v",
+        "test_relations.py",
         ("tests",),
     ),
     # every command then loads verify, generate and fixtures; the outputs

@@ -81,6 +81,7 @@ REL_EXPRESSIONS = {
     "sigma w, repeat_last": "(sigma w [E_V] repeat_last)",
     "ball by label": "(ball a (sum E_U E_V))",
     "ball by index": "(ball 2 (sigma omega [L1 E_V] P))",
+    "ball of a sum, higher level first": "(ball c (sum E_V L1))",
     "whitespace and brackets": "\t(sum(mul 2 E_U)\u3000E_V\x1c)\n",
     "unknown operation": "(frob E_U)",
     "unexpected end": "(sigma 1 [",
@@ -149,6 +150,7 @@ CASES.update({
     ],
     "verify T3 seeds 1,3": ["verify", "--targets", "T3", "--seeds", "1,3"],
     "verify T1 seed 2": ["verify", "--targets", "T1", "--seed", "2"],
+    "verify repeated id and seed": ["verify", "--targets", "P-lc", "P-lc", "--seeds", "1,1,2"],
     "verify empty seed range": ["verify", "--targets", "T1", "--seeds", "3..3"],
     "verify no target": ["verify", "--seeds", "0..2"],
     "verify seeds not ints": ["verify", "--all", "--seeds", "a..b"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilim import io
+from unilim import constructions, io
 from unilim.constructions import (
     GroupTower,
     _certify_coordinate_max,
@@ -168,6 +168,39 @@ def test_group_checks_pass_on_fixture(group):
     ):
         v = check_group_limit(group, radii)
         assert v.ok, v.detail
+
+
+def test_metric_ball_is_the_strict_ball_at_the_identity(group):
+    """{g : d(g, e) < r} on each level, at, between and beyond the level's
+    distances, by a scan of the Fraction table."""
+    for n in range(group.tower.num_levels):
+        d = group.tower.metric(n)
+        values = d.positive_values()
+        for r in {*values, *(v / 2 for v in values), Fraction(3, 2) * values[-1]}:
+            want = frozenset(g for g in range(d.size) if d.dist[g][0] < r)
+            assert group.metric_ball(n, r) == want
+
+
+def test_group_limit_builds_each_ball_once(group, monkeypatch):
+    """One identity ball and one halved ball per level, and one check of
+    the radii, for the three checks together."""
+    balls, checked = [], []
+    metric_ball, radii_of = GroupTower.metric_ball, constructions._radii
+
+    def record_ball(g, n, r):
+        balls.append((n, r))
+        return metric_ball(g, n, r)
+
+    def record_radii(g, radii):
+        checked.append(radii)
+        return radii_of(g, radii)
+
+    monkeypatch.setattr(GroupTower, "metric_ball", record_ball)
+    monkeypatch.setattr(constructions, "_radii", record_radii)
+    assert check_group_limit(group, [1, Fraction(1, 2), Fraction(1, 4)]).ok
+    assert balls == [(0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 4)),
+                     (0, Fraction(1, 2)), (1, Fraction(1, 4)), (2, Fraction(1, 8))]
+    assert len(checked) == 1
 
 
 def test_group_radii_validation(group):

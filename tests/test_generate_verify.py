@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilim import generate, io
+from unilim import generate, io, verify
 from unilim.core import Entourage, Pseudometric
 from unilim.errors import PreconditionFailed, ProfileTooLarge, UnknownTheoremId
 from unilim.generate import (
@@ -257,3 +257,27 @@ def test_verify_suite_ordering_and_coverage():
         ("P-lc", "seed1"),
     ]
     assert all(r.verdict for r in reports)
+
+
+def test_verify_suite_runs_every_id_on_an_instance_before_drawing_the_next(monkeypatch):
+    """Seeds are read lazily and each is drawn once, run by every id and
+    dropped; the reports still come out in (theorem id, instance) order."""
+    events = []
+    draw, check = verify._generated, verify.run_theorem
+
+    def drawn(seed):
+        events.append(("draw", seed))
+        return draw(seed)
+
+    def checked(tid, inst):
+        events.append((tid, inst.instance_id))
+        return check(tid, inst)
+
+    monkeypatch.setattr(verify, "_generated", drawn)
+    monkeypatch.setattr(verify, "run_theorem", checked)
+    reports = verify_suite(["P-lc", "L-mod", "P-lc"], iter([3, 1, 3]))
+    assert events == [
+        ("draw", 3), ("L-mod", "seed3"), ("P-lc", "seed3"),
+        ("draw", 1), ("L-mod", "seed1"), ("P-lc", "seed1"),
+    ]
+    assert reports == verify_suite(["L-mod", "P-lc"], [3, 1])

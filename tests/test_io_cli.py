@@ -638,6 +638,37 @@ def test_cli_verify_stdout_and_seed_list(capsys):
     assert [r["instance"] for r in lines] == ["fixture:three-point", "seed1", "seed3"]
 
 
+def test_cli_verify_runs_a_repeated_id_or_seed_once(capsys):
+    assert cli.main(["verify", "--targets", "T3", "P-lc", "T3", "--seeds", "2,1,2,1"]) == 0
+    captured = capsys.readouterr()
+    assert [(r["theorem"], r["instance"]) for r in map(json.loads, captured.out.splitlines())] == [
+        ("P-lc", "fixture:three-point"), ("P-lc", "seed2"), ("P-lc", "seed1"),
+        ("T3", "fixture:three-point"), ("T3", "seed2"), ("T3", "seed1"),
+    ]
+    assert captured.err == "6/6 checks passed\n"
+
+
+def test_cli_verify_draws_a_huge_seed_range_lazily(capsys, monkeypatch):
+    """A range of 10^12 seeds is read one seed at a time: a generation error
+    at the third seed exits 3 naming it, with nothing printed, where a list
+    of the whole range would have run out of memory first."""
+    assert cli._parse_seeds("0..1000000000000") == range(10**12)
+    drawn = []
+
+    def broken_at_2(seed):
+        drawn.append(seed)
+        if seed == 2:
+            raise ValidationError("monotonicity fails at level 1 on pair (x1,x2)")
+        return generate_instance(seed)
+
+    monkeypatch.setattr("unilim.verify.generate_instance", broken_at_2)
+    assert cli.console_main(["verify", "--all", "--seeds", "0..1000000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: generating seed 2: ValidationError" in captured.err
+    assert drawn == [0, 1, 2]
+
+
 @pytest.mark.parametrize("argv", [["verify"], ["verify", "--targets"]])
 def test_cli_verify_refuses_a_run_with_no_targets(capsys, argv):
     with pytest.raises(ValidationError):

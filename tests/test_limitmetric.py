@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from unilim import limitmetric
 from unilim.core import Entourage, Pseudometric, Tower
-from unilim.errors import NotAnEntourage, NotUniform, PreconditionFailed, ValidationError
+from unilim.errors import (
+    IndexOutOfRange, NestingViolation, NotAnEntourage, NotUniform, PreconditionFailed,
+    ValidationError,
+)
 from unilim.generate import Profile, generate_instance, random_monotone_sequence, random_tower
 from unilim.limitmetric import (
     Chain,
@@ -191,6 +194,77 @@ def test_extension_names_the_first_positive_zero_pair_in_row_major_order():
     rho = frac_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     with pytest.raises(NotUniform, match=r"zero-pair \(p0,p2\) of level 0"):
         extend_pseudometric(t, rho, 0)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1]], r"^nonzero diagonal at a$"),
+    ([[0, 1], [2, 0]], r"^asymmetric pair \(b,a\)$"),
+    ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], r"^triangle inequality fails at level 2"),
+])
+def test_extension_refuses_a_table_that_is_not_a_pseudometric(tower, rows, message):
+    """Checked before uniformity, which reads only the pairs above the
+    diagonal of a symmetric table: a nonzero diagonal would otherwise
+    extend over the denominator 0."""
+    with pytest.raises(ValidationError, match=message):
+        extend_pseudometric(tower, frac_matrix(rows), 2)
+
+
+def _three_point_pieces(tower):
+    return [tower.metric(n) for n in range(3)]
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda p, t: p[:2], NestingViolation, r"^one pseudometric per level required$"),
+    (lambda p, t: p + [t.metric(2)], IndexOutOfRange, r"^level 3 out of range$"),
+    (lambda p, t: [t.metric(1)] + p[1:], NestingViolation,
+     r"^piece at level 0 has size 2, expected 1$"),
+    (lambda p, t: p[:2] + [t.metric(1)], NestingViolation,
+     r"^piece at level 2 has size 2, expected 3$"),
+], ids=["two pieces", "four pieces", "oversized level-0 piece", "undersized level-2 piece"])
+def test_sum_of_extensions_refuses_a_bad_piece_list_naming_it(tower, edit, error, message):
+    """Too few or too many pieces, or a piece of another level's size, is a
+    library error, not an ``IndexError``, a silently dropped piece or a
+    refusal that names another level."""
+    with pytest.raises(error, match=message):
+        sum_of_extensions(tower, edit(_three_point_pieces(tower), tower))
+
+
+def test_sum_of_extensions_refuses_a_piece_positive_on_a_zero_pair():
+    t = flat_tower([1, 3], value=0)
+    pieces = [Pseudometric.zero(1), frac_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])]
+    with pytest.raises(
+        NotUniform, match=r"^pseudometric positive on zero-pair \(p0,p2\) of level 1$"
+    ):
+        sum_of_extensions(t, pieces)
+
+
+def test_sum_of_extensions_checks_each_piece_once_and_lifts_without_rechecking(
+    tower, monkeypatch
+):
+    """Each piece is checked for uniformity once, on its own level, and the
+    pieces carried up are lifted by the extension step alone; the sequence
+    built from them checks each level once more."""
+    checked = []
+    check = Tower._check_uniform
+
+    def record(self, level, d, name):
+        checked.append((level, d.size, name))
+        return check(self, level, d, name)
+
+    def refuse(*args):
+        raise AssertionError("a carried piece went through extend_pseudometric")
+
+    monkeypatch.setattr(Tower, "_check_uniform", record)
+    monkeypatch.setattr(limitmetric, "extend_pseudometric", refuse)
+    seq = sum_of_extensions(tower, _three_point_pieces(tower))
+    assert [c for c in checked if c[2] == "pseudometric"] == [
+        (0, 1, "pseudometric"), (1, 2, "pseudometric"), (2, 3, "pseudometric")
+    ]
+    assert [c for c in checked if c[2] != "pseudometric"] == [
+        (0, 1, "d_0"), (1, 2, "d_1"), (2, 3, "d_2")
+    ]
+    # d(a,c): the level-1 piece lifts to 2 there, the level-2 piece adds 2
+    assert seq[2].dist[0][2] == 4
 
 
 def test_adequate_sequence_refines_targets(tower):

@@ -66,6 +66,21 @@ def test_compose_promotes_levels(tower):
     assert (2, 0) in pairs(out)  # c joins b at the top, b joins a below
 
 
+def test_compose_promotes_a_lower_second_operand(tower):
+    """U above V: V is promoted to U's level, its new points joined only to
+    themselves; a lower V larger than U is refused."""
+    top = Entourage(2, 3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)])
+    low = Entourage(1, 2, [(0, 0), (1, 1), (1, 0)])
+    out = compose(top, low)
+    assert out.level == 2 and out.size == 3
+    assert pairs(out) == brute_compose(pairs(top), pairs(low) | diag(3), 3)
+    assert (1, 2) in pairs(out) and (0, 2) not in pairs(out)
+    small_top = Entourage(2, 2, [(0, 0), (1, 1)])
+    big_low = Entourage(1, 3, [(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(LevelMismatch, match="^lower level is larger than higher level$"):
+        compose(small_top, big_low)
+
+
 def test_compose_level_mismatch():
     a = Entourage(1, 2, [(0, 0), (1, 1)])
     b = Entourage(1, 3, [(0, 0), (1, 1), (2, 2)])
@@ -170,6 +185,15 @@ def test_compose_matches_oracle(seed, size):
     u = random_entourage(rng, 0, size)
     v = random_entourage(rng, 0, size)
     assert pairs(compose(u, v)) == brute_compose(set(u.pairs), set(v.pairs), size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.data())
+def test_compose_of_a_higher_then_a_lower_operand_matches_oracle(seed, size, data):
+    rng = random.Random(seed)
+    u = random_entourage(rng, 2, size)
+    v = random_entourage(rng, 1, data.draw(st.integers(1, size)))
+    assert pairs(compose(u, v)) == brute_compose(set(u.pairs), set(v.pairs) | diag(size), size)
 
 
 @settings(max_examples=80, deadline=None)

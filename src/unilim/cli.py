@@ -242,7 +242,7 @@ def cmd_gen(args) -> int:
 
     seed = args.seed if args.seed is not None else _default_seed()
     profile = Profile(levels=args.levels, max_size=args.max_size)
-    # the tower is the first draw of generate_instance(seed, profile)
+    # with the default profile, this is the first draw of generate_instance(seed)
     doc = io.tower_to_json(random_tower(random.Random(seed), profile))
     if args.out:
         io.dump(doc, args.out)
@@ -278,8 +278,10 @@ def cmd_verify(args) -> int:
         seeds = _parse_seeds(args.seeds)
     else:
         seeds = [args.seed if args.seed is not None else _default_seed()]
-    reports = verify_suite(targets, seeds)
+    # the output opens first, so a path that cannot be written is refused
+    # before any check runs
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        reports = verify_suite(targets, seeds)
         for r in reports:
             print(io.dumps(r.to_json()), file=fh)
     failed = [r for r in reports if not r.verdict]

@@ -1,8 +1,9 @@
 """Seeded random instances for the verification runners.
 
 Everything is driven by ``random.Random(seed)`` with a fixed call order,
-so a (seed, profile) pair always yields the same instance, byte for byte
-once serialized.
+the field order of ``Instance``, so a seed always yields the same
+instance, byte for byte once serialized.  Every random table is grown by
+``_grow``.
 """
 
 from __future__ import annotations
@@ -48,51 +49,38 @@ def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, numer
 
 
-def _random_numer(
-    rng: random.Random, size: int, pool: Sequence[int], zero_prob: float
+def _grow(
+    rng: random.Random, prev: list[list[int]], size: int, pool: Sequence[int], zero_prob: float
 ) -> list[list[int]]:
-    """Random symmetric int matrix over the pool numerators, closed by
-    shortest paths."""
-    d = [[0] * size for _ in range(size)]
-    for i in range(size):
+    """The int table ``prev`` extended to ``size`` points and closed by
+    shortest paths.  A new point's distance to an old point is drawn from
+    the pool; between two new points it is 0 with probability ``zero_prob``
+    and drawn from the pool otherwise."""
+    k = len(prev)
+    d = [row + [0] * (size - k) for row in prev] + [[0] * size for _ in range(k, size)]
+    for i in range(k, size):
         for j in range(i):
-            v = 0 if rng.random() < zero_prob else rng.choice(pool)
+            if j < k:
+                v = rng.choice(pool)
+            else:
+                v = 0 if rng.random() < zero_prob else rng.choice(pool)
             d[i][j] = d[j][i] = v
     return closure_in_place(d)
-
-
-def _random_metric(
-    rng: random.Random, size: int, pool: Sequence[Fraction], zero_prob: float
-) -> Pseudometric:
-    """Random symmetric matrix over the pool, repaired into a pseudometric
-    by shortest-path closure."""
-    den, numer = _numerators(pool)
-    return Pseudometric._from_numer(den, _random_numer(rng, size, numer, zero_prob))
 
 
 def random_tower(rng: random.Random, profile: Profile) -> Tower:
     """Tower with strictly increasing level sizes; zero-pairs between a new
     point and an older one are avoided so that closure at a higher level
     never collapses a pair that a lower level keeps apart.  Each level
-    keeps the level below as its corner; the tables are ints over the
-    pool's common denominator."""
+    grows the level below, which stays its corner; the tables are ints
+    over the pool's common denominator."""
     sizes = sorted(rng.sample(range(1, profile.max_size + 1), profile.levels))
     den, pool = _numerators(DEFAULT_POOL)
-    tables = [_random_numer(rng, sizes[0], pool, 0.2)]
-    for m in sizes[1:]:
-        prev = tables[-1]
-        k = len(prev)
-        d = [row + [0] * (m - k) for row in prev] + [[0] * m for _ in range(k, m)]
-        for i in range(k, m):
-            for j in range(i):
-                if j < k:
-                    v = rng.choice(pool)
-                else:
-                    v = 0 if rng.random() < 0.2 else rng.choice(pool)
-                d[i][j] = d[j][i] = v
-        tables.append(closure_in_place(d))
+    tables: list[list[list[int]]] = [[]]
+    for m in sizes:
+        tables.append(_grow(rng, tables[-1], m, pool, 0.2))
     labels = [f"x{i}" for i in range(sizes[-1])]
-    return Tower(labels, sizes, [Pseudometric._from_numer(den, t) for t in tables])
+    return Tower(labels, sizes, [Pseudometric._from_numer(den, t) for t in tables[1:]])
 
 
 def random_monotone_sequence(
@@ -112,10 +100,10 @@ def random_space_map(rng: random.Random, source: Tower, target: Tower) -> SpaceM
     return SpaceMap(source, target, values)
 
 
-def random_target_entourages(rng: random.Random, tower: Tower) -> list[Entourage]:
+def random_target_entourages(rng: random.Random, tower: Tower) -> tuple[Entourage, ...]:
     """One grid entourage per level; each automatically contains the
     level's zero-relation."""
-    return [rng.choice(tower.grid_entourages(n)) for n in range(tower.num_levels)]
+    return tuple(rng.choice(tower.grid_entourages(n)) for n in range(tower.num_levels))
 
 
 class GenerationInstance(NamedTuple):
@@ -189,55 +177,48 @@ def random_group_tower(rng: random.Random) -> GroupTower:
     return cyclic_group_tower(orders, weights)
 
 
-def random_factors(rng: random.Random) -> list[PointedSpace]:
-    out = []
-    for _ in range(3):
-        size = rng.randrange(2, 4)
-        out.append(PointedSpace(_random_metric(rng, size, DEFAULT_POOL, 0.25), 0))
-    return out
-
-
-class Instance:
-    """Everything the verification runners consume for one seed."""
-
-    __slots__ = (
-        "seed", "tower", "seq", "space_map", "targets", "generation", "group", "factors",
-        "second_tower",
+def random_factors(rng: random.Random) -> tuple[PointedSpace, ...]:
+    """Three pointed spaces of 2 or 3 points, each a table grown from
+    nothing."""
+    den, pool = _numerators(DEFAULT_POOL)
+    return tuple(
+        PointedSpace(Pseudometric._from_numer(den, _grow(rng, [], rng.randrange(2, 4), pool, 0.25)))
+        for _ in range(3)
     )
 
-    def __init__(
-        self,
-        seed: int,
-        tower: Tower,
-        seq: MonotonePseudometricSequence,
-        space_map: SpaceMap,
-        targets: tuple[Entourage, ...],
-        generation: GenerationInstance,
-        group: GroupTower,
-        factors: tuple[PointedSpace, ...],
-        second_tower: Tower = None,  # type: ignore[assignment]
-    ):
-        self.seed, self.tower, self.seq, self.space_map = seed, tower, seq, space_map
-        self.targets, self.generation, self.group = targets, generation, group
-        self.factors, self.second_tower = factors, second_tower
+
+class Instance(NamedTuple):
+    """Everything the verification runners consume for one seed, in the
+    order ``generate_instance`` draws it."""
+
+    seed: int
+    tower: Tower
+    second_tower: Tower
+    seq: MonotonePseudometricSequence
+    space_map: SpaceMap
+    targets: tuple[Entourage, ...]
+    generation: GenerationInstance
+    group: GroupTower
+    factors: tuple[PointedSpace, ...]
 
     @property
     def instance_id(self) -> str:
         return f"seed{self.seed}"
 
 
-def generate_instance(seed: int, profile: Profile | None = None) -> Instance:
-    profile = profile or Profile()
+def generate_instance(seed: int) -> Instance:
+    """The instance of ``seed``: its parts drawn from one RNG in field
+    order, each argument below evaluated left to right."""
     rng = random.Random(seed)
-    tower = random_tower(rng, profile)
-    second = random_tower(rng, profile)
-    seq = random_monotone_sequence(rng, tower)
-    space_map = random_space_map(rng, tower, second)
-    targets = tuple(random_target_entourages(rng, tower))
-    generation = random_generation_instance(rng, tower)
-    group = random_group_tower(rng)
-    factors = tuple(random_factors(rng))
+    tower, second = random_tower(rng, Profile()), random_tower(rng, Profile())
     return Instance(
-        seed, tower, seq, space_map, targets, generation, group, factors,
-        second_tower=second,
+        seed,
+        tower,
+        second,
+        random_monotone_sequence(rng, tower),
+        random_space_map(rng, tower, second),
+        random_target_entourages(rng, tower),
+        random_generation_instance(rng, tower),
+        random_group_tower(rng),
+        random_factors(rng),
     )

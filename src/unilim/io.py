@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -25,18 +26,29 @@ def rational_to_json(v: Fraction) -> Any:
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def rational_from_json(v: Any) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValidationError(f"not a rational: {v!r}")
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"not a rational: {v!r}") from e
-
-
 # the most digits int() reads from a string, 0 for no limit (Pythons
 # before 3.10.7 have none)
 _max_str_digits = getattr(sys, "get_int_max_str_digits", int)
+
+# the exponent of an "...e<exp>" spelling, which Fraction multiplies out
+# as 10**exp
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def rational_from_json(v: Any) -> Fraction:
+    """An int, or a string as ``Fraction`` reads it, except that an
+    exponent whose absolute value exceeds the digit limit of int literals
+    (4300 where the interpreter sets none) is refused: its 10**exp alone
+    would take seconds."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValidationError(f"not a rational: {v!r}")
+    try:
+        exp = _EXPONENT.search(v) if isinstance(v, str) else None
+        if exp and abs(int(exp[1])) > (_max_str_digits() or 4300):
+            raise ValueError("exponent past the digit limit")
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"not a rational: {v!r}") from e
 
 
 def _pair_from_json(v: Any) -> tuple[int, int]:
@@ -44,7 +56,7 @@ def _pair_from_json(v: Any) -> tuple[int, int]:
     necessarily reduced.  A JSON int is taken as is, and "p/q" in ASCII
     digits with q nonzero is split at the slash; every other spelling goes
     through ``rational_from_json``, which accepts and rejects as
-    ``Fraction`` does."""
+    ``Fraction`` does, bar an exponent past the digit limit."""
     if type(v) is int:
         return v, 1
     if type(v) is str and v.isascii():

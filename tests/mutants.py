@@ -413,15 +413,42 @@ MUTANTS = {
         "test_io_cli.py",
         ("tests",),
     ),
-    # each level above the first keeps its drawn values unclosed, so the
-    # generated towers fail their triangle check: verify stops while it
-    # generates its instances (exit 3)
+    # every grown table, each tower level and each factor, keeps its drawn
+    # values unclosed, so the generated towers fail their triangle check:
+    # verify stops while it generates its instances (exit 3)
     "generated levels left unclosed": Mutant(
         "generate.py",
-        "tables.append(closure_in_place(d))",
-        "tables.append(d)",
+        "    return closure_in_place(d)\n",
+        "    return d\n",
         "test_generate_verify.py",
         ("verify", "tests"),
+    ),
+    # a new point may then sit at distance 0 from an old one, and the
+    # closure of the level above shrinks a distance of the level below:
+    # the tower is refused while verify generates seed 0 (exit 3)
+    "grown table glues a new point to an old one": Mutant(
+        "generate.py",
+        "if j < k:",
+        "if j < 0:",
+        "test_generate_verify.py",
+        ("verify", "tests"),
+    ),
+    # still a monotone sequence, whose limit distances are no longer the
+    # closed-form 1, 1, 2 the three-point fixture of T3 compares with
+    "three-point sequence's top row changed": Mutant(
+        "fixtures.py",
+        "[[], [2], [3, 1]]",
+        "[[], [2], [3, 2]]",
+        "test_acceptance.py",
+        ("verify", "tests"),
+    ),
+    # verify reads no JSON; "1e4301" is then read as 10**4301
+    "exponent guard dropped": Mutant(
+        "io.py",
+        "if exp and abs(int(exp[1]))",
+        "if False and abs(int(exp[1]))",
+        "test_io_cli.py",
+        ("tests",),
     ),
     # verify builds neither an empty chain nor a profile with fewer points
     # than levels; only the tests' bad inputs do

@@ -8,7 +8,7 @@ import operator
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
 
-from unilim.constructions import GroupTower
+from unilim.constructions import GroupTower, PointedSpace
 from unilim.core import (
     Entourage, Pseudometric, Tower, bits, closure_in_place, members, shortest_path_closure,
 )
@@ -481,14 +481,23 @@ def random_entourage(rng, level, size, density=0.4):
 
 
 def fraction_random_metric(rng, size, pool, zero_prob):
-    """Reference for ``generate._random_metric``: the same draws on
-    Fractions, repaired by the Fraction shortest-path closure."""
+    """Reference for ``generate._grow`` from the empty table: the same
+    draws on Fractions, repaired by the Fraction shortest-path closure."""
     dist = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i):
             v = Fraction(0) if rng.random() < zero_prob else Fraction(rng.choice(pool))
             dist[i][j] = dist[j][i] = v
     return Pseudometric(shortest_path_closure(dist))
+
+
+def fraction_random_factors(rng):
+    """Reference for ``generate.random_factors``: the same draws on
+    Fractions."""
+    return tuple(
+        PointedSpace(fraction_random_metric(rng, rng.randrange(2, 4), DEFAULT_POOL, 0.25))
+        for _ in range(3)
+    )
 
 
 def fraction_random_tower(rng, profile, pool=DEFAULT_POOL):

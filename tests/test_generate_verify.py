@@ -27,7 +27,7 @@ from unilim.verify import (
 
 from .oracles import (
     fraction_cyclic_group_tower,
-    fraction_random_metric,
+    fraction_random_factors,
     fraction_random_tower,
 )
 
@@ -58,7 +58,7 @@ def test_generation_on_ints_matches_the_fraction_reference(monkeypatch):
     """The int generators give the towers, sequences, groups, factors, maps
     and targets the Fraction ones gave, from the same draws."""
     ints = [generate_instance(s) for s in range(201)]
-    monkeypatch.setattr(generate, "_random_metric", fraction_random_metric)
+    monkeypatch.setattr(generate, "random_factors", fraction_random_factors)
     monkeypatch.setattr(generate, "random_tower", fraction_random_tower)
     monkeypatch.setattr(generate, "cyclic_group_tower", fraction_cyclic_group_tower)
     for got in ints:

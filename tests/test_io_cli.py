@@ -1,6 +1,8 @@
 import json
 import re
 import signal
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -597,6 +599,15 @@ def test_cli_gen_deterministic(tmp_path, capsys):
     assert io.dumps(lines[0]) + "\n" == a.read_text()
 
 
+def test_cli_gen_prints_the_first_tower_of_the_seeded_instance(capsys):
+    """With the default profile, ``gen --seed S`` draws what
+    ``generate_instance(S)`` draws first."""
+    for seed in range(50):
+        assert cli.main(["gen", "--seed", str(seed)]) == 0
+        tower = generate_instance(seed).tower
+        assert capsys.readouterr().out == io.dumps(io.tower_to_json(tower)) + "\n"
+
+
 def test_cli_gen_env_seed(tmp_path, monkeypatch, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -630,6 +641,16 @@ def test_cli_verify_targets(tmp_path, capsys):
     assert "wall_time" not in reports[0]
     err = capsys.readouterr().err
     assert "checks passed" in err
+
+
+def test_cli_verify_refuses_an_unwritable_output_before_any_check(capsys, monkeypatch, tmp_path):
+    def never(targets, seeds):
+        raise AssertionError("the suite ran before the output was opened")
+
+    monkeypatch.setattr("unilim.verify.verify_suite", never)
+    out = tmp_path / "missing" / "reports.jsonl"
+    assert cli.main(["verify", "--all", "--seeds", "0..200", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_cli_verify_stdout_and_seed_list(capsys):
@@ -815,6 +836,8 @@ def tokenized(data, rows):
     ("3/04", Fraction(3, 4)),
     ("1_0/4", Fraction(5, 2)),
     ("３/4", Fraction(3, 4)),
+    ("1e4000", Fraction(10**4000)),  # an exponent within the digit limit
+    ("1E-4_000", Fraction(1, 10**4000)),
 ])
 def test_json_reader_reads_every_spelling_fraction_reads(spelling, value):
     rows = [[], [spelling], [1, spelling]]
@@ -848,6 +871,30 @@ def test_cli_long_rational_string_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "tower.json"
     io.dump({"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [bad]]]}, str(path))
     assert cli.console_main(["topo", "--tower", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"
+
+
+EXPONENT_LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
+
+
+# the just-past cases come first: with the guard gone they exit 0 at once,
+# ahead of the slow one
+@pytest.mark.parametrize("bad", [
+    f"1e{EXPONENT_LIMIT + 1}", f"1E-{EXPONENT_LIMIT + 1}", "1e1000000",
+], ids=["past-limit", "negative-past-limit", "million"])
+def test_cli_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, bad):
+    """``Fraction`` reads "1e<exp>" by computing 10**exp; the reader refuses
+    an exponent past the digit limit of int literals before that, so a
+    tower of such entries is refused at once rather than after seconds of
+    big-int arithmetic."""
+    path = tmp_path / "tower.json"
+    rows = [[], [bad], [bad, bad]]
+    io.dump({"labels": ["a", "b", "c"], "level_sizes": [3], "metrics": [rows]}, str(path))
+    start = time.perf_counter()
+    assert cli.console_main(["topo", "--tower", str(path)]) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"

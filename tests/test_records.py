@@ -196,14 +196,14 @@ def _cases() -> dict:
         "Instance": (
             Instance,
             (
-                "seed", "tower", "seq", "space_map", "targets", "generation", "group",
-                "factors", "second_tower",
+                "seed", "tower", "second_tower", "seq", "space_map", "targets", "generation",
+                "group", "factors",
             ),
             (
-                inst.seed, inst.tower, inst.seq, inst.space_map, inst.targets,
-                inst.generation, inst.group, inst.factors, inst.second_tower,
+                inst.seed, inst.tower, inst.second_tower, inst.seq, inst.space_map,
+                inst.targets, inst.generation, inst.group, inst.factors,
             ),
-            {"second_tower": None},
+            {},
         ),
         "Chain": (Chain, ("points",), ((0, 2, 1),), {}),
         "GenerationVerdict": (

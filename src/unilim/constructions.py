@@ -370,7 +370,5 @@ def check_box_limit(factors: Sequence[PointedSpace], depth: int, box: Tower) -> 
     boxes of factor zero-classes; the expected verdict is "equal"."""
     spaces = factors[:depth]
     points = coordinate_tuples([f.metric.size for f in spaces], [f.basepoint for f in spaces])[0]
-    zero_classes = [
-        [sum(1 << j for j, v in enumerate(row) if v == 0) for row in f.metric.numer] for f in spaces
-    ]
+    zero_classes = [f.metric.zero_classes for f in spaces]
     return compare_topologies(ulim_topology(box), product_topology(points, zero_classes))

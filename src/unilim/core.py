@@ -117,7 +117,7 @@ class Pseudometric:
     ``dist[i][j] == Fraction(numer[i][j], den)``, built on first access.
     """
 
-    __slots__ = ("size", "den", "numer", "_dist")
+    __slots__ = ("size", "den", "numer", "_dist", "_classes")
 
     def __init__(self, dist: Sequence[Sequence[Fraction]]):
         self._dist: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -155,6 +155,21 @@ class Pseudometric:
         self._dist = tuple(tuple(map(as_fraction.__getitem__, row)) for row in self.numer)
         return self._dist
 
+    @property
+    def zero_classes(self) -> tuple[int, ...]:
+        """Per point, the bitmask of its class of equal rows, built on first
+        access; its lowest bit is the class's lowest member.  Rows i and j of
+        a pseudometric are equal iff d(i, j) = 0, so these are {d = 0}."""
+        try:
+            return self._classes
+        except AttributeError:
+            pass
+        classes: dict[tuple[int, ...], int] = {}
+        for i, row in enumerate(self.numer):
+            classes[row] = classes.get(row, 0) | 1 << i
+        self._classes = tuple(map(classes.__getitem__, self.numer))
+        return self._classes
+
     @classmethod
     def from_lower_triangular(cls, rows: Sequence[Sequence]) -> "Pseudometric":
         """Build from rows ``[d(i,0), ..., d(i,i-1)]`` for i = 0..n-1."""
@@ -189,9 +204,8 @@ class Pseudometric:
                     raise ValidationError(f"negative distance ({name(i)},{name(j)})")
         # The table is symmetric, so swapping a point for one with an equal
         # row changes no side of any triangle: the triangle inequality holds
-        # iff it holds on one representative per distinct row, read at the
-        # representatives' columns (q below).  In a pseudometric rows are
-        # equal exactly on zero-pairs, so this is one pass per zero class.
+        # iff it holds on the lowest point of each class of equal rows, read
+        # at those points' columns (q below), one pass per zero class.
         # d(i,k) <= d(i,j) + d(j,k) for every k iff max_k d(i,k) - d(j,k)
         # <= d(i,j); with d symmetric, the pairs (i, j) and (j, i) together
         # ask max_k |d(i,k) - d(j,k)| <= d(i,j), so j < i covers them all.
@@ -202,7 +216,7 @@ class Pseudometric:
         # 2^(w-1) + 2*max]; w is chosen so 2*max < 2^(w-1), so no field
         # carries into or borrows from the next, and its top bit is set iff
         # d(i,k) <= d(i,j) + d(j,k).
-        reps = list(dict(zip(d, range(n))).values())
+        reps = [i for i, c in enumerate(self.zero_classes) if c & -c == 1 << i]
         q = d if len(reps) == n else [[row[b] for b in reps] for row in map(d.__getitem__, reps)]
         m = len(q)
         top = max(map(max, q), default=0)
@@ -274,11 +288,11 @@ class Tower:
     levels must agree on zero-pairs (the finite-scale uniform-subspace
     condition); in strict mode the higher metric must restrict exactly.
     A tower is not modified after construction, so the heights, and each
-    level's zero-relation and grid entourages once asked for, are kept.  So
-    is what ``topology.grid_ball_masks`` builds: per level, each point's
-    tuple of balls under that level's grid entourages (at the top level,
-    under their components), and the grid balls found from each (level,
-    set) it reaches.
+    level's grid entourages once asked for, are kept (its zero-relation is
+    its table's ``zero_classes``).  So is what ``topology.grid_ball_masks``
+    builds: per level, each point's tuple of balls under that level's grid
+    entourages (at the top level, under their components), and the grid
+    balls found from each (level, set) it reaches.
     """
 
     def __init__(
@@ -320,7 +334,6 @@ class Tower:
         for n, m in enumerate(self.level_sizes):
             heights += [n] * (m - len(heights))
         self._heights = tuple(heights)
-        self._zero_relations: list[Entourage | None] = [None] * self.num_levels
         self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
         self._grid_ball_rows: list[tuple[tuple[int, ...], ...] | None] = [None] * self.num_levels
         self._grid_balls: dict[tuple[int, int], frozenset[int]] = {}
@@ -348,18 +361,17 @@ class Tower:
         self._validate_shape()
         for n, d in enumerate(self.level_metrics):
             d.validate(n, self.labels)
-        # both tables of each check are symmetric with a zero diagonal, so
-        # the first failing pair in row-major order has j > i
-        for n in range(self.num_levels - 1):
-            lo, hi = self.level_metrics[n], self.level_metrics[n + 1]
-            m, strict = self.level_sizes[n], self.strict
-            for i in range(m):
-                lo_i, hi_i = lo.numer[i], hi.numer[i]
-                for j in range(i + 1, m):
-                    if (lo_i[j] == 0) != (hi_i[j] == 0):
-                        raise SubspaceViolation(n, self.labels[i], self.labels[j])
-                    if strict and lo_i[j] * hi.den != hi_i[j] * lo.den:
-                        raise SubspaceViolation(n, self.labels[i], self.labels[j])
+        # both tables are symmetric, so the first failing pair in row-major
+        # order is the lowest failing bit of the first failing row
+        for n, (lo, hi) in enumerate(zip(self.level_metrics, self.level_metrics[1:])):
+            below = (1 << lo.size) - 1
+            for i, (z, hi_z) in enumerate(zip(lo.zero_classes, hi.zero_classes)):
+                bad = z ^ hi_z & below
+                if self.strict:
+                    pairs = enumerate(zip(lo.numer[i], hi.numer[i]))
+                    bad |= sum(1 << j for j, (a, b) in pairs if a * hi.den != b * lo.den)
+                if bad:
+                    raise SubspaceViolation(n, self.labels[i], self.labels[next(bits(bad))])
 
     def _validate_shape(self) -> None:
         """Labels one per point and unique, level sizes strictly
@@ -390,10 +402,10 @@ class Tower:
         vanishes on the level's zero-pairs, the finite-scale meaning of
         "uniform on the level", naming the first failing pair in row-major
         order.  Both tables are symmetric with a zero diagonal, so that
-        pair has j > i."""
-        for i, (level_i, d_i) in enumerate(zip(self.level_metrics[level].numer, d.numer)):
-            for j in range(i + 1, d.size):
-                if level_i[j] == 0 and d_i[j] != 0:
+        pair has j > i, a bit of row i's level zero class."""
+        for i, (z, d_i) in enumerate(zip(self.level_metrics[level].zero_classes, d.numer)):
+            for j in bits(z >> i + 1 << i + 1):
+                if d_i[j] != 0:
                     raise NotUniform(
                         f"{name} positive on zero-pair "
                         f"({self.labels[i]},{self.labels[j]}) of level {level}"
@@ -419,20 +431,8 @@ class Tower:
     # -- entourage bases ----------------------------------------------------
 
     def zero_relation(self, level: int) -> "Entourage":
-        """Smallest entourage of the level's uniformity: {d = 0}.
-
-        In a pseudometric d(i, j) = 0 iff rows i and j of the table are
-        equal (each bounds the other through the triangle inequality), so
-        the zero-class of i is the set of rows equal to row i."""
-        d = self.metric(level)
-        z = self._zero_relations[level]
-        if z is None:
-            classes: dict[tuple[int, ...], int] = {}
-            for i, row in enumerate(d.numer):
-                classes[row] = classes.get(row, 0) | 1 << i
-            rows = [classes[row] for row in d.numer]
-            z = self._zero_relations[level] = Entourage._symmetric(level, rows)
-        return z
+        """Smallest entourage of the level's uniformity: {d = 0}."""
+        return Entourage._symmetric(level, self.metric(level).zero_classes)
 
     def grid_entourages(self, level: int) -> tuple["Entourage", ...]:
         """Sublevel entourages {d < eps} over the level's grid; a finite

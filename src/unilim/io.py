@@ -135,7 +135,9 @@ def _metric_from_json(
     the ints and strings already read in the same document as int pairs,
     so each distinct entry is read once; the table is written as int
     numerators over the lcm of the pairs' denominators, which
-    ``Pseudometric._from_numer`` reduces."""
+    ``Pseudometric._from_numer`` reduces.  An lcm with more digits than the
+    int digit limit (4300 where the interpreter sets none) is refused before
+    the table is built: coprime denominators multiply."""
     table = _array(rows, path)
     # JSON true is not the int 1, though it hashes like it, so the types
     # are checked before the distinct entries are taken
@@ -155,6 +157,10 @@ def _metric_from_json(
             raise ValidationError(f"{path}: lower-triangular row {i} has length {len(row)}")
     pairs = {v: parsed[v] for v in values}
     den = math.lcm(*(q for _, q in pairs.values()))
+    # a den of at most 3 * limit bits is below 8**limit: no power of ten needed
+    limit = _max_str_digits() or 4300
+    if den.bit_length() > 3 * limit and den >= 10**limit:
+        raise ValidationError(f"{path}: common denominator has more than {limit} digits")
     numer_of = {v: p * (den // q) for v, (p, q) in pairs.items()}
     n = len(table)
     numer = [[0] * n for _ in range(n)]

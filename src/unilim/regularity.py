@@ -120,12 +120,12 @@ class CriterionVerdict(NamedTuple):
 
 def _restriction_continuous(f: SpaceMap, n: int) -> Optional[tuple[int, int]]:
     """Finite form of continuity of f on level n: zero-pairs map to
-    zero-pairs of the target's top metric.  Returns a violating pair."""
-    d = f.source.metric(n)
-    dy = f.target.metric(f.target.top_level)
-    for i in range(d.size):
-        for j in range(d.size):
-            if d.numer[i][j] == 0 and dy.numer[f(i)][f(j)] != 0:
+    zero-pairs of the target's top metric.  Returns the first violating
+    pair in row-major order."""
+    u = f.target.metric(f.target.top_level).zero_classes
+    for i, z in enumerate(f.source.metric(n).zero_classes):
+        for j in bits(z):
+            if not u[f(i)] >> f(j) & 1:
                 return (i, j)
     return None
 

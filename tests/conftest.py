@@ -158,3 +158,12 @@ def factor_to_json(f):
 
 def factor_from_json(doc):
     return io._factor_from_json(doc, "factor")
+
+
+def big_denominator_rows(n):
+    """Lower-triangular rows of n points, entry k being (q + 1)/q for
+    q = 10**999 + k: a metric, since every value lies in (1, 2), whose
+    entries each have their own 1,000-digit denominator, so at 8 points
+    their lcm has some 28,000 digits, past the int digit limit."""
+    q = iter(range(10**999, 10**999 + n * n))
+    return [[f"{k + 1}/{k}" for k, _ in zip(q, range(i))] for i in range(n)]

@@ -126,11 +126,12 @@ MUTANTS = {
         "test_topology.py",
         ("verify", "tests"),
     ),
-    # distinct rows can share their first entry, so the quotient drops rows
-    # and can miss a violation; verify validates only valid tables
+    # the triangle representatives are then chosen by first entry, not by
+    # zero class: distinct rows can share their first entry, so the quotient
+    # drops rows and can miss a violation; verify validates only valid tables
     "zero-class quotient keyed on each row's first entry": Mutant(
         "core.py",
-        "reps = list(dict(zip(d, range(n))).values())",
+        "reps = [i for i, c in enumerate(self.zero_classes) if c & -c == 1 << i]",
         "reps = list(dict(zip((row[0] for row in d), range(n))).values())",
         "test_core.py",
         ("tests",),
@@ -243,12 +244,14 @@ MUTANTS = {
         "test_constructions.py",
         ("verify", "tests"),
     ),
-    # rows with the same distance to point 0 need not be equal rows
+    # rows with the same distance to point 0 need not be equal rows; every
+    # zero-pair check reads this one grouping
     "zero-relation classes keyed on each row's first entry": Mutant(
         "core.py",
-        "classes[row] = classes.get(row, 0) | 1 << i\n            rows = [classes[row] for row in",
+        "classes[row] = classes.get(row, 0) | 1 << i\n"
+        "        self._classes = tuple(map(classes.__getitem__, self.numer))",
         "classes[row[0]] = classes.get(row[0], 0) | 1 << i\n"
-        "            rows = [classes[row[0]] for row in",
+        "        self._classes = tuple(classes[row[0]] for row in self.numer)",
         "test_core.py",
         ("verify", "tests"),
     ),
@@ -359,6 +362,16 @@ MUTANTS = {
         "regularity.py",
         "bits(z.rows[x] & below)",
         "bits(z.rows[x])",
+        "test_regularity.py",
+        ("tests",),
+    ),
+    # the top level's zero-pairs hold level n's, so the hypothesis is false
+    # at the same maps and only the named level and pair move; verify reads
+    # only the hypothesis and the conclusion
+    "restriction continuity walks the source's top level": Mutant(
+        "regularity.py",
+        "enumerate(f.source.metric(n).zero_classes)",
+        "enumerate(f.source.metric(f.source.top_level).zero_classes)",
         "test_regularity.py",
         ("tests",),
     ),
@@ -510,10 +523,20 @@ MUTANTS = {
     # the refusal; the oracle comparisons of the sequence validator do
     "uniformity check skips the pairs next to the diagonal": Mutant(
         "core.py",
-        "for j in range(i + 1, d.size):",
-        "for j in range(i + 2, d.size):",
+        "for j in bits(z >> i + 1 << i + 1):",
+        "for j in bits(z >> i + 2 << i + 2):",
         "test_core.py",
         ("tests",),
+    ),
+    # a point glued at distance 0 to a lower one then puts a bit above the
+    # lower level into the higher class, and the tower is refused; no
+    # seeded tower has such a pair, but the glued-pair fixture of T5 does
+    "level agreement not masked to the lower level": Mutant(
+        "core.py",
+        "bad = z ^ hi_z & below",
+        "bad = z ^ hi_z",
+        "test_core.py",
+        ("verify", "tests"),
     ),
     # a top-level piece positive on a zero-pair is then refused by the
     # sequence check under its "d_n" name, not as the piece it is

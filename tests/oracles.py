@@ -446,6 +446,39 @@ def open_set_walk_continuous(f):
     return None
 
 
+def loop_restriction_continuous(f, n):
+    """Reference for ``regularity._restriction_continuous``: the first pair
+    (i, j) of level n's full square, in row-major order, at distance 0 in
+    the level's metric whose images are at positive distance in the
+    target's top metric, or None."""
+    d = f.source.metric(n).dist
+    dy = f.target.metric(f.target.top_level).dist
+    for i in range(len(d)):
+        for j in range(len(d)):
+            if d[i][j] == 0 and dy[f(i)][f(j)] != 0:
+                return (i, j)
+    return None
+
+
+def twin_tower(rng, tower, prob=0.3):
+    """``tower`` with each point above level 0, with probability ``prob``,
+    made the twin of a random lower-index point: it takes that point's row
+    and column, at distance 0 from it, at every level that holds it.
+    Duplicating a point keeps a pseudometric, and levels that agreed on
+    zero-pairs still do, so the result is a tower, with the zero-pairs
+    across heights that seeded towers never have."""
+    tables = [[list(row) for row in d.numer] for d in tower.level_metrics]
+    for x in range(tower.level_sizes[0], tower.ground_size):
+        if rng.random() < prob:
+            y = rng.randrange(x)
+            for t in tables[tower.height(x):]:
+                for row in t:
+                    row[x] = row[y]
+                t[x] = list(t[y])
+    metrics = [Pseudometric._from_numer(d.den, t) for d, t in zip(tower.level_metrics, tables)]
+    return Tower(tower.labels, tower.level_sizes, metrics)
+
+
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))

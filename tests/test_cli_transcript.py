@@ -38,7 +38,7 @@ from unilim.constructions import PointedSpace
 from unilim.core import Entourage, Pseudometric
 from unilim.generate import cyclic_group_tower, generate_instance
 
-from .conftest import factor_to_json, group_to_json, map_to_json
+from .conftest import big_denominator_rows, factor_to_json, group_to_json, map_to_json
 
 RECORD = Path(__file__).with_name("cli_transcript.json")
 
@@ -161,6 +161,7 @@ CASES.update({
     "malformed map [[0], 1]": ["check", "--tower", "three_point.json", "--map", "bad_map.json"],
     "malformed group, op 5": ["group", "bad_group.json", "--radii", "1,1/2,1/4"],
     "malformed factor, no metric": ["box", "bad_factor.json", "--depth", "1"],
+    "tower, common denominator past the digit limit": ["topo", "--tower", "big_den.json"],
 })
 
 
@@ -246,7 +247,8 @@ def _write_map_inputs() -> None:
 
 
 def _write_malformed_inputs() -> None:
-    """One document per kind, each with one field of the wrong shape."""
+    """One document per kind, each with one field of the wrong shape, and
+    a tower whose table's common denominator is past the digit limit."""
     tower = uio.tower_to_json(fixtures.three_point_tower())
     uio.dump({**tower, "metrics": 5}, "bad_tower.json")
     uio.dump({}, "bad_seq.json")
@@ -255,6 +257,9 @@ def _write_malformed_inputs() -> None:
     factor = factor_to_json(fixtures.halving_factors()[0])
     del factor["metric"]
     uio.dump([factor], "bad_factor.json")
+    labels = [f"x{i}" for i in range(8)]
+    uio.dump({"labels": labels, "level_sizes": [8], "metrics": [big_denominator_rows(8)]},
+             "big_den.json")
 
 
 def _digest(argv: list[str]) -> str:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from unilim.errors import (
     TriangleViolation,
     ValidationError,
 )
+from unilim.generate import Profile, random_tower
 from unilim.topology import tlim_topology
 
 from .conftest import flat_tower, frac_matrix
@@ -33,6 +35,7 @@ from .oracles import (
     loop_validate,
     max_value,
     transpose,
+    twin_tower,
     union,
 )
 
@@ -373,6 +376,8 @@ def test_integer_helpers_match_fraction_values(m, eps):
     assert [[Fraction(v, d.den) for v in row] for row in d.numer] == m
     zeros = {(i, j) for i, row in enumerate(d.numer) for j, v in enumerate(row) if v == 0}
     assert zeros == {(i, j) for i in range(n) for j in range(n) if m[i][j] == 0}
+    # on any table, valid or not, the classes group equal rows
+    assert d.zero_classes == tuple(sum(1 << j for j in range(n) if m[j] == m[i]) for i in range(n))
     sub = d.sublevel(2, eps)
     assert sub.level == 2
     assert sub.pairs == {(i, j) for i in range(n) for j in range(n) if m[i][j] < eps}
@@ -416,6 +421,46 @@ def test_cached_tower_data_match_definitions(m):
         joined = union(joined, t.zero_relation(level).promote(t.top_level, top.size))
     assert Entourage._from_rows(t.top_level, joined.rows).columns() == joined.rows
     assert tlim_topology(t).min_nbhd == joined.components().rows
+
+
+def _twin_towers(count):
+    """Seeded towers, each with its copy with twins: points glued at
+    distance 0 to a lower one, often across heights."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        plain = random_tower(rng, Profile(3, 8))
+        yield rng, plain, twin_tower(rng, plain)
+
+
+def test_zero_classes_of_validated_tables_are_the_zero_entries():
+    crossing = 0
+    for _, _, t in _twin_towers(200):
+        for d in t.level_metrics:
+            zeros = [{j for j, v in enumerate(row) if v == 0} for row in d.dist]
+            assert d.zero_classes == tuple(sum(1 << j for j in z) for z in zeros)
+            for c, z in zip(d.zero_classes, zeros):
+                assert c & -c == 1 << min(z)
+                assert d.zero_classes[min(z)] == c
+        z = t.zero_relation(t.top_level).rows
+        low = (1 << t.level_sizes[0]) - 1
+        crossing += any(z[x] & low for x in range(t.level_sizes[0], t.ground_size))
+    assert crossing > 100
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_tower_validation_of_twin_levels_names_the_reference_first_pair(strict):
+    """Each level of a seeded tower with twins, or the same level without
+    them: a level with a twin that the next level lacks, or the reverse, is
+    refused, and the zero-pairs of twins across heights are no mismatch."""
+    outcomes = []
+    for rng, plain, t in _twin_towers(200):
+        metrics = [rng.choice(pair) for pair in zip(plain.level_metrics, t.level_metrics)]
+        got = _outcome(lambda: Tower(t.labels, t.level_sizes, metrics, strict=strict))
+        assert got == _outcome(
+            lambda: loop_tower_validate(t.labels, t.level_sizes, metrics, strict)
+        )
+        outcomes.append(got and got[0])
+    assert outcomes.count(None) > 20 and outcomes.count(SubspaceViolation) > 20
 
 
 @settings(max_examples=300, deadline=None)

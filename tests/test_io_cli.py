@@ -26,6 +26,7 @@ from unilim.relations import compose, multiple
 
 from .conftest import (
     MIXED_POOL,
+    big_denominator_rows,
     factor_from_json,
     factor_to_json,
     group_to_json,
@@ -898,6 +899,47 @@ def test_cli_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, b
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"
+
+
+@pytest.mark.parametrize("kind", ["tower", "sequence", "factors"])
+def test_cli_common_denominator_past_the_digit_limit_is_an_input_error(capsys, tmp_path, kind):
+    """A table whose entries' lcm has more digits than the int digit limit
+    is refused, naming the table, before its big-int table is built."""
+    rows = big_denominator_rows(8)
+    labels = [f"x{i}" for i in range(8)]
+    tower = tmp_path / "tower.json"
+    ones = [[1] * i for i in range(8)]
+    io.dump({"labels": labels, "level_sizes": [8],
+             "metrics": [rows if kind == "tower" else ones]}, str(tower))
+    other = tmp_path / "other.json"
+    if kind == "factors":
+        io.dump([{"metric": rows}], str(other))
+        argv, path = ["box", str(other), "--depth", "1"], "factors[0].metric"
+    else:
+        io.dump({"metrics": [rows]}, str(other))
+        argv, path = ["limit", "--tower", str(tower), "--seq", str(other)], "metrics[0]"
+    if kind == "tower":
+        argv = ["topo", "--tower", str(tower)]
+    start = time.perf_counter()
+    assert cli.console_main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: common denominator has more than {EXPONENT_LIMIT} digits\n"
+    )
+
+
+def test_common_denominator_of_exactly_the_digit_limit_is_read():
+    """lcm(2**k, 5**k) = 10**k has k + 1 digits: read at k = limit - 1,
+    refused at k = limit."""
+    def doc(k):
+        rows = [[], [f"1/{2**k}"], [f"1/{5**k}", f"1/{2**k}"]]
+        return {"labels": ["a", "b", "c"], "level_sizes": [3], "metrics": [rows]}
+
+    assert io.tower_from_json(doc(EXPONENT_LIMIT - 1)).metric(0).den == 10 ** (EXPONENT_LIMIT - 1)
+    with pytest.raises(ValidationError, match=r"^metrics\[0\]: common denominator has more"):
+        io.tower_from_json(doc(EXPONENT_LIMIT))
 
 
 @settings(max_examples=100, deadline=None)

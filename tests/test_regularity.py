@@ -21,7 +21,13 @@ from unilim.relations import ball_set_mask
 from unilim.topology import compare_topologies, ulim_topology
 
 from .conftest import frac_matrix
-from .oracles import is_open, level_by_level_topology, open_set_walk_continuous
+from .oracles import (
+    is_open,
+    level_by_level_topology,
+    loop_restriction_continuous,
+    open_set_walk_continuous,
+    twin_tower,
+)
 
 
 def two_level_map(d_ab, f_b=1):
@@ -134,6 +140,31 @@ def test_regularity_ball_is_computed_once(monkeypatch):
             v = is_regular_at(f, n)
             assert calls == [t.zero_relation(n)]
             assert v.regular == naive_regular(f, n)
+
+
+def test_restriction_continuity_matches_the_entry_loop():
+    """On seeded towers with twins and on prefix towers, both with
+    zero-pairs across heights, under random maps and maps constant on the
+    top zero-classes (continuous on every level), with one point moved."""
+    found = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        if seed % 2:
+            t = twin_tower(rng, random_tower(rng, Profile(3, 8)))
+        else:
+            t = prefix_tower(rng, 3, 6)
+        tgt = twin_tower(rng, random_tower(rng, Profile(2, 5)))
+        f = random_space_map(rng, t, tgt)
+        if seed % 3:
+            classes = t.zero_relation(t.top_level).rows
+            values = [f((c & -c).bit_length() - 1) for c in classes]
+            values[rng.randrange(len(values))] = rng.randrange(tgt.ground_size)
+            f = SpaceMap(t, tgt, tuple(values))
+        for n in range(t.num_levels):
+            got = regularity._restriction_continuous(f, n)
+            assert got == loop_restriction_continuous(f, n)
+            found.append(got is None)
+    assert found.count(True) > 100 and found.count(False) > 100
 
 
 def test_is_continuous_identity(identity_into_top):

@@ -10,12 +10,12 @@ as minimal neighborhoods (``product_topology``).
 A derived tower is checked by its construction, not re-validated: the
 coordinate max of validated pseudometrics is a pseudometric whose
 zero-pairs are the pairs where every coordinate is a zero-pair, so once
-``_certify_coordinate_max`` has confirmed in O(n^2) that each table is
-that max, the triangle pass (one packed pass per zero class) and the
-zero-pair agreement pass (implied by the factors') have nothing left to
-find (program checking, Blum & Kannan, JACM 42(1), 1995).  A table that
-fails its certificate is an implementation bug and raises
-``CertificateFailure``.
+``_certify_coordinate_max`` has confirmed in O(k n^2), for k coordinates
+and n points, that each table is that max, the triangle pass (one packed
+pass per zero class) and the zero-pair agreement pass (implied by the
+factors') have nothing left to find (program checking, Blum & Kannan,
+JACM 42(1), 1995).  A table that fails its certificate is an
+implementation bug and raises ``CertificateFailure``.
 
 All comparison verdicts run through the shared topology-comparison
 oracle; nothing here argues by hand.

@@ -481,7 +481,7 @@ class Entourage:
     built by ``_symmetric``; pair sets are read only at the JSON edge.
     """
 
-    __slots__ = ("level", "size", "rows", "_cols", "_components")
+    __slots__ = ("level", "size", "rows", "_cols")
 
     def __init__(self, level: int, size: int, pairs: Iterable[tuple[int, int]]):
         rows = [0] * size
@@ -555,11 +555,8 @@ class Entourage:
         each round ORing in the rows of the points the last round reached,
         so every row is read once.  Raises ``ValidationError`` when the
         relation is not symmetric; for a directed relation the closure is
-        the (size-1)-fold sum ``relations.multiple(u, size - 1)``."""
-        try:
-            return self._components
-        except AttributeError:
-            pass
+        the (size-1)-fold sum ``relations.multiple(u, size - 1)``.  Not
+        cached: each call builds a new relation."""
         rows = self.rows
         if self.columns() != rows:
             raise ValidationError("components of a relation that is not symmetric")
@@ -578,8 +575,7 @@ class Entourage:
             for y in bits(comp):
                 out[y] = comp
             unseen &= ~comp
-        c = self._components = Entourage._symmetric(self.level, out)
-        return c
+        return Entourage._symmetric(self.level, out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -26,9 +26,9 @@ def rational_to_json(v: Fraction) -> Any:
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-# the most digits int() reads from a string, 0 for no limit (Pythons
-# before 3.10.7 have none)
-_max_str_digits = getattr(sys, "get_int_max_str_digits", int)
+def _digit_limit() -> int:
+    """The most digits int() reads from a string, 4300 where none is set."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
 
 # the exponent of an "...e<exp>" spelling, which Fraction multiplies out
 # as 10**exp
@@ -44,7 +44,7 @@ def rational_from_json(v: Any) -> Fraction:
         raise ValidationError(f"not a rational: {v!r}")
     try:
         exp = _EXPONENT.search(v) if isinstance(v, str) else None
-        if exp and abs(int(exp[1])) > (_max_str_digits() or 4300):
+        if exp and abs(int(exp[1])) > _digit_limit():
             raise ValueError("exponent past the digit limit")
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
@@ -61,7 +61,7 @@ def _pair_from_json(v: Any) -> tuple[int, int]:
         return v, 1
     if type(v) is str and v.isascii():
         p, _, q = v.partition("/")
-        limit = _max_str_digits() or len(v)
+        limit = _digit_limit()
         if p.isdigit() and q.isdigit() and len(p) <= limit and len(q) <= limit:
             q = int(q)
             if q:
@@ -127,14 +127,11 @@ def _name_bad_entry(table: list, path: str) -> None:
                 raise ValidationError(f"{path}[{i}][{j}]: {e}") from None
 
 
-def _metric_from_json(
-    rows: Any, path: str, parsed: dict[Any, tuple[int, int]]
-) -> Pseudometric:
+def _metric_from_json(rows: Any, path: str) -> Pseudometric:
     """Lower-triangular rows to a pseudometric (not yet validated); a
-    malformed document names its first offending path.  ``parsed`` holds
-    the ints and strings already read in the same document as int pairs,
-    so each distinct entry is read once; the table is written as int
-    numerators over the lcm of the pairs' denominators, which
+    malformed document names its first offending path.  Each distinct entry
+    of the table is read once as an int pair, and the table is written as
+    int numerators over the lcm of the pairs' denominators, which
     ``Pseudometric._from_numer`` reduces.  An lcm with more digits than the
     int digit limit (4300 where the interpreter sets none) is refused before
     the table is built: coprime denominators multiply."""
@@ -146,19 +143,16 @@ def _metric_from_json(
         and _INT_OR_STR.issuperset(map(type, itertools.chain.from_iterable(table)))
     ):
         _name_bad_entry(table, path)
-    values = set().union(*table)
     try:
-        for v in values.difference(parsed):
-            parsed[v] = _pair_from_json(v)
+        pairs = {v: _pair_from_json(v) for v in set().union(*table)}
     except ValidationError:
         _name_bad_entry(table, path)
     for i, row in enumerate(table):
         if len(row) != i:
             raise ValidationError(f"{path}: lower-triangular row {i} has length {len(row)}")
-    pairs = {v: parsed[v] for v in values}
     den = math.lcm(*(q for _, q in pairs.values()))
     # a den of at most 3 * limit bits is below 8**limit: no power of ten needed
-    limit = _max_str_digits() or 4300
+    limit = _digit_limit()
     if den.bit_length() > 3 * limit and den >= 10**limit:
         raise ValidationError(f"{path}: common denominator has more than {limit} digits")
     numer_of = {v: p * (den // q) for v, (p, q) in pairs.items()}
@@ -201,11 +195,10 @@ def tower_from_json(doc: dict) -> Tower:
         raise ValidationError(f"strict: expected true or false, got {strict!r}")
     sizes = _array(doc["level_sizes"], "level_sizes")
     metrics = _array(doc["metrics"], "metrics")
-    parsed: dict[Any, tuple[int, int]] = {}
     return Tower(
         labels,
         [_integer(m, f"level_sizes[{n}]") for n, m in enumerate(sizes)],
-        [_metric_from_json(rows, f"metrics[{n}]", parsed) for n, rows in enumerate(metrics)],
+        [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)],
         strict=strict,
     )
 
@@ -239,8 +232,7 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
             raise ValidationError("sequence document missing 'metrics'")
         doc = doc["metrics"]
     metrics = _array(doc, "metrics")
-    parsed: dict[Any, tuple[int, int]] = {}
-    return [_metric_from_json(rows, f"metrics[{n}]", parsed) for n, rows in enumerate(metrics)]
+    return [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)]
 
 
 def map_from_json(doc) -> tuple[int, ...]:
@@ -273,7 +265,7 @@ def _factor_from_json(doc: Any, path: str) -> PointedSpace:
         raise ValidationError(f"{path}: expected a JSON object, got {doc!r}")
     if "metric" not in doc:
         raise ValidationError(f"{path}: factor document missing 'metric'")
-    metric = _metric_from_json(doc["metric"], f"{path}.metric", {})
+    metric = _metric_from_json(doc["metric"], f"{path}.metric")
     basepoint = _integer(doc.get("basepoint", 0), f"{path}.basepoint")
     try:
         return PointedSpace(metric, basepoint)

@@ -138,7 +138,7 @@ def same_table(got, ref):
 
 
 def metric_from_json(rows):
-    return io._metric_from_json(rows, "metric", {})
+    return io._metric_from_json(rows, "metric")
 
 
 def map_to_json(values):

@@ -463,6 +463,40 @@ MUTANTS = {
         "test_io_cli.py",
         ("tests",),
     ),
+    # true hashes like 1, so a table holding both reads true as 1; verify
+    # reads no JSON
+    "JSON reader lets booleans through": Mutant(
+        "io.py",
+        "_INT_OR_STR = frozenset((int, str))",
+        "_INT_OR_STR = frozenset((int, str, bool))",
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # a map value of -1 then reaches a shift count (exit 3); verify builds
+    # its maps in range
+    "SpaceMap accepts a negative target index": Mutant(
+        "regularity.py",
+        "if not 0 <= v < target.ground_size:",
+        "if not v < target.ground_size:",
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # "(ball -1 U)" then reads the ball of the last point
+    "ball accepts a negative center": Mutant(
+        "relations.py",
+        "if not 0 <= x < u.size:",
+        "if not x < u.size:",
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # a pair [0, -1] then reaches a shift count (exit 3)
+    "entourage accepts a negative pair index": Mutant(
+        "core.py",
+        "if not (0 <= i < size and 0 <= j < size):",
+        "if not (i < size and j < size):",
+        "test_io_cli.py",
+        ("tests",),
+    ),
     # verify builds neither an empty chain nor a profile with fewer points
     # than levels; only the tests' bad inputs do
     "Chain accepts an empty point tuple": Mutant(

@@ -96,6 +96,13 @@ def test_heights(tower):
         tower.height(3)
 
 
+@pytest.mark.parametrize("level", [-1, 3])
+def test_metric_refuses_a_level_outside_the_tower(tower, level):
+    """-1 is out of range, as 3 is, and is not read as the top level."""
+    with pytest.raises(IndexOutOfRange, match=f"^level {level} out of range$"):
+        tower.metric(level)
+
+
 def test_strict_mode_requires_exact_restriction():
     metrics = [
         Pseudometric.from_lower_triangular([[]]),

@@ -270,6 +270,7 @@ def test_cli_rel_bad_expression(capsys, tower_file):
         ("(mul x E_U)", "expected an integer multiple, got 'x'"),
         ("(sigma x [E_U] repeat_last)", "expected a level or omega, got 'x'"),
         ("(ball zz E_U)", "expected a point label or index, got 'zz'"),
+        ("(ball -1 E_U)", "element -1 outside level of size 3"),  # not the last point
         ("(ball a", "unexpected end of expression"),
         ("(sum " * 3000, "expression nested too deeply"),
         ("(mul 2 " * 3000 + "E_U", "expression nested too deeply"),
@@ -498,6 +499,25 @@ def test_cli_check_rejects_malformed_map(capsys, tmp_path, tower_file):
     io.dump([[0], 1], str(file))
     assert cli.main(["check", "--tower", tower_file, "--map", str(file)]) == 2
     assert capsys.readouterr().err.startswith("error: map[0]: ")
+
+
+@pytest.mark.parametrize("case", ["map value", "entourage pair"])
+def test_cli_negative_index_is_an_input_error(capsys, tmp_path, tower_file, tower, case):
+    """An index below 0 is out of range, as one past the end is: Python
+    would read -1 as the last element, and a shift by it raises."""
+    file = tmp_path / "doc.json"
+    if case == "map value":
+        io.dump([0, -1, 1], str(file))
+        argv, message = ["check", "--tower", tower_file, "--map", str(file)], "target index -1"
+    else:
+        doc = io.tower_to_json(tower)
+        doc["entourages"] = {"E": {"level": 2, "pairs": [[0, 0], [1, 1], [2, 2], [0, -1]]}}
+        io.dump(doc, str(file))
+        argv, message = ["topo", "--tower", str(file)], "pair (0,-1) outside level"
+    assert cli.console_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message} ")
 
 
 @pytest.mark.parametrize(
@@ -877,6 +897,38 @@ def test_cli_long_rational_string_is_an_input_error(capsys, tmp_path):
     assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"
 
 
+def _command_reading(tmp_path, kind, rows, tower_rows):
+    """The argv of a command that reads ``rows`` as the table of a tower,
+    sequence or factor document, and the path it names that table by.  A
+    sequence is read on a tower of ``tower_rows``."""
+    n = len(rows)
+    tower = tmp_path / "tower.json"
+    io.dump({"labels": [f"x{i}" for i in range(n)], "level_sizes": [n],
+             "metrics": [rows if kind == "tower" else tower_rows]}, str(tower))
+    other = tmp_path / "other.json"
+    if kind == "factors":
+        io.dump([{"metric": rows}], str(other))
+        return ["box", str(other), "--depth", "1"], "factors[0].metric"
+    if kind == "sequence":
+        io.dump({"metrics": [rows]}, str(other))
+        return ["limit", "--tower", str(tower), "--seq", str(other)], "metrics[0]"
+    return ["topo", "--tower", str(tower)], "metrics[0]"
+
+
+@pytest.mark.parametrize("kind", ["tower", "sequence", "factors"])
+@pytest.mark.parametrize("flag, value", [(True, 1), (False, 0)], ids=["true", "false"])
+def test_cli_json_boolean_next_to_its_int_is_an_input_error(capsys, tmp_path, kind, flag, value):
+    """JSON true and false hash like 1 and 0, so a table that holds both
+    must still be refused at the boolean, not read as the int."""
+    argv, path = _command_reading(
+        tmp_path, kind, [[], [value], [flag, value]], [[], [value], [value, value]]
+    )
+    assert cli.console_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}[2][0]: not a rational: {flag!r}\n"
+
+
 EXPONENT_LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
 
 
@@ -905,21 +957,9 @@ def test_cli_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, b
 def test_cli_common_denominator_past_the_digit_limit_is_an_input_error(capsys, tmp_path, kind):
     """A table whose entries' lcm has more digits than the int digit limit
     is refused, naming the table, before its big-int table is built."""
-    rows = big_denominator_rows(8)
-    labels = [f"x{i}" for i in range(8)]
-    tower = tmp_path / "tower.json"
-    ones = [[1] * i for i in range(8)]
-    io.dump({"labels": labels, "level_sizes": [8],
-             "metrics": [rows if kind == "tower" else ones]}, str(tower))
-    other = tmp_path / "other.json"
-    if kind == "factors":
-        io.dump([{"metric": rows}], str(other))
-        argv, path = ["box", str(other), "--depth", "1"], "factors[0].metric"
-    else:
-        io.dump({"metrics": [rows]}, str(other))
-        argv, path = ["limit", "--tower", str(tower), "--seq", str(other)], "metrics[0]"
-    if kind == "tower":
-        argv = ["topo", "--tower", str(tower)]
+    argv, path = _command_reading(
+        tmp_path, kind, big_denominator_rows(8), [[1] * i for i in range(8)]
+    )
     start = time.perf_counter()
     assert cli.console_main(argv) == 2
     assert time.perf_counter() - start < 1

@@ -131,6 +131,18 @@ def test_valley_distance_frozen(mono_seq):
     assert valley_distance(mono_seq, 1, 1) == 0
 
 
+@pytest.mark.parametrize("point", [-1, 3])
+def test_chain_and_valley_calls_refuse_points_outside_the_ground_set(mono_seq, point):
+    """-1 is out of range, as 3 is, and is not read as the last point."""
+    with pytest.raises(IndexOutOfRange, match=f"^chain point {point}$"):
+        chain_weight(mono_seq, Chain((0, point)))
+    for call in (valley_distance, witness_chain):
+        with pytest.raises(IndexOutOfRange, match=f"^element {point}$"):
+            call(mono_seq, 0, point)
+        with pytest.raises(IndexOutOfRange, match=f"^element {point}$"):
+            call(mono_seq, point, 0)
+
+
 def assert_valley_witness(seq, x, y, d):
     """``witness_chain(seq, x, y)`` runs from x to y, visits no point twice,
     has every interior point lower than the higher of its neighbors, and

@@ -26,7 +26,7 @@ _EXPORTS = {
     "regularity": "ContinuityVerdict CriterionVerdict HomeoVerdict RegularityVerdict SpaceMap "
     "continuity_criterion homeo_criterion is_continuous is_regular_at transport_topology",
     "relations": "OMEGA REPEAT_LAST EntourageSequence ball compose multiple sigma_sum",
-    "topology": "TopologyComparison TopologyFamily base_ball compare_topologies "
+    "topology": "TopologyComparison TopologyFamily compare_topologies "
     "minimal_grid_ball tlim_topology ulim_topology",
     "verify": "THEOREM_IDS VerifyReport verify_suite",
 }

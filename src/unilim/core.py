@@ -289,10 +289,8 @@ class Tower:
     condition); in strict mode the higher metric must restrict exactly.
     A tower is not modified after construction, so the heights, and each
     level's grid entourages once asked for, are kept (its zero-relation is
-    its table's ``zero_classes``).  So is what ``topology.grid_ball_masks``
-    builds: per level, each point's tuple of balls under that level's grid
-    entourages (at the top level, under their components), and the grid
-    balls found from each (level, set) it reaches.
+    its table's ``zero_classes``).  Nothing else is: the grid-ball oracle
+    keeps its memo in a dict its caller owns.
     """
 
     def __init__(
@@ -335,8 +333,6 @@ class Tower:
             heights += [n] * (m - len(heights))
         self._heights = tuple(heights)
         self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
-        self._grid_ball_rows: list[tuple[tuple[int, ...], ...] | None] = [None] * self.num_levels
-        self._grid_balls: dict[tuple[int, int], frozenset[int]] = {}
 
     # -- structure ---------------------------------------------------------
 

@@ -164,7 +164,7 @@ def _metric_from_json(rows: Any, path: str) -> Pseudometric:
     return Pseudometric._from_numer(den, numer)
 
 
-def tower_to_json(t: Tower, entourages: dict[str, Entourage] | None = None) -> dict:
+def tower_to_json(t: Tower) -> dict:
     doc: dict[str, Any] = {
         "labels": list(t.labels),
         "level_sizes": list(t.level_sizes),
@@ -172,11 +172,6 @@ def tower_to_json(t: Tower, entourages: dict[str, Entourage] | None = None) -> d
     }
     if t.strict:
         doc["strict"] = True
-    if entourages:
-        doc["entourages"] = {
-            name: {"level": e.level, "pairs": [list(p) for p in e.sorted_pairs()]}
-            for name, e in entourages.items()
-        }
     return doc
 
 
@@ -215,12 +210,13 @@ def named_entourages_from_json(doc: dict, tower: Tower) -> dict[str, Entourage]:
         level = _integer(spec["level"], f"{path}.level")
         if not 0 <= level < tower.num_levels:
             raise ValidationError(f"{path}.level: {level} is not a level of the tower")
+        size = tower.level_sizes[level]
         pairs = set()
         for k, pair in enumerate(_array(spec["pairs"], f"{path}.pairs")):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"{path}.pairs[{k}]: expected a pair [i, j], got {pair!r}")
-            pairs.add(tuple(_integer(v, f"{path}.pairs[{k}][{c}]") for c, v in enumerate(pair)))
-        out[name] = Entourage(level, tower.level_sizes[level], pairs)
+            pairs.add(tuple(_index(v, f"{path}.pairs[{k}][{c}]", size) for c, v in enumerate(pair)))
+        out[name] = Entourage(level, size, pairs)
     return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import Entourage, Tower, bits, members
-from .errors import IndexOutOfRange, LevelMismatch, NotAnEntourage, StartMismatch, ValidationError
+from .errors import IndexOutOfRange, LevelMismatch, StartMismatch, ValidationError
 
 OMEGA = "omega"
 
@@ -108,12 +108,6 @@ class EntourageSequence:
         if isinstance(self.tail_policy, Entourage):
             return self.tail_policy
         return self.entries[-1].promote(self.tower.top_level, self.tower.ground_size)
-
-    def check_entourages(self) -> None:
-        """Require each entry to contain its level's zero-relation."""
-        for e in self.entries:
-            if not self.tower.zero_relation(e.level).issubset(e):
-                raise NotAnEntourage(e.level)
 
 
 def sigma_sum(seq: EntourageSequence, upto) -> Entourage:

@@ -14,10 +14,10 @@ height(x), ..., top is the top zero-class of x.
 
 ``grid_ball_masks``, the oracle verify checks that against, enumerates
 every grid base ball.  Per level, each point's balls under all the level's
-grid entourages are kept on the tower as one tuple, so a reached set's
-balls under all of them are one sweep over its points; at the top level,
-where the tail closes each ball, the tuples hold the balls under the grid
-entourages' connected components.
+grid entourages are built once as one tuple, kept in the caller's memo for
+the tower, so a reached set's balls under all of them are one sweep over
+its points; at the top level, where the tail closes each ball, the tuples
+hold the balls under the grid entourages' connected components.
 """
 
 from __future__ import annotations
@@ -26,15 +26,7 @@ from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Entourage, Tower, bits, members
-from .errors import (
-    GroundMismatch, IndexOutOfRange, NeighborhoodViolation, StartMismatch,
-)
-from .relations import (
-    OMEGA,
-    EntourageSequence,
-    ball,
-    sigma_sum,
-)
+from .errors import GroundMismatch, NeighborhoodViolation
 
 
 class TopologyFamily:
@@ -135,31 +127,20 @@ def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparis
     return TopologyComparison("incomparable", members(b.min_nbhd[bad]))
 
 
-def base_ball(tower: Tower, x: int, seq: EntourageSequence) -> frozenset[int]:
-    """The base set B(x; sum of the sequence from height(x))."""
-    if not 0 <= x < tower.ground_size:
-        raise IndexOutOfRange(f"element {x}")
-    if seq.start != tower.height(x):
-        raise StartMismatch(
-            f"sequence starts at {seq.start}, point has height {tower.height(x)}"
-        )
-    seq.check_entourages()
-    return ball(x, sigma_sum(seq, OMEGA))
-
-
-def grid_ball_masks(tower: Tower, x: int) -> frozenset[int]:
+def grid_ball_masks(tower: Tower, x: int, memo: dict) -> frozenset[int]:
     """All base balls around x over grid entourage sequences, as bitmasks.
 
     Enumerated by propagating the reachable sets level by level (the ball
     of a sum grows by one level per summand); at the top level the entry
     and its repeat-last tail together are one step by the entry's
     reflexive-transitive closure, which for a grid entourage, a sublevel
-    of a symmetric table, is its connected components.
+    of a symmetric table, is its connected components.  ``memo`` serves one
+    tower: pass the same dict for each of its points.
     """
-    return _grid_balls(tower, tower.height(x), 1 << x)
+    return _grid_balls(tower, tower.height(x), 1 << x, memo)
 
 
-def _grid_balls(tower: Tower, level: int, s: int) -> frozenset[int]:
+def _grid_balls(tower: Tower, level: int, s: int, memo: dict) -> frozenset[int]:
     """The balls the set ``s`` reaches from ``level`` to the top: its ball
     under each grid entourage of ``level``, carried on through the levels
     above, or at the top level its ball under each one's components.
@@ -167,17 +148,16 @@ def _grid_balls(tower: Tower, level: int, s: int) -> frozenset[int]:
     Each point's balls under all of a level's grid entourages are built
     once per level, as one tuple, so the balls of ``s`` are the entry-wise
     OR of its points' tuples, one sweep over ``s``.  The points of a tower
-    reach many of the same sets, so the tuples and the results are kept on
-    the tower."""
-    memo = tower._grid_balls
+    reach many of the same sets, so the caller's ``memo`` for the tower
+    keeps the tuples under ``level`` and the results under (level, set)."""
     out = memo.get((level, s))
     if out is None:
-        rows = tower._grid_ball_rows[level]
+        rows = memo.get(level)
         if rows is None:
             grid = tower.grid_entourages(level)
             if level == tower.top_level:
                 grid = tuple(u.components() for u in grid)
-            rows = tower._grid_ball_rows[level] = tuple(zip(*(u.columns() for u in grid)))
+            rows = memo[level] = tuple(zip(*(u.columns() for u in grid)))
         balls = [0] * len(rows[0])
         for x in bits(s):
             balls = list(map(or_, balls, rows[x]))
@@ -187,7 +167,7 @@ def _grid_balls(tower: Tower, level: int, s: int) -> frozenset[int]:
             out = frozenset()
             # the balls of the nested grid entourages repeat one another
             for b in set(balls):
-                out |= _grid_balls(tower, level + 1, b)
+                out |= _grid_balls(tower, level + 1, b, memo)
         memo[level, s] = out
     return out
 

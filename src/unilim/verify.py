@@ -233,9 +233,10 @@ def _check_generation(inst: Instance) -> Verdict:
 
 def _grid_base(tower: Tower) -> tuple[list[frozenset[int]], TopologyFamily]:
     """Every point's grid base balls (the oracle) and the topology they
-    generate."""
+    generate.  The points share one memo, which goes with this call."""
     n = tower.ground_size
-    balls = [grid_ball_masks(tower, x) for x in range(n)]
+    memo: dict = {}
+    balls = [grid_ball_masks(tower, x, memo) for x in range(n)]
     return balls, TopologyFamily.from_subbase(n, set().union(*balls))
 
 

@@ -334,7 +334,7 @@ MUTANTS = {
         ("verify", "tests"),
     ),
     # verify cannot see a grid-ball enumerator that drops balls until T1
-    # also checks base_ball (ROADMAP item 4): every ball it keeps is still
+    # also checks B(x; sum U_n) (ROADMAP item 4): every ball it keeps is still
     # open and holds the minimal neighborhood, and the smallest is still
     # kept; only the tests' fixpoint oracle sees the missing ones
     "grid balls keep only the smallest top-level ball": Mutant(
@@ -343,6 +343,17 @@ MUTANTS = {
         "out = frozenset(balls[:1])",
         "test_topology.py",
         ("tests",),
+    ),
+    # one memo for every tower: a later tower reads the rows and balls of
+    # an earlier one.  verify runs P-box's fixtures first, so T1's
+    # three-point fixture gets balls of a larger box tower, and its
+    # openness check reads past its neighborhoods (IndexError, exit 3)
+    "grid-ball memo shared across towers": Mutant(
+        "verify.py",
+        "memo: dict = {}",
+        'memo = _grid_base.__dict__.setdefault("memo", {})',
+        "test_generate_verify.py",
+        ("verify", "tests"),
     ),
     # a composed relation's columns are then its rows, so a ball of a
     # directed sum reads the wrong side: the rel cases with directed
@@ -383,7 +394,7 @@ MUTANTS = {
         ("verify", "tests"),
     ),
     # verify sums sequences only through a finite level until T1 also
-    # checks base_ball (ROADMAP item 4)
+    # checks B(x; sum U_n) (ROADMAP item 4)
     "sigma_sum's omega tail left unclosed": Mutant(
         "relations.py",
         "multiple(tail, max(1, tail.size - 1)))",
@@ -489,12 +500,14 @@ MUTANTS = {
         "test_io_cli.py",
         ("tests",),
     ),
-    # a pair [0, -1] then reaches a shift count (exit 3)
+    # a pair (0, -1) then reaches a shift count; the JSON reader names the
+    # bad index before it builds the relation, so only the library test
+    # sees the guard
     "entourage accepts a negative pair index": Mutant(
         "core.py",
         "if not (0 <= i < size and 0 <= j < size):",
         "if not (i < size and j < size):",
-        "test_io_cli.py",
+        "test_core.py",
         ("tests",),
     ),
     # verify builds neither an empty chain nor a profile with fewer points

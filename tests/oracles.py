@@ -12,9 +12,12 @@ from unilim.constructions import GroupTower, PointedSpace
 from unilim.core import (
     Entourage, Pseudometric, Tower, bits, closure_in_place, members, shortest_path_closure,
 )
-from unilim.errors import NotUniform, SubspaceViolation, TriangleViolation, ValidationError
+from unilim.errors import (
+    IndexOutOfRange, NotAnEntourage, NotUniform, StartMismatch, SubspaceViolation,
+    TriangleViolation, ValidationError,
+)
 from unilim.generate import DEFAULT_POOL
-from unilim.relations import EntourageSequence, ball_set_mask, compose
+from unilim.relations import OMEGA, EntourageSequence, ball, ball_set_mask, compose, sigma_sum
 from unilim.topology import TopologyFamily
 
 
@@ -139,6 +142,14 @@ def fraction_metric_from_json(rows):
         for j, v in enumerate(row):
             dist[i][j] = dist[j][i] = Fraction(v)
     return Pseudometric(dist)
+
+
+def with_entourages(doc, names):
+    """The tower document ``doc`` with its ``entourages`` key written: each
+    named relation as its level and its sorted pairs."""
+    table = {name: {"level": e.level, "pairs": [list(p) for p in e.sorted_pairs()]}
+             for name, e in names.items()}
+    return {**doc, "entourages": table}
 
 
 def fraction_closure(matrix):
@@ -359,6 +370,26 @@ def fixpoint_sigma_omega(seq):
         if nxt == acc:
             return acc
         acc = nxt
+
+
+def check_entourages(seq):
+    """Require each entry of ``seq`` to contain its level's zero-relation."""
+    for e in seq.entries:
+        if not seq.tower.zero_relation(e.level).issubset(e):
+            raise NotAnEntourage(e.level)
+
+
+def base_ball(tower, x, seq):
+    """The base set B(x; sum of the sequence from height(x)), the ball
+    ``grid_ball_masks`` enumerates for every grid sequence at once."""
+    if not 0 <= x < tower.ground_size:
+        raise IndexOutOfRange(f"element {x}")
+    if seq.start != tower.height(x):
+        raise StartMismatch(
+            f"sequence starts at {seq.start}, point has height {tower.height(x)}"
+        )
+    check_entourages(seq)
+    return ball(x, sigma_sum(seq, OMEGA))
 
 
 def fixpoint_grid_ball_masks(tower, x):

@@ -39,6 +39,7 @@ from unilim.core import Entourage, Pseudometric
 from unilim.generate import cyclic_group_tower, generate_instance
 
 from .conftest import big_denominator_rows, factor_to_json, group_to_json, map_to_json
+from .oracles import with_entourages
 
 RECORD = Path(__file__).with_name("cli_transcript.json")
 
@@ -196,7 +197,7 @@ def _entourage(level: int, size: int, arrows) -> Entourage:
 
 def _write_relation_inputs() -> None:
     three = fixtures.three_point_tower()
-    uio.dump(uio.tower_to_json(three, {
+    uio.dump(with_entourages(uio.tower_to_json(three), {
         "E_U": _entourage(2, 3, [(0, 1), (1, 0)]),  # a and b, both ways
         "E_V": _entourage(2, 3, [(1, 2), (2, 1)]),  # b and c, both ways
         "L1": _entourage(1, 2, [(1, 0)]),
@@ -204,7 +205,7 @@ def _write_relation_inputs() -> None:
         "P": _entourage(2, 3, [(0, 1), (1, 2)]),  # its closure adds (0, 2)
     }), "rel.json")
     gen0 = generate_instance(0).tower  # levels of 1, 4 and 6 points
-    uio.dump(uio.tower_to_json(gen0, {
+    uio.dump(with_entourages(uio.tower_to_json(gen0), {
         "Z0": _entourage(0, 1, []),
         "Z1": _entourage(1, 4, [(3, 1)]),
         "C": _entourage(2, 6, [(i, i + 1) for i in range(5)]),

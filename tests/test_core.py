@@ -137,6 +137,14 @@ def test_entourage_requires_diagonal():
         Entourage(0, 2, [(0, 0)])  # (1,1) missing
 
 
+@pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (0, 2)])
+def test_entourage_refuses_a_pair_outside_the_level(i, j):
+    """-1 is out of range, as 2 is: Python would read it as the last
+    point, and a shift by it raises."""
+    with pytest.raises(IndexOutOfRange, match=rf"^pair \({i},{j}\) outside level of size 2$"):
+        Entourage(0, 2, [(0, 0), (1, 1), (i, j)])
+
+
 def test_entourage_promote_keeps_pairs():
     e = Entourage(1, 2, [(0, 0), (1, 1), (0, 1)])
     p = e.promote(2, 3)

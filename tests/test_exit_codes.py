@@ -23,6 +23,7 @@ from unilim.fixtures import (
 )
 
 from .conftest import factor_to_json, group_to_json, map_to_json
+from .oracles import with_entourages
 
 
 def _documents():
@@ -31,7 +32,7 @@ def _documents():
     v = Entourage(2, 3, [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)])
     glued = glued_map()
     return {
-        "tower": io.tower_to_json(tower, {"U": u, "V": v}),
+        "tower": with_entourages(io.tower_to_json(tower), {"U": u, "V": v}),
         "seq": {"metrics": [io.metric_to_json(d) for d in three_point_sequence().metrics]},
         "glued_src": io.tower_to_json(glued.source),
         "glued_tgt": io.tower_to_json(glued.target),

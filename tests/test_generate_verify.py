@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim import generate, io, verify
+from unilim.constructions import product_tower
 from unilim.core import Entourage, Pseudometric
 from unilim.errors import PreconditionFailed, ProfileTooLarge, UnknownTheoremId
 from unilim.generate import (
@@ -217,6 +219,21 @@ def test_t1_requires_components_to_equal_closures(monkeypatch):
     assert r.certificate == {
         "reason": "closure of a top grid entourage is not its reflexive-transitive closure"
     }
+
+
+@pytest.mark.parametrize("kind", ["seeded", "product"])
+def test_grid_base_oracle_leaves_the_tower_as_it_found_it(kind):
+    # the oracle's memo lives for one _grid_base call; only the grid
+    # entourages, which generate reads too, are kept on the tower
+    a, b = generate_instance(0)[1:3]
+    tower = a if kind == "seeded" else product_tower(a, b)
+
+    def state():
+        return {k: copy.copy(v) for k, v in vars(tower).items() if k != "_grids"}
+
+    before = state()
+    verify._grid_base(tower)
+    assert state() == before
 
 
 def test_fixture_reports_expected_verdicts():

@@ -35,7 +35,7 @@ from .conftest import (
     mixed_towers,
     same_table,
 )
-from .oracles import fraction_metric_from_json
+from .oracles import fraction_metric_from_json, with_entourages
 
 
 # -- wire formats --------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_metric_round_trip(tower):
 
 
 def test_tower_round_trip(tower, e_u, e_v):
-    doc = io.tower_to_json(tower, {"E_U": e_u, "E_V": e_v})
+    doc = with_entourages(io.tower_to_json(tower), {"E_U": e_u, "E_V": e_v})
     back = io.tower_from_json(doc)
     assert back.labels == tower.labels
     assert back.level_sizes == tower.level_sizes
@@ -108,6 +108,8 @@ GOOD_TOWER = {"labels": ["a", "b"], "level_sizes": [1, 2], "metrics": [[[]], [[]
         ({"entourages": {"E": {"level": 0, "pairs": [[0, 0, 0]]}}}, "entourages.E.pairs[0]"),
         ({"entourages": {"E": {"level": 0, "pairs": [["0", 0]]}}}, "entourages.E.pairs[0][0]"),
         ({"entourages": {"E": [0]}}, "entourages.E"),
+        ({"entourages": {"E": {"level": 1, "pairs": [[0, -1]]}}}, "entourages.E.pairs[0][1]"),
+        ({"entourages": {"E": {"level": 1, "pairs": [[0, 7]]}}}, "entourages.E.pairs[0][1]"),
     ],
 )
 def test_malformed_tower_documents_name_the_offending_path(tmp_path, capsys, patch, path):
@@ -178,7 +180,7 @@ def test_dumps_is_deterministic():
 @pytest.fixture
 def tower_file(tmp_path, tower, e_u, e_v):
     path = tmp_path / "tower.json"
-    io.dump(io.tower_to_json(tower, {"E_U": e_u, "E_V": e_v}), str(path))
+    io.dump(with_entourages(io.tower_to_json(tower), {"E_U": e_u, "E_V": e_v}), str(path))
     return str(path)
 
 
@@ -513,7 +515,7 @@ def test_cli_negative_index_is_an_input_error(capsys, tmp_path, tower_file, towe
         doc = io.tower_to_json(tower)
         doc["entourages"] = {"E": {"level": 2, "pairs": [[0, 0], [1, 1], [2, 2], [0, -1]]}}
         io.dump(doc, str(file))
-        argv, message = ["topo", "--tower", str(file)], "pair (0,-1) outside level"
+        argv, message = ["topo", "--tower", str(file)], "entourages.E.pairs[3][1]: -1 is not"
     assert cli.console_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -36,6 +36,7 @@ from unilim.topology import TopologyComparison
 from unilim.verify import THEOREM_IDS, VerifyReport
 
 from .conftest import factor_to_json, group_to_json
+from .oracles import with_entourages
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
@@ -70,7 +71,7 @@ EXPORTS = [
     "RegularityVerdict", "SpaceMap", "StartMismatch", "SubspaceViolation", "THEOREM_IDS",
     "TopologyComparison", "TopologyFamily", "Tower", "TriangleViolation", "UnilimError",
     "UnknownTheoremId", "ValidationError", "VerifyReport", "adequate_sequence", "ball",
-    "base_ball", "box_tower", "chain_weight", "check_box_limit", "check_group_limit",
+    "box_tower", "chain_weight", "check_box_limit", "check_group_limit",
     "check_multiplicativity", "compare_topologies", "compose", "constructions",
     "continuity_criterion", "core", "cyclic_group_tower", "errors", "extend_pseudometric",
     "fixtures", "generate", "generate_instance", "homeo_criterion", "io", "is_continuous",
@@ -101,6 +102,16 @@ def test_import_loads_no_submodule():
     assert probe.stdout.strip() == "[]"
 
 
+def test_topology_loads_no_relations():
+    """The topology module computes from the tower's tables alone; the
+    entourage arithmetic it once imported serves only the test oracles."""
+    probe = _run(
+        "-c", "import sys, unilim.topology; print('unilim.relations' in sys.modules)"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
 # runs in a fresh process on the files in the directory argv[1]
 DOCUMENT_COMMANDS = """
 import contextlib, io, sys
@@ -129,7 +140,7 @@ def test_document_commands_leave_the_suite_unloaded(tmp_path):
     ``fixtures``; the other commands run without them."""
     t = three_point_tower()
     docs = {
-        "tower": io.tower_to_json(t, {"E_U": t.zero_relation(2)}),
+        "tower": with_entourages(io.tower_to_json(t), {"E_U": t.zero_relation(2)}),
         "seq": {"metrics": [io.metric_to_json(d) for d in three_point_sequence().metrics]},
         "map": [0, 1, 2],
         "factors": [factor_to_json(f) for f in halving_factors()],

@@ -23,6 +23,7 @@ from .oracles import (
     brute_ball,
     brute_compose,
     brute_sigma,
+    check_entourages,
     diagonal_entourage,
     fixpoint_closure,
     fixpoint_sigma_omega,
@@ -132,7 +133,7 @@ def test_sequence_entry_levels_enforced(tower):
 def test_check_entourages(tower):
     glued = Entourage(2, 3, [(0, 0), (1, 1), (2, 2)])
     seq = EntourageSequence(tower, 2, (glued,))
-    seq.check_entourages()  # diagonal contains the zero-relation here
+    check_entourages(seq)  # diagonal contains the zero-relation here
 
     merged_tower_rel = EntourageSequence(
         tower,
@@ -143,7 +144,7 @@ def test_check_entourages(tower):
             diagonal_entourage(2, 3),
         ),
     )
-    merged_tower_rel.check_entourages()
+    check_entourages(merged_tower_rel)
 
 
 def test_check_entourages_rejects_missing_zero_pair(glued):
@@ -152,7 +153,7 @@ def test_check_entourages_rejects_missing_zero_pair(glued):
         t, 0, (diagonal_entourage(0, 1), diagonal_entourage(1, 2))
     )
     with pytest.raises(NotAnEntourage):
-        seq.check_entourages()
+        check_entourages(seq)
 
 
 def test_ball_orientation_frozen(e_u, e_v):

@@ -168,9 +168,10 @@ def cmd_topo(args) -> int:
 def cmd_check(args) -> int:
     source, _ = _load_tower(args.tower)
     target, _ = _load_tower(args.target) if args.target else (source, {})
-    f = SpaceMap(source, target, io.map_from_json(io.load(args.map)))
+    m, n = source.ground_size, target.ground_size
+    f = SpaceMap(source, target, io.map_from_json(io.load(args.map), m, n))
     if args.homeo:
-        g = SpaceMap(target, source, io.map_from_json(io.load(args.homeo)))
+        g = SpaceMap(target, source, io.map_from_json(io.load(args.homeo), n, m))
         v = homeo_criterion(f, g)
         print(io.dumps(v.to_json()))
         if v.homeomorphism != (v.transport_comparison.relation == "equal"):

@@ -6,9 +6,9 @@ leave as ``fractions.Fraction``; inside, each table is held as Python ints
 over one common denominator, on which the kernels compute, and its
 ``Fraction`` form is built on first access.  The JSON reader and writers in
 ``io`` work on the ints too.  The triangle check and the shortest-path
-closure run on packed rows, one int per row with a field per entry, wide
-enough that no field can carry into the next (see ``Pseudometric.validate``
-and ``closure_in_place``).  No floating point is used anywhere.
+closure run on packed rows, one int per row with a field per entry, all
+packed by ``_packed``, which says why no field carries into the next.  No
+floating point is used anywhere.
 
 Point sets (balls, neighborhoods, relation rows) are int bitmasks, bit i
 set iff point i is in the set.  Outside the chain oracle of ``verify``,
@@ -54,36 +54,43 @@ def _over_common_denominator(rows: Sequence[Sequence[Fraction]]) -> tuple[int, l
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
 
 
+def _packed(rows: Sequence[Sequence[int]]) -> tuple[range, list[int], int, int]:
+    """The square table ``rows`` of nonnegative ints packed (SWAR): returns
+    ``(shifts, packed, ones, h)``, where row i is one int P_i with entry j
+    in the w-bit field at ``shifts[j]``, ONES has a 1 and H the top bit in
+    every field.  w = bit_length(2*max) + 1, so 2*max < 2^(w-1): a field
+    that a sum of whole rows leaves at 2^(w-1) + x, with |x| <= 2*max, lies
+    in [1, 2^w), so no field carries into or borrows from the next, and its
+    top bit is set iff x >= 0 (Lamport 1975, CACM 18(8))."""
+    w = (2 * max(map(max, rows), default=0)).bit_length() + 1
+    shifts = range(0, len(rows) * w, w)
+    # 1 + 2^w + ... + 2^((n-1)w) = (2^(nw) - 1) / (2^w - 1)
+    ones = ((1 << len(rows) * w) - 1) // ((1 << w) - 1)
+    return shifts, [sum(map(lshift, row, shifts)) for row in rows], ones, ones << w - 1
+
+
 def closure_in_place(d: list[list[int]]) -> list[list[int]]:
     """Floyd-Warshall on a square matrix of nonnegative ints, relaxing
     ``d`` in place; returns ``d``.  Raises ``ValidationError`` on a
     negative entry.
 
-    Runs on packed rows (SWAR): row i is one int P_i with d(i,j) in the
-    w-bit field j, ONES has a 1 and H the top bit in every field.  Relaxing
-    row i through k is d(i,j) <- min(d(i,j), d(i,k) + d(k,j)) for every j
-    at once: field j of s = d(i,k)*ONES + P_k is d(i,k) + d(k,j), field j
-    of t = P_i + H - s is 2^(w-1) + d(i,j) - d(i,k) - d(k,j), whose top bit
-    is set iff s's entry is not larger, and subtracting t's low w-1 bits in
-    exactly those fields writes s's entry there.  Entries only decrease, so
-    every value stays in [0, max], d(i,j) - d(i,k) - d(k,j) in [-2 max, max],
-    and w is chosen so 2 max < 2^(w-1): no field of t carries into or
-    borrows from the next.
+    Runs on the rows as ``_packed`` packs them.  Relaxing row i through k
+    is d(i,j) <- min(d(i,j), d(i,k) + d(k,j)) for every j at once: field j
+    of s = d(i,k)*ONES + P_k is d(i,k) + d(k,j), field j of t = P_i + H - s
+    is 2^(w-1) + d(i,j) - d(i,k) - d(k,j), whose top bit is set iff s's
+    entry is not larger, and subtracting t's low w-1 bits in exactly those
+    fields writes s's entry there.  Entries only decrease, so every value
+    stays in [0, max] and d(i,j) - d(i,k) - d(k,j) in [-2 max, max].
 
     P_k is read afresh for each i, so a row relaxes through row k as
     updated earlier in the same pass, as an entry-by-entry update would.
     """
-    n = len(d)
     if min(map(min, d), default=0) < 0:
         raise ValidationError("shortest-path closure of a table with a negative entry")
-    w = (2 * max(map(max, d), default=0)).bit_length() + 1
-    shifts = range(0, n * w, w)
-    ones = sum(1 << s for s in shifts)
-    top_bit = w - 1
-    h = ones << top_bit
-    field = (1 << w) - 1
+    shifts, packed, ones, h = _packed(d)
+    top_bit = shifts.step - 1
+    field = (1 << shifts.step) - 1
     # field k of P_i is d(i,k), so t = P_i + H - field*ONES - P_k
-    packed = [sum(map(lshift, row, shifts)) for row in d]
     for k, sk in enumerate(shifts):
         for i, pi in enumerate(packed):
             t = pi + h - (pi >> sk & field) * ones - packed[k]
@@ -209,23 +216,13 @@ class Pseudometric:
         # d(i,k) <= d(i,j) + d(j,k) for every k iff max_k d(i,k) - d(j,k)
         # <= d(i,j); with d symmetric, the pairs (i, j) and (j, i) together
         # ask max_k |d(i,k) - d(j,k)| <= d(i,j), so j < i covers them all.
-        # Both sides are checked on packed rows: row i is one int P_i with
-        # d(i,k) in the w-bit field k, ONES has a 1 and H the top bit in
-        # every field.  Field k of P_j + d(i,j)*ONES + H - P_i is
-        # d(j,k) + d(i,j) - d(i,k) + 2^(w-1), in [2^(w-1) - max,
-        # 2^(w-1) + 2*max]; w is chosen so 2*max < 2^(w-1), so no field
-        # carries into or borrows from the next, and its top bit is set iff
-        # d(i,k) <= d(i,j) + d(j,k).
+        # Both sides are checked on the rows as ``_packed`` packs them:
+        # field k of P_j + d(i,j)*ONES + H - P_i is 2^(w-1) + d(j,k) +
+        # d(i,j) - d(i,k), with d(j,k) + d(i,j) - d(i,k) in [-max, 2*max],
+        # so its top bit is set iff d(i,k) <= d(i,j) + d(j,k).
         reps = [i for i, c in enumerate(self.zero_classes) if c & -c == 1 << i]
         q = d if len(reps) == n else [[row[b] for b in reps] for row in map(d.__getitem__, reps)]
-        m = len(q)
-        top = max(map(max, q), default=0)
-        w = (2 * top).bit_length() + 1
-        shifts = range(0, m * w, w)
-        # 1 + 2^w + ... + 2^((m-1)w) = (2^(mw) - 1) / (2^w - 1)
-        ones = ((1 << m * w) - 1) // ((1 << w) - 1)
-        h = ones << (w - 1)
-        packed = [sum(map(lshift, row, shifts)) for row in q]
+        _, packed, ones, h = _packed(q)
         lifted = [p + h for p in packed]
         for i, di in enumerate(q):
             pi, li = packed[i], lifted[i]

@@ -216,7 +216,10 @@ def named_entourages_from_json(doc: dict, tower: Tower) -> dict[str, Entourage]:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValidationError(f"{path}.pairs[{k}]: expected a pair [i, j], got {pair!r}")
             pairs.add(tuple(_index(v, f"{path}.pairs[{k}][{c}]", size) for c, v in enumerate(pair)))
-        out[name] = Entourage(level, size, pairs)
+        try:
+            out[name] = Entourage(level, size, pairs)
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {e}") from None
     return out
 
 
@@ -231,10 +234,15 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
     return [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)]
 
 
-def map_from_json(doc) -> tuple[int, ...]:
+def map_from_json(doc, source: int, target: int) -> tuple[int, ...]:
+    """A map document: one target index per point of a source of
+    ``source`` points, each below ``target``."""
     if not isinstance(doc, list):
         raise ValidationError("map document must be a JSON array of target indices")
-    return tuple(_integer(v, f"map[{k}]") for k, v in enumerate(doc))
+    values = tuple(_index(v, f"map[{k}]", target) for k, v in enumerate(doc))
+    if len(values) != source:
+        raise ValidationError(f"map: {len(values)} values for a source of {source} points")
+    return values
 
 
 def group_from_json(doc: dict) -> GroupTower:

@@ -110,6 +110,15 @@ GOOD_TOWER = {"labels": ["a", "b"], "level_sizes": [1, 2], "metrics": [[[]], [[]
         ({"entourages": {"E": [0]}}, "entourages.E"),
         ({"entourages": {"E": {"level": 1, "pairs": [[0, -1]]}}}, "entourages.E.pairs[0][1]"),
         ({"entourages": {"E": {"level": 1, "pairs": [[0, 7]]}}}, "entourages.E.pairs[0][1]"),
+        (
+            {
+                "labels": ["a", "b", "c"],
+                "level_sizes": [1, 3],
+                "metrics": [[[]], [[], [1], [1, 1]]],
+                "entourages": {"E": {"level": 1, "pairs": [[0, 0], [1, 1]]}},
+            },
+            "entourages.E",
+        ),
     ],
 )
 def test_malformed_tower_documents_name_the_offending_path(tmp_path, capsys, patch, path):
@@ -139,9 +148,13 @@ def test_malformed_sequence_documents_are_input_errors(tmp_path, capsys, tower_f
 
 
 def test_map_round_trip():
-    assert io.map_from_json(map_to_json((0, 2, 1))) == (0, 2, 1)
+    assert io.map_from_json(map_to_json((0, 2, 1)), 3, 3) == (0, 2, 1)
     with pytest.raises(ValidationError):
-        io.map_from_json({"0": 1})
+        io.map_from_json({"0": 1}, 1, 3)
+    with pytest.raises(ValidationError, match=r"^map\[1\]: 3 is not an element index below 3$"):
+        io.map_from_json([0, 3, 1], 3, 3)
+    with pytest.raises(ValidationError, match="^map: 2 values for a source of 3 points$"):
+        io.map_from_json([0, 2], 3, 3)
 
 
 def test_group_round_trip(group):
@@ -510,7 +523,7 @@ def test_cli_negative_index_is_an_input_error(capsys, tmp_path, tower_file, towe
     file = tmp_path / "doc.json"
     if case == "map value":
         io.dump([0, -1, 1], str(file))
-        argv, message = ["check", "--tower", tower_file, "--map", str(file)], "target index -1"
+        argv, message = ["check", "--tower", tower_file, "--map", str(file)], "map[1]: -1 is not"
     else:
         doc = io.tower_to_json(tower)
         doc["entourages"] = {"E": {"level": 2, "pairs": [[0, 0], [1, 1], [2, 2], [0, -1]]}}

@@ -14,3 +14,10 @@ def test_mutant_targets_one_place_and_names_its_checks(name):
     assert (ROOT / "tests" / m.test_file).is_file()
     assert set(m.killers) <= {"verify", "tests"}
     assert bool(m.killers) != bool(m.equivalent)
+
+
+def test_no_two_mutants_make_the_same_substitution():
+    """A merged pair of mutants cannot keep the count by listing one
+    substitution twice."""
+    edits = [(m.path, m.old, m.new) for m in MUTANTS.values()]
+    assert len(set(edits)) == len(edits)

@@ -210,6 +210,10 @@ def test_map_value_table_validated(tower):
         SpaceMap(tower, target, (0, 0))
     with pytest.raises(GroundMismatch):
         SpaceMap(tower, target, (0, 0, 1))
+    # the CLI's reader names a negative index first, so only this call
+    # reaches the guard
+    with pytest.raises(GroundMismatch):
+        SpaceMap(tower, tower, (0, -1, 1))
 
 
 def test_homeo_identity(tower):

@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # every mutant, 124 s on a 2-core VM
+    python tests/mutants.py          # every mutant, 148 s on a 2-core VM
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -161,6 +161,24 @@ MUTANTS = {
         "core.py",
         "w = (2 * max(map(max, rows), default=0)).bit_length() + 1",
         "w = max(1, (2 * max(map(max, rows), default=0)).bit_length())",
+        "test_core.py",
+        ("verify", "tests"),
+    ),
+    # the triangle check lifts every field by 2^(w-2), as if its fields
+    # were one bit short, so a field's top bit no longer says the sign
+    "packed triangle fields one bit short": Mutant(
+        "core.py",
+        "lifted = [p + h for p in packed]",
+        "lifted = [p + (h >> 1) for p in packed]",
+        "test_core.py",
+        ("verify", "tests"),
+    ),
+    # the closure reads the sign of t one bit low in each field, so it
+    # writes s's entry with t's lowest bit left over
+    "packed closure fields one bit short": Mutant(
+        "core.py",
+        "top_bit = shifts.step - 1",
+        "top_bit = shifts.step - 2",
         "test_core.py",
         ("verify", "tests"),
     ),

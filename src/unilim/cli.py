@@ -31,14 +31,23 @@ EXIT_INPUT = 2
 EXIT_SOUNDNESS = 3
 
 
-def _load_tower(path: str) -> tuple[Tower, dict[str, Entourage]]:
+def _document(path: str, parse, *args):
+    """``parse(doc, *args)`` on the JSON document in the file at ``path``;
+    a refusal names the file, as ``io.load`` names one that holds no JSON."""
     doc = io.load(path)
+    try:
+        return parse(doc, *args)
+    except UnilimError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
+def _tower(doc) -> tuple[Tower, dict[str, Entourage]]:
     tower = io.tower_from_json(doc)
     return tower, io.named_entourages_from_json(doc, tower)
 
 
-def _load_sequence(tower: Tower, path: str) -> MonotonePseudometricSequence:
-    return MonotonePseudometricSequence(tower, io.sequence_metrics_from_json(io.load(path)))
+def _sequence(doc, tower: Tower) -> MonotonePseudometricSequence:
+    return MonotonePseudometricSequence(tower, io.sequence_metrics_from_json(doc))
 
 
 # -- a tiny prefix expression grammar for relation arithmetic ----------------
@@ -113,7 +122,7 @@ def _evaluate(form, tower: Tower, names: dict[str, Entourage]) -> Entourage:
 
 
 def cmd_rel(args) -> int:
-    tower, names = _load_tower(args.tower)
+    tower, names = _document(args.tower, _tower)
     tokens = _tokenize(args.expr)[::-1]
     try:
         form = _read(tokens)
@@ -139,8 +148,8 @@ def cmd_rel(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    tower, _ = _load_tower(args.tower)
-    seq = _load_sequence(tower, args.seq)
+    tower, _ = _document(args.tower, _tower)
+    seq = _document(args.seq, _sequence, tower)
     lim = limit_pseudometric(seq)
     print(io.dumps({"labels": list(tower.labels), "matrix": io.matrix_to_json(lim)}))
     if args.witness:
@@ -152,7 +161,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_topo(args) -> int:
-    tower, _ = _load_tower(args.tower)
+    tower, _ = _document(args.tower, _tower)
     top = ulim_topology(tower)
     # the minimal neighborhoods are the top zero-classes, a partition, so
     # each class first occurs at its lowest point
@@ -166,12 +175,12 @@ def cmd_topo(args) -> int:
 
 
 def cmd_check(args) -> int:
-    source, _ = _load_tower(args.tower)
-    target, _ = _load_tower(args.target) if args.target else (source, {})
+    source, _ = _document(args.tower, _tower)
+    target, _ = _document(args.target, _tower) if args.target else (source, {})
     m, n = source.ground_size, target.ground_size
-    f = SpaceMap(source, target, io.map_from_json(io.load(args.map), m, n))
+    f = SpaceMap(source, target, _document(args.map, io.map_from_json, m, n))
     if args.homeo:
-        g = SpaceMap(target, source, io.map_from_json(io.load(args.homeo), n, m))
+        g = SpaceMap(target, source, _document(args.homeo, io.map_from_json, n, m))
         v = homeo_criterion(f, g)
         print(io.dumps(v.to_json()))
         if v.homeomorphism != (v.transport_comparison.relation == "equal"):
@@ -189,8 +198,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_product(args) -> int:
-    a, _ = _load_tower(args.towers[0])
-    b, _ = _load_tower(args.towers[1])
+    a, _ = _document(args.towers[0], _tower)
+    b, _ = _document(args.towers[1], _tower)
     prod = product_tower(a, b)
     print(io.dumps(io.tower_to_json(prod)))
     if args.check:
@@ -201,7 +210,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_group(args) -> int:
-    g = io.group_from_json(io.load(args.group))
+    g = _document(args.group, io.group_from_json)
     radii = []
     for i, r in enumerate(args.radii.split(",")):
         try:
@@ -218,7 +227,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_box(args) -> int:
-    factors = io.factors_from_json(io.load(args.factors))
+    factors = _document(args.factors, io.factors_from_json)
     tower = box_tower(factors, args.depth)
     print(io.dumps(io.tower_to_json(tower)))
     if args.check:

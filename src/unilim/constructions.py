@@ -190,9 +190,9 @@ class GroupTower:
         t = tower
         n = t.ground_size
         if len(op) != n or any(len(r) != n for r in op):
-            raise ValidationError("operation table must be square on the top level")
+            raise ValidationError(f"op: not a {n} by {n} table")
         if len(neg) != n:
-            raise ValidationError("inverse table must cover the top level")
+            raise ValidationError(f"neg: {len(neg)} entries for {n} elements")
         for x in range(n):
             if op[x][0] != x or op[0][x] != x:
                 raise ValidationError(f"identity axiom fails at {t.labels[x]}")

@@ -370,25 +370,23 @@ class Tower:
         """Labels one per point and unique, level sizes strictly
         increasing, one table per level of the level's size."""
         if not self.level_sizes:
-            raise NestingViolation("tower has no levels")
+            raise NestingViolation("level_sizes: no levels")
         if len(self.labels) != self.level_sizes[-1]:
             raise NestingViolation(
-                f"{len(self.labels)} labels for top size {self.level_sizes[-1]}"
+                f"labels: {len(self.labels)} for a top level of {self.level_sizes[-1]} points"
             )
         if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("duplicate labels")
+            raise ValidationError("labels: not unique")
         prev = 0
         for m in self.level_sizes:
             if m <= prev:
                 raise NestingViolation(f"level sizes not strictly increasing: {self.level_sizes}")
             prev = m
-        if len(self.level_metrics) != self.num_levels:
-            raise NestingViolation("one pseudometric per level required")
+        if (k := len(self.level_metrics)) != self.num_levels:
+            raise NestingViolation(f"metrics: {k} for {self.num_levels} levels")
         for n, d in enumerate(self.level_metrics):
             if d.size != self.level_sizes[n]:
-                raise NestingViolation(
-                    f"metric at level {n} has size {d.size}, expected {self.level_sizes[n]}"
-                )
+                raise NestingViolation(f"metrics[{n}]: {d.size} points, not {self.level_sizes[n]}")
 
     def _check_uniform(self, level: int, d: Pseudometric, name: str) -> None:
         """Raise ``NotUniform`` unless ``d``, a table of the level's size,
@@ -596,10 +594,10 @@ class MonotonePseudometricSequence:
     def validate(self) -> None:
         t = self.tower
         if len(self.metrics) != t.num_levels:
-            raise NestingViolation("one pseudometric per level required")
+            raise NestingViolation(f"metrics: {len(self.metrics)} for {t.num_levels} levels")
         for n, d in enumerate(self.metrics):
             if d.size != t.level_sizes[n]:
-                raise NestingViolation(f"sequence metric at level {n} has wrong size")
+                raise NestingViolation(f"metrics[{n}]: {d.size} points, not {t.level_sizes[n]}")
             d.validate(n, t.labels)
             t._check_uniform(n, d, f"d_{n}")
         for n in range(t.num_levels - 1):

@@ -70,9 +70,26 @@ def _pair_from_json(v: Any) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+# a refused value is named by its JSON type, not echoed: it may be a document
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
 def _array(value: Any, path: str) -> list:
     if not isinstance(value, list):
-        raise ValidationError(f"{path}: expected a JSON array, got {value!r}")
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValidationError(f"{path}: expected a JSON array, got {got}")
+    return value
+
+
+def _object(value: Any, path: str, *keys: str) -> dict:
+    """``value`` as a JSON object holding ``keys``; ``path`` is "" at the root."""
+    if not isinstance(value, dict):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValidationError(f"{path}: " * bool(path) + f"expected a JSON object, got {got}")
+    for key in keys:
+        if key not in value:
+            raise ValidationError(f"{path}.{key}: missing" if path else f"{key}: missing")
     return value
 
 
@@ -176,11 +193,7 @@ def tower_to_json(t: Tower) -> dict:
 
 
 def tower_from_json(doc: dict) -> Tower:
-    if not isinstance(doc, dict):
-        raise ValidationError("tower document must be a JSON object")
-    for key in ("labels", "level_sizes", "metrics"):
-        if key not in doc:
-            raise ValidationError(f"tower document missing {key!r}")
+    _object(doc, "", "labels", "level_sizes", "metrics")
     labels = _array(doc["labels"], "labels")
     for k, label in enumerate(labels):
         if not isinstance(label, str):
@@ -199,15 +212,10 @@ def tower_from_json(doc: dict) -> Tower:
 
 
 def named_entourages_from_json(doc: dict, tower: Tower) -> dict[str, Entourage]:
-    table = doc.get("entourages", {})
-    if not isinstance(table, dict):
-        raise ValidationError("entourages: expected a JSON object")
     out = {}
-    for name, spec in table.items():
+    for name, spec in _object(doc.get("entourages", {}), "entourages").items():
         path = f"entourages.{name}"
-        if not isinstance(spec, dict) or "level" not in spec or "pairs" not in spec:
-            raise ValidationError(f"{path}: expected an object with 'level' and 'pairs'")
-        level = _integer(spec["level"], f"{path}.level")
+        level = _integer(_object(spec, path, "level", "pairs")["level"], f"{path}.level")
         if not 0 <= level < tower.num_levels:
             raise ValidationError(f"{path}.level: {level} is not a level of the tower")
         size = tower.level_sizes[level]
@@ -227,9 +235,7 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
     """The per-level metrics of a sequence document, ``{"metrics": [...]}``
     or a bare array of metrics."""
     if isinstance(doc, dict):
-        if "metrics" not in doc:
-            raise ValidationError("sequence document missing 'metrics'")
-        doc = doc["metrics"]
+        doc = _object(doc, "", "metrics")["metrics"]
     metrics = _array(doc, "metrics")
     return [_metric_from_json(rows, f"metrics[{n}]") for n, rows in enumerate(metrics)]
 
@@ -237,9 +243,7 @@ def sequence_metrics_from_json(doc: Any) -> list[Pseudometric]:
 def map_from_json(doc, source: int, target: int) -> tuple[int, ...]:
     """A map document: one target index per point of a source of
     ``source`` points, each below ``target``."""
-    if not isinstance(doc, list):
-        raise ValidationError("map document must be a JSON array of target indices")
-    values = tuple(_index(v, f"map[{k}]", target) for k, v in enumerate(doc))
+    values = tuple(_index(v, f"map[{k}]", target) for k, v in enumerate(_array(doc, "map")))
     if len(values) != source:
         raise ValidationError(f"map: {len(values)} values for a source of {source} points")
     return values
@@ -249,12 +253,7 @@ def group_from_json(doc: dict) -> GroupTower:
     """A group tower document: a tower document plus the operation table
     ``op`` and the inverse table ``neg``, whose entries are element
     indices of the top level."""
-    if not isinstance(doc, dict):
-        raise ValidationError("group document must be a JSON object")
-    for key in ("op", "neg"):
-        if key not in doc:
-            raise ValidationError(f"group document missing {key!r}")
-    tower = tower_from_json(doc)
+    tower = tower_from_json(_object(doc, "", "op", "neg"))
     n = tower.ground_size
     op = tuple(
         tuple(_index(v, f"op[{i}][{j}]", n) for j, v in enumerate(_array(row, f"op[{i}]")))
@@ -265,11 +264,7 @@ def group_from_json(doc: dict) -> GroupTower:
 
 
 def _factor_from_json(doc: Any, path: str) -> PointedSpace:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object, got {doc!r}")
-    if "metric" not in doc:
-        raise ValidationError(f"{path}: factor document missing 'metric'")
-    metric = _metric_from_json(doc["metric"], f"{path}.metric")
+    metric = _metric_from_json(_object(doc, path, "metric")["metric"], f"{path}.metric")
     basepoint = _integer(doc.get("basepoint", 0), f"{path}.basepoint")
     try:
         return PointedSpace(metric, basepoint)
@@ -278,9 +273,7 @@ def _factor_from_json(doc: Any, path: str) -> PointedSpace:
 
 
 def factors_from_json(doc) -> list[PointedSpace]:
-    if not isinstance(doc, list):
-        raise ValidationError("factor file must be a JSON array of pointed spaces")
-    return [_factor_from_json(d, f"factors[{k}]") for k, d in enumerate(doc)]
+    return [_factor_from_json(d, f"factors[{k}]") for k, d in enumerate(_array(doc, "factors"))]
 
 
 def dumps(obj: Any) -> str:

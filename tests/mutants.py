@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # every mutant, 148 s on a 2-core VM
+    python tests/mutants.py          # every mutant, 136 s on a 2-core VM
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -500,6 +500,24 @@ MUTANTS = {
         "io.py",
         "_INT_OR_STR = frozenset((int, str))",
         "_INT_OR_STR = frozenset((int, str, bool))",
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # verify reads no files; a refusal then reads the same whichever file
+    # holds the fault, as for --map and --homeo
+    "a document refusal names no file": Mutant(
+        "cli.py",
+        'raise ValidationError(f"{path}: {e}") from None',
+        "raise ValidationError(str(e)) from None",
+        "test_io_cli.py",
+        ("tests",),
+    ),
+    # a tower without "labels" then raises KeyError, a bug that exits 3,
+    # not a named input error; verify reads no JSON
+    "a missing key let through": Mutant(
+        "io.py",
+        "    for key in keys:\n",
+        "    for key in ():\n",
         "test_io_cli.py",
         ("tests",),
     ),

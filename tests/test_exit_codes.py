@@ -4,10 +4,13 @@ input, 3 an implementation bug.
 Randomly mutated tower, sequence, map, factor, group and expression
 documents may be rejected, but only as input errors: ``cli.main`` returns
 0, 1 or 2 and lets nothing escape, and the unmutated documents never exit
-2.
+2.  A mutated document that is refused is named: the message starts with
+its file, bar the refusals listed in ``ACROSS_ARGUMENTS``.
 """
 
+import contextlib
 import copy
+from io import StringIO
 from types import SimpleNamespace
 
 import pytest
@@ -72,6 +75,22 @@ CALLS = (
     ("group", "{group}", "--radii", "1,1/2,3/8", "--check"),
     *(("rel", "--tower", "{tower}", f"--expr={e}") for e in EXPRS),
 )
+
+# Per command, the refusals that compare a document with another argument
+# once every input is read, so that no one file is at fault; they name no
+# file.  Every other refusal of a mutated document starts with its file.
+ACROSS_ARGUMENTS = {
+    # --depth against the number of factors, and a one-point factor, whose
+    # box level repeats the level below it
+    "box": ("depth ", "level sizes not strictly increasing: "),
+    # --map against --homeo: not a bijection, or not its inverse
+    "check": ("map is not a bijection", "h_inv(h("),
+    # --witness against the tower's labels
+    "limit": ("unknown label ",),
+    # --expr against the tower's labels and entourages
+    "rel": ("unknown entourage ", "expected a point label or index",
+            "tail entourage must live on the top level"),
+}
 
 TOKENS = ("(", ")", "[", "]", "sum", "mul", "sigma", "ball", "omega", "repeat_last",
           "U", "V", "W", "a", "z", "0", "2", "-1", "99")
@@ -163,8 +182,16 @@ def test_mutated_documents_exit_0_1_or_2(files, call, data):
         name = call[k][1:-1]
         argv[k] = files[name] + ".mutated"
         io.dump(_mutate(DOCS[name], data), argv[k])
+    err = StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
     # any other exception escapes main and fails the test
-    assert cli.main(argv) in (0, 1, 2)
+    assert code in (0, 1, 2)
+    if code == 2 and call[k].startswith("{"):
+        message = err.getvalue().removeprefix("error: ")
+        assert message.startswith(f"{argv[k]}: ") or message.startswith(
+            ACROSS_ARGUMENTS.get(call[0], ())
+        ), message
 
 
 def test_an_exception_on_valid_input_exits_3(monkeypatch, capsys, files):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from unilim import cli, io, limitmetric
 from unilim.core import Pseudometric, Tower
-from unilim.errors import PreconditionFailed, ValidationError
+from unilim.errors import PreconditionFailed, UnilimError, ValidationError
 from unilim.fixtures import (
     binary_group_tower,
     glued_map,
@@ -128,14 +128,14 @@ def test_malformed_tower_documents_name_the_offending_path(tmp_path, capsys, pat
     file = tmp_path / "tower.json"
     io.dump(doc, str(file))
     assert cli.main(["topo", "--tower", str(file)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert capsys.readouterr().err.startswith(f"error: {file}: {path}: ")
 
 
 @pytest.mark.parametrize(
     "seq, path",
     [
         ({"metrics": 5}, "metrics"),
-        ({"levels": []}, "sequence document missing 'metrics'"),
+        pytest.param({"levels": []}, "metrics: missing", id="seq1-metrics-missing"),
         ([[[]], [[], 5]], "metrics[1][1]"),
         ({"metrics": [[[]], [[], [1]], [3]]}, "metrics[2][0]"),
     ],
@@ -144,7 +144,8 @@ def test_malformed_sequence_documents_are_input_errors(tmp_path, capsys, tower_f
     file = tmp_path / "seq.json"
     io.dump(seq, str(file))
     assert cli.main(["limit", "--tower", tower_file, "--seq", str(file)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {file}: {path}: ") or err == f"error: {file}: {path}\n"
 
 
 def test_map_round_trip():
@@ -506,14 +507,14 @@ def test_cli_group_rejects_malformed_tables(capsys, tmp_path, patch, path):
     file = tmp_path / "group.json"
     io.dump(GOOD_GROUP | patch, str(file))
     assert cli.main(["group", str(file), "--radii", "1,1/2,1/4"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert capsys.readouterr().err.startswith(f"error: {file}: {path}: ")
 
 
 def test_cli_check_rejects_malformed_map(capsys, tmp_path, tower_file):
     file = tmp_path / "map.json"
     io.dump([[0], 1], str(file))
     assert cli.main(["check", "--tower", tower_file, "--map", str(file)]) == 2
-    assert capsys.readouterr().err.startswith("error: map[0]: ")
+    assert capsys.readouterr().err.startswith(f"error: {file}: map[0]: ")
 
 
 @pytest.mark.parametrize("case", ["map value", "entourage pair"])
@@ -532,7 +533,7 @@ def test_cli_negative_index_is_an_input_error(capsys, tmp_path, tower_file, towe
     assert cli.console_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message} ")
+    assert captured.err.startswith(f"error: {file}: {message} ")
 
 
 @pytest.mark.parametrize(
@@ -548,7 +549,64 @@ def test_cli_box_rejects_malformed_factors(capsys, tmp_path, doc, path):
     file = tmp_path / "factors.json"
     io.dump(doc, str(file))
     assert cli.main(["box", str(file), "--depth", "1"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert capsys.readouterr().err.startswith(f"error: {file}: {path}: ")
+
+
+def _entourages_on_good_tower(doc):
+    return io.named_entourages_from_json(doc, io.tower_from_json(GOOD_TOWER))
+
+
+@pytest.mark.parametrize("read, doc, message", [
+    (io.tower_from_json, [GOOD_TOWER], "expected a JSON object, got an array"),
+    (io.tower_from_json, "tower", "expected a JSON object, got a string"),
+    (io.tower_from_json, {"level_sizes": [1, 2], "metrics": []}, "labels: missing"),
+    (io.group_from_json, GOOD_TOWER | {"neg": [0, 1]}, "op: missing"),
+    (io.sequence_metrics_from_json, {"metric": []}, "metrics: missing"),
+    (io.factors_from_json, [{"basepoint": 0}], "factors[0].metric: missing"),
+    (io.factors_from_json, [{"metric": [[]]}, None],
+     "factors[1]: expected a JSON object, got null"),
+    (io.factors_from_json, {"metric": [[]]}, "factors: expected a JSON array, got an object"),
+    (io.sequence_metrics_from_json, "x", "metrics: expected a JSON array, got a string"),
+    (_entourages_on_good_tower, {"entourages": {"E": {"pairs": []}}},
+     "entourages.E.level: missing"),
+    (_entourages_on_good_tower, {"entourages": [1]},
+     "entourages: expected a JSON object, got an array"),
+    # the library refusals a document reaches name the key they refuse
+    (io.tower_from_json, GOOD_TOWER | {"labels": ["a"]}, "labels: 1 for a top level of 2 points"),
+    (io.tower_from_json, GOOD_TOWER | {"labels": ["a", "a"]}, "labels: not unique"),
+    (io.tower_from_json, GOOD_TOWER | {"level_sizes": [], "metrics": []}, "level_sizes: no levels"),
+    (io.tower_from_json, GOOD_TOWER | {"metrics": [[[]]]}, "metrics: 1 for 2 levels"),
+    (io.tower_from_json, GOOD_TOWER | {"metrics": [[[]], [[], [1], [1, 1]]]},
+     "metrics[1]: 3 points, not 2"),
+    (io.group_from_json, GOOD_GROUP | {"op": GOOD_GROUP["op"][1:]},
+     f"op: not a {len(GOOD_GROUP['op'])} by {len(GOOD_GROUP['op'])} table"),
+    (io.group_from_json, GOOD_GROUP | {"neg": GOOD_GROUP["neg"][1:]},
+     f"neg: {len(GOOD_GROUP['neg']) - 1} entries for {len(GOOD_GROUP['neg'])} elements"),
+], ids=["root array", "root string", "tower key", "group key", "sequence key", "factor key",
+        "factor null", "factors root", "sequence root", "entourage key", "entourages array", "label count", "label twice",
+        "no levels", "metric count", "metric size", "op rows", "neg entries"])
+def test_documents_of_the_wrong_shape_name_the_key_or_the_type(read, doc, message):
+    """A missing key is named by its path; a value that is not the JSON
+    object or array expected is named by its JSON type, not echoed, since
+    it may be a whole document."""
+    with pytest.raises(UnilimError) as got:
+        read(doc)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("short", ["--map", "--homeo"])
+def test_cli_check_names_the_map_file_it_refuses(capsys, tmp_path, tower_file, short):
+    """``--map`` and ``--homeo`` hold the same kind of document, so only
+    the file name tells which of the two is refused."""
+    good, bad = tmp_path / "good.json", tmp_path / "short.json"
+    io.dump([0, 1, 2], str(good))
+    io.dump([0, 1], str(bad))
+    files = {"--map": good, "--homeo": good} | {short: bad}
+    argv = ["check", "--tower", tower_file, *(a for k, v in files.items() for a in (k, str(v)))]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: map: 2 values for a source of 3 points")
 
 
 def test_cli_box(capsys, tmp_path):
@@ -909,13 +967,14 @@ def test_cli_long_rational_string_is_an_input_error(capsys, tmp_path):
     assert cli.console_main(["topo", "--tower", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"
+    assert captured.err == f"error: {path}: metrics[0][1][0]: not a rational: {bad!r}\n"
 
 
 def _command_reading(tmp_path, kind, rows, tower_rows):
     """The argv of a command that reads ``rows`` as the table of a tower,
-    sequence or factor document, and the path it names that table by.  A
-    sequence is read on a tower of ``tower_rows``."""
+    sequence or factor document, the file that holds the table, and the
+    path it names that table by.  A sequence is read on a tower of
+    ``tower_rows``."""
     n = len(rows)
     tower = tmp_path / "tower.json"
     io.dump({"labels": [f"x{i}" for i in range(n)], "level_sizes": [n],
@@ -923,11 +982,11 @@ def _command_reading(tmp_path, kind, rows, tower_rows):
     other = tmp_path / "other.json"
     if kind == "factors":
         io.dump([{"metric": rows}], str(other))
-        return ["box", str(other), "--depth", "1"], "factors[0].metric"
+        return ["box", str(other), "--depth", "1"], other, "factors[0].metric"
     if kind == "sequence":
         io.dump({"metrics": [rows]}, str(other))
-        return ["limit", "--tower", str(tower), "--seq", str(other)], "metrics[0]"
-    return ["topo", "--tower", str(tower)], "metrics[0]"
+        return ["limit", "--tower", str(tower), "--seq", str(other)], other, "metrics[0]"
+    return ["topo", "--tower", str(tower)], tower, "metrics[0]"
 
 
 @pytest.mark.parametrize("kind", ["tower", "sequence", "factors"])
@@ -935,13 +994,13 @@ def _command_reading(tmp_path, kind, rows, tower_rows):
 def test_cli_json_boolean_next_to_its_int_is_an_input_error(capsys, tmp_path, kind, flag, value):
     """JSON true and false hash like 1 and 0, so a table that holds both
     must still be refused at the boolean, not read as the int."""
-    argv, path = _command_reading(
+    argv, file, path = _command_reading(
         tmp_path, kind, [[], [value], [flag, value]], [[], [value], [value, value]]
     )
     assert cli.console_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}[2][0]: not a rational: {flag!r}\n"
+    assert captured.err == f"error: {file}: {path}[2][0]: not a rational: {flag!r}\n"
 
 
 EXPONENT_LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
@@ -965,14 +1024,14 @@ def test_cli_exponent_past_the_digit_limit_is_an_input_error(capsys, tmp_path, b
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: metrics[0][1][0]: not a rational: {bad!r}\n"
+    assert captured.err == f"error: {path}: metrics[0][1][0]: not a rational: {bad!r}\n"
 
 
 @pytest.mark.parametrize("kind", ["tower", "sequence", "factors"])
 def test_cli_common_denominator_past_the_digit_limit_is_an_input_error(capsys, tmp_path, kind):
     """A table whose entries' lcm has more digits than the int digit limit
     is refused, naming the table, before its big-int table is built."""
-    argv, path = _command_reading(
+    argv, file, path = _command_reading(
         tmp_path, kind, big_denominator_rows(8), [[1] * i for i in range(8)]
     )
     start = time.perf_counter()
@@ -981,7 +1040,7 @@ def test_cli_common_denominator_past_the_digit_limit_is_an_input_error(capsys, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {path}: common denominator has more than {EXPONENT_LIMIT} digits\n"
+        f"error: {file}: {path}: common denominator has more than {EXPONENT_LIMIT} digits\n"
     )
 
 

@@ -226,7 +226,7 @@ def _three_point_pieces(tower):
 
 
 @pytest.mark.parametrize("edit, error, message", [
-    (lambda p, t: p[:2], NestingViolation, r"^one pseudometric per level required$"),
+    (lambda p, t: p[:2], NestingViolation, r"^metrics: 2 for 3 levels$"),
     (lambda p, t: p + [t.metric(2)], IndexOutOfRange, r"^level 3 out of range$"),
     (lambda p, t: [t.metric(1)] + p[1:], NestingViolation,
      r"^piece at level 0 has size 2, expected 1$"),

@@ -31,14 +31,19 @@ EXIT_INPUT = 2
 EXIT_SOUNDNESS = 3
 
 
+def _named(place: str, f, *args):
+    """``f(*args)``, any refusal re-raised naming ``place``: the file or the
+    option whose value it refuses."""
+    try:
+        return f(*args)
+    except UnilimError as e:
+        raise ValidationError(f"{place}: {e}") from None
+
+
 def _document(path: str, parse, *args):
     """``parse(doc, *args)`` on the JSON document in the file at ``path``;
     a refusal names the file, as ``io.load`` names one that holds no JSON."""
-    doc = io.load(path)
-    try:
-        return parse(doc, *args)
-    except UnilimError as e:
-        raise ValidationError(f"{path}: {e}") from None
+    return _named(path, parse, io.load(path), *args)
 
 
 def _tower(doc) -> tuple[Tower, dict[str, Entourage]]:
@@ -141,8 +146,11 @@ def cmd_rel(args) -> int:
                 e = _evaluate(form, tower, names)
                 pairs = [[tower.labels[i], tower.labels[j]] for i, j in e.sorted_pairs()]
                 out = {"level": e.level, "pairs": pairs}
+    # a refusal names --expr, whose names it may compare with the tower's
     except RecursionError:
-        raise ValidationError("expression nested too deeply") from None
+        raise ValidationError("--expr: expression nested too deeply") from None
+    except UnilimError as e:
+        raise ValidationError(f"--expr: {e}") from None
     print(io.dumps(out))
     return EXIT_TRUE
 
@@ -153,8 +161,7 @@ def cmd_limit(args) -> int:
     lim = limit_pseudometric(seq)
     print(io.dumps({"labels": list(tower.labels), "matrix": io.matrix_to_json(lim)}))
     if args.witness:
-        x = tower.index_of(args.witness[0])
-        y = tower.index_of(args.witness[1])
+        x, y = (_named("--witness", tower.index_of, label) for label in args.witness)
         chain = witness_chain(seq, x, y)
         print(io.dumps({"chain": [tower.labels[p] for p in chain.points]}))
     return EXIT_TRUE
@@ -181,7 +188,7 @@ def cmd_check(args) -> int:
     f = SpaceMap(source, target, _document(args.map, io.map_from_json, m, n))
     if args.homeo:
         g = SpaceMap(target, source, _document(args.homeo, io.map_from_json, n, m))
-        v = homeo_criterion(f, g)
+        v = _named("--homeo", homeo_criterion, f, g)
         print(io.dumps(v.to_json()))
         if v.homeomorphism != (v.transport_comparison.relation == "equal"):
             return EXIT_SOUNDNESS
@@ -211,12 +218,8 @@ def cmd_product(args) -> int:
 
 def cmd_group(args) -> int:
     g = _document(args.group, io.group_from_json)
-    radii = []
-    for i, r in enumerate(args.radii.split(",")):
-        try:
-            radii.append(io.rational_from_json(r))
-        except ValidationError as e:
-            raise ValidationError(f"radii[{i}]: {e}") from None
+    radii = [_named(f"radii[{i}]", io.rational_from_json, r)
+             for i, r in enumerate(args.radii.split(","))]
     if args.check:
         v = check_group_limit(g, radii)
         print(io.dumps(v.to_json()))
@@ -228,7 +231,7 @@ def cmd_group(args) -> int:
 
 def cmd_box(args) -> int:
     factors = _document(args.factors, io.factors_from_json)
-    tower = box_tower(factors, args.depth)
+    tower = _named("--depth", box_tower, factors, args.depth)
     print(io.dumps(io.tower_to_json(tower)))
     if args.check:
         cmp = check_box_limit(factors, args.depth, tower)

@@ -4,11 +4,11 @@ A tower is a strictly increasing chain of prefixes of one finite ground
 set, with one exact-rational pseudometric per level.  Distances enter and
 leave as ``fractions.Fraction``; inside, each table is held as Python ints
 over one common denominator, on which the kernels compute, and its
-``Fraction`` form is built on first access.  The JSON reader and writers in
-``io`` work on the ints too.  The triangle check and the shortest-path
-closure run on packed rows, one int per row with a field per entry, all
-packed by ``_packed``, which says why no field carries into the next.  No
-floating point is used anywhere.
+``Fraction`` form is built on first access.  ``Pseudometric._from_numer``
+holds every table, ``_from_lower`` fills each lower-triangular one.  The
+triangle check and the shortest-path closure run on packed rows, one int
+per row with a field per entry, all packed by ``_packed``, which says why
+no field carries into the next.  No floating point is used anywhere.
 
 Point sets (balls, neighborhoods, relation rows) are int bitmasks, bit i
 set iff point i is in the set.  Outside the chain oracle of ``verify``,
@@ -109,9 +109,7 @@ def shortest_path_closure(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fra
     symmetric, and a negative entry raises ``ValidationError``.
     """
     den, d = _over_common_denominator(matrix)
-    closure_in_place(d)
-    as_fraction = {v: Fraction(v, den) for v in {v for row in d for v in row}}
-    return [[as_fraction[v] for v in row] for row in d]
+    return list(map(list, Pseudometric._from_numer(den, closure_in_place(d)).dist))
 
 
 class Pseudometric:
@@ -120,18 +118,16 @@ class Pseudometric:
 
     The table is ``numer``, ints over the common denominator ``den``, the
     lcm of the values' reduced denominators; the pair is canonical, so it
-    decides equality.  ``dist`` holds the same values as ``Fraction``s,
-    ``dist[i][j] == Fraction(numer[i][j], den)``, built on first access.
+    decides equality, and ``_from_numer`` holds it.  ``dist`` holds the same
+    values as ``Fraction``s, ``dist[i][j] == Fraction(numer[i][j], den)``,
+    built on first access; ``_from_lower`` fills lower-triangular rows.
     """
 
     __slots__ = ("size", "den", "numer", "_dist", "_classes")
 
     def __init__(self, dist: Sequence[Sequence[Fraction]]):
-        self._dist: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row) for row in dist
-        )
-        self.size = len(self._dist)
-        self.den, numer = _over_common_denominator(self._dist)
+        self.den, numer = _over_common_denominator([[Fraction(v) for v in row] for row in dist])
+        self.size = len(numer)
         self.numer: tuple[tuple[int, ...], ...] = tuple(map(tuple, numer))
 
     @classmethod
@@ -149,6 +145,16 @@ class Pseudometric:
         d.den = den
         d.numer = tuple(map(tuple, numer))
         return d
+
+    @classmethod
+    def _from_lower(cls, den: int, rows: Sequence[Sequence], numer_of) -> "Pseudometric":
+        """The symmetric table of lower-triangular ``rows``, entry v read as
+        the numerator ``numer_of[v]`` over ``den``."""
+        numer = [[0] * len(rows) for _ in rows]
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                numer[i][j] = numer[j][i] = numer_of[v]
+        return cls._from_numer(den, numer)
 
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -180,18 +186,16 @@ class Pseudometric:
     @classmethod
     def from_lower_triangular(cls, rows: Sequence[Sequence]) -> "Pseudometric":
         """Build from rows ``[d(i,0), ..., d(i,i-1)]`` for i = 0..n-1."""
-        n = len(rows)
-        dist = [[Fraction(0)] * n for _ in range(n)]
         for i, row in enumerate(rows):
             if len(row) != i:
                 raise ValidationError(f"lower-triangular row {i} has length {len(row)}")
-            for j, v in enumerate(row):
-                dist[i][j] = dist[j][i] = v
-        return cls(dist)
+        values = list(set().union(*rows))
+        den, (numer,) = _over_common_denominator([[Fraction(v) for v in values]])
+        return cls._from_lower(den, rows, dict(zip(values, numer)))
 
     @classmethod
     def zero(cls, size: int) -> "Pseudometric":
-        return cls([[Fraction(0)] * size for _ in range(size)])
+        return cls._from_numer(1, [[0] * size for _ in range(size)])
 
     def validate(self, level: int = 0, labels: Sequence[str] | None = None) -> None:
         n = self.size

@@ -42,13 +42,6 @@ class Profile:
             raise ProfileTooLarge(f"top size {max_size} exceeds {MAX_TOP_SIZE}")
 
 
-def _numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the values' denominators and the values as int numerators
-    over it, in order."""
-    den, (numer,) = _over_common_denominator([[Fraction(v) for v in values]])
-    return den, numer
-
-
 def _grow(
     rng: random.Random, prev: list[list[int]], size: int, pool: Sequence[int], zero_prob: float
 ) -> list[list[int]]:
@@ -75,7 +68,7 @@ def random_tower(rng: random.Random, profile: Profile) -> Tower:
     grows the level below, which stays its corner; the tables are ints
     over the pool's common denominator."""
     sizes = sorted(rng.sample(range(1, profile.max_size + 1), profile.levels))
-    den, pool = _numerators(DEFAULT_POOL)
+    den, (pool,) = _over_common_denominator([DEFAULT_POOL])
     tables: list[list[list[int]]] = [[]]
     for m in sizes:
         tables.append(_grow(rng, tables[-1], m, pool, 0.2))
@@ -142,7 +135,7 @@ def cyclic_group_tower(
 
     # the weighted Hamming table of the top level, as ints over the
     # weights' common denominator; level n is its corner
-    den, numer = _numerators(weights)
+    den, (numer,) = _over_common_denominator([list(map(Fraction, weights))])
     top = [
         [sum(w for w, a, b in zip(numer, t1, t2) if a != b) for t2 in tuples]
         for t1 in tuples
@@ -180,7 +173,7 @@ def random_group_tower(rng: random.Random) -> GroupTower:
 def random_factors(rng: random.Random) -> tuple[PointedSpace, ...]:
     """Three pointed spaces of 2 or 3 points, each a table grown from
     nothing."""
-    den, pool = _numerators(DEFAULT_POOL)
+    den, (pool,) = _over_common_denominator([DEFAULT_POOL])
     return tuple(
         PointedSpace(Pseudometric._from_numer(den, _grow(rng, [], rng.randrange(2, 4), pool, 0.25)))
         for _ in range(3)

@@ -41,7 +41,7 @@ def rational_from_json(v: Any) -> Fraction:
     (4300 where the interpreter sets none) is refused: its 10**exp alone
     would take seconds."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValidationError(f"not a rational: {v!r}")
+        raise ValidationError(f"not a rational: {_shown(v)}")
     try:
         exp = _EXPONENT.search(v) if isinstance(v, str) else None
         if exp and abs(int(exp[1])) > _digit_limit():
@@ -70,22 +70,30 @@ def _pair_from_json(v: Any) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-# a refused value is named by its JSON type, not echoed: it may be a document
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "a number", float: "a number", type(None): "null"}
 
 
+def _json_type(value: Any) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _shown(value: Any) -> str:
+    """A refused value as a message shows it: an array or an object by its
+    JSON type, not echoed, as it may be a whole document."""
+    return _json_type(value) if isinstance(value, (list, dict)) else repr(value)
+
+
 def _array(value: Any, path: str) -> list:
     if not isinstance(value, list):
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise ValidationError(f"{path}: expected a JSON array, got {got}")
+        raise ValidationError(f"{path}: expected a JSON array, got {_json_type(value)}")
     return value
 
 
 def _object(value: Any, path: str, *keys: str) -> dict:
     """``value`` as a JSON object holding ``keys``; ``path`` is "" at the root."""
     if not isinstance(value, dict):
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        got = _json_type(value)
         raise ValidationError(f"{path}: " * bool(path) + f"expected a JSON object, got {got}")
     for key in keys:
         if key not in value:
@@ -95,7 +103,7 @@ def _object(value: Any, path: str, *keys: str) -> dict:
 
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+        raise ValidationError(f"{path}: expected an integer, got {_shown(value)}")
     return value
 
 
@@ -147,11 +155,11 @@ def _name_bad_entry(table: list, path: str) -> None:
 def _metric_from_json(rows: Any, path: str) -> Pseudometric:
     """Lower-triangular rows to a pseudometric (not yet validated); a
     malformed document names its first offending path.  Each distinct entry
-    of the table is read once as an int pair, and the table is written as
-    int numerators over the lcm of the pairs' denominators, which
-    ``Pseudometric._from_numer`` reduces.  An lcm with more digits than the
-    int digit limit (4300 where the interpreter sets none) is refused before
-    the table is built: coprime denominators multiply."""
+    of the table is read once as an int pair, and the table is filled in by
+    ``Pseudometric._from_lower`` as int numerators over the lcm of the
+    pairs' denominators.  An lcm with more digits than the int digit limit
+    (4300 where the interpreter sets none) is refused before the table is
+    built: coprime denominators multiply."""
     table = _array(rows, path)
     # JSON true is not the int 1, though it hashes like it, so the types
     # are checked before the distinct entries are taken
@@ -173,12 +181,7 @@ def _metric_from_json(rows: Any, path: str) -> Pseudometric:
     if den.bit_length() > 3 * limit and den >= 10**limit:
         raise ValidationError(f"{path}: common denominator has more than {limit} digits")
     numer_of = {v: p * (den // q) for v, (p, q) in pairs.items()}
-    n = len(table)
-    numer = [[0] * n for _ in range(n)]
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            numer[i][j] = numer[j][i] = numer_of[v]
-    return Pseudometric._from_numer(den, numer)
+    return Pseudometric._from_lower(den, table, numer_of)
 
 
 def tower_to_json(t: Tower) -> dict:
@@ -197,10 +200,10 @@ def tower_from_json(doc: dict) -> Tower:
     labels = _array(doc["labels"], "labels")
     for k, label in enumerate(labels):
         if not isinstance(label, str):
-            raise ValidationError(f"labels[{k}]: expected a string, got {label!r}")
+            raise ValidationError(f"labels[{k}]: expected a string, got {_shown(label)}")
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
-        raise ValidationError(f"strict: expected true or false, got {strict!r}")
+        raise ValidationError(f"strict: expected true or false, got {_shown(strict)}")
     sizes = _array(doc["level_sizes"], "level_sizes")
     metrics = _array(doc["metrics"], "metrics")
     return Tower(
@@ -222,7 +225,8 @@ def named_entourages_from_json(doc: dict, tower: Tower) -> dict[str, Entourage]:
         pairs = set()
         for k, pair in enumerate(_array(spec["pairs"], f"{path}.pairs")):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(f"{path}.pairs[{k}]: expected a pair [i, j], got {pair!r}")
+                got = _shown(pair)
+                raise ValidationError(f"{path}.pairs[{k}]: expected a pair [i, j], got {got}")
             pairs.add(tuple(_index(v, f"{path}.pairs[{k}][{c}]", size) for c, v in enumerate(pair)))
         try:
             out[name] = Entourage(level, size, pairs)

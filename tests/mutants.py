@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # every mutant, 136 s on a 2-core VM
+    python tests/mutants.py          # every mutant, 138 s on a 2-core VM
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -438,13 +438,24 @@ MUTANTS = {
         "test_io_cli.py",
         ("tests",),
     ),
-    # verify reads no JSON, so only the reader's tests see a table whose
-    # upper triangle stays zero
-    "JSON metric reader fills only the lower triangle": Mutant(
-        "io.py",
+    # the JSON reader and from_lower_triangular, which builds verify's
+    # fixtures, share the fill, so both see tables whose upper triangle
+    # stays zero
+    "shared lower-triangular fill leaves the upper triangle zero": Mutant(
+        "core.py",
         "numer[i][j] = numer[j][i] = numer_of[v]",
         "numer[i][j] = numer_of[v]",
         "test_io_cli.py",
+        ("verify", "tests"),
+    ),
+    # keyed by Fraction, an entry whose Fraction is not equal to it, a
+    # "p/q" string, is missing from the map the fill reads; verify's
+    # fixtures give ints and Fractions only
+    "from_lower_triangular keys its values by Fraction": Mutant(
+        "core.py",
+        "values = list(set().union(*rows))",
+        "values = list({Fraction(v) for v in set().union(*rows)})",
+        "test_core.py",
         ("tests",),
     ),
     # "²/4" then reaches int(), whose ValueError is no input error; digit
@@ -507,8 +518,8 @@ MUTANTS = {
     # holds the fault, as for --map and --homeo
     "a document refusal names no file": Mutant(
         "cli.py",
-        'raise ValidationError(f"{path}: {e}") from None',
-        "raise ValidationError(str(e)) from None",
+        "return _named(path, parse, io.load(path), *args)",
+        "return parse(io.load(path), *args)",
         "test_io_cli.py",
         ("tests",),
     ),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from unilim import io
 from unilim.core import (
     Entourage,
     MonotonePseudometricSequence,
@@ -494,6 +495,49 @@ def test_from_numer_holds_what_fractions_would(den, numer):
     ref = Pseudometric([[Fraction(v, den) for v in row] for row in numer])
     assert got == ref
     assert (got.size, got.dist, got.den, got.numer) == (ref.size, ref.dist, ref.den, ref.numer)
+
+
+# -- one table, every constructor ------------------------------------------------
+
+# each value spelled as each constructor reads it: ints, Fractions, strings
+# Fraction reads (unreduced, padded, decimal, exponent) and exact floats
+SPELLED = (0, 1, 3, Fraction(1, 3), Fraction(5, 4), Fraction(2), "1/2", "2/6", "3", " 5/4",
+           "0.5", "1e-1", 0.25, 1.5, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(*(st.lists(st.sampled_from(SPELLED), min_size=i, max_size=i)
+                          for i in range(n)))
+))
+@example(([], ["1/2"], [1, 0.25]))
+def test_every_constructor_holds_the_same_table(rows):
+    n = len(rows)
+    full = [[0 if i == j else rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    values = [[Fraction(v) for v in row] for row in full]
+    ref = Pseudometric(full)
+    assert ref.den == math.lcm(*(v.denominator for row in values for v in row))
+    assert ref.dist == tuple(map(tuple, values))
+    got = [Pseudometric.from_lower_triangular(rows)]
+    if not any(isinstance(v, float) for row in rows for v in row):
+        # the JSON reader takes ints and strings only
+        got.append(io._metric_from_json(
+            [[str(v) if isinstance(v, Fraction) else v for v in row] for row in rows], "m"
+        ))
+    for d in got:
+        assert (d.size, d.den, d.numer, d.dist) == (ref.size, ref.den, ref.numer, ref.dist)
+    assert Pseudometric.zero(n) == Pseudometric([[0] * n] * n)
+    assert Pseudometric.zero(n).dist == tuple(map(tuple, [[Fraction(0)] * n] * n))
+    closed = shortest_path_closure(ref.dist)
+    assert closed == fraction_closure(values)
+    assert all(type(v) is Fraction for row in closed for v in row)
+
+
+def test_lower_triangular_entries_are_keyed_as_given():
+    """"1/2" is not equal to its Fraction, 1 and 0.25 are: each is read as
+    given."""
+    d = Pseudometric.from_lower_triangular([[], ["1/2"], [1, 0.25]])
+    assert (d.den, d.numer) == (4, ((0, 2, 4), (2, 0, 1), (4, 1, 0)))
 
 
 # -- the packed triangle check against the triple loop --------------------------

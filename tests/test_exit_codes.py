@@ -5,7 +5,8 @@ Randomly mutated tower, sequence, map, factor, group and expression
 documents may be rejected, but only as input errors: ``cli.main`` returns
 0, 1 or 2 and lets nothing escape, and the unmutated documents never exit
 2.  A mutated document that is refused is named: the message starts with
-its file, bar the refusals listed in ``ACROSS_ARGUMENTS``.
+its file, or with the option it is compared with, as ``ACROSS_ARGUMENTS``
+lists.  A mutated expression that is refused starts with ``--expr``.
 """
 
 import contextlib
@@ -76,20 +77,21 @@ CALLS = (
     *(("rel", "--tower", "{tower}", f"--expr={e}") for e in EXPRS),
 )
 
-# Per command, the refusals that compare a document with another argument
-# once every input is read, so that no one file is at fault; they name no
-# file.  Every other refusal of a mutated document starts with its file.
+# Per command, the option that a refusal comparing a document with it
+# starts with: such a refusal comes once every input is read, so no one
+# file is at fault.  Every other refusal of a mutated document starts with
+# its file.
 ACROSS_ARGUMENTS = {
-    # --depth against the number of factors, and a one-point factor, whose
-    # box level repeats the level below it
-    "box": ("depth ", "level sizes not strictly increasing: "),
-    # --map against --homeo: not a bijection, or not its inverse
-    "check": ("map is not a bijection", "h_inv(h("),
+    # the number of factors, or a one-point factor, whose box level repeats
+    # the level below it, against --depth
+    "box": "--depth: ",
+    # --homeo against --map: not a bijection, or not its inverse
+    "check": "--homeo: ",
     # --witness against the tower's labels
-    "limit": ("unknown label ",),
-    # --expr against the tower's labels and entourages
-    "rel": ("unknown entourage ", "expected a point label or index",
-            "tail entourage must live on the top level"),
+    "limit": "--witness: ",
+    # --expr against the tower's labels and entourages: an unknown
+    # entourage or point, a tail below the top level
+    "rel": "--expr: ",
 }
 
 TOKENS = ("(", ")", "[", "]", "sum", "mul", "sigma", "ball", "omega", "repeat_last",
@@ -187,11 +189,10 @@ def test_mutated_documents_exit_0_1_or_2(files, call, data):
         code = cli.main(argv)
     # any other exception escapes main and fails the test
     assert code in (0, 1, 2)
-    if code == 2 and call[k].startswith("{"):
+    if code == 2:
         message = err.getvalue().removeprefix("error: ")
-        assert message.startswith(f"{argv[k]}: ") or message.startswith(
-            ACROSS_ARGUMENTS.get(call[0], ())
-        ), message
+        named = f"{argv[k]}: " if call[k].startswith("{") else "--expr: "
+        assert message.startswith((named, ACROSS_ARGUMENTS.get(call[0], named))), message
 
 
 def test_an_exception_on_valid_input_exits_3(monkeypatch, capsys, files):

@@ -304,7 +304,7 @@ def test_cli_rel_names_expression_errors(capsys, tower_file, expr, message):
     assert cli.main(["rel", "--tower", tower_file, "--expr", expr]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: --expr: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -315,7 +315,7 @@ def test_cli_rel_rejects_tokens_after_the_expression(capsys, tower_file, expr, e
     assert cli.main(["rel", "--tower", tower_file, "--expr", expr]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: unexpected {extra!r} after the expression\n"
+    assert captured.err == f"error: --expr: unexpected {extra!r} after the expression\n"
 
 
 def test_cli_limit(capsys, tower_file, seq_file):
@@ -607,6 +607,67 @@ def test_cli_check_names_the_map_file_it_refuses(capsys, tmp_path, tower_file, s
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: map: 2 values for a source of 3 points")
+
+
+# a nested array of 10,000 elements, which a refusal must not print
+BIG = [list(range(100))] * 100
+
+
+@pytest.mark.parametrize("place, message", [
+    ("metrics[1][1][0]", "not a rational: an array"),
+    ("labels[0]", "expected a string, got an array"),
+    ("strict", "expected true or false, got an array"),
+    ("entourages.E.pairs[0]", "expected a pair [i, j], got an array"),
+    ("map[1]", "expected an integer, got an array"),
+])
+def test_cli_names_a_refused_array_by_its_type(capsys, monkeypatch, tmp_path, tower, place,
+                                               message):
+    monkeypatch.chdir(tmp_path)
+    doc = io.tower_to_json(tower)
+    file, argv = "t.json", ["topo", "--tower", "t.json"]
+    if place == "metrics[1][1][0]":
+        doc["metrics"][1][1][0] = BIG
+    elif place == "labels[0]":
+        doc["labels"][0] = BIG
+    elif place == "strict":
+        doc["strict"] = BIG
+    elif place == "entourages.E.pairs[0]":
+        doc["entourages"] = {"E": {"level": 2, "pairs": [BIG]}}
+    else:
+        io.dump([0, BIG, 2], "m.json")
+        file, argv = "m.json", ["check", "--tower", "t.json", "--map", "m.json"]
+    io.dump(doc, "t.json")
+    assert cli.console_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {file}: {place}: {message}\n"
+    assert len(captured.err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["limit", "--tower", "{tower}", "--seq", "{seq}", "--witness", "a", "z"],
+     "--witness: unknown label 'z'"),
+    (["box", "{factors}", "--depth", "4"], "--depth: depth 4 with 3 factors"),
+    (["check", "--tower", "{tower}", "--map", "{ident}", "--homeo", "{swap}"],
+     "--homeo: h_inv(h(b)) != b"),
+    (["check", "--tower", "{tower}", "--map", "{fold}", "--homeo", "{ident}"],
+     "--homeo: map is not a bijection of the top levels"),
+    (["rel", "--tower", "{tower}", "--expr", "(sum E_U NOPE)"], "--expr: unknown entourage 'NOPE'"),
+], ids=["limit --witness", "box --depth", "check --homeo inverse", "check --homeo bijection",
+        "rel --expr"])
+def test_cli_cross_argument_refusals_name_their_option(
+    capsys, tmp_path, tower_file, seq_file, argv, message
+):
+    """A refusal that compares a document with an option, once every input
+    is read, starts with that option."""
+    files = {"tower": tower_file, "seq": seq_file}
+    for name, doc in {"ident": [0, 1, 2], "swap": [0, 2, 1], "fold": [0, 0, 1],
+                      "factors": [factor_to_json(f) for f in halving_factors()]}.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        io.dump(doc, files[name])
+    assert cli.main([a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_box(capsys, tmp_path):

@@ -414,9 +414,6 @@ class Tower:
             raise IndexOutOfRange(f"element index {x}")
         return self._heights[x]
 
-    def pair_height(self, x: int, y: int) -> int:
-        return max(self.height(x), self.height(y))
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)

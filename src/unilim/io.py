@@ -48,7 +48,7 @@ def rational_from_json(v: Any) -> Fraction:
             raise ValueError("exponent past the digit limit")
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"not a rational: {v!r}") from e
+        raise ValidationError(f"not a rational: {_shown(v)}") from e
 
 
 def _pair_from_json(v: Any) -> tuple[int, int]:
@@ -78,10 +78,19 @@ def _json_type(value: Any) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+# the most characters of a refused string a message echoes
+_SHOWN_CHARS = 64
+
+
 def _shown(value: Any) -> str:
     """A refused value as a message shows it: an array or an object by its
-    JSON type, not echoed, as it may be a whole document."""
-    return _json_type(value) if isinstance(value, (list, dict)) else repr(value)
+    JSON type, not echoed, as it may be a whole document, and a string past
+    ``_SHOWN_CHARS`` characters by its head and its length."""
+    if isinstance(value, (list, dict)):
+        return _json_type(value)
+    if isinstance(value, str) and len(value) > _SHOWN_CHARS:
+        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)
 
 
 def _array(value: Any, path: str) -> list:

@@ -44,22 +44,16 @@ class Chain:
 
 
 def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
-    """Sum of link distances, each measured at the link's pair height in
-    the sequence's own metrics: a sum of ints over the lcm of the
-    sequence's denominators, read as one ``Fraction`` at the end."""
-    t = seq.tower
+    """Sum of link distances, each measured at the link's pair height: the
+    chain's entries of ``_link_weights``, the table the closure and the
+    valley DP read, over that table's denominator."""
     pts = chain.points
-    n = t.ground_size
+    n = seq.tower.ground_size
     for x in pts:
         if not 0 <= x < n:
             raise IndexOutOfRange(f"chain point {x}")
-    metrics = seq.metrics
-    den = math.lcm(*(d.den for d in metrics))
-    total = 0
-    for a, b in zip(pts, pts[1:]):
-        d = metrics[t.pair_height(a, b)]
-        total += d.numer[a][b] * (den // d.den)
-    return Fraction(total, den)
+    den, w = _link_weights(seq)
+    return Fraction(sum(w[a][b] for a, b in zip(pts, pts[1:])), den)
 
 
 @functools.lru_cache(maxsize=1)

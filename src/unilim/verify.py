@@ -35,7 +35,7 @@ from .limitmetric import (
     _target_indicator, adequate_sequence, chain_weight, limit_pseudometric, valley_distance,
     verify_generation, witness_chain,
 )
-from .relations import multiple
+from .relations import OMEGA, EntourageSequence, multiple, sigma_sum
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion
 from .topology import (
     TopologyComparison, TopologyFamily, compare_topologies, grid_ball_masks, tlim_topology, ulim_topology,
@@ -168,7 +168,8 @@ def _check_valley(seq: MonotonePseudometricSequence) -> Verdict:
     """For every pair, the valley distance is the limit distance, and the
     chain ``unilim limit --witness`` prints runs from x to y, is simple and
     valley-shaped, and weighs the limit distance by ``chain_weight``, which
-    reads the sequence's metrics, not the valley DP's link table."""
+    reads the DP's own link table: it confirms the DP's predecessors
+    against the DP's table and the closure."""
     lim = limit_pseudometric(seq).dist
     t = seq.tower
     n = t.ground_size
@@ -244,16 +245,22 @@ def _check_base(tower: Tower) -> Verdict:
     """The grid base balls generate the closed-form topology; each is open
     and contains the minimal neighborhood of its center.  The top grid
     entourages' components, which close every ball's tail, must equal
-    their (size-1)-fold sums."""
+    their (size-1)-fold sums.  Each point's ball under the omega sum of
+    the middle grid entourage of every level, built by ``sigma_sum``, must
+    be one of its grid base balls."""
     for u in tower.grid_entourages(tower.top_level):
         if u.components() != multiple(u, max(1, u.size - 1)):
             reason = "closure of a top grid entourage is not its reflexive-transitive closure"
             return False, {"reason": reason}
     balls, enumerated = _grid_base(tower)
+    middle = tuple(g[len(g) // 2] for g in map(tower.grid_entourages, range(tower.num_levels)))
+    summed = sigma_sum(EntourageSequence(tower, 0, middle), OMEGA).columns()
     top = ulim_topology(tower)
     for x, minimal in enumerate(top.min_nbhd):
         if enumerated.min_nbhd[x] != minimal:
             return False, {"point": x, "reason": "smallest ball is not the minimal neighborhood"}
+        if summed[x] not in balls[x]:
+            return False, {"point": x, "reason": "omega-sum ball is not a grid base ball"}
         for b in balls[x]:
             if not top.is_open_mask(b):
                 return False, {"point": x, "reason": "non-open base ball"}

@@ -343,26 +343,25 @@ MUTANTS = {
         "test_limitmetric.py",
         ("verify", "tests"),
     ),
-    # the lower endpoint's level does not hold the higher endpoint, so any
-    # link across heights reads outside its table: verify stops with an
-    # IndexError (exit 3), the tests with a failure
-    "chain_weight reads a link at its lower endpoint's level": Mutant(
+    # row x's own level holds no point born higher, so the row stops at that
+    # level's size and every link from x up across heights reads past it:
+    # verify stops with an IndexError (exit 3), the tests with a failure
+    "link weights read a higher point at its row's own level": Mutant(
         "limitmetric.py",
-        "d = metrics[t.pair_height(a, b)]",
-        "d = metrics[min(t.height(a), t.height(b))]",
+        "metrics[n].numer[x][sizes[n - 1]:]",
+        "metrics[h].numer[x][sizes[n - 1]:]",
         "test_limitmetric.py",
         ("verify", "tests"),
     ),
-    # verify cannot see a grid-ball enumerator that drops balls until T1
-    # also checks B(x; sum U_n) (ROADMAP item 4): every ball it keeps is still
-    # open and holds the minimal neighborhood, and the smallest is still
-    # kept; only the tests' fixpoint oracle sees the missing ones
+    # every ball kept is still open and holds the minimal neighborhood, and
+    # the smallest is still kept; but T1's ball of x under the omega sum of
+    # the middle grid entourages is then missing from x's grid balls
     "grid balls keep only the smallest top-level ball": Mutant(
         "topology.py",
         "out = frozenset(balls)",
         "out = frozenset(balls[:1])",
         "test_topology.py",
-        ("tests",),
+        ("verify", "tests"),
     ),
     # one memo for every tower: a later tower reads the rows and balls of
     # an earlier one.  verify runs P-box's fixtures first, so T1's
@@ -413,14 +412,15 @@ MUTANTS = {
         "test_relations.py",
         ("verify", "tests"),
     ),
-    # verify sums sequences only through a finite level until T1 also
-    # checks B(x; sum U_n) (ROADMAP item 4)
+    # the omega sum then adds one repeat of the tail, not its closure, so
+    # T1's ball of x under the omega sum of the middle grid entourages can
+    # fall short of every grid ball of x, whose tail is closed
     "sigma_sum's omega tail left unclosed": Mutant(
         "relations.py",
         "multiple(tail, max(1, tail.size - 1)))",
         "tail)",
         "test_relations.py",
-        ("tests",),
+        ("verify", "tests"),
     ),
     # verify takes ball sets only under zero-relations, whose rows are
     # their columns

@@ -166,12 +166,16 @@ def fraction_closure(matrix):
     return d
 
 
+def pair_height(tower, x, y):
+    """The first level holding both x and y: the higher of their heights."""
+    return max(tower.height(x), tower.height(y))
+
+
 def fraction_link_weights(seq):
     """Each pair's distance at its pair height, as Fractions."""
     t = seq.tower
     n = t.ground_size
-    heights = [t.height(x) for x in range(n)]
-    return [[seq[max(heights[x], heights[y])].dist[x][y] for y in range(n)] for x in range(n)]
+    return [[seq[pair_height(t, x, y)].dist[x][y] for y in range(n)] for x in range(n)]
 
 
 def fraction_limit(seq):

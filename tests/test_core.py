@@ -90,9 +90,6 @@ def test_nonzero_diagonal_rejected():
 
 def test_heights(tower):
     assert [tower.height(i) for i in range(3)] == [0, 1, 2]
-    assert tower.pair_height(0, 1) == 1
-    assert tower.pair_height(0, 2) == 2
-    assert tower.pair_height(0, 0) == 0
     with pytest.raises(IndexOutOfRange):
         tower.height(3)
 

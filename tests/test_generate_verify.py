@@ -221,6 +221,21 @@ def test_t1_requires_components_to_equal_closures(monkeypatch):
     }
 
 
+def test_t1_requires_the_omega_sum_ball_among_the_grid_balls(monkeypatch):
+    # an enumerator that keeps only each point's smallest ball still keeps
+    # the minimal neighborhood, and every ball it keeps is open; only the
+    # ball of the omega sum of the middle grid entourages goes missing
+    enumerate_balls = verify.grid_ball_masks
+
+    def smallest_only(tower, x, memo):
+        return frozenset([min(enumerate_balls(tower, x, memo), key=int.bit_count)])
+
+    monkeypatch.setattr("unilim.verify.grid_ball_masks", smallest_only)
+    reports = [run_theorem("T1", generate_instance(s)) for s in range(21)]
+    reasons = {r.certificate["reason"] for r in reports if not r.verdict}
+    assert reasons == {"omega-sum ball is not a grid base ball"}
+
+
 @pytest.mark.parametrize("kind", ["seeded", "product"])
 def test_grid_base_oracle_leaves_the_tower_as_it_found_it(kind):
     # the oracle's memo lives for one _grid_base call; only the grid

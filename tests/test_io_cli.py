@@ -1004,6 +1004,12 @@ def test_json_reader_reads_every_spelling_fraction_reads(spelling, value):
 LONG_DIGITS = "1" * 5000
 
 
+def shown(s):
+    """A refused string as a message shows it: whole up to 64 characters,
+    else its first 64 and its length."""
+    return repr(s) if len(s) <= 64 else f"{s[:64]!r}... ({len(s)} characters)"
+
+
 @pytest.mark.parametrize("bad", [
     "²/4",  # str.isdigit accepts "²", int and Fraction do not
     "3/-4",
@@ -1018,7 +1024,7 @@ def test_json_reader_rejects_what_fraction_rejects_with_the_same_message(bad):
     doc = {"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [bad]]]}
     with pytest.raises(ValidationError) as got:
         io.tower_from_json(doc)
-    assert str(got.value) == f"metrics[0][1][0]: not a rational: {bad!r}"
+    assert str(got.value) == f"metrics[0][1][0]: not a rational: {shown(bad)}"
 
 
 def test_cli_long_rational_string_is_an_input_error(capsys, tmp_path):
@@ -1028,7 +1034,24 @@ def test_cli_long_rational_string_is_an_input_error(capsys, tmp_path):
     assert cli.console_main(["topo", "--tower", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: metrics[0][1][0]: not a rational: {bad!r}\n"
+    assert captured.err == f"error: {path}: metrics[0][1][0]: not a rational: {shown(bad)}\n"
+
+
+@pytest.mark.parametrize("path, doc", [
+    ("metrics[2][2][0]", {"labels": ["a", "b", "c"], "level_sizes": [1, 2, 3],
+                          "metrics": [[[]], [[], [1]], [[], [1], ["9" * 100_000, 1]]]}),
+    ("strict", {"labels": ["a"], "level_sizes": [1], "metrics": [[[]]], "strict": "t" * 50_000}),
+], ids=["long-entry", "long-strict"])
+def test_cli_long_refused_string_is_shown_cut(capsys, tmp_path, path, doc):
+    """A refused string is shown by its head and its length, so a huge
+    value does not come back whole on stderr."""
+    file = tmp_path / "tower.json"
+    io.dump(doc, str(file))
+    assert cli.console_main(["topo", "--tower", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {file}: {path}: ")
+    assert len(captured.err.encode()) < 300
 
 
 def _command_reading(tmp_path, kind, rows, tower_rows):

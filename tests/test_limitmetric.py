@@ -40,6 +40,7 @@ from .oracles import (
     fraction_valley_distance,
     full_entourage,
     glued_extension,
+    pair_height,
     random_entourage,
     union,
 )
@@ -63,7 +64,7 @@ def test_chain_weight_matches_a_fraction_sum_of_links(drawn, data):
 
     def reference(points):
         return sum(
-            (seq[t.pair_height(a, b)].dist[a][b] for a, b in zip(points, points[1:])),
+            (seq[pair_height(t, a, b)].dist[a][b] for a, b in zip(points, points[1:])),
             Fraction(0),
         )
 
@@ -86,7 +87,7 @@ def test_limit_dominated_by_single_link(mono_seq):
     t = mono_seq.tower
     for x in range(3):
         for y in range(3):
-            assert lim(x, y) <= mono_seq[t.pair_height(x, y)].dist[x][y]
+            assert lim(x, y) <= mono_seq[pair_height(t, x, y)].dist[x][y]
 
 
 def test_single_level_limit_is_the_metric():

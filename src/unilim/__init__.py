@@ -16,12 +16,9 @@ _EXPORTS = {
     "constructions": "GroupLimitVerdict GroupTower PointedSpace box_tower check_box_limit "
     "check_group_limit check_multiplicativity ordered_product_ball product_topology product_tower",
     "core": "Entourage MonotonePseudometricSequence Pseudometric Tower shortest_path_closure",
-    "errors": "CertificateFailure GroundMismatch IndexOutOfRange InvarianceViolation "
-    "LevelCountMismatch LevelMismatch LevelOutOfRange NeighborhoodViolation NestingViolation "
-    "NotAnEntourage NotInverse NotUniform PreconditionFailed ProfileTooLarge StartMismatch "
-    "SubspaceViolation TriangleViolation UnilimError UnknownTheoremId ValidationError",
+    "errors": "CertificateFailure UnilimError ValidationError",
     "generate": "Instance Profile cyclic_group_tower generate_instance",
-    "limitmetric": "Chain GenerationVerdict adequate_sequence chain_weight extend_pseudometric "
+    "limitmetric": "GenerationVerdict adequate_sequence chain_weight extend_pseudometric "
     "limit_pseudometric valley_distance verify_generation witness_chain",
     "regularity": "ContinuityVerdict CriterionVerdict HomeoVerdict RegularityVerdict SpaceMap "
     "continuity_criterion homeo_criterion is_continuous is_regular_at transport_topology",

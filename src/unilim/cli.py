@@ -19,7 +19,7 @@ from .constructions import (
     product_tower,
 )
 from .core import Entourage, MonotonePseudometricSequence, Tower, bits
-from .errors import UnilimError, ValidationError
+from .errors import UnilimError, ValidationError, _shown
 from .limitmetric import limit_pseudometric, witness_chain
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
 from .relations import OMEGA, REPEAT_LAST, EntourageSequence, ball, compose, multiple, sigma_sum
@@ -80,7 +80,7 @@ def _read(tokens: list[str]) -> str | list:
     while not tokens or tokens[-1] not in _CLOSING.values():
         form.append(_read(tokens))  # raises at the end of the tokens
     if (got := tokens.pop()) != _CLOSING[tok]:
-        raise ValidationError(f"expected {_CLOSING[tok]!r}, got {got!r}")
+        raise ValidationError(f"expected {_CLOSING[tok]!r}, got {_shown(got)}")
     return form
 
 
@@ -93,13 +93,13 @@ def _integer(form, what: str) -> int:
     try:
         return int(form)
     except (TypeError, ValueError):
-        raise ValidationError(f"expected {what}, got {_token(form)!r}") from None
+        raise ValidationError(f"expected {what}, got {_shown(_token(form))}") from None
 
 
 def _name(form, names: dict[str, Entourage]) -> Entourage:
     if isinstance(form, str) and form in names:
         return names[form]
-    raise ValidationError(f"unknown entourage {_token(form)!r}")
+    raise ValidationError(f"unknown entourage {_shown(_token(form))}")
 
 
 def _evaluate(form, tower: Tower, names: dict[str, Entourage]) -> Entourage:
@@ -119,7 +119,7 @@ def _evaluate(form, tower: Tower, names: dict[str, Entourage]) -> Entourage:
         case ["(", str(head), *_] if head in _SHAPES:
             raise ValidationError(f"expected {_SHAPES[head]}")
         case ["(", head, *_]:
-            raise ValidationError(f"unknown operation {_token(head)!r}")
+            raise ValidationError(f"unknown operation {_shown(_token(head))}")
     return _name(form, names)
 
 
@@ -132,7 +132,7 @@ def cmd_rel(args) -> int:
     try:
         form = _read(tokens)
         if tokens:
-            raise ValidationError(f"unexpected {tokens[-1]!r} after the expression")
+            raise ValidationError(f"unexpected {_shown(tokens[-1])} after the expression")
         match form:
             case ["(", "ball", x, u]:
                 if x in tower.labels:
@@ -163,7 +163,7 @@ def cmd_limit(args) -> int:
     if args.witness:
         x, y = (_named("--witness", tower.index_of, label) for label in args.witness)
         chain = witness_chain(seq, x, y)
-        print(io.dumps({"chain": [tower.labels[p] for p in chain.points]}))
+        print(io.dumps({"chain": [tower.labels[p] for p in chain]}))
     return EXIT_TRUE
 
 
@@ -245,7 +245,7 @@ def _default_seed() -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValidationError(f"UNILIM_SEED={value!r} is not an int") from None
+        raise ValidationError(f"UNILIM_SEED={_shown(value)} is not an int") from None
 
 
 def cmd_gen(args) -> int:
@@ -274,9 +274,9 @@ def _parse_seeds(spec: str) -> range | list[int]:
         else:
             seeds = [int(s) for s in spec.split(",")]
     except ValueError:
-        raise ValidationError(f"--seeds {spec!r} is not lo..hi or a comma list of ints") from None
+        raise ValidationError(f"{_shown(spec)} is not lo..hi or a comma list of ints") from None
     if not seeds:
-        raise ValidationError(f"seed range {spec!r} is empty")
+        raise ValidationError(f"seed range {_shown(spec)} is empty")
     return seeds
 
 
@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
         # a run with no theorem id checks nothing, so it is refused
         raise ValidationError("verify needs --all or at least one theorem id after --targets")
     if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
+        seeds = _named("--seeds", _parse_seeds, args.seeds)
     else:
         seeds = [args.seed if args.seed is not None else _default_seed()]
     # the output opens first, so a path that cannot be written is refused

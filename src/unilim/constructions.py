@@ -32,9 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import Pseudometric, Tower, bits, members
-from .errors import (
-    CertificateFailure, InvarianceViolation, LevelCountMismatch, ValidationError,
-)
+from .errors import CertificateFailure, ValidationError
 from .relations import EntourageSequence, ball, sigma_sum
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
 
@@ -154,7 +152,7 @@ def product_tower(a: Tower, b: Tower) -> Tower:
     presents the product uniformity.  A pair appears at the higher of its
     coordinates' heights, so each level is a prefix of the pairs."""
     if a.num_levels != b.num_levels:
-        raise LevelCountMismatch(f"{a.num_levels} levels vs {b.num_levels}")
+        raise ValidationError(f"{a.num_levels} levels vs {b.num_levels}")
     points, labels, sizes = _coordinates(
         (a._heights, b._heights), (a.labels, b.labels), a.num_levels
     )
@@ -229,7 +227,7 @@ class GroupTower:
                 for x in range(m):
                     for y in range(m):
                         if d[op[x][g]][op[y][g]] != d[x][y]:
-                            raise InvarianceViolation(
+                            raise ValidationError(
                                 f"metric at level {lvl} not invariant under "
                                 f"translation by {t.labels[g]}"
                             )
@@ -256,7 +254,7 @@ def _ordered_product(g: GroupTower, balls: Sequence[frozenset[int]]) -> frozense
 def _radii(g: GroupTower, radii: Sequence[Fraction]) -> list[Fraction]:
     """The radii as ``Fraction``s: one per level, all positive."""
     if len(radii) != g.tower.num_levels:
-        raise LevelCountMismatch("one radius per level required")
+        raise ValidationError("one radius per level required")
     radii = [Fraction(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise ValidationError("radii must be positive")
@@ -355,7 +353,7 @@ def box_tower(factors: Sequence[PointedSpace], depth: int) -> Tower:
     level takes the max over all ``depth`` coordinates, so it is a corner
     of the top table, the one table built and certified."""
     if not 1 <= depth <= len(factors):
-        raise LevelCountMismatch(f"depth {depth} with {len(factors)} factors")
+        raise ValidationError(f"depth {depth} with {len(factors)} factors")
     spaces = factors[:depth]
     points, labels, sizes = coordinate_tuples(
         [f.metric.size for f in spaces], [f.basepoint for f in spaces]

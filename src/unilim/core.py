@@ -23,14 +23,7 @@ from fractions import Fraction
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    IndexOutOfRange,
-    NestingViolation,
-    NotUniform,
-    SubspaceViolation,
-    TriangleViolation,
-    ValidationError,
-)
+from .errors import ValidationError, _shown
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -240,7 +233,11 @@ class Pseudometric:
                         for a, b, c in itertools.product(range(n), repeat=3)
                         if d[a][c] > d[a][b] + d[b][c]
                     )
-                    raise TriangleViolation(level, *map(name, first))
+                    a, b, c = map(name, first)
+                    raise ValidationError(
+                        f"triangle inequality fails at level {level}: "
+                        f"d({a},{c}) > d({a},{b}) + d({b},{c})"
+                    )
 
     def __call__(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
@@ -351,7 +348,7 @@ class Tower:
 
     def metric(self, n: int) -> Pseudometric:
         if not 0 <= n < self.num_levels:
-            raise IndexOutOfRange(f"level {n} out of range")
+            raise ValidationError(f"level {n} out of range")
         return self.level_metrics[n]
 
     def validate(self) -> None:
@@ -368,15 +365,18 @@ class Tower:
                     pairs = enumerate(zip(lo.numer[i], hi.numer[i]))
                     bad |= sum(1 << j for j, (a, b) in pairs if a * hi.den != b * lo.den)
                 if bad:
-                    raise SubspaceViolation(n, self.labels[i], self.labels[next(bits(bad))])
+                    a, b = self.labels[i], self.labels[next(bits(bad))]
+                    raise ValidationError(
+                        f"zero-pair mismatch between levels {n} and {n + 1} on pair ({a},{b})"
+                    )
 
     def _validate_shape(self) -> None:
         """Labels one per point and unique, level sizes strictly
         increasing, one table per level of the level's size."""
         if not self.level_sizes:
-            raise NestingViolation("level_sizes: no levels")
+            raise ValidationError("level_sizes: no levels")
         if len(self.labels) != self.level_sizes[-1]:
-            raise NestingViolation(
+            raise ValidationError(
                 f"labels: {len(self.labels)} for a top level of {self.level_sizes[-1]} points"
             )
         if len(set(self.labels)) != len(self.labels):
@@ -384,16 +384,16 @@ class Tower:
         prev = 0
         for m in self.level_sizes:
             if m <= prev:
-                raise NestingViolation(f"level sizes not strictly increasing: {self.level_sizes}")
+                raise ValidationError(f"level sizes not strictly increasing: {self.level_sizes}")
             prev = m
         if (k := len(self.level_metrics)) != self.num_levels:
-            raise NestingViolation(f"metrics: {k} for {self.num_levels} levels")
+            raise ValidationError(f"metrics: {k} for {self.num_levels} levels")
         for n, d in enumerate(self.level_metrics):
             if d.size != self.level_sizes[n]:
-                raise NestingViolation(f"metrics[{n}]: {d.size} points, not {self.level_sizes[n]}")
+                raise ValidationError(f"metrics[{n}]: {d.size} points, not {self.level_sizes[n]}")
 
     def _check_uniform(self, level: int, d: Pseudometric, name: str) -> None:
-        """Raise ``NotUniform`` unless ``d``, a table of the level's size,
+        """Raise ``ValidationError`` unless ``d``, a table of the level's size,
         vanishes on the level's zero-pairs, the finite-scale meaning of
         "uniform on the level", naming the first failing pair in row-major
         order.  Both tables are symmetric with a zero diagonal, so that
@@ -401,7 +401,7 @@ class Tower:
         for i, (z, d_i) in enumerate(zip(self.level_metrics[level].zero_classes, d.numer)):
             for j in bits(z >> i + 1 << i + 1):
                 if d_i[j] != 0:
-                    raise NotUniform(
+                    raise ValidationError(
                         f"{name} positive on zero-pair "
                         f"({self.labels[i]},{self.labels[j]}) of level {level}"
                     )
@@ -411,14 +411,14 @@ class Tower:
     def height(self, x: int) -> int:
         """First level index at which element x appears."""
         if not 0 <= x < self.ground_size:
-            raise IndexOutOfRange(f"element index {x}")
+            raise ValidationError(f"element index {x}")
         return self._heights[x]
 
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise IndexOutOfRange(f"unknown label {label!r}") from None
+            raise ValidationError(f"unknown label {_shown(label)}") from None
 
     # -- entourage bases ----------------------------------------------------
 
@@ -479,7 +479,7 @@ class Entourage:
         rows = [0] * size
         for i, j in pairs:
             if not (0 <= i < size and 0 <= j < size):
-                raise IndexOutOfRange(f"pair ({i},{j}) outside level of size {size}")
+                raise ValidationError(f"pair ({i},{j}) outside level of size {size}")
             rows[i] |= 1 << j
         for i in range(size):
             if not rows[i] >> i & 1:
@@ -515,7 +515,7 @@ class Entourage:
         """Embed into a larger level: keep the pairs, take the diagonal of
         the larger ground set."""
         if level < self.level or size < self.size:
-            raise IndexOutOfRange("promotion must not shrink the level")
+            raise ValidationError("promotion must not shrink the level")
         rows = list(self.rows) + [0] * (size - self.size)
         for i in range(size):
             rows[i] |= 1 << i
@@ -595,10 +595,10 @@ class MonotonePseudometricSequence:
     def validate(self) -> None:
         t = self.tower
         if len(self.metrics) != t.num_levels:
-            raise NestingViolation(f"metrics: {len(self.metrics)} for {t.num_levels} levels")
+            raise ValidationError(f"metrics: {len(self.metrics)} for {t.num_levels} levels")
         for n, d in enumerate(self.metrics):
             if d.size != t.level_sizes[n]:
-                raise NestingViolation(f"metrics[{n}]: {d.size} points, not {t.level_sizes[n]}")
+                raise ValidationError(f"metrics[{n}]: {d.size} points, not {t.level_sizes[n]}")
             d.validate(n, t.labels)
             t._check_uniform(n, d, f"d_{n}")
         for n in range(t.num_levels - 1):

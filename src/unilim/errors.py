@@ -1,10 +1,13 @@
 """Exception types shared across the library.
 
-Every structural defect in an input names its first offending witness so
-that a failing instance can be repaired by hand.
+Every refusal of an input is a ``ValidationError`` whose message names
+its first offending witness, so that a failing instance can be repaired
+by hand; a long value in it is shown cut (``_shown``).
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 
 class UnilimError(Exception):
@@ -15,89 +18,30 @@ class ValidationError(UnilimError):
     """An input value violates a structural invariant."""
 
 
-class TriangleViolation(ValidationError):
-    def __init__(self, level: int, i: str, j: str, k: str):
-        self.level, self.i, self.j, self.k = level, i, j, k
-        super().__init__(
-            f"triangle inequality fails at level {level}: "
-            f"d({i},{k}) > d({i},{j}) + d({j},{k})"
-        )
-
-
-class NestingViolation(ValidationError):
-    pass
-
-
-class SubspaceViolation(ValidationError):
-    def __init__(self, level: int, i: str, j: str):
-        self.level, self.i, self.j = level, i, j
-        super().__init__(
-            f"zero-pair mismatch between levels {level} and {level + 1} "
-            f"on pair ({i},{j})"
-        )
-
-
-class NotUniform(ValidationError):
-    """A pseudometric has a positive value on a zero-pair of its level."""
-
-
-class NotAnEntourage(ValidationError):
-    def __init__(self, level: int, msg: str = ""):
-        self.level = level
-        super().__init__(msg or f"relation at level {level} misses a zero-pair")
-
-
-class NeighborhoodViolation(ValidationError):
-    """A family of minimal neighborhoods that no topology has: a point
-    outside its own, or one not holding the neighborhood of each of its
-    points."""
-
-
-class IndexOutOfRange(UnilimError):
-    pass
-
-
-class LevelMismatch(UnilimError):
-    pass
-
-
-class LevelOutOfRange(UnilimError):
-    pass
-
-
-class LevelCountMismatch(UnilimError):
-    pass
-
-
-class StartMismatch(UnilimError):
-    pass
-
-
-class GroundMismatch(UnilimError):
-    pass
-
-
-class NotInverse(UnilimError):
-    pass
-
-
-class InvarianceViolation(UnilimError):
-    pass
-
-
-class PreconditionFailed(UnilimError):
-    pass
-
-
-class ProfileTooLarge(UnilimError):
-    pass
-
-
-class UnknownTheoremId(UnilimError):
-    pass
-
-
 class CertificateFailure(Exception):
     """A derived table is not what its construction certifies: an
     implementation bug, never bad input, so not a ``UnilimError`` and the
     CLI exits 3 on it."""
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _json_type(value: Any) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+# the most characters of a refused string a message echoes
+_SHOWN_CHARS = 64
+
+
+def _shown(value: Any) -> str:
+    """A refused value as a message shows it: an array or an object by its
+    JSON type, not echoed, as it may be a whole document, and a string past
+    ``_SHOWN_CHARS`` characters by its head and its length."""
+    if isinstance(value, (list, dict)):
+        return _json_type(value)
+    if isinstance(value, str) and len(value) > _SHOWN_CHARS:
+        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
+    return repr(value)

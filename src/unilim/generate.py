@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 from .constructions import GroupTower, PointedSpace, coordinate_tuples
 from .core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower, closure_in_place
 from .core import _over_common_denominator
-from .errors import ProfileTooLarge
+from .errors import ValidationError
 from .limitmetric import adequate_sequence, sum_of_extensions
 from .regularity import SpaceMap
 
@@ -37,9 +37,9 @@ class Profile:
     def __init__(self, levels: int = 3, max_size: int = 6):
         self.levels, self.max_size = levels, max_size
         if levels < 1 or max_size < levels:
-            raise ProfileTooLarge(f"levels={levels}, max_size={max_size}")
+            raise ValidationError(f"levels={levels}, max_size={max_size}")
         if max_size > MAX_TOP_SIZE:
-            raise ProfileTooLarge(f"top size {max_size} exceeds {MAX_TOP_SIZE}")
+            raise ValidationError(f"top size {max_size} exceeds {MAX_TOP_SIZE}")
 
 
 def _grow(
@@ -126,12 +126,12 @@ def cyclic_group_tower(
     metric; level n is the subgroup supported on the first n+1 coordinates."""
     depth = len(orders)
     if depth != len(weights):
-        raise ProfileTooLarge("one weight per cyclic factor required")
+        raise ValidationError("one weight per cyclic factor required")
 
     tuples, labels, sizes = coordinate_tuples(orders, [0] * depth)
     index = {t: k for k, t in enumerate(tuples)}
     if sizes[-1] > MAX_TOP_SIZE:
-        raise ProfileTooLarge(f"group of order {sizes[-1]} exceeds {MAX_TOP_SIZE}")
+        raise ValidationError(f"group of order {sizes[-1]} exceeds {MAX_TOP_SIZE}")
 
     # the weighted Hamming table of the top level, as ints over the
     # weights' common denominator; level n is its corner

@@ -17,7 +17,7 @@ from typing import Any
 
 from .constructions import GroupTower, PointedSpace
 from .core import Entourage, Pseudometric, Tower
-from .errors import ValidationError
+from .errors import ValidationError, _json_type, _shown
 
 
 def rational_to_json(v: Fraction) -> Any:
@@ -68,29 +68,6 @@ def _pair_from_json(v: Any) -> tuple[int, int]:
                 return int(p), q
     f = rational_from_json(v)
     return f.numerator, f.denominator
-
-
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
-
-
-def _json_type(value: Any) -> str:
-    return _JSON_TYPES.get(type(value), type(value).__name__)
-
-
-# the most characters of a refused string a message echoes
-_SHOWN_CHARS = 64
-
-
-def _shown(value: Any) -> str:
-    """A refused value as a message shows it: an array or an object by its
-    JSON type, not echoed, as it may be a whole document, and a string past
-    ``_SHOWN_CHARS`` characters by its head and its length."""
-    if isinstance(value, (list, dict)):
-        return _json_type(value)
-    if isinstance(value, str) and len(value) > _SHOWN_CHARS:
-        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
-    return repr(value)
 
 
 def _array(value: Any, path: str) -> list:

@@ -26,34 +26,23 @@ from .core import (
     bits,
     closure_in_place,
 )
-from .errors import (
-    IndexOutOfRange, NestingViolation, NotAnEntourage, PreconditionFailed, ValidationError,
-)
+from .errors import ValidationError
 from .relations import multiple
 
 
-class Chain:
-    """A nonempty list of element indices; weight is defined for any chain."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: tuple[int, ...]):
-        self.points = points
-        if not points:
-            raise ValidationError("chain must be nonempty")
-
-
-def chain_weight(seq: MonotonePseudometricSequence, chain: Chain) -> Fraction:
-    """Sum of link distances, each measured at the link's pair height: the
-    chain's entries of ``_link_weights``, the table the closure and the
-    valley DP read, over that table's denominator."""
-    pts = chain.points
+def chain_weight(seq: MonotonePseudometricSequence, points: Sequence[int]) -> Fraction:
+    """Sum of link distances along a nonempty chain of element indices,
+    each measured at the link's pair height: the chain's entries of
+    ``_link_weights``, the table the closure and the valley DP read, over
+    that table's denominator."""
+    if not points:
+        raise ValidationError("chain must be nonempty")
     n = seq.tower.ground_size
-    for x in pts:
+    for x in points:
         if not 0 <= x < n:
-            raise IndexOutOfRange(f"chain point {x}")
+            raise ValidationError(f"chain point {x}")
     den, w = _link_weights(seq)
-    return Fraction(sum(w[a][b] for a, b in zip(pts, pts[1:])), den)
+    return Fraction(sum(w[a][b] for a, b in zip(points, points[1:])), den)
 
 
 @functools.lru_cache(maxsize=1)
@@ -132,7 +121,7 @@ def _valley_row_to(seq: MonotonePseudometricSequence, x: int, y: int):
     n = seq.tower.ground_size
     for p in (x, y):
         if not 0 <= p < n:
-            raise IndexOutOfRange(f"element {p}")
+            raise ValidationError(f"element {p}")
     return _valley_row(seq, x)
 
 
@@ -144,7 +133,7 @@ def valley_distance(seq: MonotonePseudometricSequence, x: int, y: int) -> Fracti
     return Fraction(up[y], den)
 
 
-def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
+def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> tuple[int, ...]:
     """A valley chain from x to y of weight d(x, y), simple and optimal: the
     valley DP's predecessors walked back from y past the turn to x."""
     _, _, back = _valley_row_to(seq, x, y)
@@ -154,7 +143,7 @@ def witness_chain(seq: MonotonePseudometricSequence, x: int, y: int) -> Chain:
         s = back[s]
         if s % n != points[-1]:
             points.append(s % n)
-    return Chain(tuple(reversed(points)))
+    return tuple(reversed(points))
 
 
 def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseudometric:
@@ -169,9 +158,9 @@ def extend_pseudometric(tower: Tower, rho: Pseudometric, to_level: int) -> Pseud
     try:
         k = tower.level_sizes.index(rho.size)
     except ValueError:
-        raise IndexOutOfRange(f"no level has size {rho.size}") from None
+        raise ValidationError(f"no level has size {rho.size}") from None
     if not k <= to_level <= tower.top_level:
-        raise IndexOutOfRange(f"target level {to_level}")
+        raise ValidationError(f"target level {to_level}")
     rho.validate(k, tower.labels)
     tower._check_uniform(k, rho, "pseudometric")
 
@@ -193,7 +182,7 @@ def sum_of_extensions(tower: Tower, pieces: Sequence[Pseudometric]) -> MonotoneP
     for n, piece in enumerate(pieces):
         # tower.metric refuses a piece past the top level, naming the level
         if piece.size != tower.metric(n).size:
-            raise NestingViolation(f"piece at level {n} has size {piece.size}, expected {sizes[n]}")
+            raise ValidationError(f"piece at level {n} has size {piece.size}, expected {sizes[n]}")
         tower._check_uniform(n, piece, "pseudometric")
         carried = [_extend_one(tower, r, n) for r in carried]
         carried.append(piece)
@@ -265,12 +254,12 @@ def adequate_sequence(tower: Tower, targets: Sequence[Entourage]) -> MonotonePse
     forces {d_n < 1} inside the n-th target.
     """
     if len(targets) != tower.num_levels:
-        raise NotAnEntourage(len(targets), "need one target per level")
+        raise ValidationError("need one target per level")
     for n, e in enumerate(targets):
         if e.size != tower.level_sizes[n]:
-            raise NotAnEntourage(n, f"target at level {n} has wrong size")
+            raise ValidationError(f"target at level {n} has wrong size")
         if not tower.zero_relation(n).issubset(e):
-            raise NotAnEntourage(n)
+            raise ValidationError(f"relation at level {n} misses a zero-pair")
     return sum_of_extensions(
         tower, [_target_indicator(tower, k, e) for k, e in enumerate(targets)]
     )
@@ -299,15 +288,15 @@ def verify_generation(
     u = u.promote(top, size)
     steps = [e.promote(top, size) for e in ladder]
     if len(steps) < tower.num_levels:
-        raise PreconditionFailed("ladder must cover every level of the tower")
+        raise ValidationError("ladder must cover every level of the tower")
     if not multiple(steps[0], 5).issubset(u):
-        raise PreconditionFailed("5*U_0 is not contained in U")
+        raise ValidationError("5*U_0 is not contained in U")
     for n in range(len(steps) - 1):
         if not multiple(steps[n + 1], 2).issubset(steps[n]):
-            raise PreconditionFailed(f"2*U_{n + 1} is not contained in U_{n}")
+            raise ValidationError(f"2*U_{n + 1} is not contained in U_{n}")
     for n in range(tower.num_levels):
         if any(r & ~s for r, s in zip(seq[n].sublevel(n, Fraction(1)).rows, steps[n].rows)):
-            raise PreconditionFailed(f"{{d_{n} < 1}} is not contained in U_{n}")
+            raise ValidationError(f"{{d_{n} < 1}} is not contained in U_{n}")
     # a counterexample is the first pair of {lim < 1} outside U in row-major order
     unit = limit_pseudometric(seq).sublevel(top, Fraction(1)).rows
     for x, (r, s) in enumerate(zip(unit, u.rows)):

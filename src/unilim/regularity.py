@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .core import Entourage, Tower, bits, members
-from .errors import GroundMismatch, LevelOutOfRange, NotInverse
+from .errors import ValidationError
 from .relations import ball_set_mask
 from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
 
@@ -25,10 +25,10 @@ class SpaceMap:
     def __init__(self, source: Tower, target: Tower, values: tuple[int, ...]):
         self.source, self.target, self.values = source, target, values
         if len(values) != source.ground_size:
-            raise GroundMismatch("value table must cover the top source level")
+            raise ValidationError("value table must cover the top source level")
         for v in values:
             if not 0 <= v < target.ground_size:
-                raise GroundMismatch(f"target index {v} out of range")
+                raise ValidationError(f"target index {v} out of range")
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -69,7 +69,7 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     """
     t = f.source
     if not 1 <= level <= t.top_level:
-        raise LevelOutOfRange(f"regularity needs a level in 1..{t.top_level}")
+        raise ValidationError(f"regularity needs a level in 1..{t.top_level}")
     u0 = f.target.zero_relation(f.target.top_level)
     z = t.zero_relation(level)
     below = (1 << t.level_sizes[level - 1]) - 1
@@ -183,11 +183,11 @@ def homeo_criterion(h: SpaceMap, h_inv: SpaceMap) -> HomeoVerdict:
     along the bijection."""
     ns, nt = h.source.ground_size, h.target.ground_size
     if ns != nt or sorted(h.values) != list(range(nt)):
-        raise NotInverse("map is not a bijection of the top levels")
+        raise ValidationError("map is not a bijection of the top levels")
     # h is a bijection, so h_inv o h = id makes h o h_inv = id as well
     for x, label in enumerate(h.source.labels):
         if h_inv(h(x)) != x:
-            raise NotInverse(f"h_inv(h({label})) != {label}")
+            raise ValidationError(f"h_inv(h({label})) != {label}")
 
     fwd = continuity_criterion(h)
     bwd = continuity_criterion(h_inv)

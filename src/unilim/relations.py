@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import Entourage, Tower, bits, members
-from .errors import IndexOutOfRange, LevelMismatch, StartMismatch, ValidationError
+from .errors import ValidationError, _shown
 
 OMEGA = "omega"
 
@@ -27,14 +27,14 @@ REPEAT_LAST = "repeat_last"
 def _promoted(u: Entourage, v: Entourage) -> tuple[Entourage, Entourage]:
     if u.level == v.level:
         if u.size != v.size:
-            raise LevelMismatch(f"same level {u.level} but sizes {u.size} != {v.size}")
+            raise ValidationError(f"same level {u.level} but sizes {u.size} != {v.size}")
         return u, v
     if u.level < v.level:
         if u.size > v.size:
-            raise LevelMismatch("lower level is larger than higher level")
+            raise ValidationError("lower level is larger than higher level")
         return u.promote(v.level, v.size), v
     if v.size > u.size:
-        raise LevelMismatch("lower level is larger than higher level")
+        raise ValidationError("lower level is larger than higher level")
     return u, v.promote(u.level, u.size)
 
 
@@ -85,21 +85,21 @@ class EntourageSequence:
         self.tower, self.start, self.entries, self.tail_policy = tower, start, entries, tail_policy
         t = tower
         if not 0 <= start <= t.top_level:
-            raise IndexOutOfRange(f"start level {start}")
+            raise ValidationError(f"start level {start}")
         if len(entries) != t.top_level - start + 1:
-            raise LevelMismatch(
+            raise ValidationError(
                 f"expected entries for levels {start}..{t.top_level}, "
                 f"got {len(entries)}"
             )
         for offset, e in enumerate(entries):
             n = start + offset
             if e.level != n or e.size != t.level_sizes[n]:
-                raise LevelMismatch(f"entry for level {n} has level {e.level}")
+                raise ValidationError(f"entry for level {n} has level {e.level}")
         if isinstance(tail_policy, Entourage):
             if tail_policy.size != t.ground_size:
-                raise LevelMismatch("tail entourage must live on the top level")
+                raise ValidationError("tail entourage must live on the top level")
         elif tail_policy != REPEAT_LAST:
-            raise ValidationError(f"unknown tail policy {tail_policy!r}")
+            raise ValidationError(f"unknown tail policy {_shown(tail_policy)}")
 
     def entry(self, n: int) -> Entourage:
         return self.entries[n - self.start]
@@ -120,9 +120,9 @@ def sigma_sum(seq: EntourageSequence, upto) -> Entourage:
         finite_top = t.top_level
     else:
         if upto < seq.start:
-            raise StartMismatch(f"upto={upto} below start={seq.start}")
+            raise ValidationError(f"upto={upto} below start={seq.start}")
         if upto > t.top_level:
-            raise IndexOutOfRange(f"upto={upto} beyond top level {t.top_level}")
+            raise ValidationError(f"upto={upto} beyond top level {t.top_level}")
         finite_top = upto
     acc = seq.entries[0]
     for n in range(seq.start + 1, finite_top + 1):
@@ -136,7 +136,7 @@ def sigma_sum(seq: EntourageSequence, upto) -> Entourage:
 def ball(x: int, u: Entourage) -> frozenset[int]:
     """B(x; U) = {y : (y, x) in U}."""
     if not 0 <= x < u.size:
-        raise IndexOutOfRange(f"element {x} outside level of size {u.size}")
+        raise ValidationError(f"element {x} outside level of size {u.size}")
     return members(u.columns()[x])
 
 

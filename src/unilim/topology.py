@@ -26,7 +26,7 @@ from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import Entourage, Tower, bits, members
-from .errors import GroundMismatch, NeighborhoodViolation
+from .errors import ValidationError
 
 
 class TopologyFamily:
@@ -35,7 +35,7 @@ class TopologyFamily:
 
     Contains the empty and full sets and is closed under union and finite
     intersection by construction.  The constructor raises
-    ``NeighborhoodViolation`` unless each given set holds its point and the
+    ``ValidationError`` unless each given set holds its point and the
     set of each of its points, as minimal neighborhoods do.
     """
 
@@ -43,14 +43,14 @@ class TopologyFamily:
 
     def __init__(self, ground_size: int, min_nbhd: Sequence[int]):
         if len(min_nbhd) != ground_size:
-            raise GroundMismatch("one minimal neighborhood per point required")
+            raise ValidationError("one minimal neighborhood per point required")
         for x, m in enumerate(min_nbhd):
             if not m >> x & 1:
-                raise NeighborhoodViolation(f"minimal neighborhood of {x} does not contain {x}")
+                raise ValidationError(f"minimal neighborhood of {x} does not contain {x}")
             # minimal neighborhoods must themselves be open
             for y in bits(m):
                 if min_nbhd[y] & ~m:
-                    raise NeighborhoodViolation(
+                    raise ValidationError(
                         f"minimal neighborhood of {x} holds {y} but not all of its neighborhood"
                     )
         self.ground_size = ground_size
@@ -109,7 +109,7 @@ def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparis
     """Set-family comparison; the witness is an open set of one family that
     is not open in the other: of a when a is finer, otherwise of b."""
     if a.ground_size != b.ground_size:
-        raise GroundMismatch(f"ground sizes {a.ground_size} != {b.ground_size}")
+        raise ValidationError(f"ground sizes {a.ground_size} != {b.ground_size}")
 
     # a is finer than b iff every open of b is open in a iff every minimal
     # a-neighborhood lies inside the corresponding b-neighborhood
@@ -176,7 +176,7 @@ def minimal_grid_ball(tower: Tower, x: int) -> frozenset[int]:
     """The smallest grid base ball around x, the one of the level
     zero-relations: the top zero-class of x.  Contained in every grid base
     ball around x."""
-    tower.height(x)  # IndexOutOfRange outside the ground set
+    tower.height(x)  # refused outside the ground set
     return members(tower.zero_relation(tower.top_level).columns()[x])
 
 

@@ -28,7 +28,7 @@ from .constructions import (
     GroupTower, box_tower, check_box_limit, check_group_limit, check_multiplicativity, product_tower,
 )
 from .core import MonotonePseudometricSequence, Tower, bits
-from .errors import UnilimError, UnknownTheoremId
+from .errors import UnilimError, ValidationError, _shown
 from .generate import Instance, generate_instance
 from .io import rational_to_json
 from .limitmetric import (
@@ -177,8 +177,8 @@ def _check_valley(seq: MonotonePseudometricSequence) -> Verdict:
     for x in range(n):
         for y in range(n):
             d, valley = lim[x][y], valley_distance(seq, x, y)
-            chain = witness_chain(seq, x, y)
-            pts, weight = chain.points, chain_weight(seq, chain)
+            pts = witness_chain(seq, x, y)
+            weight = chain_weight(seq, pts)
             hs = [heights[p] for p in pts]
             shaped = all(b < max(a, c) for a, b, c in zip(hs, hs[1:], hs[2:]))
             ends = (pts[0], pts[-1]) == (x, y)
@@ -356,7 +356,7 @@ def _entry(theorem_id: str) -> tuple[Callable, dict]:
     try:
         return THEOREMS[theorem_id]
     except KeyError:
-        raise UnknownTheoremId(theorem_id) from None
+        raise ValidationError(f"unknown theorem id {_shown(theorem_id)}") from None
 
 
 def _report(instance_id: str, theorem_id: str, check: Callable[[], Verdict]) -> VerifyReport:

@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # every mutant, 138 s on a 2-core VM
+    python tests/mutants.py          # every mutant, 206 s on a 2-core VM
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -560,13 +560,13 @@ MUTANTS = {
         "test_core.py",
         ("tests",),
     ),
-    # verify builds neither an empty chain nor a profile with fewer points
+    # verify weighs no empty chain and builds no profile with fewer points
     # than levels; only the tests' bad inputs do
-    "Chain accepts an empty point tuple": Mutant(
+    "chain_weight accepts an empty chain": Mutant(
         "limitmetric.py",
         "if not points:",
         "if False:",
-        "test_records.py",
+        "test_limitmetric.py",
         ("tests",),
     ),
     "Profile accepts max_size below levels": Mutant(
@@ -605,6 +605,15 @@ MUTANTS = {
         "seeds = range(int(lo), int(hi))",
         "seeds = range(int(lo), int(hi) + 1)",
         "test_acceptance.py",
+        ("tests",),
+    ),
+    # verify runs only well-formed seed specs; the fuzz test's long draws
+    # are refused with a message past its bound
+    "a refused --seeds value is echoed whole": Mutant(
+        "cli.py",
+        'f"{_shown(spec)} is not lo..hi',
+        'f"{spec!r} is not lo..hi',
+        "test_exit_codes.py",
         ("tests",),
     ),
     # P-group compares the product of these balls with the ball at e of the
@@ -676,8 +685,8 @@ MUTANTS = {
     # imports from its modules, so only the export test sees it
     "export table points a name at the wrong module": Mutant(
         "__init__.py",
-        'generate_instance",\n    "limitmetric": "Chain ',
-        '",\n    "limitmetric": "generate_instance Chain ',
+        'generate_instance",\n    "limitmetric": "GenerationVerdict ',
+        '",\n    "limitmetric": "generate_instance GenerationVerdict ',
         "test_records.py",
         ("tests",),
     ),

@@ -12,10 +12,7 @@ from unilim.constructions import GroupTower, PointedSpace
 from unilim.core import (
     Entourage, Pseudometric, Tower, bits, closure_in_place, members, shortest_path_closure,
 )
-from unilim.errors import (
-    IndexOutOfRange, NotAnEntourage, NotUniform, StartMismatch, SubspaceViolation,
-    TriangleViolation, ValidationError,
-)
+from unilim.errors import ValidationError
 from unilim.generate import DEFAULT_POOL
 from unilim.relations import OMEGA, EntourageSequence, ball, ball_set_mask, compose, sigma_sum
 from unilim.topology import TopologyFamily
@@ -91,7 +88,11 @@ def loop_validate(dist, level=0, labels=None):
         for j in range(n):
             for k in range(n):
                 if dist[i][k] > dist[i][j] + dist[j][k]:
-                    raise TriangleViolation(level, name(i), name(j), name(k))
+                    a, b, c = name(i), name(j), name(k)
+                    raise ValidationError(
+                        f"triangle inequality fails at level {level}: "
+                        f"d({a},{c}) > d({a},{b}) + d({b},{c})"
+                    )
 
 
 def loop_tower_validate(labels, sizes, metrics, strict=False):
@@ -106,7 +107,10 @@ def loop_tower_validate(labels, sizes, metrics, strict=False):
         for i in range(sizes[n]):
             for j in range(sizes[n]):
                 if (lo[i][j] == 0) != (hi[i][j] == 0) or (strict and lo[i][j] != hi[i][j]):
-                    raise SubspaceViolation(n, labels[i], labels[j])
+                    raise ValidationError(
+                        f"zero-pair mismatch between levels {n} and {n + 1} "
+                        f"on pair ({labels[i]},{labels[j]})"
+                    )
 
 
 def loop_sequence_validate(tower, metrics):
@@ -120,7 +124,7 @@ def loop_sequence_validate(tower, metrics):
         for i in range(d.size):
             for j in range(d.size):
                 if level[i][j] == 0 and d.dist[i][j] != 0:
-                    raise NotUniform(
+                    raise ValidationError(
                         f"d_{n} positive on zero-pair ({labels[i]},{labels[j]}) of level {n}"
                     )
     for n in range(len(metrics) - 1):
@@ -380,16 +384,16 @@ def check_entourages(seq):
     """Require each entry of ``seq`` to contain its level's zero-relation."""
     for e in seq.entries:
         if not seq.tower.zero_relation(e.level).issubset(e):
-            raise NotAnEntourage(e.level)
+            raise ValidationError(f"relation at level {e.level} misses a zero-pair")
 
 
 def base_ball(tower, x, seq):
     """The base set B(x; sum of the sequence from height(x)), the ball
     ``grid_ball_masks`` enumerates for every grid sequence at once."""
     if not 0 <= x < tower.ground_size:
-        raise IndexOutOfRange(f"element {x}")
+        raise ValidationError(f"element {x}")
     if seq.start != tower.height(x):
-        raise StartMismatch(
+        raise ValidationError(
             f"sequence starts at {seq.start}, point has height {tower.height(x)}"
         )
     check_entourages(seq)

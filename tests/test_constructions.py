@@ -23,7 +23,7 @@ from unilim.constructions import (
 )
 from unilim.core import Pseudometric, Tower
 from unilim.errors import (
-    CertificateFailure, InvarianceViolation, LevelCountMismatch, UnilimError, ValidationError,
+    CertificateFailure, UnilimError, ValidationError,
 )
 from unilim.generate import (
     Profile,
@@ -74,7 +74,7 @@ def test_product_with_point_tower_is_isomorphic(tower):
 
 def test_product_level_count_mismatch(tower):
     other = Tower(["a"], [1], [Pseudometric.zero(1)])
-    with pytest.raises(LevelCountMismatch):
+    with pytest.raises(ValidationError, match="^3 levels vs 1$"):
         product_tower(tower, other)
 
 
@@ -131,9 +131,12 @@ def test_group_fixture_valid(group):
 def test_group_rejects_non_invariant_metric(group):
     t = group.tower
     bad = [list(row) for row in t.metric(2).dist]
-    bad[1][2] = bad[2][1] = Fraction(7, 2)  # break invariance, keep axioms
+    # d(e, (0,0,1)) from 1/4 to 1/2 keeps the triangle inequality; translating by (1,0,0)
+    # moves the pair to d((1,0,0), (1,0,1)) = 1/4
+    bad[0][4] = bad[4][0] = Fraction(1, 2)
     metrics = list(t.level_metrics[:2]) + [Pseudometric(bad)]
-    with pytest.raises((InvarianceViolation, ValidationError)):
+    message = r"^metric at level 2 not invariant under translation by \(1,0,0\)$"
+    with pytest.raises(ValidationError, match=message):
         GroupTower(
             Tower(t.labels, t.level_sizes, metrics), group.op, group.neg
         )
@@ -204,7 +207,7 @@ def test_group_limit_builds_each_ball_once(group, monkeypatch):
 
 
 def test_group_radii_validation(group):
-    with pytest.raises(LevelCountMismatch):
+    with pytest.raises(ValidationError, match="^one radius per level required$"):
         ordered_product_ball(group, [Fraction(1)])
     for check in (ordered_product_ball, check_group_limit):
         with pytest.raises(ValidationError, match="radii must be positive"):
@@ -254,9 +257,9 @@ def test_box_distance_frozen(factors):
 
 
 def test_box_depth_validation(factors):
-    with pytest.raises(LevelCountMismatch):
+    with pytest.raises(ValidationError, match="^depth 4 with 3 factors$"):
         box_tower(factors, 4)
-    with pytest.raises(LevelCountMismatch):
+    with pytest.raises(ValidationError, match="^depth 0 with 3 factors$"):
         box_tower(factors, 0)
 
 

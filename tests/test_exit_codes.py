@@ -15,12 +15,12 @@ from io import StringIO
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unilim import cli, constructions, io
 from unilim.core import Entourage, Pseudometric
-from unilim.errors import CertificateFailure
+from unilim.errors import CertificateFailure, ValidationError
 from unilim.fixtures import (
     binary_group_tower, glued_map, halving_factors, identity_map, three_point_sequence,
     three_point_tower,
@@ -229,3 +229,57 @@ def test_a_derived_table_failing_its_certificate_exits_3(monkeypatch, capsys, fi
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("Traceback") and "CertificateFailure: level 1" in err
+
+
+# The command-line values unilim parses itself: per option, an argv
+# template whose VALUE takes the drawn text, and the starts a refusal of
+# that text may have.  A radius list of the wrong length or with a
+# nonpositive radius is refused by the group construction, whose messages
+# name no option.
+PARSED_VALUES = {
+    "--seeds": (("verify", "--all", "--seeds=VALUE"), ("--seeds: ",)),
+    "--witness": (
+        ("limit", "--tower", "{tower}", "--seq", "{seq}", "--witness", "VALUE", "a"),
+        ("--witness: ",),
+    ),
+    "--expr": (("rel", "--tower", "{tower}", "--expr=VALUE"), ("--expr: ",)),
+    "--radii": (
+        ("group", "{group}", "--radii=VALUE"),
+        ("radii[", "one radius per level required\n", "radii must be positive\n"),
+    ),
+}
+
+LONG_VALUES = ("x" * 50_000, "7" * 50_000, f"(ball {'x' * 50_000} U)")
+
+# printable ASCII, whose repr is at most two characters per character
+VALUES = st.sampled_from(LONG_VALUES) | st.text(st.characters(min_codepoint=32, max_codepoint=126))
+
+
+@settings(max_examples=200, deadline=None)
+@given(option=st.sampled_from(list(PARSED_VALUES)), value=VALUES)
+@example(option="--seeds", value=LONG_VALUES[0])
+@example(option="--witness", value=LONG_VALUES[0])
+@example(option="--expr", value=LONG_VALUES[2])
+@example(option="--radii", value=LONG_VALUES[1])
+def test_refused_command_line_values_are_one_short_line(files, option, value):
+    """Drawn text in each value unilim parses itself exits 0, 1 or 2, and a
+    refusal is one line of under 300 bytes naming the option, however long
+    the value.  A draw that is a seed spec would run the suite, so it is
+    skipped."""
+    if option == "--seeds":
+        with contextlib.suppress(ValidationError):
+            cli._parse_seeds(value)
+            assume(False)
+    # argparse reads a separate value that starts with "-" as an option
+    assume(option != "--witness" or not value.startswith("-"))
+    template, places = PARSED_VALUES[option]
+    argv = [a.replace("VALUE", value) for a in _argv(template, files)]
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.endswith("\n"), message[:300]
+        assert len(message.encode()) < 300, message[:300]
+        assert message.startswith("error: ") and message[7:].startswith(places), message

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from unilim import generate, io, verify
 from unilim.constructions import product_tower
 from unilim.core import Entourage, Pseudometric
-from unilim.errors import PreconditionFailed, ProfileTooLarge, UnknownTheoremId
+from unilim.errors import ValidationError
 from unilim.generate import (
     MAX_TOP_SIZE,
     Profile,
@@ -16,7 +16,7 @@ from unilim.generate import (
     random_generation_instance,
     random_tower,
 )
-from unilim.limitmetric import Chain, limit_pseudometric, witness_chain
+from unilim.limitmetric import limit_pseudometric, witness_chain
 from unilim.verify import (
     THEOREM_IDS,
     THEOREMS,
@@ -36,11 +36,11 @@ from .oracles import (
 
 def test_profile_gates():
     Profile(levels=3, max_size=6)
-    with pytest.raises(ProfileTooLarge):
+    with pytest.raises(ValidationError, match="^levels=0, max_size=6$"):
         Profile(levels=0)
-    with pytest.raises(ProfileTooLarge):
+    with pytest.raises(ValidationError, match="^levels=4, max_size=3$"):
         Profile(levels=4, max_size=3)
-    with pytest.raises(ProfileTooLarge):
+    with pytest.raises(ValidationError, match=f"^top size {MAX_TOP_SIZE + 1} exceeds {MAX_TOP_SIZE}$"):
         Profile(max_size=MAX_TOP_SIZE + 1)
 
 
@@ -114,12 +114,10 @@ def test_run_theorem_all_ids_pass_on_one_seed():
 
 def test_run_theorem_unknown_id():
     inst = generate_instance(0)
-    with pytest.raises(UnknownTheoremId):
-        run_theorem("T99", inst)
-    with pytest.raises(UnknownTheoremId):
-        fixture_reports("T99")
-    with pytest.raises(UnknownTheoremId):
-        verify_suite(["T99"], [0])
+    for call in (lambda: run_theorem("T99", inst), lambda: fixture_reports("T99"),
+                 lambda: verify_suite(["T99"], [0])):
+        with pytest.raises(ValidationError, match="^unknown theorem id 'T99'$"):
+            call()
 
 
 def test_theorem_table_order_and_fixtures():
@@ -138,14 +136,14 @@ def test_library_errors_fail_the_report_and_other_errors_propagate(monkeypatch):
     inst = generate_instance(0)
 
     def precondition(*args):
-        raise PreconditionFailed("no")
+        raise ValidationError("no")
 
     monkeypatch.setattr("unilim.verify.limit_pseudometric", precondition)
     for tid in ("T3", "L-mod"):
         r = run_theorem(tid, inst)
-        assert not r.verdict and r.certificate == {"error": "PreconditionFailed: no"}
+        assert not r.verdict and r.certificate == {"error": "ValidationError: no"}
         f = fixture_reports(tid)[0]
-        assert not f.verdict and f.certificate == {"error": "PreconditionFailed: no"}
+        assert not f.verdict and f.certificate == {"error": "ValidationError: no"}
 
     def interrupted(*args):
         raise RuntimeError("deadline")
@@ -189,7 +187,7 @@ def test_l_mod_fails_on_a_bad_witness_chain(monkeypatch, pair, points, weight):
     chain = witness_chain
     monkeypatch.setattr(
         "unilim.verify.witness_chain",
-        lambda seq, x, y: Chain(points) if (x, y) == pair else chain(seq, x, y),
+        lambda seq, x, y: points if (x, y) == pair else chain(seq, x, y),
     )
     limit = 2 if pair == (0, 2) else 1
     report = fixture_reports("L-mod")[0]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from unilim import cli, io, limitmetric
 from unilim.core import Pseudometric, Tower
-from unilim.errors import PreconditionFailed, UnilimError, ValidationError
+from unilim.errors import UnilimError, ValidationError
 from unilim.fixtures import (
     binary_group_tower,
     glued_map,
@@ -869,27 +869,27 @@ def test_cli_verify_names_a_malformed_seed_spec(capsys, spec):
     assert cli.main(["verify", "--all", "--seeds", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --seeds {spec!r} is not lo..hi or a comma list of ints\n"
+    assert captured.err == f"error: --seeds: {spec!r} is not lo..hi or a comma list of ints\n"
 
 
 def test_cli_verify_refuses_empty_seeds(capsys):
     assert cli.main(["verify", "--all", "--seeds", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --seeds '' is not lo..hi or a comma list of ints\n"
+    assert captured.err == "error: --seeds: '' is not lo..hi or a comma list of ints\n"
 
 
 def test_cli_verify_library_error_in_a_check_is_a_failure(capsys, monkeypatch):
     # a library error on a generated (valid) instance is a bug, exit 3, not
     # bad input
     def broken(*args):
-        raise PreconditionFailed("{d_1 < 1} is not contained in U_1")
+        raise ValidationError("{d_1 < 1} is not contained in U_1")
 
     monkeypatch.setattr("unilim.verify.verify_generation", broken)
     code, lines = run(capsys, "verify", "--targets", "L-pseudo", "--seed", "0")
     assert code == 3
     assert lines == [{
-        "certificate": {"error": "PreconditionFailed: {d_1 < 1} is not contained in U_1"},
+        "certificate": {"error": "ValidationError: {d_1 < 1} is not contained in U_1"},
         "instance": "seed0",
         "theorem": "L-pseudo",
         "verdict": "fail",

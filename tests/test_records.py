@@ -22,12 +22,12 @@ import unilim
 from unilim import cli, io
 from unilim.constructions import GroupLimitVerdict, GroupTower, PointedSpace
 from unilim.core import Pseudometric, Tower
-from unilim.errors import GroundMismatch, LevelMismatch, ProfileTooLarge, ValidationError
+from unilim.errors import ValidationError
 from unilim.fixtures import (
     binary_group_tower, halving_factors, three_point_sequence, three_point_tower,
 )
 from unilim.generate import GenerationInstance, Instance, Profile, generate_instance
-from unilim.limitmetric import Chain, GenerationVerdict
+from unilim.limitmetric import GenerationVerdict
 from unilim.regularity import (
     ContinuityVerdict, CriterionVerdict, HomeoVerdict, RegularityVerdict, SpaceMap,
 )
@@ -62,17 +62,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 # every public name of the package, the submodules included
 EXPORTS = [
-    "CertificateFailure", "Chain", "ContinuityVerdict", "CriterionVerdict", "Entourage",
-    "EntourageSequence", "GenerationVerdict", "GroundMismatch", "GroupLimitVerdict", "GroupTower",
-    "HomeoVerdict", "IndexOutOfRange", "Instance", "InvarianceViolation", "LevelCountMismatch",
-    "LevelMismatch", "LevelOutOfRange", "MonotonePseudometricSequence", "NeighborhoodViolation",
-    "NestingViolation", "NotAnEntourage", "NotInverse", "NotUniform", "OMEGA", "PointedSpace",
-    "PreconditionFailed", "Profile", "ProfileTooLarge", "Pseudometric", "REPEAT_LAST",
-    "RegularityVerdict", "SpaceMap", "StartMismatch", "SubspaceViolation", "THEOREM_IDS",
-    "TopologyComparison", "TopologyFamily", "Tower", "TriangleViolation", "UnilimError",
-    "UnknownTheoremId", "ValidationError", "VerifyReport", "adequate_sequence", "ball",
-    "box_tower", "chain_weight", "check_box_limit", "check_group_limit",
-    "check_multiplicativity", "compare_topologies", "compose", "constructions",
+    "CertificateFailure", "ContinuityVerdict", "CriterionVerdict", "Entourage",
+    "EntourageSequence", "GenerationVerdict", "GroupLimitVerdict", "GroupTower", "HomeoVerdict",
+    "Instance", "MonotonePseudometricSequence", "OMEGA", "PointedSpace", "Profile", "Pseudometric",
+    "REPEAT_LAST", "RegularityVerdict", "SpaceMap", "THEOREM_IDS", "TopologyComparison",
+    "TopologyFamily", "Tower", "UnilimError", "ValidationError", "VerifyReport",
+    "adequate_sequence", "ball", "box_tower", "chain_weight", "check_box_limit",
+    "check_group_limit", "check_multiplicativity", "compare_topologies", "compose", "constructions",
     "continuity_criterion", "core", "cyclic_group_tower", "errors", "extend_pseudometric",
     "fixtures", "generate", "generate_instance", "homeo_criterion", "io", "is_continuous",
     "is_regular_at", "limit_pseudometric", "limitmetric", "minimal_grid_ball", "multiple",
@@ -94,6 +90,19 @@ def test_every_export_resolves_from_its_module():
             assert value is vars(sys.modules[f"unilim.{unilim._MODULE_OF[name]}"])[name]
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         unilim.nope
+
+
+def test_errors_define_one_refusal_type():
+    """Every refusal is a ``ValidationError``; ``CertificateFailure``, an
+    implementation bug, is the one error that is not a ``UnilimError``."""
+    import unilim.errors as errors
+
+    classes = {
+        n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception)
+    }
+    assert classes == {"CertificateFailure", "UnilimError", "ValidationError"}
+    assert errors.ValidationError.__bases__ == (errors.UnilimError,)
+    assert not issubclass(errors.CertificateFailure, errors.UnilimError)
 
 
 def test_import_loads_no_submodule():
@@ -216,7 +225,6 @@ def _cases() -> dict:
             ),
             {},
         ),
-        "Chain": (Chain, ("points",), ((0, 2, 1),), {}),
         "GenerationVerdict": (
             GenerationVerdict, ("confirmed", "counterexample"), (False, (1, 2)),
             {"counterexample": None},
@@ -267,25 +275,23 @@ def _cases() -> dict:
     }
 
 
-# one bad input per validating record: (build, error class, message)
+# one bad input per validating record: (build, the ValidationError's message)
 BAD_INPUTS = {
-    "Chain": (lambda: Chain(()), ValidationError, "chain must be nonempty"),
-    "Profile": (lambda: Profile(0, 6), ProfileTooLarge, "levels=0, max_size=6"),
+    "Profile": (lambda: Profile(0, 6), "levels=0, max_size=6"),
     "SpaceMap": (
         lambda: SpaceMap(three_point_tower(), three_point_tower(), (0, 1, 3)),
-        GroundMismatch, "target index 3 out of range",
+        "target index 3 out of range",
     ),
     "EntourageSequence": (
         lambda: EntourageSequence(
             three_point_tower(), 1, (three_point_tower().zero_relation(2),) * 2
         ),
-        LevelMismatch, "entry for level 1 has level 2",
+        "entry for level 1 has level 2",
     ),
     "PointedSpace": (
-        lambda: PointedSpace(Pseudometric([[0, 1], [2, 0]])),
-        ValidationError, "asymmetric pair (1,0)",
+        lambda: PointedSpace(Pseudometric([[0, 1], [2, 0]])), "asymmetric pair (1,0)",
     ),
-    "GroupTower": (lambda: GroupTower(*_s3_tower()), ValidationError, "group is not abelian"),
+    "GroupTower": (lambda: GroupTower(*_s3_tower()), "group is not abelian"),
 }
 
 CASES = _cases()
@@ -309,10 +315,10 @@ def test_record_contract(name):
     assert list(defaults) == list(fields[required:])
 
     if name in BAD_INPUTS:
-        build, error, message = BAD_INPUTS[name]
-        with pytest.raises(error) as info:
+        build, message = BAD_INPUTS[name]
+        with pytest.raises(ValidationError) as info:
             build()
-        assert type(info.value) is error and str(info.value) == message
+        assert type(info.value) is ValidationError and str(info.value) == message
     if issubclass(cls, tuple):
         with pytest.raises(AttributeError):
             setattr(positional, fields[0], values[0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unilim import regularity
 from unilim.core import Pseudometric, Tower, members, shortest_path_closure
-from unilim.errors import GroundMismatch, LevelOutOfRange, NotInverse
+from unilim.errors import ValidationError
 from unilim.fixtures import rescaled_homeo, three_point_tower
 from unilim.generate import Profile, random_space_map, random_tower
 from unilim.regularity import (
@@ -62,10 +62,9 @@ def test_constant_map_regular_everywhere(tower):
 
 
 def test_regularity_level_bounds(glued):
-    with pytest.raises(LevelOutOfRange):
-        is_regular_at(glued, 0)
-    with pytest.raises(LevelOutOfRange):
-        is_regular_at(glued, 2)
+    for level in (0, 2):
+        with pytest.raises(ValidationError, match=r"^regularity needs a level in 1\.\.1$"):
+            is_regular_at(glued, level)
 
 
 def naive_regular(f, level):
@@ -206,13 +205,13 @@ def test_criterion_constant(tower):
 
 def test_map_value_table_validated(tower):
     target = Tower(["p"], [1], [Pseudometric.zero(1)])
-    with pytest.raises(GroundMismatch):
+    with pytest.raises(ValidationError, match="^value table must cover the top source level$"):
         SpaceMap(tower, target, (0, 0))
-    with pytest.raises(GroundMismatch):
+    with pytest.raises(ValidationError, match="^target index 1 out of range$"):
         SpaceMap(tower, target, (0, 0, 1))
     # the CLI's reader names a negative index first, so only this call
     # reaches the guard
-    with pytest.raises(GroundMismatch):
+    with pytest.raises(ValidationError, match="^target index -1 out of range$"):
         SpaceMap(tower, tower, (0, -1, 1))
 
 
@@ -249,16 +248,16 @@ def test_homeo_onto_glued_tower_fails_one_direction():
 
 def test_homeo_names_a_non_inverse_point_by_label():
     t = three_point_tower()
-    with pytest.raises(NotInverse, match=r"^h_inv\(h\(b\)\) != b$"):
+    with pytest.raises(ValidationError, match=r"^h_inv\(h\(b\)\) != b$"):
         homeo_criterion(SpaceMap(t, t, (0, 1, 2)), SpaceMap(t, t, (0, 2, 1)))
 
 
 def test_homeo_requires_inverse(tower):
-    with pytest.raises(NotInverse):
+    with pytest.raises(ValidationError, match=r"^h_inv\(h\(b\)\) != b$"):
         homeo_criterion(
             SpaceMap(tower, tower, (0, 1, 2)), SpaceMap(tower, tower, (0, 2, 1))
         )
-    with pytest.raises(NotInverse):
+    with pytest.raises(ValidationError, match="^map is not a bijection of the top levels$"):
         homeo_criterion(
             SpaceMap(tower, tower, (0, 0, 1)), SpaceMap(tower, tower, (0, 1, 2))
         )

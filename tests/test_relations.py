@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim.core import Entourage, members
-from unilim.errors import LevelMismatch, NotAnEntourage, StartMismatch, ValidationError
+from unilim.errors import ValidationError
 from unilim.generate import Profile, random_tower
 from unilim.relations import (
     OMEGA,
@@ -78,14 +78,14 @@ def test_compose_promotes_a_lower_second_operand(tower):
     assert (1, 2) in pairs(out) and (0, 2) not in pairs(out)
     small_top = Entourage(2, 2, [(0, 0), (1, 1)])
     big_low = Entourage(1, 3, [(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(LevelMismatch, match="^lower level is larger than higher level$"):
+    with pytest.raises(ValidationError, match="^lower level is larger than higher level$"):
         compose(small_top, big_low)
 
 
 def test_compose_level_mismatch():
     a = Entourage(1, 2, [(0, 0), (1, 1)])
     b = Entourage(1, 3, [(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(ValidationError, match="^same level 1 but sizes 2 != 3$"):
         compose(a, b)
 
 
@@ -121,12 +121,12 @@ def test_sigma_single_entry_finite(tower):
 def test_sigma_upto_below_start(tower):
     e = Entourage(2, 3, [(0, 0), (1, 1), (2, 2)])
     seq = EntourageSequence(tower, 2, (e,))
-    with pytest.raises(StartMismatch):
+    with pytest.raises(ValidationError, match="^upto=1 below start=2$"):
         sigma_sum(seq, 1)
 
 
 def test_sequence_entry_levels_enforced(tower):
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(ValidationError, match=r"^expected entries for levels 0\.\.2, got 1$"):
         EntourageSequence(tower, 0, (diagonal_entourage(0, 1),))
 
 
@@ -152,7 +152,7 @@ def test_check_entourages_rejects_missing_zero_pair(glued):
     seq = EntourageSequence(
         t, 0, (diagonal_entourage(0, 1), diagonal_entourage(1, 2))
     )
-    with pytest.raises(NotAnEntourage):
+    with pytest.raises(ValidationError, match="^relation at level 1 misses a zero-pair$"):
         check_entourages(seq)
 
 

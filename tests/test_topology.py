@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from unilim.constructions import box_tower, product_tower
 from unilim.core import members
-from unilim.errors import (
-    GroundMismatch,
-    IndexOutOfRange,
-    NeighborhoodViolation,
-    NotAnEntourage,
-    StartMismatch,
-)
+from unilim.errors import ValidationError
 from unilim.generate import Profile, random_factors, random_monotone_sequence, random_tower
 from unilim.limitmetric import limit_pseudometric
 from unilim.relations import EntourageSequence
@@ -67,7 +61,7 @@ def test_base_ball_zero_relations_give_singleton(tower):
 
 def test_base_ball_start_must_match_height(tower):
     seq = EntourageSequence(tower, 2, (_grid_entourage(tower, 2, 1),))
-    with pytest.raises(StartMismatch):
+    with pytest.raises(ValidationError, match="^sequence starts at 2, point has height 0$"):
         base_ball(tower, 0, seq)
     assert base_ball(tower, 2, seq) == {2}
 
@@ -77,7 +71,7 @@ def test_base_ball_requires_entourages(glued):
     seq = EntourageSequence(
         t, 0, (diagonal_entourage(0, 1), diagonal_entourage(1, 2))
     )
-    with pytest.raises(NotAnEntourage):
+    with pytest.raises(ValidationError, match="^relation at level 1 misses a zero-pair$"):
         base_ball(t, 0, seq)
 
 
@@ -89,7 +83,7 @@ def test_minimal_grid_ball_is_top_zero_class(tower, glued):
 
 @pytest.mark.parametrize("x", [-1, 3])
 def test_minimal_grid_ball_rejects_points_outside_the_ground_set(tower, x):
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValidationError, match=f"^element index {x}$"):
         minimal_grid_ball(tower, x)
 
 
@@ -127,10 +121,10 @@ def test_repr_gives_sizes_without_listing_opens():
 
 def test_minimal_neighborhoods_of_no_topology_are_named():
     # 0 outside its own neighborhood
-    with pytest.raises(NeighborhoodViolation, match="of 0 does not contain 0"):
+    with pytest.raises(ValidationError, match="of 0 does not contain 0"):
         TopologyFamily(2, [0b10, 0b10])
     # 1 lies in U_0 but U_1 = {1, 2} is not inside U_0 = {0, 1}
-    with pytest.raises(NeighborhoodViolation, match="of 0 holds 1 but not all"):
+    with pytest.raises(ValidationError, match="of 0 holds 1 but not all"):
         TopologyFamily(3, [0b011, 0b110, 0b100])
     # saturated families pass, and are kept as given
     assert TopologyFamily(3, [0b111, 0b110, 0b100]).min_nbhd == (0b111, 0b110, 0b100)
@@ -144,7 +138,7 @@ def test_compare_topologies_verdicts():
     assert cmp.relation == "A_finer"
     assert cmp.witness is not None and len(cmp.witness) == 1
     assert compare_topologies(i, d).relation == "B_finer"
-    with pytest.raises(GroundMismatch):
+    with pytest.raises(ValidationError, match="^ground sizes 2 != 3$"):
         compare_topologies(d, discrete(3))
 
 

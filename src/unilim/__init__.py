@@ -20,11 +20,10 @@ _EXPORTS = {
     "generate": "Instance Profile cyclic_group_tower generate_instance",
     "limitmetric": "GenerationVerdict adequate_sequence chain_weight extend_pseudometric "
     "limit_pseudometric valley_distance verify_generation witness_chain",
-    "regularity": "ContinuityVerdict CriterionVerdict HomeoVerdict RegularityVerdict SpaceMap "
-    "continuity_criterion homeo_criterion is_continuous is_regular_at transport_topology",
+    "regularity": "CriterionVerdict HomeoVerdict SpaceMap continuity_criterion homeo_criterion "
+    "is_continuous is_regular_at transport_topology",
     "relations": "OMEGA REPEAT_LAST EntourageSequence ball compose multiple sigma_sum",
-    "topology": "TopologyComparison TopologyFamily compare_topologies "
-    "minimal_grid_ball tlim_topology ulim_topology",
+    "topology": "TopologyFamily compare_topologies minimal_grid_ball tlim_topology ulim_topology",
     "verify": "THEOREM_IDS VerifyReport verify_suite",
 }
 _SUBMODULES = {*_EXPORTS, "fixtures", "io"}

@@ -175,9 +175,9 @@ def cmd_topo(args) -> int:
     classes = [[tower.labels[i] for i in bits(m)] for m in dict.fromkeys(top.min_nbhd)]
     print(io.dumps({"classes": classes}))
     if args.compare == "tlim":
-        cmp = compare_topologies(top, tlim_topology(tower))
-        print(io.dumps({"comparison": cmp.relation}))
-        return EXIT_TRUE if cmp.relation == "equal" else EXIT_FALSE
+        relation = compare_topologies(top, tlim_topology(tower))
+        print(io.dumps({"comparison": relation}))
+        return EXIT_TRUE if relation == "equal" else EXIT_FALSE
     return EXIT_TRUE
 
 
@@ -190,13 +190,13 @@ def cmd_check(args) -> int:
         g = SpaceMap(target, source, _document(args.homeo, io.map_from_json, n, m))
         v = _named("--homeo", homeo_criterion, f, g)
         print(io.dumps(v.to_json()))
-        if v.homeomorphism != (v.transport_comparison.relation == "equal"):
+        if v.theorem_violation:
             return EXIT_SOUNDNESS
         return EXIT_TRUE if v.homeomorphism else EXIT_FALSE
     if args.direct:
-        v = is_continuous(f)
-        print(io.dumps({"continuous": v.continuous}))
-        return EXIT_TRUE if v.continuous else EXIT_FALSE
+        continuous = is_continuous(f)
+        print(io.dumps({"continuous": continuous}))
+        return EXIT_TRUE if continuous else EXIT_FALSE
     c = continuity_criterion(f)
     print(io.dumps(c.to_json()))
     if c.theorem_violation:
@@ -210,22 +210,26 @@ def cmd_product(args) -> int:
     prod = product_tower(a, b)
     print(io.dumps(io.tower_to_json(prod)))
     if args.check:
-        cmp = check_multiplicativity(a, b, prod)
-        print(io.dumps({"comparison": cmp.relation}))
-        return EXIT_TRUE if cmp.relation == "equal" else EXIT_SOUNDNESS
+        relation = check_multiplicativity(a, b, prod)
+        print(io.dumps({"comparison": relation}))
+        return EXIT_TRUE if relation == "equal" else EXIT_SOUNDNESS
     return EXIT_TRUE
+
+
+def _radii(spec: str) -> list:
+    """The ``--radii`` list, entry by entry; the group construction
+    refuses radii of the wrong number or sign."""
+    return [_named(f"radii[{i}]", io.rational_from_json, r) for i, r in enumerate(spec.split(","))]
 
 
 def cmd_group(args) -> int:
     g = _document(args.group, io.group_from_json)
-    radii = [_named(f"radii[{i}]", io.rational_from_json, r)
-             for i, r in enumerate(args.radii.split(","))]
+    run = check_group_limit if args.check else ordered_product_ball
+    out = _named("--radii", lambda: run(g, _radii(args.radii)))
     if args.check:
-        v = check_group_limit(g, radii)
-        print(io.dumps(v.to_json()))
-        return EXIT_TRUE if v.ok else EXIT_SOUNDNESS
-    members = sorted(ordered_product_ball(g, radii))
-    print(io.dumps([g.tower.labels[i] for i in members]))
+        print(io.dumps(out.to_json()))
+        return EXIT_TRUE if out.ok else EXIT_SOUNDNESS
+    print(io.dumps([g.tower.labels[i] for i in sorted(out)]))
     return EXIT_TRUE
 
 
@@ -234,9 +238,9 @@ def cmd_box(args) -> int:
     tower = _named("--depth", box_tower, factors, args.depth)
     print(io.dumps(io.tower_to_json(tower)))
     if args.check:
-        cmp = check_box_limit(factors, args.depth, tower)
-        print(io.dumps({"comparison": cmp.relation}))
-        return EXIT_TRUE if cmp.relation == "equal" else EXIT_SOUNDNESS
+        relation = check_box_limit(factors, args.depth, tower)
+        print(io.dumps({"comparison": relation}))
+        return EXIT_TRUE if relation == "equal" else EXIT_SOUNDNESS
     return EXIT_TRUE
 
 
@@ -305,6 +309,31 @@ def cmd_verify(args) -> int:
     return EXIT_SOUNDNESS if failed else EXIT_TRUE
 
 
+def _int(value: str) -> int:
+    """An int option, refused as argparse's ``type=int`` refuses it but
+    with a long value shown cut."""
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(value)}") from None
+
+
+def _one_of(choices):
+    """A ``type`` that refuses what is not in ``choices`` as argparse's
+    ``choices`` check does, but with a long value shown cut; the option
+    keeps ``choices`` for its usage and help."""
+
+    def choice(value: str) -> str:
+        if value not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {_shown(value)} (choose from {listed})"
+            )
+        return value
+
+    return choice
+
+
 class _TheoremIds:
     """The ``--targets`` choices, read from ``verify`` only when argparse
     checks (``in`` iterates) or lists them, so that building the parser
@@ -337,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     topo = sub.add_parser("topo", help="limit topology of a tower")
     topo.add_argument("--tower", required=True)
-    topo.add_argument("--compare", choices=["tlim"])
+    topo.add_argument("--compare", type=_one_of(["tlim"]), choices=["tlim"])
     topo.set_defaults(func=cmd_topo)
 
     chk = sub.add_parser("check", help="continuity of a map off a tower")
@@ -362,23 +391,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     box = sub.add_parser("box", help="truncated box product")
     box.add_argument("factors")
-    box.add_argument("--depth", type=int, required=True)
+    box.add_argument("--depth", type=_int, required=True)
     box.add_argument("--check", action="store_true")
     box.set_defaults(func=cmd_box)
 
     gen = sub.add_parser("gen", help="generate a seeded random tower")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--levels", type=int, default=3)
-    gen.add_argument("--max-size", type=int, default=6)
+    gen.add_argument("--seed", type=_int)
+    gen.add_argument("--levels", type=_int, default=3)
+    gen.add_argument("--max-size", type=_int, default=6)
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_gen)
 
     ver = sub.add_parser("verify", help="run the theorem suite")
     ver.add_argument("--all", action="store_true")
-    ver.add_argument("--targets", nargs="*", choices=_TheoremIds(), metavar="ID",
+    ids = _TheoremIds()
+    ver.add_argument("--targets", nargs="*", type=_one_of(ids), choices=ids, metavar="ID",
                      help="theorem ids: %(choices)s")
     ver.add_argument("--seeds", help='"0..200" or comma list')
-    ver.add_argument("--seed", type=int)
+    ver.add_argument("--seed", type=_int)
     ver.add_argument("--output", help="write reports as JSON lines")
     ver.set_defaults(func=cmd_verify)
 

@@ -2,17 +2,19 @@
 direct limit, the homeomorphism criterion, and direct continuity checking
 against the limit topology.
 
-False verdicts carry a concrete counterexample as their certificate.
+A verdict holds only what a command prints, a check compares or an exit
+code branches on: regularity and direct continuity are booleans, and a
+theorem violation is derived from the verdict's own fields.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .core import Entourage, Tower, bits, members
+from .core import Tower, bits
 from .errors import ValidationError
 from .relations import ball_set_mask
-from .topology import TopologyComparison, TopologyFamily, compare_topologies, ulim_topology
+from .topology import TopologyFamily, compare_topologies, ulim_topology
 
 
 class SpaceMap:
@@ -42,19 +44,7 @@ class SpaceMap:
         return hash((self.source, self.target, self.values))
 
 
-class RegularityVerdict(NamedTuple):
-    regular: bool
-    level: int
-    failing_u: Optional[Entourage] = None
-    failing_v: Optional[Entourage] = None
-    failing_point: Optional[int] = None
-    # metadata: whether the lower level is closed in this level (no outside
-    # point carries a zero-pair into it); non-closed instances are flagged,
-    # not rejected
-    subset_closed: bool = True
-
-
-def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
+def is_regular_at(f: SpaceMap, level: int) -> bool:
     """Regularity of f restricted to the given level, at the subset one
     level below, quantified over grid entourages.
 
@@ -62,10 +52,8 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     quantifier's smallest grid entourage is a zero-relation: the source
     level's, z, for V and W, the target's top level's, u, for U (at finite
     scale the target's limit uniformity is that of its top metric).  One
-    check at those three is therefore complete, and its defeating point is
-    the first one any (U, V) grid pair would give: the lowest x in
-    B(X_{n-1}; z) whose z-row meets X_{n-1} in no point a with f(a) in
-    u's row at f(x).
+    check at those three is therefore complete: every x in B(X_{n-1}; z)
+    has a point a of X_{n-1} in its z-row with f(a) in u's row at f(x).
     """
     t = f.source
     if not 1 <= level <= t.top_level:
@@ -73,108 +61,79 @@ def is_regular_at(f: SpaceMap, level: int) -> RegularityVerdict:
     u0 = f.target.zero_relation(f.target.top_level)
     z = t.zero_relation(level)
     below = (1 << t.level_sizes[level - 1]) - 1
-    ball = ball_set_mask(below, z)
-    closed = not ball & ~below
-    for x in bits(ball):
-        if not any(u0.rows[f(x)] >> f(a) & 1 for a in bits(z.rows[x] & below)):
-            return RegularityVerdict(
-                False, level, failing_u=u0, failing_v=z, failing_point=x, subset_closed=closed
-            )
-    return RegularityVerdict(True, level, subset_closed=closed)
+    return all(
+        any(u0.rows[f(x)] >> f(a) & 1 for a in bits(z.rows[x] & below))
+        for x in bits(ball_set_mask(below, z))
+    )
 
 
-class ContinuityVerdict(NamedTuple):
-    continuous: bool
-    witness_open: Optional[frozenset[int]] = None  # target open with non-open preimage
-
-
-def is_continuous(f: SpaceMap) -> ContinuityVerdict:
+def is_continuous(f: SpaceMap) -> bool:
     """Direct check against the limit topologies.  A finite space is
     Alexandrov, so f is continuous iff f maps each minimal source
-    neighborhood U_x into U_{f(x)}.  At the first x where it does not,
-    U_{f(x)} is a target open whose preimage holds x but not all of U_x,
-    so that preimage is not open."""
+    neighborhood U_x into U_{f(x)}."""
     src = ulim_topology(f.source).min_nbhd
     tgt = ulim_topology(f.target).min_nbhd
     for x, m in enumerate(src):
         u = tgt[f(x)]
         for y in bits(m):
             if not u >> f(y) & 1:
-                return ContinuityVerdict(False, members(u))
-    return ContinuityVerdict(True)
+                return False
+    return True
 
 
 class CriterionVerdict(NamedTuple):
     hypothesis: bool
     conclusion: bool
-    # certificates
-    discontinuous_level: Optional[int] = None
-    zero_pair: Optional[tuple[int, int]] = None
-    regularity: tuple[RegularityVerdict, ...] = ()
-    continuity: Optional[ContinuityVerdict] = None
-    theorem_violation: bool = False  # hypothesis true but map discontinuous
+
+    @property
+    def theorem_violation(self) -> bool:
+        """A true hypothesis with a discontinuous map: an implementation bug."""
+        return self.hypothesis and not self.conclusion
 
     def to_json(self) -> dict:
         return {"hypothesis": self.hypothesis, "continuous": self.conclusion}
 
 
-def _restriction_continuous(f: SpaceMap, n: int) -> Optional[tuple[int, int]]:
+def _restriction_continuous(f: SpaceMap, n: int) -> bool:
     """Finite form of continuity of f on level n: zero-pairs map to
-    zero-pairs of the target's top metric.  Returns the first violating
-    pair in row-major order."""
+    zero-pairs of the target's top metric."""
     u = f.target.metric(f.target.top_level).zero_classes
-    for i, z in enumerate(f.source.metric(n).zero_classes):
-        for j in bits(z):
-            if not u[f(i)] >> f(j) & 1:
-                return (i, j)
-    return None
+    return all(
+        u[f(i)] >> f(j) & 1
+        for i, z in enumerate(f.source.metric(n).zero_classes)
+        for j in bits(z)
+    )
 
 
 def continuity_criterion(f: SpaceMap) -> CriterionVerdict:
     """Continuity criterion: the hypothesis (restrictions continuous and
     regular one level down) together with the direct continuity
-    conclusion.  A true hypothesis with a false conclusion is an
-    implementation bug and is flagged as a theorem violation."""
-    t = f.source
-    cont = is_continuous(f)
-    for n in range(t.num_levels):
-        bad = _restriction_continuous(f, n)
-        if bad is not None:
-            return CriterionVerdict(
-                False,
-                cont.continuous,
-                discontinuous_level=n,
-                zero_pair=bad,
-                continuity=cont,
-            )
-    regs = []
-    for n in range(1, t.num_levels):
-        r = is_regular_at(f, n)
-        regs.append(r)
-        if not r.regular:
-            return CriterionVerdict(
-                False, cont.continuous, regularity=tuple(regs), continuity=cont
-            )
-    return CriterionVerdict(
-        True,
-        cont.continuous,
-        regularity=tuple(regs),
-        continuity=cont,
-        theorem_violation=not cont.continuous,
+    conclusion."""
+    levels = range(f.source.num_levels)
+    hypothesis = all(_restriction_continuous(f, n) for n in levels) and all(
+        is_regular_at(f, n) for n in levels[1:]
     )
+    return CriterionVerdict(hypothesis, is_continuous(f))
 
 
 class HomeoVerdict(NamedTuple):
     homeomorphism: bool
     forward: CriterionVerdict
     backward: CriterionVerdict
-    transport_comparison: TopologyComparison
+    transport: str  # compare_topologies of the transported source and the target
+
+    @property
+    def theorem_violation(self) -> bool:
+        """Either direction's criterion is violated, or the direct verdict
+        disagrees with the transported topologies: an implementation bug."""
+        return (
+            self.forward.theorem_violation
+            or self.backward.theorem_violation
+            or self.homeomorphism != (self.transport == "equal")
+        )
 
     def to_json(self) -> dict:
-        return {
-            "homeomorphism": self.homeomorphism,
-            "transport": self.transport_comparison.relation,
-        }
+        return {"homeomorphism": self.homeomorphism, "transport": self.transport}
 
 
 def homeo_criterion(h: SpaceMap, h_inv: SpaceMap) -> HomeoVerdict:
@@ -191,13 +150,10 @@ def homeo_criterion(h: SpaceMap, h_inv: SpaceMap) -> HomeoVerdict:
 
     fwd = continuity_criterion(h)
     bwd = continuity_criterion(h_inv)
-
-    src = ulim_topology(h.source)
-    tgt = ulim_topology(h.target)
-    transported = transport_topology(src, h.values)
-    comparison = compare_topologies(transported, tgt)
+    transported = transport_topology(ulim_topology(h.source), h.values)
     return HomeoVerdict(
-        fwd.conclusion and bwd.conclusion, fwd, bwd, comparison
+        fwd.conclusion and bwd.conclusion, fwd, bwd,
+        compare_topologies(transported, ulim_topology(h.target)),
     )
 
 

@@ -23,7 +23,7 @@ hold the balls under the grid entourages' connected components.
 from __future__ import annotations
 
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .core import Entourage, Tower, bits, members
 from .errors import ValidationError
@@ -100,31 +100,19 @@ class TopologyFamily:
         return f"TopologyFamily(ground_size={self.ground_size}, nbhd_sizes={sizes})"
 
 
-class TopologyComparison(NamedTuple):
-    relation: str  # equal | A_finer | B_finer | incomparable
-    witness: frozenset[int] | None = None
-
-
-def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> TopologyComparison:
-    """Set-family comparison; the witness is an open set of one family that
-    is not open in the other: of a when a is finer, otherwise of b."""
+def compare_topologies(a: TopologyFamily, b: TopologyFamily) -> str:
+    """The relation of a to b as sets of opens: "equal", "A_finer",
+    "B_finer" or "incomparable"."""
     if a.ground_size != b.ground_size:
         raise ValidationError(f"ground sizes {a.ground_size} != {b.ground_size}")
 
     # a is finer than b iff every open of b is open in a iff every minimal
     # a-neighborhood lies inside the corresponding b-neighborhood
-    a_finer = all(a.min_nbhd[x] & ~b.min_nbhd[x] == 0 for x in range(a.ground_size))
-    b_finer = all(b.min_nbhd[x] & ~a.min_nbhd[x] == 0 for x in range(a.ground_size))
-    if a_finer and b_finer:
-        return TopologyComparison("equal")
-    diff = next(x for x in range(a.ground_size) if a.min_nbhd[x] != b.min_nbhd[x])
+    a_finer = all(m & ~n == 0 for m, n in zip(a.min_nbhd, b.min_nbhd))
+    b_finer = all(n & ~m == 0 for m, n in zip(a.min_nbhd, b.min_nbhd))
     if a_finer:
-        # the minimal a-neighborhood at a differing point cannot be b-open
-        return TopologyComparison("A_finer", members(a.min_nbhd[diff]))
-    if b_finer:
-        return TopologyComparison("B_finer", members(b.min_nbhd[diff]))
-    bad = next(x for x in range(a.ground_size) if a.min_nbhd[x] & ~b.min_nbhd[x])
-    return TopologyComparison("incomparable", members(b.min_nbhd[bad]))
+        return "equal" if b_finer else "A_finer"
+    return "B_finer" if b_finer else "incomparable"
 
 
 def grid_ball_masks(tower: Tower, x: int, memo: dict) -> frozenset[int]:

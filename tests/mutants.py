@@ -396,12 +396,23 @@ MUTANTS = {
         ("tests",),
     ),
     # the top level's zero-pairs hold level n's, so the hypothesis is false
-    # at the same maps and only the named level and pair move; verify reads
-    # only the hypothesis and the conclusion
+    # at the same maps and only a lower level's own verdict moves; verify
+    # reads only the hypothesis and the conclusion, the per-level
+    # comparison with the entry loop reads each level's
     "restriction continuity walks the source's top level": Mutant(
         "regularity.py",
         "enumerate(f.source.metric(n).zero_classes)",
         "enumerate(f.source.metric(f.source.top_level).zero_classes)",
+        "test_regularity.py",
+        ("tests",),
+    ),
+    # a map out of a tower with a glued pair, the backward direction, then
+    # has its false conclusion under a true hypothesis read as a plain
+    # false verdict (exit 1); verify's homeomorphisms violate nothing
+    "homeo verdict drops the backward criterion's violation": Mutant(
+        "regularity.py",
+        "            or self.backward.theorem_violation\n",
+        "",
         "test_regularity.py",
         ("tests",),
     ),

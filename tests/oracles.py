@@ -471,8 +471,7 @@ def level_by_level_topology(tower):
 
 def open_set_walk_continuous(f):
     """Reference for ``is_continuous``: walk every open of the target's
-    limit topology, in sorted order, and return the first whose preimage is
-    not open in the source's, or None if f is continuous."""
+    limit topology and check that its preimage is open in the source's."""
     src = level_by_level_topology(f.source)
     tgt = level_by_level_topology(f.target)
     for o in tgt.opens_masks():
@@ -481,22 +480,19 @@ def open_set_walk_continuous(f):
             if o >> f(x) & 1:
                 pre |= 1 << x
         if not src.is_open_mask(pre):
-            return o
-    return None
+            return False
+    return True
 
 
 def loop_restriction_continuous(f, n):
-    """Reference for ``regularity._restriction_continuous``: the first pair
-    (i, j) of level n's full square, in row-major order, at distance 0 in
-    the level's metric whose images are at positive distance in the
-    target's top metric, or None."""
+    """Reference for ``regularity._restriction_continuous``: no pair of
+    level n's full square at distance 0 in the level's metric has images at
+    positive distance in the target's top metric."""
     d = f.source.metric(n).dist
     dy = f.target.metric(f.target.top_level).dist
-    for i in range(len(d)):
-        for j in range(len(d)):
-            if d[i][j] == 0 and dy[f(i)][f(j)] != 0:
-                return (i, j)
-    return None
+    return not any(
+        d[i][j] == 0 and dy[f(i)][f(j)] != 0 for i in range(len(d)) for j in range(len(d))
+    )
 
 
 def twin_tower(rng, tower, prob=0.3):

@@ -148,7 +148,7 @@ def test_criterion_soundness_sweep():
             break
     g = continuity_criterion(glued_map())
     ok = ok and not g.hypothesis and not g.conclusion
-    ok = ok and not is_continuous(glued_map()).continuous
+    ok = ok and not is_continuous(glued_map())
     _report("regularity hypothesis implies continuity (300 maps + glued counterexample)", ok)
 
 
@@ -158,7 +158,7 @@ def test_product_multiplicativity_sweep():
         rng = random.Random(seed)
         a = random_tower(rng, Profile(levels=3, max_size=9))
         b = random_tower(rng, Profile(levels=3, max_size=9))
-        ok = ok and check_multiplicativity(a, b, product_tower(a, b)).relation == "equal"
+        ok = ok and check_multiplicativity(a, b, product_tower(a, b)) == "equal"
         if not ok:
             break
     _report("product topology == topology of the product tower (50 pairs, top <= 81)", ok)
@@ -167,8 +167,7 @@ def test_product_multiplicativity_sweep():
 def test_limit_topologies_coincide():
     ok = True
     for t, _, _ in _sweep_500():
-        cmp = compare_topologies(ulim_topology(t), tlim_topology(t))
-        ok = ok and cmp.relation == "equal"
+        ok = ok and compare_topologies(ulim_topology(t), tlim_topology(t)) == "equal"
         if not ok:
             break
     _report("uniform limit topology == final topology on every generated tower", ok)
@@ -191,11 +190,11 @@ def test_group_limit_checks():
 
 def test_box_product_limits():
     hf = halving_factors()
-    ok = check_box_limit(hf, 3, box_tower(hf, 3)).relation == "equal"
+    ok = check_box_limit(hf, 3, box_tower(hf, 3)) == "equal"
     for seed in range(20):
         rng = random.Random(seed)
         fs = random_factors(rng)
-        ok = ok and check_box_limit(fs, 3, box_tower(fs, 3)).relation == "equal"
+        ok = ok and check_box_limit(fs, 3, box_tower(fs, 3)) == "equal"
         if not ok:
             break
     _report("truncated box product topology matches the box topology (fixture + 20)", ok)
@@ -230,7 +229,7 @@ def test_full_instance_coincidence():
     for seed in range(50):
         inst = generate_instance(seed)
         for t in (inst.tower, inst.second_tower):
-            ok = ok and compare_topologies(ulim_topology(t), tlim_topology(t)).relation == "equal"
+            ok = ok and compare_topologies(ulim_topology(t), tlim_topology(t)) == "equal"
         if not ok:
             break
     _report("topology coincidence holds on full generated instances (50 seeds)", ok)

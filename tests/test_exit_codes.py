@@ -233,9 +233,7 @@ def test_a_derived_table_failing_its_certificate_exits_3(monkeypatch, capsys, fi
 
 # The command-line values unilim parses itself: per option, an argv
 # template whose VALUE takes the drawn text, and the starts a refusal of
-# that text may have.  A radius list of the wrong length or with a
-# nonpositive radius is refused by the group construction, whose messages
-# name no option.
+# that text may have.
 PARSED_VALUES = {
     "--seeds": (("verify", "--all", "--seeds=VALUE"), ("--seeds: ",)),
     "--witness": (
@@ -245,7 +243,7 @@ PARSED_VALUES = {
     "--expr": (("rel", "--tower", "{tower}", "--expr=VALUE"), ("--expr: ",)),
     "--radii": (
         ("group", "{group}", "--radii=VALUE"),
-        ("radii[", "one radius per level required\n", "radii must be positive\n"),
+        ("--radii: ",),
     ),
 }
 
@@ -283,3 +281,47 @@ def test_refused_command_line_values_are_one_short_line(files, option, value):
         assert message.count("\n") == 1 and message.endswith("\n"), message[:300]
         assert len(message.encode()) < 300, message[:300]
         assert message.startswith("error: ") and message[7:].startswith(places), message
+
+
+# The values argparse refuses through the type unilim gives it: per option,
+# an argv template whose VALUE takes the refused text, and the refusal of
+# the value "x", which is argparse's own.
+ARGPARSE_VALUES = {
+    "box --depth": (("box", "{factors}", "--depth", "VALUE"),
+                    "argument --depth: invalid int value: 'x'"),
+    "gen --seed": (("gen", "--seed", "VALUE"), "argument --seed: invalid int value: 'x'"),
+    "gen --levels": (("gen", "--levels", "VALUE"), "argument --levels: invalid int value: 'x'"),
+    "gen --max-size": (("gen", "--max-size", "VALUE"),
+                       "argument --max-size: invalid int value: 'x'"),
+    "verify --seed": (("verify", "--all", "--seed", "VALUE"),
+                      "argument --seed: invalid int value: 'x'"),
+    "verify --targets": (
+        ("verify", "--targets", "T1", "VALUE"),
+        "argument --targets: invalid choice: 'x' (choose from 'T1', 'T2', 'T3', 'L-mod', "
+        "'L-adeq', 'L-pseudo', 'T5', 'C6', 'P-group', 'P-box', 'P-lc')",
+    ),
+    "topo --compare": (("topo", "--tower", "{tower}", "--compare", "VALUE"),
+                       "argument --compare: invalid choice: 'x' (choose from 'tlim')"),
+}
+
+
+def _argparse_refusal(files, option, value) -> str:
+    template, _ = ARGPARSE_VALUES[option]
+    argv = [a.replace("VALUE", value) for a in _argv(template, files)]
+    err = StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("option", list(ARGPARSE_VALUES))
+def test_argparse_refusals_show_a_long_value_cut(files, option):
+    """A 50,000-character value is refused in under 512 bytes of stderr, and
+    a short one as argparse's own ``type=int`` or ``choices`` refuses it."""
+    for value in LONG_VALUES:
+        message = _argparse_refusal(files, option, value)
+        assert len(message.encode()) < 512, message[:600]
+        assert f"({len(value)} characters)" in message
+    short = _argparse_refusal(files, option, "x")
+    assert short.endswith(f": error: {ARGPARSE_VALUES[option][1]}\n"), short

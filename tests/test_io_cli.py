@@ -487,7 +487,7 @@ def test_cli_group_names_bad_radii(capsys, tmp_path, radii, check, message):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: --radii: {message}\n"
 
 
 GOOD_GROUP = group_to_json(binary_group_tower())

@@ -28,11 +28,8 @@ from unilim.fixtures import (
 )
 from unilim.generate import GenerationInstance, Instance, Profile, generate_instance
 from unilim.limitmetric import GenerationVerdict
-from unilim.regularity import (
-    ContinuityVerdict, CriterionVerdict, HomeoVerdict, RegularityVerdict, SpaceMap,
-)
+from unilim.regularity import CriterionVerdict, HomeoVerdict, SpaceMap
 from unilim.relations import REPEAT_LAST, EntourageSequence
-from unilim.topology import TopologyComparison
 from unilim.verify import THEOREM_IDS, VerifyReport
 
 from .conftest import factor_to_json, group_to_json
@@ -62,11 +59,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 # every public name of the package, the submodules included
 EXPORTS = [
-    "CertificateFailure", "ContinuityVerdict", "CriterionVerdict", "Entourage",
-    "EntourageSequence", "GenerationVerdict", "GroupLimitVerdict", "GroupTower", "HomeoVerdict",
-    "Instance", "MonotonePseudometricSequence", "OMEGA", "PointedSpace", "Profile", "Pseudometric",
-    "REPEAT_LAST", "RegularityVerdict", "SpaceMap", "THEOREM_IDS", "TopologyComparison",
-    "TopologyFamily", "Tower", "UnilimError", "ValidationError", "VerifyReport",
+    "CertificateFailure", "CriterionVerdict", "Entourage", "EntourageSequence",
+    "GenerationVerdict", "GroupLimitVerdict", "GroupTower", "HomeoVerdict", "Instance",
+    "MonotonePseudometricSequence", "OMEGA", "PointedSpace", "Profile", "Pseudometric",
+    "REPEAT_LAST", "SpaceMap", "THEOREM_IDS", "TopologyFamily", "Tower", "UnilimError", "ValidationError", "VerifyReport",
     "adequate_sequence", "ball", "box_tower", "chain_weight", "check_box_limit",
     "check_group_limit", "check_multiplicativity", "compare_topologies", "compose", "constructions",
     "continuity_criterion", "core", "cyclic_group_tower", "errors", "extend_pseudometric",
@@ -197,16 +193,14 @@ def _cases() -> dict:
     d = t.metric(2)
     top = zeros[-1]
     inst = generate_instance(0)
-    regular = RegularityVerdict(False, 1, top, zeros[1], 2, False)
-    continuity = ContinuityVerdict(False, frozenset({0}))
-    criterion = CriterionVerdict(True, False, 1, (0, 1), (regular,), continuity, True)
+    criterion = CriterionVerdict(True, False)
     return {
         "GroupTower": (GroupTower, ("tower", "op", "neg"), (g.tower, g.op, g.neg), {}),
         "GroupLimitVerdict": (
             GroupLimitVerdict,
-            ("ball_equals_product", "commutation", "square_inclusion", "detail"),
-            (True, False, True, "why"),
-            {"detail": ""},
+            ("ball_equals_product", "commutation", "square_inclusion"),
+            (True, False, True),
+            {},
         ),
         "PointedSpace": (PointedSpace, ("metric", "basepoint"), (d, 2), {"basepoint": 0}),
         "Profile": (Profile, ("levels", "max_size"), (4, 8), {"levels": 3, "max_size": 6}),
@@ -230,41 +224,16 @@ def _cases() -> dict:
             {"counterexample": None},
         ),
         "SpaceMap": (SpaceMap, ("source", "target", "values"), (t, t, (0, 1, 2)), {}),
-        "RegularityVerdict": (
-            RegularityVerdict,
-            ("regular", "level", "failing_u", "failing_v", "failing_point", "subset_closed"),
-            (False, 1, top, zeros[1], 2, False),
-            {"failing_u": None, "failing_v": None, "failing_point": None, "subset_closed": True},
-        ),
-        "ContinuityVerdict": (
-            ContinuityVerdict, ("continuous", "witness_open"), (False, frozenset({0})),
-            {"witness_open": None},
-        ),
-        "CriterionVerdict": (
-            CriterionVerdict,
-            (
-                "hypothesis", "conclusion", "discontinuous_level", "zero_pair", "regularity",
-                "continuity", "theorem_violation",
-            ),
-            (True, False, 1, (0, 1), (regular,), continuity, True),
-            {
-                "discontinuous_level": None, "zero_pair": None, "regularity": (),
-                "continuity": None, "theorem_violation": False,
-            },
-        ),
+        "CriterionVerdict": (CriterionVerdict, ("hypothesis", "conclusion"), (True, False), {}),
         "HomeoVerdict": (
             HomeoVerdict,
-            ("homeomorphism", "forward", "backward", "transport_comparison"),
-            (False, criterion, criterion, TopologyComparison("A_finer", frozenset({1}))),
+            ("homeomorphism", "forward", "backward", "transport"),
+            (False, criterion, criterion, "A_finer"),
             {},
         ),
         "EntourageSequence": (
             EntourageSequence, ("tower", "start", "entries", "tail_policy"),
             (t, 1, zeros[1:], top), {"tail_policy": REPEAT_LAST},
-        ),
-        "TopologyComparison": (
-            TopologyComparison, ("relation", "witness"), ("B_finer", frozenset({0, 2})),
-            {"witness": None},
         ),
         "VerifyReport": (
             VerifyReport,

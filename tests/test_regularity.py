@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unilim import regularity
+from unilim import cli, fixtures, io, regularity, verify
 from unilim.core import Pseudometric, Tower, members, shortest_path_closure
 from unilim.errors import ValidationError
 from unilim.fixtures import rescaled_homeo, three_point_tower
 from unilim.generate import Profile, random_space_map, random_tower
 from unilim.regularity import (
+    CriterionVerdict,
     SpaceMap,
     continuity_criterion,
     homeo_criterion,
@@ -22,8 +24,6 @@ from unilim.topology import compare_topologies, ulim_topology
 
 from .conftest import frac_matrix
 from .oracles import (
-    is_open,
-    level_by_level_topology,
     loop_restriction_continuous,
     open_set_walk_continuous,
     twin_tower,
@@ -41,24 +41,18 @@ def two_level_map(d_ab, f_b=1):
 
 
 def test_separated_map_is_regular():
-    v = is_regular_at(two_level_map(1), 1)
-    assert v.regular
-    assert v.subset_closed
+    assert is_regular_at(two_level_map(1), 1)
 
 
 def test_glued_map_is_not_regular(glued):
-    v = is_regular_at(glued, 1)
-    assert not v.regular
-    assert v.failing_point == 1
-    assert v.failing_u is not None and v.failing_v is not None
-    assert not v.subset_closed
+    assert not is_regular_at(glued, 1)
 
 
 def test_constant_map_regular_everywhere(tower):
     target = Tower(["p", "q"], [2], [frac_matrix([[0, 1], [1, 0]])])
     f = SpaceMap(tower, target, (0, 0, 0))
     for n in (1, 2):
-        assert is_regular_at(f, n).regular
+        assert is_regular_at(f, n)
 
 
 def test_regularity_level_bounds(glued):
@@ -118,11 +112,11 @@ def test_zero_relation_shortcut_matches_naive_quantifier(seed):
     tgt = prefix_tower(rng, 2, 4)
     f = random_space_map(rng, t, tgt)
     for n in range(1, t.num_levels):
-        assert is_regular_at(f, n).regular == naive_regular(f, n)
+        assert is_regular_at(f, n) == naive_regular(f, n)
 
 
 def test_regularity_ball_is_computed_once(monkeypatch):
-    """B(X_{n-1}; z) serves both the closedness flag and the condition."""
+    """B(X_{n-1}; z) is built once per check."""
     calls = []
 
     def counted(mask, u):
@@ -136,9 +130,9 @@ def test_regularity_ball_is_computed_once(monkeypatch):
         f = random_space_map(rng, t, prefix_tower(rng, 2, 4))
         for n in range(1, t.num_levels):
             calls.clear()
-            v = is_regular_at(f, n)
+            regular = is_regular_at(f, n)
             assert calls == [t.zero_relation(n)]
-            assert v.regular == naive_regular(f, n)
+            assert regular == naive_regular(f, n)
 
 
 def test_restriction_continuity_matches_the_entry_loop():
@@ -162,24 +156,22 @@ def test_restriction_continuity_matches_the_entry_loop():
         for n in range(t.num_levels):
             got = regularity._restriction_continuous(f, n)
             assert got == loop_restriction_continuous(f, n)
-            found.append(got is None)
+            found.append(got)
     assert found.count(True) > 100 and found.count(False) > 100
 
 
 def test_is_continuous_identity(identity_into_top):
-    assert is_continuous(identity_into_top).continuous
+    assert is_continuous(identity_into_top)
 
 
 def test_is_continuous_glued(glued):
-    v = is_continuous(glued)
-    assert not v.continuous
-    assert v.witness_open is not None
+    assert not is_continuous(glued)
 
 
 def test_is_continuous_into_indiscrete(tower):
     target = Tower(["p", "q"], [2], [Pseudometric.zero(2)])
     f = SpaceMap(tower, target, (0, 1, 0))
-    assert is_continuous(f).continuous
+    assert is_continuous(f)
 
 
 def test_criterion_glued(glued):
@@ -193,7 +185,13 @@ def test_criterion_identity(identity_into_top):
     v = continuity_criterion(identity_into_top)
     assert v.hypothesis
     assert v.conclusion
-    assert len(v.regularity) == 2
+
+
+def test_theorem_violation_is_a_true_hypothesis_with_a_false_conclusion():
+    for hypothesis in (False, True):
+        for conclusion in (False, True):
+            v = CriterionVerdict(hypothesis, conclusion)
+            assert v.theorem_violation == (hypothesis and not conclusion)
 
 
 def test_criterion_constant(tower):
@@ -219,7 +217,7 @@ def test_homeo_identity(tower):
     idx = (0, 1, 2)
     v = homeo_criterion(SpaceMap(tower, tower, idx), SpaceMap(tower, tower, idx))
     assert v.homeomorphism
-    assert v.transport_comparison.relation == "equal"
+    assert v.transport == "equal"
 
 
 def test_homeo_rescaled():
@@ -227,23 +225,58 @@ def test_homeo_rescaled():
     v = homeo_criterion(h, h_inv)
     assert v.homeomorphism
     assert v.forward.hypothesis and v.backward.hypothesis
-    assert v.transport_comparison.relation == "equal"
+    assert v.transport == "equal"
 
 
-def test_homeo_onto_glued_tower_fails_one_direction():
-    t = three_point_tower()
+def glued_three_point_tower():
+    """The three-point tower's points with a and b glued at every level."""
     glued_metrics = [
         Pseudometric.zero(1),
         frac_matrix([[0, 0], [0, 0]]),
         frac_matrix([[0, 0, 2], [0, 0, 2], [2, 2, 0]]),
     ]
-    g = Tower(["a", "b", "c"], [1, 2, 3], glued_metrics)
+    return Tower(["a", "b", "c"], [1, 2, 3], glued_metrics)
+
+
+def test_homeo_onto_glued_tower_fails_one_direction():
+    t, g = three_point_tower(), glued_three_point_tower()
     idx = (0, 1, 2)
     v = homeo_criterion(SpaceMap(t, g, idx), SpaceMap(g, t, idx))
     assert not v.homeomorphism
     # the map out of the glued tower separates a glued pair
     assert not v.backward.conclusion
-    assert v.transport_comparison.relation != "equal"
+    assert v.transport != "equal"
+    assert not v.theorem_violation
+
+
+@pytest.mark.parametrize("glued_side", ["target", "source"])
+def test_check_homeo_exits_3_on_a_criterion_violation_in_either_direction(
+    monkeypatch, capsys, tmp_path, glued_side
+):
+    """With the criterion's hypothesis forced true, the identity out of the
+    glued tower, which separates a glued pair, has a true hypothesis and a
+    false conclusion.  Plain ``check`` of it exits 3; so does ``check
+    --homeo`` with it as either direction, and C6 fails on the pair."""
+    monkeypatch.setattr(regularity, "_restriction_continuous", lambda f, n: True)
+    monkeypatch.setattr(regularity, "is_regular_at", lambda f, n: True)
+    towers = {"t": three_point_tower(), "g": glued_three_point_tower()}
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("t", "g", "idx")}
+    for name, tower in towers.items():
+        io.dump(io.tower_to_json(tower), paths[name])
+    io.dump([0, 1, 2], paths["idx"])
+
+    out_of_glued = ["check", "--tower", paths["g"], "--target", paths["t"], "--map", paths["idx"]]
+    assert cli.main(out_of_glued) == 3
+    assert capsys.readouterr().out == '{"continuous":false,"hypothesis":true}\n'
+    src, tgt = ("t", "g") if glued_side == "target" else ("g", "t")
+    argv = ["check", "--tower", paths[src], "--target", paths[tgt], "--map", paths["idx"]]
+    assert cli.main([*argv, "--homeo", paths["idx"]]) == 3
+    assert json.loads(capsys.readouterr().out)["homeomorphism"] is False
+
+    idx = (0, 1, 2)
+    pair = SpaceMap(towers[src], towers[tgt], idx), SpaceMap(towers[tgt], towers[src], idx)
+    monkeypatch.setattr(fixtures, "rescaled_homeo", lambda tower: pair)
+    assert not verify._check_homeo(towers["t"])[0]
 
 
 def test_homeo_names_a_non_inverse_point_by_label():
@@ -307,8 +340,8 @@ def test_criterion_agrees_with_transported_topology(seed):
     h_inv = SpaceMap(s, t, tuple(order))
     v = homeo_criterion(h, h_inv)
     assert v.homeomorphism
-    assert v.transport_comparison.relation == "equal"
-    assert compare_topologies(ulim_topology(t), ulim_topology(t)).relation == "equal"
+    assert v.transport == "equal"
+    assert compare_topologies(ulim_topology(t), ulim_topology(t)) == "equal"
 
 
 def _seeded_maps(seeds):
@@ -325,15 +358,8 @@ def test_is_continuous_agrees_with_open_set_walk():
     maps = list(_seeded_maps(range(300)))
     discontinuous = 0
     for f in maps:
-        v = is_continuous(f)
-        assert v.continuous == (open_set_walk_continuous(f) is None)
-        if v.continuous:
-            assert v.witness_open is None
-            continue
-        discontinuous += 1
-        witness = v.witness_open
-        preimage = {x for x in range(f.source.ground_size) if f(x) in witness}
-        assert is_open(level_by_level_topology(f.target), witness)
-        assert not is_open(level_by_level_topology(f.source), preimage)
+        continuous = is_continuous(f)
+        assert continuous == open_set_walk_continuous(f)
+        discontinuous += not continuous
     # both verdicts occur often enough for the agreement to mean something
     assert 0.2 < discontinuous / len(maps) < 0.8

@@ -216,24 +216,24 @@ class Pseudometric:
         # Both sides are checked on the rows as ``_packed`` packs them:
         # field k of P_j + d(i,j)*ONES + H - P_i is 2^(w-1) + d(j,k) +
         # d(i,j) - d(i,k), with d(j,k) + d(i,j) - d(i,k) in [-max, 2*max],
-        # so its top bit is set iff d(i,k) <= d(i,j) + d(j,k).
+        # so its top bit is set iff d(i,k) <= d(i,j) + d(j,k).  On a failure,
+        # the first (a, b) whose sum has a clear top bit, c its lowest clear
+        # field, is q's first failing triple; read through ``reps``, the lowest
+        # point of each class, in order, it is the full table's first as well.
         reps = [i for i, c in enumerate(self.zero_classes) if c & -c == 1 << i]
         q = d if len(reps) == n else [[row[b] for b in reps] for row in map(d.__getitem__, reps)]
-        _, packed, ones, h = _packed(q)
+        shifts, packed, ones, h = _packed(q)
         lifted = [p + h for p in packed]
         for i, di in enumerate(q):
             pi, li = packed[i], lifted[i]
             for j in range(i):
                 dij = di[j] * ones
                 if (lifted[j] + dij - pi) & h != h or (li + dij - packed[j]) & h != h:
-                    # name the first failing (a, b, c) of the full table in
-                    # (a, b, c) order
-                    first = next(
-                        (a, b, c)
-                        for a, b, c in itertools.product(range(n), repeat=3)
-                        if d[a][c] > d[a][b] + d[b][c]
-                    )
-                    a, b, c = map(name, first)
+                    for a, b in itertools.product(range(len(q)), repeat=2):
+                        if bad := ~(lifted[b] + q[a][b] * ones - packed[a]) & h:
+                            break
+                    c = ((bad & -bad).bit_length() - 1) // shifts.step
+                    a, b, c = (name(reps[x]) for x in (a, b, c))
                     raise ValidationError(
                         f"triangle inequality fails at level {level}: "
                         f"d({a},{c}) > d({a},{b}) + d({b},{c})"

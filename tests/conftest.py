@@ -167,3 +167,37 @@ def big_denominator_rows(n):
     their lcm has some 28,000 digits, past the int digit limit."""
     q = iter(range(10**999, 10**999 + n * n))
     return [[f"{k + 1}/{k}" for k, _ in zip(q, range(i))] for i in range(n)]
+
+
+# -- the scale probe: towers past the reach of every oracle -------------------
+
+
+def grid_points(n, seed=0):
+    """n points of the 8x8 integer grid drawn from ``seed``: each point
+    after the first copies an earlier one with probability 0.3, and is
+    otherwise uniform on the grid."""
+    rng = random.Random(seed)
+    points = []
+    for k in range(n):
+        if k and rng.random() < 0.3:
+            points.append(points[rng.randrange(k)])
+        else:
+            points.append((rng.randrange(8), rng.randrange(8)))
+    return points
+
+
+def l1_table(points):
+    """The int table of L1 distances between ``points``."""
+    return [[abs(x - u) + abs(y - v) for u, v in points] for x, y in points]
+
+
+def probe_sequence(n, seed=0):
+    """The scale probe on n points, n a multiple of 4: the L1 table of
+    ``grid_points(n, seed)`` restricted to 4 levels of n/4, n/2, 3n/4 and n
+    points, and the sequence d_k = d / 2^(3-k) on that tower."""
+    d = Pseudometric._from_numer(1, l1_table(grid_points(n, seed)))
+    sizes = [n * k // 4 for k in range(1, 5)]
+    tower = Tower([f"p{i}" for i in range(n)], sizes, [d.restrict(m) for m in sizes])
+    return MonotonePseudometricSequence(
+        tower, [d.restrict(m).scale(Fraction(1, 2 ** (3 - k))) for k, m in enumerate(sizes)]
+    )

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from unilim.errors import ValidationError
 from unilim.generate import Profile, random_tower
 from unilim.topology import tlim_topology
 
-from .conftest import flat_tower, frac_matrix
+from .conftest import flat_tower, frac_matrix, grid_points, l1_table
 from .oracles import (
     fraction_closure,
     grid_thresholds,
@@ -552,24 +553,38 @@ def packed_tables(draw):
     two: line metrics (valid), a line metric with a hub at distance c from
     every point, appended last (only the mirror comparison of a pair can
     fail, when 2*c < M) or put first (only the direct comparison can fail),
-    and raw tables."""
+    a line metric with repeated points and one pair redrawn (repeated rows),
+    a line metric whose last pair is raised to M (every failing triple has
+    a >= n-2, late in (a, b, c) order), and raw tables, with or without
+    many zero entries."""
     k = draw(st.integers(1, 41))
     top = max(1, 2 ** (k - 1) + draw(st.sampled_from((-1, 0, 1))))
     den = draw(st.sampled_from(DENOMINATORS))
     assume(den == 1 or math.gcd(top, den) == 1)
-    kind = draw(st.sampled_from(("line", "hub last", "hub first", "raw")))
-    n = draw(st.integers(3 if kind.startswith("hub") else 2, 7))
+    kinds = ("line", "hub last", "hub first", "repeats", "late", "raw", "zeros")
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(2 if kind in ("line", "raw", "zeros") else 3, 7))
     values = st.integers(0, top)
-    if kind == "raw":
+    if kind in ("raw", "zeros"):
+        entries = st.just(0) | values if kind == "zeros" else values
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i):
-                m[i][j] = m[j][i] = draw(values)
+                m[i][j] = m[j][i] = draw(entries)
         m[1][0] = m[0][1] = top
     else:
         line = n - 1 if kind.startswith("hub") else n
-        xs = [0, top][:line] + [draw(values) for _ in range(line - 2)]
+        xs = [0, top][:line]
+        for _ in range(line - 2):
+            repeat = kind == "repeats" and draw(st.booleans())
+            xs.append(draw(st.sampled_from(xs) if repeat else values))
         m = [[abs(a - b) for b in xs] for a in xs]
+        if kind == "repeats":
+            i = draw(st.integers(2, n - 1))
+            j = draw(st.integers(0, i - 1))
+            m[i][j] = m[j][i] = draw(values)
+        if kind == "late":
+            m[n - 1][n - 2] = m[n - 2][n - 1] = top
         if kind.startswith("hub"):
             c = draw(values)
             m = [row + [c] for row in m] + [[c] * (n - 1) + [0]]
@@ -579,10 +594,23 @@ def packed_tables(draw):
     return top, [[Fraction(v, den) for v in row] for row in m]
 
 
+# d(0,2) = 2 > d(0,1) + d(1,2) = 0
+ZERO_ENTRIES = [[Fraction(v) for v in row] for row in ((0, 0, 2), (0, 0, 0), (2, 0, 0))]
+
+# the line 0, 4, 1, 2 with d(2,3) raised to 4: the first failing triple is
+# d(2,3) > d(2,0) + d(0,3) = 3, none with a < 2
+LATE_VIOLATION = [
+    [Fraction(v) for v in row] for row in ((0, 4, 1, 2), (4, 0, 3, 2), (1, 3, 0, 4), (2, 2, 4, 0))
+]
+
+
 @settings(max_examples=500, deadline=None)
 @given(packed_tables(), st.booleans())
 @example((5, [[Fraction(v) for v in row] for row in ((0, 5, 2), (5, 0, 2), (2, 2, 0))]), False)
 @example((5, [[Fraction(v) for v in row] for row in ((0, 2, 2), (2, 0, 5), (2, 5, 0))]), True)
+@example((3, SHARED_FIRST_ENTRY), True)
+@example((2, ZERO_ENTRIES), False)
+@example((4, LATE_VIOLATION), True)
 def test_packed_triangle_check_matches_loop_reference(case, labelled):
     top, m = case
     d = Pseudometric(m)
@@ -590,6 +618,24 @@ def test_packed_triangle_check_matches_loop_reference(case, labelled):
     labels = [f"p{i}" for i in range(len(m))] if labelled else None
     got = _outcome(lambda: d.validate(1, labels))
     assert got == _outcome(lambda: loop_validate(m, 1, labels))
+
+
+def test_triangle_witness_of_300_points_is_named_without_a_triple_walk():
+    # no L1 distance on the 8x8 grid exceeds 14, so the raised entry can only
+    # be the long side of a failing triangle, and b = 0 is the first short
+    # way round from 298 to 299: the witness follows from the construction.
+    # A walk over every triple took 1.6 to 7.0 s on a 2-core VM, the packed
+    # representatives under 0.01 s.
+    m = l1_table(grid_points(300, seed=0))
+    m[298][299] = m[299][298] = 100
+    d = Pseudometric._from_numer(1, m)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as refused:
+        d.validate()
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == (
+        "triangle inequality fails at level 0: d(298,299) > d(298,0) + d(0,299)"
+    )
 
 
 @pytest.mark.parametrize("m", [[], [[0]], [[0, 0], [0, 0]], [[0, 7], [7, 0]]])

@@ -258,7 +258,7 @@ def cmd_gen(args) -> int:
     from .generate import Profile, random_tower
 
     seed = args.seed if args.seed is not None else _default_seed()
-    profile = Profile(levels=args.levels, max_size=args.max_size)
+    profile = _named("--levels and --max-size", Profile, args.levels, args.max_size)
     # with the default profile, this is the first draw of generate_instance(seed)
     doc = io.tower_to_json(random_tower(random.Random(seed), profile))
     if args.out:

@@ -600,7 +600,10 @@ class MonotonePseudometricSequence:
             if d.size != t.level_sizes[n]:
                 raise ValidationError(f"metrics[{n}]: {d.size} points, not {t.level_sizes[n]}")
             d.validate(n, t.labels)
-            t._check_uniform(n, d, f"d_{n}")
+            # d is now a pseudometric, whose zero classes are {d = 0}: it is
+            # uniform iff they hold the level's; the scan names the pair
+            if any(z & ~c for z, c in zip(t.level_metrics[n].zero_classes, d.zero_classes)):
+                t._check_uniform(n, d, f"d_{n}")
         for n in range(t.num_levels - 1):
             lo, hi = self.metrics[n], self.metrics[n + 1]
             lo_den, hi_den = lo.den, hi.den

@@ -5,9 +5,11 @@ tower, adequate sequences, and the quantitative generation check.
 The defining infimum over chains is attained by a simple chain (edge
 weights are nonnegative, so deleting a revisited point never increases the
 weight), which turns the limit pseudometric into an all-pairs shortest
-path problem over exact rationals.  It is also attained by a valley chain,
-whose heights strictly fall, take at most one flat link and strictly rise;
-one forward DP from x over (point, phase) states gives both the valley
+path problem over exact rationals.  Points at distance 0 in the top metric
+have the same limit row, so the closure runs on the lowest point of each
+such class only.  The infimum is also attained by a valley chain, whose
+heights strictly fall, take at most one flat link and strictly rise; one
+forward DP from x over (point, phase) states gives both the valley
 distance to every point and, from its predecessors, the witness chain.
 """
 
@@ -52,7 +54,8 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[i
     for, since the valley DP asks once per start point.
 
     Heights grow with the index, so row x takes level h(x) up to that
-    level's size and then, level by level, the points born higher.
+    level's size and then, level by level, the points born higher; a part
+    whose level is already over ``den`` is taken as it is.
     """
     t = seq.tower
     metrics = seq.metrics
@@ -60,21 +63,40 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[i
     scales = [den // d.den for d in metrics]
     sizes = t.level_sizes
     w = []
-    for x in range(t.ground_size):
-        h = t.height(x)
-        row = [v * scales[h] for v in metrics[h].numer[x]]
+    for x, h in enumerate(t._heights):
+        f = scales[h]
+        row = list(metrics[h].numer[x]) if f == 1 else [v * f for v in metrics[h].numer[x]]
         for n in range(h + 1, len(sizes)):
             f = scales[n]
-            row += [v * f for v in metrics[n].numer[x][sizes[n - 1]:]]
+            part = metrics[n].numer[x][sizes[n - 1]:]
+            row += part if f == 1 else [v * f for v in part]
         w.append(tuple(row))
     return den, tuple(w)
 
 
 def limit_pseudometric(seq: MonotonePseudometricSequence) -> Pseudometric:
     """Minimum chain weight for each pair: all-pairs shortest path of the
-    complete graph weighted by pair-height distances."""
+    complete graph weighted by pair-height distances, closed on one
+    representative of each zero class of the tower's top metric, its lowest
+    point, and read there for every other point.
+
+    Let x be the lowest point of its class and y a classmate, so h(x) <=
+    h(y).  Levels agree on zero-pairs and each d_n is uniform, so d_m(x, y)
+    = 0 for every m >= h(y); with m = max(h(y), h(z)), the triangle
+    inequality and monotonicity give w(y, z) = d_m(x, z) >= w(x, z), and
+    w(x, y) = 0.  So moving each point of a chain to its class's
+    representative makes no link heavier, and y's limit row is x's."""
     den, w = _link_weights(seq)
-    return Pseudometric._from_numer(den, closure_in_place([list(row) for row in w]))
+    t = seq.tower
+    lowest = [(c & -c).bit_length() - 1 for c in t.metric(t.top_level).zero_classes]
+    reps = list(dict.fromkeys(lowest))
+    index = {r: k for k, r in enumerate(reps)}
+    # each point's index among the representatives: its row and column of
+    # their closed table
+    at = [index[r] for r in lowest]
+    closed = closure_in_place([[w[a][b] for b in reps] for a in reps])
+    rows = [[row[k] for k in at] for row in closed]
+    return Pseudometric._from_numer(den, [rows[k] for k in at])
 
 
 @functools.lru_cache(maxsize=1)
@@ -86,34 +108,46 @@ def _valley_row(
     turn at v".  State v costs the cheapest strictly descending chain from
     x to v; state n + v starts at that cost, and only a strictly cheaper
     flat link from a descending state or rising link from a state past the
-    turn replaces it, so no recorded chain revisits a point.  Returns
-    ``den``, the costs past the turn as ints over ``den``, and each state's
-    predecessor.  Kept for the last (seq, x): L-mod asks once per pair."""
+    turn replaces it, so no recorded chain revisits a point.  ``down`` and
+    ``up`` hold the two phases' costs.  Returns ``den``, the costs past the
+    turn as ints over ``den``, and each state's predecessor.  Kept for the
+    last (seq, x): L-mod asks once per pair.
+
+    Heights grow with the index, so the points higher than v are those
+    from the end of v's level on, and the points lower than v those before
+    its height band starts.  Each loop visits only the points its test can
+    admit, in index order, so a tie keeps the predecessor that a scan over
+    every point keeps; the link table is symmetric, so v's row holds
+    w(u, v)."""
     t = seq.tower
     n = t.ground_size
     den, w = _link_weights(seq)
-    h = [t.height(p) for p in range(n)]
+    h = t._heights
+    sizes = t.level_sizes
+    starts = (0, *sizes)
     # more than any chain weighs: no chain reaches the state yet
-    cost = [sum(map(sum, w)) + 1] * (2 * n)
+    down = [sum(map(sum, w)) + 1] * n
+    up = [0] * n
     back: list[int | None] = [None] * (2 * n)
-    cost[x] = 0
-    # heights grow with the index, so every point higher than v comes after it
+    down[x] = 0
+    # a descent from x reaches no point after x
     for v in reversed(range(x)):
-        for u in range(v + 1, n):
-            if h[v] < h[u] and cost[u] + w[u][v] < cost[v]:
-                cost[v], back[v] = cost[u] + w[u][v], u
+        wv = w[v]
+        for u in range(sizes[h[v]], x + 1):
+            if down[u] + wv[u] < down[v]:
+                down[v], back[v] = down[u] + wv[u], u
+    # a rising link reads up[u] of a lower band, whose points come first
     for v in range(n):
-        cost[n + v], back[n + v] = cost[v], v
-        for u in range(n):
-            if u != v and h[u] == h[v]:
-                s = u  # flat link, from the descent
-            elif h[u] < h[v]:
-                s = n + u  # rising link, past the turn
-            else:
-                continue
-            if cost[s] + w[u][v] < cost[n + v]:
-                cost[n + v], back[n + v] = cost[s] + w[u][v], s
-    return den, tuple(cost[n:]), tuple(back)
+        wv = w[v]
+        best, via = down[v], v
+        for u in range(starts[h[v]]):
+            if up[u] + wv[u] < best:  # rising link, past the turn
+                best, via = up[u] + wv[u], n + u
+        for u in range(starts[h[v]], sizes[h[v]]):
+            if u != v and down[u] + wv[u] < best:  # flat link, from the descent
+                best, via = down[u] + wv[u], u
+        up[v], back[n + v] = best, via
+    return den, tuple(up), tuple(back)
 
 
 def _valley_row_to(seq: MonotonePseudometricSequence, x: int, y: int):

@@ -4,6 +4,7 @@ Everything here is written in the most naive way possible: triple loops
 over pairs, exhaustive set enumeration, no bit tricks.
 """
 
+import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
@@ -185,6 +186,58 @@ def fraction_link_weights(seq):
 def fraction_limit(seq):
     """Reference for ``limit_pseudometric``: closure of the link weights."""
     return Pseudometric(fraction_closure(fraction_link_weights(seq)))
+
+
+def int_link_weights(seq):
+    """Each pair's distance at its pair height, as ints over the lcm of
+    the sequence's denominators: ``(den, table)``."""
+    t = seq.tower
+    n = t.ground_size
+    den = math.lcm(*(d.den for d in seq.metrics))
+    w = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            d = seq[pair_height(t, x, y)]
+            w[x][y] = d.numer[x][y] * (den // d.den)
+    return den, w
+
+
+def full_closure_limit(seq):
+    """Reference for ``limit_pseudometric``: the closure of the whole link
+    table, every point a pivot and a row, with no zero class read off a
+    representative."""
+    den, w = int_link_weights(seq)
+    return Pseudometric._from_numer(den, closure_in_place(w))
+
+
+def loop_valley_row(seq, x):
+    """Reference for ``limitmetric._valley_row``: the same DP over (point,
+    phase) states with every point scanned for every link, each admitted
+    or refused by its height test, so ties keep the first point in index
+    order.  Returns ``den``, the costs past the turn and the predecessors."""
+    t = seq.tower
+    n = t.ground_size
+    den, w = int_link_weights(seq)
+    h = [t.height(p) for p in range(n)]
+    cost = [sum(map(sum, w)) + 1] * (2 * n)
+    back = [None] * (2 * n)
+    cost[x] = 0
+    for v in reversed(range(x)):
+        for u in range(v + 1, n):
+            if h[v] < h[u] and cost[u] + w[u][v] < cost[v]:
+                cost[v], back[v] = cost[u] + w[u][v], u
+    for v in range(n):
+        cost[n + v], back[n + v] = cost[v], v
+        for u in range(n):
+            if u != v and h[u] == h[v]:
+                s = u  # flat link, from the descent
+            elif h[u] < h[v]:
+                s = n + u  # rising link, past the turn
+            else:
+                continue
+            if cost[s] + w[u][v] < cost[n + v]:
+                cost[n + v], back[n + v] = cost[s] + w[u][v], s
+    return den, tuple(cost[n:]), tuple(back)
 
 
 def closure_target_indicator(tower, level, target):

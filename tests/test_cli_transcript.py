@@ -49,6 +49,8 @@ CASES: dict[str, list[str]] = {
     "gen seed 0": ["gen", "--seed", "0"],
     "gen seed 7": ["gen", "--seed", "7"],
     "gen seed 3, 4 levels, 12 points": ["gen", "--seed", "3", "--levels", "4", "--max-size", "12"],
+    "gen refuses 0 levels": ["gen", "--seed", "0", "--levels", "0"],
+    "gen refuses a top size of 13": ["gen", "--seed", "0", "--max-size", "13"],
     "product gen0 gen1": ["product", "gen0.json", "gen1.json"],
     "product gen0 gen1 --check": ["product", "gen0.json", "gen1.json", "--check"],
     "product gen2 gen3 --check": ["product", "gen2.json", "gen3.json", "--check"],

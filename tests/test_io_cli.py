@@ -783,6 +783,16 @@ def test_cli_gen_rejects_oversized_profile(capsys):
     assert cli.main(["gen", "--seed", "0", "--max-size", "100"]) == 2
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--levels", "0"], "levels=0, max_size=6"),
+    (["--levels", "4", "--max-size", "3"], "levels=4, max_size=3"),
+    (["--max-size", "13"], "top size 13 exceeds 12"),
+])
+def test_cli_gen_profile_refusals_name_the_options(capsys, options, message):
+    assert cli.main(["gen", "--seed", "0", *options]) == 2
+    assert capsys.readouterr().err == f"error: --levels and --max-size: {message}\n"
+
+
 def test_cli_verify_targets(tmp_path, capsys):
     out1 = tmp_path / "r1.jsonl"
     out2 = tmp_path / "r2.jsonl"

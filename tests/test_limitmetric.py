@@ -25,7 +25,7 @@ from unilim.limitmetric import (
 from unilim.relations import multiple
 from unilim.verify import exhaustive_limit_distance
 
-from .conftest import flat_tower, frac_matrix, mixed_towers, same_table
+from .conftest import flat_tower, frac_matrix, mixed_towers, probe_sequence, same_table
 from .oracles import (
     closure_target_indicator,
     diagonal_entourage,
@@ -34,10 +34,13 @@ from .oracles import (
     fraction_limit,
     fraction_sum,
     fraction_valley_distance,
+    full_closure_limit,
     full_entourage,
     glued_extension,
+    loop_valley_row,
     pair_height,
     random_entourage,
+    twin_tower,
     union,
 )
 
@@ -251,8 +254,7 @@ def test_sum_of_extensions_checks_each_piece_once_and_lifts_without_rechecking(
     tower, monkeypatch
 ):
     """Each piece is checked for uniformity once, on its own level, and the
-    pieces carried up are lifted by the extension step alone; the sequence
-    built from them checks each level once more."""
+    pieces carried up are lifted by the extension step alone."""
     checked = []
     check = Tower._check_uniform
 
@@ -269,9 +271,9 @@ def test_sum_of_extensions_checks_each_piece_once_and_lifts_without_rechecking(
     assert [c for c in checked if c[2] == "pseudometric"] == [
         (0, 1, "pseudometric"), (1, 2, "pseudometric"), (2, 3, "pseudometric")
     ]
-    assert [c for c in checked if c[2] != "pseudometric"] == [
-        (0, 1, "d_0"), (1, 2, "d_1"), (2, 3, "d_2")
-    ]
+    # the sequence checks each level once more on its zero classes, and
+    # every level passes there, so no scan runs to name a failing pair
+    assert [c for c in checked if c[2] != "pseudometric"] == []
     # d(a,c): the level-1 piece lifts to 2 there, the level-2 piece adds 2
     assert seq[2].dist[0][2] == 4
 
@@ -493,3 +495,65 @@ def test_limit_valley_and_oracle_match_fraction_reference(drawn):
             assert valley_distance(seq, x, y) == fraction_valley_distance(seq, x, y)
             assert exhaustive_limit_distance(seq, x, y) == fraction_chain_distance(seq, x, y)
             assert chain_weight(seq, witness_chain(seq, x, y)) == lim(x, y)
+
+
+# -- the closure on representatives and the valley DP's ranges -----------------
+
+
+@st.composite
+def twin_sequences(draw):
+    """A random monotone sequence on a ``twin_tower`` of a mixed tower: points
+    repeat lower-index ones at distance 0, so a zero class can span heights,
+    the case where the closure's choice of representative matters."""
+    tower, _ = draw(mixed_towers(max_size=8))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return random_monotone_sequence(rng, twin_tower(rng, tower, prob=0.5))
+
+
+SEQUENCES = st.one_of(mixed_towers().map(lambda drawn: sum_of_extensions(*drawn)), twin_sequences())
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEQUENCES)
+def test_limit_on_representatives_equals_the_closure_of_the_whole_link_table(seq):
+    assert same_table(limit_pseudometric(seq), full_closure_limit(seq))
+
+
+def test_limit_closes_one_row_per_top_zero_class(monkeypatch):
+    """The 100-point probe's 45 top zero classes: the closure runs on 45
+    representatives, not on 100 points, and gives the whole closure."""
+    sizes = []
+    closure = limitmetric.closure_in_place
+    monkeypatch.setattr(
+        limitmetric, "closure_in_place", lambda d: sizes.append(len(d)) or closure(d)
+    )
+    seq = probe_sequence(100)
+    lim = limit_pseudometric(seq)
+    assert sizes == [len(set(seq.tower.metric(3).zero_classes))] == [45]
+    assert same_table(lim, full_closure_limit(seq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(SEQUENCES, random_sequences()))
+def test_valley_row_matches_the_dp_over_every_point(seq):
+    """Same costs and the same predecessors, so the same witness chains."""
+    for x in range(seq.tower.ground_size):
+        assert limitmetric._valley_row(seq, x) == loop_valley_row(seq, x)
+
+
+def test_seeded_twin_sequences_match_both_references():
+    """Over seeded twin towers, in many of which a class's last member sits
+    above its lowest: the limit against the closure of the whole link
+    table, and the valley row from every point against the DP over every
+    point."""
+    across = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        t = twin_tower(rng, random_tower(rng, Profile(3, 8)), prob=0.5)
+        seq = random_monotone_sequence(rng, t)
+        classes = t.metric(t.top_level).zero_classes
+        across += any(t.height(c.bit_length() - 1) > t.height(x) for x, c in enumerate(classes))
+        assert same_table(limit_pseudometric(seq), full_closure_limit(seq))
+        for x in range(t.ground_size):
+            assert limitmetric._valley_row(seq, x) == loop_valley_row(seq, x)
+    assert across >= 20

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from unilim.constructions import check_multiplicativity, product_tower
 from unilim.core import MonotonePseudometricSequence, Pseudometric, Tower, bits
 from unilim.limitmetric import chain_weight, limit_pseudometric, witness_chain
+from unilim.regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
 from unilim.topology import ulim_topology
 
 from .conftest import probe_sequence
@@ -37,26 +39,106 @@ def _topo_classes(tower):
     return {frozenset(tower.labels[i] for i in bits(c)) for c in ulim_topology(tower).min_nbhd}
 
 
-def test_permutation_within_height_bands_permutes_limit_and_topo_classes(probe):
-    seq, lim = probe
-    tower = seq.tower
-    rng = random.Random(0)
-    # new point i is old point order[i]; each band keeps its heights
+def _band_order(tower, seed):
+    """A relabelling that keeps every height: ``order[i]`` is the old point
+    that new point i is, shuffled within each height band."""
+    rng = random.Random(seed)
     order = []
     for lo, hi in zip((0, *tower.level_sizes), tower.level_sizes):
         band = list(range(lo, hi))
         rng.shuffle(band)
         order += band
-    assert order != list(range(N))
-    labels = [tower.labels[a] for a in order]
+    assert order != list(range(tower.ground_size))
+    return order
+
+
+def _moved(tower, order):
+    """``tower`` relabelled by ``order``; labels travel with their points."""
     sizes = tower.level_sizes
-    moved = Tower(labels, sizes, [_permuted(d, order[:m]) for d, m in zip(tower.level_metrics, sizes)])
+    return Tower(
+        [tower.labels[a] for a in order], sizes,
+        [_permuted(d, order[:m]) for d, m in zip(tower.level_metrics, sizes)],
+    )
+
+
+def test_permutation_within_height_bands_permutes_limit_and_topo_classes(probe):
+    seq, lim = probe
+    tower = seq.tower
+    order = _band_order(tower, 0)
+    moved = _moved(tower, order)
     moved_seq = MonotonePseudometricSequence(
-        moved, [_permuted(d, order[:m]) for d, m in zip(seq.metrics, sizes)]
+        moved, [_permuted(d, order[:m]) for d, m in zip(seq.metrics, tower.level_sizes)]
     )
     assert limit_pseudometric(moved_seq) == _permuted(lim, order)
     # labels travel with their points, so the classes hold the same labels
     assert _topo_classes(moved) == _topo_classes(tower)
+
+
+def test_permutation_within_height_bands_permutes_product_tables():
+    """Relabelling each factor within its height bands relabels the product:
+    a tuple keeps its height and its label, so each level of the new
+    product is the old one read at the same labels, and the product check
+    still reads "equal".  Factors of 12 points: 144 in the product."""
+    a, b = (probe_sequence(12, seed).tower for seed in (0, 1))
+    prod = product_tower(a, b)
+    moved_a, moved_b = _moved(a, _band_order(a, 2)), _moved(b, _band_order(b, 3))
+    moved = product_tower(moved_a, moved_b)
+    assert moved.level_sizes == prod.level_sizes
+    # new product point k is old product point at[k]
+    at = list(map({label: k for k, label in enumerate(prod.labels)}.__getitem__, moved.labels))
+    assert at != list(range(len(at)))
+    for n, m in enumerate(prod.level_sizes):
+        assert moved.metric(n) == _permuted(prod.metric(n), at[:m])
+    assert check_multiplicativity(moved_a, moved_b, moved) == "equal"
+    assert check_multiplicativity(a, b, prod) == "equal"
+
+
+def test_permutation_within_height_bands_keeps_check_verdicts(probe):
+    """A self-map of the probe tower and the same map between relabelled
+    copies get the same verdicts from ``check`` in all three modes: the
+    criterion, ``--direct`` and ``--homeo``."""
+    tower = probe[0].tower
+    order = _band_order(tower, 0)
+    moved = _moved(tower, order)
+    new = {a: i for i, a in enumerate(order)}
+
+    def relabelled(values):
+        return SpaceMap(moved, moved, tuple(new[values[a]] for a in order))
+
+    rng = random.Random(1)
+    classes = tower.metric(tower.top_level).zero_classes
+    # each class's points cycled among themselves, a homeomorphism
+    cycled = list(range(N))
+    for c in set(classes):
+        points = list(bits(c))
+        for p, q in zip(points, points[1:] + points[:1]):
+            cycled[p] = q
+    shuffled = list(range(N))
+    rng.shuffle(shuffled)
+    maps = [
+        list(range(N)),
+        [(c & -c).bit_length() - 1 for c in classes],
+        [rng.randrange(N) for _ in range(N)],
+        cycled,
+        shuffled,
+    ]
+    verdicts = set()
+    for values in maps:
+        f = SpaceMap(tower, tower, tuple(values))
+        assert continuity_criterion(relabelled(values)) == continuity_criterion(f)
+        assert is_continuous(relabelled(values)) == is_continuous(f)
+        verdicts.add(is_continuous(f))
+    homeo = set()
+    for values in (cycled, shuffled):
+        inverse = [0] * N
+        for x, y in enumerate(values):
+            inverse[y] = x
+        h, h_inv = SpaceMap(tower, tower, tuple(values)), SpaceMap(tower, tower, tuple(inverse))
+        v = homeo_criterion(h, h_inv)
+        assert homeo_criterion(relabelled(values), relabelled(inverse)) == v
+        homeo.add(v.homeomorphism)
+    # both outcomes occur, so the relation is not met by constant verdicts
+    assert verdicts == homeo == {True, False}
 
 
 def _with_twin(d, x):

@@ -19,7 +19,7 @@ from .constructions import (
     product_tower,
 )
 from .core import Entourage, MonotonePseudometricSequence, Tower, bits
-from .errors import UnilimError, ValidationError, _shown
+from .errors import _PLACE_CHARS, UnilimError, ValidationError, _place, _shown
 from .limitmetric import limit_pseudometric, witness_chain
 from .regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
 from .relations import OMEGA, REPEAT_LAST, EntourageSequence, ball, compose, multiple, sigma_sum
@@ -37,7 +37,7 @@ def _named(place: str, f, *args):
     try:
         return f(*args)
     except UnilimError as e:
-        raise ValidationError(f"{place}: {e}") from None
+        raise ValidationError(f"{_place(place)}: {e}") from None
 
 
 def _document(path: str, parse, *args):
@@ -422,7 +422,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UnilimError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        shown = str(e)
+        name = getattr(e, "filename", None)
+        if isinstance(name, str) and len(name) > _PLACE_CHARS and e.filename2 is None:
+            # str(e) would echo the whole name
+            shown = f"[Errno {e.errno}] {e.strerror}: {_shown(name)}"
+        print(f"error: {shown}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -170,10 +170,13 @@ class Pseudometric:
             return self._classes
         except AttributeError:
             pass
-        classes: dict[tuple[int, ...], int] = {}
-        for i, row in enumerate(self.numer):
-            classes[row] = classes.get(row, 0) | 1 << i
-        self._classes = tuple(map(classes.__getitem__, self.numer))
+        # each row is hashed once: numbered by its first occurrence
+        number: dict[tuple[int, ...], int] = {}
+        ids = [number.setdefault(row, len(number)) for row in self.numer]
+        masks = [0] * len(number)
+        for i, k in enumerate(ids):
+            masks[k] |= 1 << i
+        self._classes = tuple(map(masks.__getitem__, ids))
         return self._classes
 
     @classmethod
@@ -246,11 +249,16 @@ class Pseudometric:
         return Pseudometric._from_numer(self.den, [row[:size] for row in self.numer[:size]])
 
     def scale(self, factor) -> "Pseudometric":
+        """The table times ``factor``; a positive factor keeps every zero and
+        every equality of rows, so zero classes already built are handed on."""
         c = Fraction(factor)
         p = c.numerator
-        return Pseudometric._from_numer(
+        d = Pseudometric._from_numer(
             self.den * c.denominator, [[p * v for v in row] for row in self.numer]
         )
+        if p > 0 and hasattr(self, "_classes"):
+            d._classes = self._classes
+        return d
 
     def positive_values(self) -> list[Fraction]:
         den = self.den
@@ -285,10 +293,11 @@ class Tower:
     Element i belongs to level n iff ``i < level_sizes[n]``.  Consecutive
     levels must agree on zero-pairs (the finite-scale uniform-subspace
     condition); in strict mode the higher metric must restrict exactly.
-    A tower is not modified after construction, so the heights, and each
-    level's grid entourages once asked for, are kept (its zero-relation is
-    its table's ``zero_classes``).  Nothing else is: the grid-ball oracle
-    keeps its memo in a dict its caller owns.
+    A tower is not modified after construction, so what is derived from it
+    is kept: the heights, each level's zero-relation and grid entourages
+    once asked for, and the limit topology, which ``topology.ulim_topology``
+    builds into ``_ulim``.  Nothing else is: the grid-ball oracle keeps its
+    memo in a dict its caller owns.
     """
 
     def __init__(
@@ -330,7 +339,9 @@ class Tower:
         for n, m in enumerate(self.level_sizes):
             heights += [n] * (m - len(heights))
         self._heights = tuple(heights)
+        self._zeros: list[Entourage | None] = [None] * self.num_levels
         self._grids: list[tuple[Entourage, ...] | None] = [None] * self.num_levels
+        self._ulim = None
 
     # -- structure ---------------------------------------------------------
 
@@ -424,7 +435,11 @@ class Tower:
 
     def zero_relation(self, level: int) -> "Entourage":
         """Smallest entourage of the level's uniformity: {d = 0}."""
-        return Entourage._symmetric(level, self.metric(level).zero_classes)
+        d = self.metric(level)  # refuses a level out of range, -1 too
+        z = self._zeros[level]
+        if z is None:
+            z = self._zeros[level] = Entourage._symmetric(level, d.zero_classes)
+        return z
 
     def grid_entourages(self, level: int) -> tuple["Entourage", ...]:
         """Sublevel entourages {d < eps} over the level's grid; a finite
@@ -473,7 +488,7 @@ class Entourage:
     built by ``_symmetric``; pair sets are read only at the JSON edge.
     """
 
-    __slots__ = ("level", "size", "rows", "_cols")
+    __slots__ = ("level", "size", "rows", "_cols", "_comps")
 
     def __init__(self, level: int, size: int, pairs: Iterable[tuple[int, int]]):
         rows = [0] * size
@@ -547,8 +562,12 @@ class Entourage:
         each round ORing in the rows of the points the last round reached,
         so every row is read once.  Raises ``ValidationError`` when the
         relation is not symmetric; for a directed relation the closure is
-        the (size-1)-fold sum ``relations.multiple(u, size - 1)``.  Not
-        cached: each call builds a new relation."""
+        the (size-1)-fold sum ``relations.multiple(u, size - 1)``.  Built on
+        the first call and kept, as ``columns`` keeps its result."""
+        try:
+            return self._comps
+        except AttributeError:
+            pass
         rows = self.rows
         if self.columns() != rows:
             raise ValidationError("components of a relation that is not symmetric")
@@ -567,7 +586,8 @@ class Entourage:
             for y in bits(comp):
                 out[y] = comp
             unseen &= ~comp
-        return Entourage._symmetric(self.level, out)
+        self._comps = Entourage._symmetric(self.level, out)
+        return self._comps
 
     def __eq__(self, other) -> bool:
         return (

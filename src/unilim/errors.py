@@ -45,3 +45,15 @@ def _shown(value: Any) -> str:
     if isinstance(value, str) and len(value) > _SHOWN_CHARS:
         return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
     return repr(value)
+
+
+# the most characters of a file or option name a refusal's prefix prints
+# whole: every ordinary path, so that two files of one directory stay told
+# apart, and still one line of under 512 bytes
+_PLACE_CHARS = 255
+
+
+def _place(name: str) -> str:
+    """A file or an option as a refusal's prefix names it: as given, or
+    through ``_shown`` past ``_PLACE_CHARS`` characters."""
+    return name if len(name) <= _PLACE_CHARS else _shown(name)

@@ -17,7 +17,7 @@ from typing import Any
 
 from .constructions import GroupTower, PointedSpace
 from .core import Entourage, Pseudometric, Tower
-from .errors import ValidationError, _json_type, _shown
+from .errors import ValidationError, _json_type, _place, _shown
 
 
 def rational_to_json(v: Fraction) -> Any:
@@ -287,4 +287,4 @@ def load(path: str) -> Any:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
         # an int literal past sys.get_int_max_str_digits()
         except (ValueError, RecursionError) as e:
-            raise ValidationError(f"{path}: not a JSON document: {e}") from None
+            raise ValidationError(f"{_place(path)}: not a JSON document: {e}") from None

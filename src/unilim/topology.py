@@ -176,9 +176,14 @@ def ulim_topology(tower: Tower) -> TopologyFamily:
     zero-relations, the top zero-class, lies inside every base ball around
     x; base balls being open, it is the minimal neighborhood of x.
     ``grid_ball_masks`` enumerates every grid base ball; the verification
-    suite checks the two against each other.
+    suite checks the two against each other.  Built on the first call and
+    kept on the tower, which is not modified after construction.
     """
-    return TopologyFamily(tower.ground_size, tower.zero_relation(tower.top_level).columns())
+    top = tower._ulim
+    if top is None:
+        z = tower.zero_relation(tower.top_level)
+        top = tower._ulim = TopologyFamily(tower.ground_size, z.columns())
+    return top
 
 
 def tlim_topology(tower: Tower) -> TopologyFamily:

@@ -461,6 +461,21 @@ def test_zero_classes_of_validated_tables_are_the_zero_entries():
     assert crossing > 100
 
 
+def test_zero_relations_and_components_are_built_once():
+    for _, plain, t in _twin_towers(50):
+        for tower in (plain, t):
+            for n in range(tower.num_levels):
+                z = tower.zero_relation(n)
+                assert z is tower.zero_relation(n)
+                assert z == Entourage._symmetric(n, tower.metric(n).zero_classes)
+            # every level is kept by now: a level out of range is still refused
+            for n in (-1, tower.num_levels):
+                with pytest.raises(ValidationError, match="out of range"):
+                    tower.zero_relation(n)
+            for u in tower.grid_entourages(tower.top_level):
+                assert u.components() is u.components()
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_tower_validation_of_twin_levels_names_the_reference_first_pair(strict):
     """Each level of a seeded tower with twins, or the same level without
@@ -618,6 +633,17 @@ def test_packed_triangle_check_matches_loop_reference(case, labelled):
     labels = [f"p{i}" for i in range(len(m))] if labelled else None
     got = _outcome(lambda: d.validate(1, labels))
     assert got == _outcome(lambda: loop_validate(m, 1, labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_tables())
+def test_scale_hands_on_the_zero_classes_only_for_a_positive_factor(case):
+    d = Pseudometric(case[1])
+    assert d.zero_classes  # built, so that scale can hand them on
+    for c in (3, Fraction(2, 7)):
+        scaled = d.scale(c)
+        assert scaled.zero_classes == Pseudometric._from_numer(scaled.den, scaled.numer).zero_classes
+    assert d.scale(0).zero_classes == ((1 << d.size) - 1,) * d.size
 
 
 def test_triangle_witness_of_300_points_is_named_without_a_triple_walk():

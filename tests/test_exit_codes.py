@@ -325,3 +325,47 @@ def test_argparse_refusals_show_a_long_value_cut(files, option):
         assert f"({len(value)} characters)" in message
     short = _argparse_refusal(files, option, "x")
     assert short.endswith(f": error: {ARGPARSE_VALUES[option][1]}\n"), short
+
+
+# Per option that names a file, an argv template whose PATH takes a file
+# name no file system opens (a 5,000-character name); every other file the
+# call reads exists.
+FILE_OPTIONS = {
+    "--tower": ("topo", "--tower", "PATH"),
+    "--seq": ("limit", "--tower", "{tower}", "--seq", "PATH"),
+    "--map": ("check", "--tower", "{tower}", "--map", "PATH"),
+    "--target": ("check", "--tower", "{tower}", "--map", "{ident}", "--target", "PATH"),
+    "--homeo": ("check", "--tower", "{tower}", "--map", "{ident}", "--target", "{top}",
+                "--homeo", "PATH"),
+    "product": ("product", "{tower}", "PATH"),
+    "group": ("group", "PATH", "--radii", "1"),
+    "box": ("box", "PATH", "--depth", "1"),
+    "verify --output": ("verify", "--targets", "P-lc", "--seed", "0", "--output", "PATH"),
+    "gen --out": ("gen", "--out", "PATH"),
+}
+
+
+def _refusal(argv) -> str:
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+        assert cli.main(argv) == 2
+    message = err.getvalue()
+    assert message.count("\n") == 1 and message.endswith("\n"), message[:600]
+    assert len(message.encode()) < 512, message[:600]
+    return message
+
+
+@pytest.mark.parametrize("option", list(FILE_OPTIONS))
+def test_a_long_file_name_is_refused_in_one_short_line(files, option):
+    argv = [a.replace("PATH", "x" * 5_000) for a in _argv(FILE_OPTIONS[option], files)]
+    assert "(5000 characters)" in _refusal(argv)
+
+
+@pytest.mark.parametrize("text, why", [("{", ": not a JSON document: "), ("{}", ": labels: ")])
+def test_a_bad_document_under_a_long_path_is_refused_in_one_short_line(tmp_path, text, why):
+    folder = tmp_path.joinpath(*["d" * 200] * 17)
+    folder.mkdir(parents=True)
+    path = folder / "tower.json"
+    path.write_text(text)
+    message = _refusal(["topo", "--tower", str(path)])
+    assert f"({len(str(path))} characters){why}" in message, message

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unilim import io, topology
 from unilim.constructions import box_tower, product_tower
 from unilim.core import members
 from unilim.errors import ValidationError
+from unilim.fixtures import rescaled_homeo
 from unilim.generate import Profile, random_factors, random_monotone_sequence, random_tower
 from unilim.limitmetric import limit_pseudometric
+from unilim.regularity import homeo_criterion
 from unilim.relations import EntourageSequence
 from unilim.topology import (
     TopologyFamily,
@@ -101,6 +104,31 @@ def test_ulim_topology_respects_glued_pair(glued):
     top = ulim_topology(glued.source)
     for o in map(members, top.opens_masks()):
         assert (0 in o) == (1 in o)
+
+
+def test_ulim_topology_is_kept_on_the_tower():
+    for seed in range(20):
+        doc = io.tower_to_json(random_tower(random.Random(seed), Profile()))
+        t = io.tower_from_json(doc)
+        top = ulim_topology(t)
+        assert top is ulim_topology(t)
+        assert top == ulim_topology(io.tower_from_json(doc))
+
+
+def test_homeo_criterion_builds_each_limit_topology_once(monkeypatch):
+    # forward, backward and transport read the limit topologies of the
+    # same two towers: each is built once and then read from the tower
+    built = []
+
+    class Counted(TopologyFamily):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(topology, "TopologyFamily", Counted)
+    v = homeo_criterion(*rescaled_homeo(random_tower(random.Random(3), Profile())))
+    assert v.homeomorphism and not v.theorem_violation
+    assert len(built) == 2
 
 
 def test_tlim_topology_discrete(tower):

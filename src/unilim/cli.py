@@ -32,18 +32,18 @@ EXIT_SOUNDNESS = 3
 
 
 def _named(place: str, f, *args):
-    """``f(*args)``, any refusal re-raised naming ``place``: the file or the
-    option whose value it refuses."""
+    """``f(*args)``, any refusal re-raised naming ``place``: the option or
+    the files (each through ``_place``) whose values it refuses."""
     try:
         return f(*args)
     except UnilimError as e:
-        raise ValidationError(f"{_place(place)}: {e}") from None
+        raise ValidationError(f"{place}: {e}") from None
 
 
 def _document(path: str, parse, *args):
     """``parse(doc, *args)`` on the JSON document in the file at ``path``;
     a refusal names the file, as ``io.load`` names one that holds no JSON."""
-    return _named(path, parse, io.load(path), *args)
+    return _named(_place(path), parse, io.load(path), *args)
 
 
 def _tower(doc) -> tuple[Tower, dict[str, Entourage]]:
@@ -207,7 +207,8 @@ def cmd_check(args) -> int:
 def cmd_product(args) -> int:
     a, _ = _document(args.towers[0], _tower)
     b, _ = _document(args.towers[1], _tower)
-    prod = product_tower(a, b)
+    # a refusal here compares the two towers, so it names both files
+    prod = _named(" and ".join(map(_place, args.towers)), product_tower, a, b)
     print(io.dumps(io.tower_to_json(prod)))
     if args.check:
         relation = check_multiplicativity(a, b, prod)
@@ -403,12 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     ver = sub.add_parser("verify", help="run the theorem suite")
-    ver.add_argument("--all", action="store_true")
+    # each pair would drop one of its options, so argparse refuses it
+    which = ver.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
     ids = _TheoremIds()
-    ver.add_argument("--targets", nargs="*", type=_one_of(ids), choices=ids, metavar="ID",
-                     help="theorem ids: %(choices)s")
-    ver.add_argument("--seeds", help='"0..200" or comma list')
-    ver.add_argument("--seed", type=_int)
+    which.add_argument("--targets", nargs="*", type=_one_of(ids), choices=ids, metavar="ID",
+                       help="theorem ids: %(choices)s")
+    seeds = ver.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", help='"0..200" or comma list')
+    seeds.add_argument("--seed", type=_int)
     ver.add_argument("--output", help="write reports as JSON lines")
     ver.set_defaults(func=cmd_verify)
 

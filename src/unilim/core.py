@@ -605,12 +605,17 @@ class Entourage:
 
 
 class MonotonePseudometricSequence:
-    """Per-level uniform pseudometrics with d_n <= d_{n+1} on the lower square."""
+    """Per-level uniform pseudometrics with d_n <= d_{n+1} on the lower square.
+
+    A sequence is not modified after construction, so its link table and
+    its limit, which ``limitmetric`` builds into ``_links`` and ``_limit``,
+    are kept once asked for, as a tower keeps what is derived from it."""
 
     def __init__(self, tower: Tower, metrics: Sequence[Pseudometric]):
         self.tower = tower
         self.metrics = tuple(metrics)
         self.validate()
+        self._links = self._limit = None
 
     def validate(self) -> None:
         t = self.tower

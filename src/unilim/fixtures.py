@@ -77,7 +77,9 @@ def identity_map() -> SpaceMap:
 
 def rescaled_homeo(t: Tower) -> tuple[SpaceMap, SpaceMap]:
     """The identity from a tower to its uniform rescale by 2, and back; a
-    homeomorphism of the limits."""
-    s = Tower(t.labels, t.level_sizes, [d.scale(2) for d in t.level_metrics])
+    homeomorphism of the limits.  The rescale is a derived tower: twice a
+    pseudometric is one with the same zero pairs, so its levels agree as
+    the valid tower's do and it needs no triangle or zero-pair pass."""
+    s = Tower._derived(t.labels, t.level_sizes, [d.scale(2) for d in t.level_metrics])
     idx = tuple(range(t.ground_size))
     return SpaceMap(t, s, idx), SpaceMap(s, t, idx)

@@ -47,16 +47,18 @@ def chain_weight(seq: MonotonePseudometricSequence, points: Sequence[int]) -> Fr
     return Fraction(sum(w[a][b] for a, b in zip(points, points[1:])), den)
 
 
-@functools.lru_cache(maxsize=1)
 def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Each pair's distance at its pair height, as ints over ``den``, the
-    lcm of the sequence's denominators.  Kept for the last sequence asked
-    for, since the valley DP asks once per start point.
+    lcm of the sequence's denominators.  Built on the first call and kept
+    in ``seq._links``: the closure reads it, and the valley DP and
+    ``chain_weight`` read it once per start point or chain.
 
     Heights grow with the index, so row x takes level h(x) up to that
     level's size and then, level by level, the points born higher; a part
     whose level is already over ``den`` is taken as it is.
     """
+    if seq._links is not None:
+        return seq._links
     t = seq.tower
     metrics = seq.metrics
     den = math.lcm(*(d.den for d in metrics))
@@ -71,7 +73,8 @@ def _link_weights(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[i
             part = metrics[n].numer[x][sizes[n - 1]:]
             row += part if f == 1 else [v * f for v in part]
         w.append(tuple(row))
-    return den, tuple(w)
+    seq._links = den, tuple(w)
+    return seq._links
 
 
 def limit_pseudometric(seq: MonotonePseudometricSequence) -> Pseudometric:
@@ -85,7 +88,12 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> Pseudometric:
     = 0 for every m >= h(y); with m = max(h(y), h(z)), the triangle
     inequality and monotonicity give w(y, z) = d_m(x, z) >= w(x, z), and
     w(x, y) = 0.  So moving each point of a chain to its class's
-    representative makes no link heavier, and y's limit row is x's."""
+    representative makes no link heavier, and y's limit row is x's.
+
+    Built on the first call and kept in ``seq._limit``, so the checks that
+    read one sequence's limit share one table."""
+    if seq._limit is not None:
+        return seq._limit
     den, w = _link_weights(seq)
     t = seq.tower
     lowest = [(c & -c).bit_length() - 1 for c in t.metric(t.top_level).zero_classes]
@@ -96,7 +104,8 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> Pseudometric:
     at = [index[r] for r in lowest]
     closed = closure_in_place([[w[a][b] for b in reps] for a in reps])
     rows = [[row[k] for k in at] for row in closed]
-    return Pseudometric._from_numer(den, [rows[k] for k in at])
+    seq._limit = Pseudometric._from_numer(den, [rows[k] for k in at])
+    return seq._limit
 
 
 @functools.lru_cache(maxsize=1)

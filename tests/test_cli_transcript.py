@@ -57,6 +57,9 @@ CASES: dict[str, list[str]] = {
     "product three-point gen4 --check": ["product", "three_point.json", "gen4.json", "--check"],
     "product three-point three-point": ["product", "three_point.json", "three_point.json"],
     "product level count mismatch": ["product", "gen0.json", "two_levels.json", "--check"],
+    "product level count mismatch, two-level tower first": [
+        "product", "two_levels.json", "gen0.json",
+    ],
     "box halving depth 1 --check": ["box", "halving.json", "--depth", "1", "--check"],
     "box halving depth 2 --check": ["box", "halving.json", "--depth", "2", "--check"],
     "box halving depth 3 --check": ["box", "halving.json", "--depth", "3", "--check"],
@@ -157,6 +160,10 @@ CASES.update({
     "verify empty seed range": ["verify", "--targets", "T1", "--seeds", "3..3"],
     "verify no target": ["verify", "--seeds", "0..2"],
     "verify seeds not ints": ["verify", "--all", "--seeds", "a..b"],
+    "verify refuses --seeds with --seed": [
+        "verify", "--targets", "T1", "--seeds", "0..2", "--seed", "9",
+    ],
+    "verify refuses --all with --targets": ["verify", "--all", "--targets", "T1", "--seeds", "0..1"],
     "malformed tower, metrics 5": ["topo", "--tower", "bad_tower.json"],
     "malformed sequence, no metrics": [
         "limit", "--tower", "three_point.json", "--seq", "bad_seq.json",
@@ -268,20 +275,29 @@ def _write_malformed_inputs() -> None:
 def _digest(argv: list[str]) -> str:
     out, err = StringIO(), StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # an argparse refusal
+            code = e.code
     return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
 
 
 def transcript() -> dict[str, str]:
     """{case: sha256 of [exit code, stdout, stderr]} for every case."""
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     with tempfile.TemporaryDirectory(prefix="unilim-transcript-") as tmp:
         os.chdir(tmp)
+        # argparse wraps its usage line to the terminal's width
+        os.environ["COLUMNS"] = "80"
         try:
             _write_inputs()
             return {name: _digest(argv) for name, argv in CASES.items()}
         finally:
             os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
 
 
 @pytest.fixture(scope="module")

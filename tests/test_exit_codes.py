@@ -5,7 +5,7 @@ Randomly mutated tower, sequence, map, factor, group and expression
 documents may be rejected, but only as input errors: ``cli.main`` returns
 0, 1 or 2 and lets nothing escape, and the unmutated documents never exit
 2.  A mutated document that is refused is named: the message starts with
-its file, or with the option it is compared with, as ``ACROSS_ARGUMENTS``
+its file, or with what it is compared with, as ``ACROSS_ARGUMENTS``
 lists.  A mutated expression that is refused starts with ``--expr``.
 """
 
@@ -78,10 +78,12 @@ CALLS = (
 )
 
 # Per command, the option that a refusal comparing a document with it
-# starts with: such a refusal comes once every input is read, so no one
-# file is at fault.  Every other refusal of a mutated document starts with
-# its file.
+# starts with, or the files, "{k}" being argv[k]: such a refusal comes once
+# every input is read, so no one file is at fault.  Every other refusal of
+# a mutated document starts with its file.
 ACROSS_ARGUMENTS = {
+    # the two towers' level counts against each other
+    "product": "{1} and {2}: ",
     # the number of factors, or a one-point factor, whose box level repeats
     # the level below it, against --depth
     "box": "--depth: ",
@@ -192,7 +194,19 @@ def test_mutated_documents_exit_0_1_or_2(files, call, data):
     if code == 2:
         message = err.getvalue().removeprefix("error: ")
         named = f"{argv[k]}: " if call[k].startswith("{") else "--expr: "
-        assert message.startswith((named, ACROSS_ARGUMENTS.get(call[0], named))), message
+        across = ACROSS_ARGUMENTS[call[0]].format(*argv) if call[0] in ACROSS_ARGUMENTS else named
+        assert message.startswith((named, across)), message
+
+
+def test_a_product_of_towers_of_different_level_counts_names_both_files(files, capsys):
+    """The refusal compares the two towers, so it names both files, in
+    argument order, and keeps the library's message."""
+    for a, b, counts in [("tower", "glued_src", "3 levels vs 2"),
+                         ("glued_src", "tower", "2 levels vs 3")]:
+        assert cli.main(["product", files[a], files[b], "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {files[a]} and {files[b]}: {counts}\n"
 
 
 def test_an_exception_on_valid_input_exits_3(monkeypatch, capsys, files):

@@ -1,13 +1,15 @@
 import copy
+import gc
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim import generate, io, verify
-from unilim.constructions import product_tower
-from unilim.core import Entourage, Pseudometric
+from unilim.constructions import GroupTower, PointedSpace, product_tower
+from unilim.core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower
 from unilim.errors import ValidationError
 from unilim.generate import (
     MAX_TOP_SIZE,
@@ -17,6 +19,7 @@ from unilim.generate import (
     random_tower,
 )
 from unilim.limitmetric import limit_pseudometric, witness_chain
+from unilim.regularity import SpaceMap
 from unilim.verify import (
     THEOREM_IDS,
     THEOREMS,
@@ -311,3 +314,35 @@ def test_verify_suite_runs_every_id_on_an_instance_before_drawing_the_next(monke
         ("draw", 1), ("L-mod", "seed1"), ("P-lc", "seed1"),
     ]
     assert reports == verify_suite(["L-mod", "P-lc"], [3, 1])
+
+
+# the kinds of objects that keep what is derived from them, or hold one
+KEEPERS = (Tower, Pseudometric, MonotonePseudometricSequence, Entourage, GroupTower,
+           PointedSpace, SpaceMap)
+
+
+def _keepers(root) -> dict[int, object]:
+    """Every keeper reachable from ``root`` by ``gc.get_referents``, by id;
+    classes, modules and functions are not walked into."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, KEEPERS):
+            found[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_instances_of_one_seed_share_no_object_that_keeps_derived_data():
+    """verify-all regenerates its instances every pass so that nothing kept
+    on them carries over: two instances of one seed share no tower, table,
+    sequence, relation, group, factor or map, so what one pass keeps, the
+    next builds again."""
+    for seed in range(30):
+        a, b = generate_instance(seed), generate_instance(seed)
+        held_a, held_b = _keepers(a), _keepers(b)
+        assert {type(o) for o in held_a.values()} == set(KEEPERS)
+        assert held_a.keys().isdisjoint(held_b.keys())

@@ -926,6 +926,24 @@ def test_cli_verify_rejects_unknown_target():
         cli.main(["verify", "--targets", "T99"])
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    (["--targets", "T1", "--seeds", "0..2", "--seed", "9"],
+     "argument --seed: not allowed with argument --seeds"),
+    (["--all", "--targets", "T1", "--seeds", "0..1"],
+     "argument --targets: not allowed with argument --all"),
+    (["--targets", "T1", "--all", "--seed", "0"],
+     "argument --all: not allowed with argument --targets"),
+])
+def test_cli_verify_refuses_two_options_that_would_drop_one(capsys, argv, refusal):
+    """Each of the pairs runs neither, rather than the one argparse read."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", *argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"unilim verify: error: {refusal}\n")
+
+
 def test_cli_missing_file_is_input_error(capsys, tmp_path):
     assert cli.main(["topo", "--tower", str(tmp_path / "nope.json")]) == 2
 

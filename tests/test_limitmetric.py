@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim import limitmetric
-from unilim.core import Entourage, Pseudometric, Tower
+from unilim.core import Entourage, MonotonePseudometricSequence, Pseudometric, Tower
 from unilim.errors import ValidationError
 from unilim.generate import Profile, generate_instance, random_monotone_sequence, random_tower
 from unilim.limitmetric import (
@@ -37,6 +37,7 @@ from .oracles import (
     full_closure_limit,
     full_entourage,
     glued_extension,
+    int_link_weights,
     loop_valley_row,
     pair_height,
     random_entourage,
@@ -557,3 +558,44 @@ def test_seeded_twin_sequences_match_both_references():
         for x in range(t.ground_size):
             assert limitmetric._valley_row(seq, x) == loop_valley_row(seq, x)
     assert across >= 20
+
+
+def test_a_sequence_keeps_its_limit_and_a_fresh_one_rebuilds_it():
+    """The limit is built once per sequence; a sequence built again from
+    the same tower and metrics builds an equal table of its own."""
+    for seed in range(20):
+        seq = generate_instance(seed).seq
+        lim = limit_pseudometric(seq)
+        assert limit_pseudometric(seq) is lim
+        again = limit_pseudometric(MonotonePseudometricSequence(seq.tower, seq.metrics))
+        assert again is not lim and again == lim == fraction_limit(seq)
+
+
+def test_sequences_over_one_tower_keep_their_own_limits():
+    """The limit is kept on the sequence, not on its tower: two sequences
+    over one tower, asked in turn, each answer their own limit."""
+    differ = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        t = random_tower(rng, Profile())
+        a, b = random_monotone_sequence(rng, t), random_monotone_sequence(rng, t)
+        for seq in (a, b, a, b):
+            assert limit_pseudometric(seq) == fraction_limit(seq)
+        differ += limit_pseudometric(a) != limit_pseudometric(b)
+    assert differ >= 10
+
+
+def test_interleaved_sequences_build_each_link_table_once():
+    """A one-entry cache rebuilt the first table when asked again after the
+    second; the table kept on each sequence is the one built first."""
+    rng = random.Random(7)
+    t = random_tower(rng, Profile())
+    a, b = random_monotone_sequence(rng, t), random_monotone_sequence(rng, t)
+    wa, wb = limitmetric._link_weights(a), limitmetric._link_weights(b)
+    for x in range(t.ground_size):
+        valley_distance(a, x, 0)
+        valley_distance(b, x, 0)
+    assert limitmetric._link_weights(a) is wa and limitmetric._link_weights(b) is wb
+    assert (a._links, b._links) == (wa, wb)
+    for seq, (den, w) in ((a, wa), (b, wb)):
+        assert (den, list(map(list, w))) == int_link_weights(seq)

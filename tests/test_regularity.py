@@ -228,6 +228,19 @@ def test_homeo_rescaled():
     assert v.transport == "equal"
 
 
+def test_the_rescaled_twin_revalidates():
+    """``rescaled_homeo`` builds its twin as a derived tower, with no
+    triangle or zero-pair pass; validated in full, it is the same tower,
+    and each level is twice the tower's."""
+    towers = [three_point_tower()] + [random_tower(random.Random(s), Profile()) for s in range(200)]
+    for t in towers:
+        h, h_inv = rescaled_homeo(t)
+        s = h.target
+        assert h.source is h_inv.target is t and h_inv.source is s
+        assert Tower(s.labels, s.level_sizes, s.level_metrics) == s
+        assert s.level_metrics == tuple(t.metric(n).scale(2) for n in range(t.num_levels))
+
+
 def glued_three_point_tower():
     """The three-point tower's points with a and b glued at every level."""
     glued_metrics = [

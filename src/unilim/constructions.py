@@ -282,7 +282,9 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
     """Three checks on a SIN-group tower: the ball of the summed two-sided
     entourages equals the ordered product of identity balls; identity
     balls at different levels commute as sets; and halved radii square
-    into the original ordered product."""
+    into the original ordered product.  The identity balls are row e of
+    the sublevels the sum is built from, as ``metric_ball`` reads them;
+    the halved radii build their own."""
     t = g.tower
     radii = _radii(g, radii)
     entries = tuple(t.metric(n).sublevel(n, r) for n, r in enumerate(radii))
@@ -291,7 +293,7 @@ def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVer
     # matching the ordered product (a repeat-last tail would append extra
     # copies of the top ball that the ordered product does not contain)
     limit_ball = ball(0, sigma_sum(seq, t.top_level))
-    balls = [g.metric_ball(n, r) for n, r in enumerate(radii)]
+    balls = [members(e.rows[0]) for e in entries]
     ordered = _ordered_product(g, balls)
     ball_eq = limit_ball == ordered
 

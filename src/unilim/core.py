@@ -12,7 +12,9 @@ no field carries into the next.  No floating point is used anywhere.
 
 Point sets (balls, neighborhoods, relation rows) are int bitmasks, bit i
 set iff point i is in the set.  Outside the chain oracle of ``verify``,
-``bits`` and ``members`` are the only code that lists a mask's points.
+``bits`` and ``members`` are the only code that lists a mask's points;
+``bits`` reads a mask below 2^64 a byte at a time from tables built at
+import.
 """
 
 from __future__ import annotations
@@ -21,18 +23,51 @@ import itertools
 import math
 from fractions import Fraction
 from operator import lshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError, _shown
 
 
-def bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of ``mask``, lowest first: the lowest
-    set bit is ``mask & -mask`` (Warren, Hacker's Delight, 2-1)."""
+def _byte_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry b of table k: the set bits of byte b at byte offset k, lowest
+    first.  Built by doubling, since the entries with bit i set are those
+    without it, each with i appended."""
+    tables = []
+    for k in range(0, 64, 8):
+        table = [()]
+        for i in range(k, k + 8):
+            table += [entry + (i,) for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_BYTE_BITS = _byte_tables()
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, lowest first; ``ValueError``
+    for a negative mask, which has infinitely many.  Below 2^64, one table
+    lookup per byte (Warren, Hacker's Delight, ch. 5); above, one step per
+    set bit, the lowest being ``mask & -mask`` (ibid., 2-1), which is
+    faster on the sparse masks of large point sets."""
+    if mask < 256:
+        if mask < 0:
+            raise ValueError(f"bits of a negative mask {mask}")
+        return _BYTE_BITS[0][mask]
+    if mask < 1 << 64:
+        out = ()
+        for table in _BYTE_BITS:
+            if not mask:
+                break
+            out += table[mask & 255]
+            mask >>= 8
+        return out
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def members(mask: int) -> frozenset[int]:
@@ -376,7 +411,7 @@ class Tower:
                     pairs = enumerate(zip(lo.numer[i], hi.numer[i]))
                     bad |= sum(1 << j for j, (a, b) in pairs if a * hi.den != b * lo.den)
                 if bad:
-                    a, b = self.labels[i], self.labels[next(bits(bad))]
+                    a, b = self.labels[i], self.labels[bits(bad)[0]]
                     raise ValidationError(
                         f"zero-pair mismatch between levels {n} and {n + 1} on pair ({a},{b})"
                     )
@@ -607,15 +642,16 @@ class Entourage:
 class MonotonePseudometricSequence:
     """Per-level uniform pseudometrics with d_n <= d_{n+1} on the lower square.
 
-    A sequence is not modified after construction, so its link table and
-    its limit, which ``limitmetric`` builds into ``_links`` and ``_limit``,
-    are kept once asked for, as a tower keeps what is derived from it."""
+    A sequence is not modified after construction, so its link table, its
+    limit and its last valley DP row, which ``limitmetric`` builds into
+    ``_links``, ``_limit`` and ``_valley``, are kept once asked for, as a
+    tower keeps what is derived from it."""
 
     def __init__(self, tower: Tower, metrics: Sequence[Pseudometric]):
         self.tower = tower
         self.metrics = tuple(metrics)
         self.validate()
-        self._links = self._limit = None
+        self._links = self._limit = self._valley = None
 
     def validate(self) -> None:
         t = self.tower

@@ -15,7 +15,6 @@ distance to every point and, from its predecessors, the witness chain.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -108,7 +107,6 @@ def limit_pseudometric(seq: MonotonePseudometricSequence) -> Pseudometric:
     return seq._limit
 
 
-@functools.lru_cache(maxsize=1)
 def _valley_row(
     seq: MonotonePseudometricSequence, x: int
 ) -> tuple[int, tuple[int, ...], tuple[int | None, ...]]:
@@ -119,8 +117,8 @@ def _valley_row(
     flat link from a descending state or rising link from a state past the
     turn replaces it, so no recorded chain revisits a point.  ``down`` and
     ``up`` hold the two phases' costs.  Returns ``den``, the costs past the
-    turn as ints over ``den``, and each state's predecessor.  Kept for the
-    last (seq, x): L-mod asks once per pair.
+    turn as ints over ``den``, and each state's predecessor.  The last x's
+    row is kept in ``seq._valley``: L-mod asks once per pair.
 
     Heights grow with the index, so the points higher than v are those
     from the end of v's level on, and the points lower than v those before
@@ -128,6 +126,8 @@ def _valley_row(
     admit, in index order, so a tie keeps the predecessor that a scan over
     every point keeps; the link table is symmetric, so v's row holds
     w(u, v)."""
+    if seq._valley is not None and seq._valley[0] == x:
+        return seq._valley[1]
     t = seq.tower
     n = t.ground_size
     den, w = _link_weights(seq)
@@ -156,7 +156,8 @@ def _valley_row(
             if u != v and down[u] + wv[u] < best:  # flat link, from the descent
                 best, via = down[u] + wv[u], u
         up[v], back[n + v] = best, via
-    return den, tuple(up), tuple(back)
+    seq._valley = x, (den, tuple(up), tuple(back))
+    return seq._valley[1]
 
 
 def _valley_row_to(seq: MonotonePseudometricSequence, x: int, y: int):
@@ -344,5 +345,5 @@ def verify_generation(
     unit = limit_pseudometric(seq).sublevel(top, Fraction(1)).rows
     for x, (r, s) in enumerate(zip(unit, u.rows)):
         if r & ~s:
-            return GenerationVerdict(False, (x, next(bits(r & ~s))))
+            return GenerationVerdict(False, (x, bits(r & ~s)[0]))
     return GenerationVerdict(True)

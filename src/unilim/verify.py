@@ -17,9 +17,9 @@ so regularity can never turn a true hypothesis into a false conclusion.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
+import weakref
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -42,12 +42,18 @@ from .topology import (
 )
 
 
-@functools.lru_cache(maxsize=1)
+_ORACLE_LINKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _oracle_links(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The link weights of ``seq`` as ints over ``den``, the lcm of its
     denominators, from heights built here rather than taken from the
-    library's limit path.  Kept for the last sequence asked for, since the
-    oracle is asked once per pair."""
+    library's limit path.  Kept while ``seq`` lives, since the oracle is
+    asked once per pair; held off the sequence, whose kept data is the
+    library's own, and weakly, so a dropped sequence goes with its table."""
+    links = _ORACLE_LINKS.get(seq)
+    if links is not None:
+        return links
     t = seq.tower
     n = t.ground_size
     heights: list[int] = []
@@ -59,7 +65,9 @@ def _oracle_links(seq: MonotonePseudometricSequence) -> tuple[int, tuple[tuple[i
         d = seq[max(heights[a], heights[b])]
         return d.numer[a][b] * (den // d.den)
 
-    return den, tuple(tuple(link(a, b) for b in range(n)) for a in range(n))
+    w = tuple(tuple(link(a, b) for b in range(n)) for a in range(n))
+    links = _ORACLE_LINKS[seq] = den, w
+    return links
 
 
 def exhaustive_limit_distance(
@@ -145,19 +153,22 @@ def _check_limit_oracle(seq: MonotonePseudometricSequence) -> Verdict:
     table is symmetric, so a chain reversed weighs the same, and the
     lightest simple chain from y to x is the lightest from x to y reversed.
     Both ``lim(x, y)`` and ``lim(y, x)`` are compared with it, so a limit
-    table that is not symmetric fails at its first wrong entry."""
-    lim = limit_pseudometric(seq).dist
+    table that is not symmetric fails at its first wrong entry.  Each is
+    compared on the limit's int table, by cross-multiplying with the
+    oracle's lowest terms."""
+    lim = limit_pseudometric(seq)
     n = seq.tower.ground_size
     oracle: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
     for x in range(n):
+        got = lim.numer[x]
         for y in range(n):
             if y < x:
                 want = oracle[y][x]
             else:
                 want = oracle[x][y] = exhaustive_limit_distance(seq, x, y)
-            if lim[x][y] != want:
+            if got[y] * want.denominator != want.numerator * lim.den:
                 return False, {
-                    "got": rational_to_json(lim[x][y]),
+                    "got": rational_to_json(Fraction(got[y], lim.den)),
                     "oracle": rational_to_json(want),
                     "pair": [x, y],
                 }
@@ -210,7 +221,7 @@ def _check_adequate(tower: Tower, targets) -> Verdict:
     for n, (d, target) in enumerate(zip(seq.metrics, targets)):
         for i, (r, s) in enumerate(zip(d.sublevel(n, Fraction(1)).rows, target.rows)):
             if r & ~s:
-                return False, {"level": n, "pair": [i, next(bits(r & ~s))]}
+                return False, {"level": n, "pair": [i, bits(r & ~s)[0]]}
         if not n:
             continue
         lower, piece = seq[n - 1], _target_indicator(tower, n, target)

@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # every mutant, 169 s on a 2-core VM
+    python tests/mutants.py          # all 79 mutants, 186 s on a 2-core VM
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -94,10 +94,19 @@ MUTANTS = {
     # every ball, neighborhood and composed row
     "bits one index too high": Mutant(
         "core.py",
-        "yield low.bit_length() - 1",
-        "yield low.bit_length()",
+        "table += [entry + (i,) for entry in table]",
+        "table += [entry + (i + 1,) for entry in table]",
         "test_core.py",
         ("verify", "tests"),
+    ),
+    # no verify instance has more than 36 points (seeds 0..199 checked), so
+    # every mask verify lists is below 2^64 and only the tests reach the loop
+    "bits at or above 2^64 drops its lowest bit": Mutant(
+        "core.py",
+        "return tuple(out)",
+        "return tuple(out[1:])",
+        "test_core.py",
+        ("tests",),
     ),
     # the sums then stop at 2*U, short of transitivity: a path of three
     # links stays open, which T1's components and the omega-tail tests see
@@ -361,6 +370,15 @@ MUTANTS = {
         "if any(c & ~r for c, r in zip(comps, target.rows)):",
         "if False:",
         "test_limitmetric.py",
+        ("verify", "tests"),
+    ),
+    # the limit's numerators are over its own denominator and the oracle's
+    # in lowest terms, so they agree only where both denominators do
+    "T3 compares numerators without cross-multiplying": Mutant(
+        "verify.py",
+        "if got[y] * want.denominator != want.numerator * lim.den:",
+        "if got[y] != want.numerator:",
+        "test_generate_verify.py",
         ("verify", "tests"),
     ),
     # a bound that prunes a prefix lighter than the best chain found can

@@ -185,24 +185,34 @@ def test_metric_ball_is_the_strict_ball_at_the_identity(group):
 
 
 def test_group_limit_builds_each_ball_once(group, monkeypatch):
-    """One identity ball and one halved ball per level, and one check of
-    the radii, for the three checks together."""
-    balls, checked = [], []
-    metric_ball, radii_of = GroupTower.metric_ball, constructions._radii
+    """One sublevel per level and radius, for the three checks together:
+    the identity balls are read from the sublevels the sum is built from,
+    so ``metric_ball`` builds only the halved ones; and one check of the
+    radii."""
+    balls, sublevels, checked = [], [], []
+    metric_ball, sublevel, radii_of = (
+        GroupTower.metric_ball, Pseudometric.sublevel, constructions._radii
+    )
 
     def record_ball(g, n, r):
         balls.append((n, r))
         return metric_ball(g, n, r)
+
+    def record_sublevel(d, n, r):
+        sublevels.append((n, r))
+        return sublevel(d, n, r)
 
     def record_radii(g, radii):
         checked.append(radii)
         return radii_of(g, radii)
 
     monkeypatch.setattr(GroupTower, "metric_ball", record_ball)
+    monkeypatch.setattr(Pseudometric, "sublevel", record_sublevel)
     monkeypatch.setattr(constructions, "_radii", record_radii)
     assert check_group_limit(group, [1, Fraction(1, 2), Fraction(1, 4)]).ok
-    assert balls == [(0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 4)),
-                     (0, Fraction(1, 2)), (1, Fraction(1, 4)), (2, Fraction(1, 8))]
+    halved = [(0, Fraction(1, 2)), (1, Fraction(1, 4)), (2, Fraction(1, 8))]
+    assert balls == halved
+    assert sublevels == [(0, 1), (1, Fraction(1, 2)), (2, Fraction(1, 4)), *halved]
     assert len(checked) == 1
 
 

@@ -152,20 +152,47 @@ def test_entourage_promote_keeps_pairs():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(0, 80).flatmap(
+    st.integers(0, 200).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
     )
 )
 @example((0, 0))
 @example((1, 1))
 @example((64, 1 << 63))
+@example((65, 1 << 64))
 @example((65, 1 << 64 | 1))
 @example((80, (1 << 80) - 1))
+@example((129, 1 << 128))
+@example((800, 1 << 799 | 1 << 3))
 def test_bits_and_members_read_the_set_bits(case):
     n, m = case
     ref = [i for i in range(n) if m >> i & 1]
-    assert list(bits(m)) == ref
+    assert bits(m) == tuple(ref)
     assert members(m) == frozenset(ref)
+
+
+def test_bits_reads_the_byte_tables_as_the_lowest_bit_loop_does():
+    """Every mask below 2^16: two bytes, so the first two tables whole."""
+
+    def lowest_bit_loop(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+
+    for m in range(1 << 16):
+        assert bits(m) == lowest_bit_loop(m)
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 64), -(1 << 70) - 1])
+def test_bits_and_members_refuse_a_negative_mask(mask):
+    # a negative int has infinitely many set bits
+    with pytest.raises(ValueError, match="negative mask"):
+        bits(mask)
+    with pytest.raises(ValueError, match="negative mask"):
+        members(mask)
 
 
 def test_entourage_transpose():

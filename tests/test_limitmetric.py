@@ -1,5 +1,7 @@
+import gc
 import random
 import signal
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -599,3 +601,17 @@ def test_interleaved_sequences_build_each_link_table_once():
     assert (a._links, b._links) == (wa, wb)
     for seq, (den, w) in ((a, wa), (b, wb)):
         assert (den, list(map(list, w))) == int_link_weights(seq)
+
+
+def test_a_dropped_sequence_is_freed_after_the_valley_dp_and_the_oracle():
+    """No module-level cache holds a sequence, nor with it its kept link
+    table and limit, once its caller drops it: the valley row is kept on
+    the sequence and the oracle's links under a weak reference."""
+    seq = generate_instance(3).seq
+    witness_chain(seq, 0, 1)
+    exhaustive_limit_distance(seq, 0, 1)
+    assert seq._valley is not None and seq._links is not None
+    gone = weakref.ref(seq)
+    del seq
+    gc.collect()
+    assert gone() is None

@@ -18,8 +18,8 @@ _EXPORTS = {
     "core": "Entourage MonotonePseudometricSequence Pseudometric Tower shortest_path_closure",
     "errors": "CertificateFailure UnilimError ValidationError",
     "generate": "Instance Profile cyclic_group_tower generate_instance",
-    "limitmetric": "GenerationVerdict adequate_sequence chain_weight extend_pseudometric "
-    "limit_pseudometric valley_distance verify_generation witness_chain",
+    "limitmetric": "adequate_sequence chain_weight extend_pseudometric limit_pseudometric "
+    "valley_distance verify_generation witness_chain",
     "regularity": "CriterionVerdict HomeoVerdict SpaceMap continuity_criterion homeo_criterion "
     "is_continuous is_regular_at transport_topology",
     "relations": "OMEGA REPEAT_LAST EntourageSequence ball compose multiple sigma_sum",

@@ -191,6 +191,13 @@ class GroupTower:
             raise ValidationError(f"op: not a {n} by {n} table")
         if len(neg) != n:
             raise ValidationError(f"neg: {len(neg)} entries for {n} elements")
+        for x, row in enumerate(op):
+            for y, v in enumerate(row):
+                if not 0 <= v < n:
+                    raise ValidationError(f"op[{x}][{y}]: {v} is not an element index below {n}")
+        for x, v in enumerate(neg):
+            if not 0 <= v < n:
+                raise ValidationError(f"neg[{x}]: {v} is not an element index below {n}")
         for x in range(n):
             if op[x][0] != x or op[0][x] != x:
                 raise ValidationError(f"identity axiom fails at {t.labels[x]}")
@@ -271,11 +278,7 @@ class GroupLimitVerdict(NamedTuple):
         return self.ball_equals_product and self.commutation and self.square_inclusion
 
     def to_json(self) -> dict:
-        return {
-            "ball_equals_product": self.ball_equals_product,
-            "commutation": self.commutation,
-            "square_inclusion": self.square_inclusion,
-        }
+        return self._asdict()
 
 
 def check_group_limit(g: GroupTower, radii: Sequence[Fraction]) -> GroupLimitVerdict:

@@ -127,6 +127,8 @@ def cyclic_group_tower(
     depth = len(orders)
     if depth != len(weights):
         raise ValidationError("one weight per cyclic factor required")
+    if not orders or min(orders) < 1:
+        raise ValidationError(f"need cyclic factors of order at least 1, got orders {list(orders)}")
 
     tuples, labels, sizes = coordinate_tuples(orders, [0] * depth)
     index = {t: k for k, t in enumerate(tuples)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import (
     Entourage,
@@ -309,20 +309,16 @@ def adequate_sequence(tower: Tower, targets: Sequence[Entourage]) -> MonotonePse
     )
 
 
-class GenerationVerdict(NamedTuple):
-    confirmed: bool
-    counterexample: tuple[int, int] | None = None
-
-
 def verify_generation(
     tower: Tower,
     u: Entourage,
     seq: MonotonePseudometricSequence,
     ladder: Sequence[Entourage],
-) -> GenerationVerdict:
+) -> tuple[int, int] | None:
     """Check {lim d_n < 1} inside U, given a ladder U_0, U_1, ... of
     top-level entourages with 5*U_0 inside U and 2*U_{n+1} inside U_n, and
-    {d_n < 1} inside U_n for every level n.
+    {d_n < 1} inside U_n for every level n: the first pair of {lim < 1}
+    outside U in row-major order, or ``None`` when there is none.
 
     A counterexample pair always indicates an implementation bug, never a
     property of the instance.
@@ -341,9 +337,8 @@ def verify_generation(
     for n in range(tower.num_levels):
         if any(r & ~s for r, s in zip(seq[n].sublevel(n, Fraction(1)).rows, steps[n].rows)):
             raise ValidationError(f"{{d_{n} < 1}} is not contained in U_{n}")
-    # a counterexample is the first pair of {lim < 1} outside U in row-major order
     unit = limit_pseudometric(seq).sublevel(top, Fraction(1)).rows
     for x, (r, s) in enumerate(zip(unit, u.rows)):
         if r & ~s:
-            return GenerationVerdict(False, (x, bits(r & ~s)[0]))
-    return GenerationVerdict(True)
+            return x, bits(r & ~s)[0]
+    return None

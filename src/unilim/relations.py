@@ -91,10 +91,13 @@ class EntourageSequence:
                 f"expected entries for levels {start}..{t.top_level}, "
                 f"got {len(entries)}"
             )
-        for offset, e in enumerate(entries):
-            n = start + offset
-            if e.level != n or e.size != t.level_sizes[n]:
+        for n, e in enumerate(entries, start):
+            if e.level != n:
                 raise ValidationError(f"entry for level {n} has level {e.level}")
+            if e.size != t.level_sizes[n]:
+                raise ValidationError(
+                    f"entry for level {n} has size {e.size}, not {t.level_sizes[n]}"
+                )
         if isinstance(tail_policy, Entourage):
             if tail_policy.size != t.ground_size:
                 raise ValidationError("tail entourage must live on the top level")

@@ -18,10 +18,9 @@ so regularity can never turn a true hypothesis into a false conclusion.
 from __future__ import annotations
 
 import math
-import time
 import weakref
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import fixtures
 from .constructions import (
@@ -108,31 +107,15 @@ def exhaustive_limit_distance(
     return Fraction(best, den)
 
 
-class VerifyReport:
-    """One check's outcome.  Equality leaves out ``wall_time``."""
+class VerifyReport(NamedTuple):
+    """One check's outcome."""
 
-    __slots__ = ("instance_id", "theorem_id", "verdict", "certificate", "wall_time")
-
-    def __init__(
-        self,
-        instance_id: str,
-        theorem_id: str,
-        verdict: bool,
-        certificate: Any,
-        wall_time: float = 0.0,
-    ):
-        self.instance_id, self.theorem_id = instance_id, theorem_id
-        self.verdict, self.certificate, self.wall_time = verdict, certificate, wall_time
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VerifyReport) and (
-            (self.instance_id, self.theorem_id, self.verdict, self.certificate)
-            == (other.instance_id, other.theorem_id, other.verdict, other.certificate)
-        )
+    instance_id: str
+    theorem_id: str
+    verdict: bool
+    certificate: Any
 
     def to_json(self) -> dict:
-        # wall time is intentionally omitted so reports for a fixed seed
-        # are byte-identical across runs
         return {
             "certificate": self.certificate,
             "instance": self.instance_id,
@@ -237,9 +220,9 @@ def _check_adequate(tower: Tower, targets) -> Verdict:
 
 def _check_generation(inst: Instance) -> Verdict:
     g = inst.generation
-    verdict = verify_generation(inst.tower, g.u, g.seq, g.ladder)
-    if not verdict.confirmed:
-        return False, {"counterexample": list(verdict.counterexample)}
+    counterexample = verify_generation(inst.tower, g.u, g.seq, g.ladder)
+    if counterexample is not None:
+        return False, {"counterexample": list(counterexample)}
     return True, {"ladder_levels": len(g.ladder)}
 
 
@@ -372,12 +355,11 @@ def _entry(theorem_id: str) -> tuple[Callable, dict]:
 def _report(instance_id: str, theorem_id: str, check: Callable[[], Verdict]) -> VerifyReport:
     """Run one check; a library error inside it is a failing report, since
     the instances it runs on are valid."""
-    start = time.perf_counter()
     try:
         verdict, cert = check()
     except UnilimError as e:
         verdict, cert = False, {"error": f"{type(e).__name__}: {e}"}
-    return VerifyReport(instance_id, theorem_id, verdict, cert, time.perf_counter() - start)
+    return VerifyReport(instance_id, theorem_id, verdict, cert)
 
 
 def run_theorem(theorem_id: str, inst: Instance) -> VerifyReport:

@@ -235,6 +235,34 @@ def test_group_checks_randomized(seed):
     assert v.ok, v
 
 
+@pytest.mark.parametrize(
+    "table, entry, path", [
+        ("op", 8, "op[1][2]"), ("op", -1, "op[1][2]"), ("neg", 8, "neg[3]"), ("neg", -1, "neg[3]"),
+    ],
+)
+def test_group_refuses_an_entry_outside_the_elements(group, table, entry, path):
+    """An entry of 8 or more would index past the tables, and a negative
+    one would wrap around and read as a broken axiom; both are refused by
+    the entry."""
+    op, neg = [list(r) for r in group.op], list(group.neg)
+    if table == "op":
+        op[1][2] = entry
+    else:
+        neg[3] = entry
+    with pytest.raises(ValidationError) as info:
+        GroupTower(group.tower, tuple(map(tuple, op)), tuple(neg))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{path}: {entry} is not an element index below 8"
+
+
+@pytest.mark.parametrize("orders", [(2, 0), (-1,), ()])
+def test_cyclic_group_tower_refuses_orders_below_1(orders):
+    with pytest.raises(ValidationError) as info:
+        cyclic_group_tower(orders, [Fraction(1)] * len(orders))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"need cyclic factors of order at least 1, got orders {list(orders)}"
+
+
 def test_cyclic_group_tower_is_weighted_hamming():
     g = cyclic_group_tower((2, 3), (Fraction(1), Fraction(1, 2)))
     t = g.tower

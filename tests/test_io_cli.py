@@ -906,6 +906,17 @@ def test_cli_verify_library_error_in_a_check_is_a_failure(capsys, monkeypatch):
     }]
 
 
+def test_cli_verify_generation_counterexample_is_a_failure(capsys, monkeypatch):
+    # verify_generation returns its first counterexample pair, which the
+    # report prints; a failing report exits 3
+    monkeypatch.setattr("unilim.verify.verify_generation", lambda *args: (1, 2))
+    code, lines = run(capsys, "verify", "--targets", "L-pseudo", "--seed", "0")
+    assert code == 3
+    assert [(r["verdict"], r["certificate"]) for r in lines] == [
+        ("fail", {"counterexample": [1, 2]})
+    ]
+
+
 def test_cli_verify_library_error_while_generating_is_a_bug(capsys, monkeypatch):
     # seeded generation builds valid instances, so a library error there is
     # a bug: it leaves main, and the process exits 3, not 2

@@ -5,6 +5,22 @@ sizes the limit is checked against itself: relabelling, twinning and
 scaling the input move the output in a way the paper's definitions fix
 (Chen et al., "Metamorphic testing: a review of challenges and
 opportunities", ACM Computing Surveys 51(1), 2018).
+
+Two relations compare a tower with its own levels, as the maps
+X_n -> u-lim X_n of the direct limit do:
+
+- Truncation.  For x, y in X_n, an optimal chain has every interior point
+  below max(h(x), h(y)) <= n (the valley lemma, L-mod), and every link
+  between points of X_n reads some d_m with m <= n.  So the limit of the
+  tower and sequence cut at level n is the limit restricted to X_n, and the
+  limit topology of the cut tower is the top classes restricted to X_n.
+- Embedding.  When every d_k vanishes exactly on the tower's level-k zero
+  pairs, {L = 0} on X_n is {d_n = 0}: by truncation L on X_n is the cut
+  limit, whose zeros are the classes of the zero links, and a link
+  w(x, y) = d_m(x, y) vanishes exactly on a level-m zero pair, which is a
+  level-n zero pair since consecutive levels agree on them.  A sequence
+  need only vanish where its tower does, and then the relation can fail:
+  with d_0 = 0 and d_1(a, b) = 1 on a pair of level 0, L(a, b) = 0.
 """
 
 import random
@@ -14,6 +30,7 @@ import pytest
 
 from unilim.constructions import check_multiplicativity, product_tower
 from unilim.core import MonotonePseudometricSequence, Pseudometric, Tower, bits
+from unilim.generate import generate_instance
 from unilim.limitmetric import chain_weight, limit_pseudometric, witness_chain
 from unilim.regularity import SpaceMap, continuity_criterion, homeo_criterion, is_continuous
 from unilim.topology import ulim_topology
@@ -176,3 +193,67 @@ def test_scaling_the_sequence_scales_the_limit_and_the_witness_weight(probe, c):
         weight = chain_weight(seq, witness_chain(seq, x, y))
         assert weight == lim(x, y) > 0
         assert chain_weight(scaled, witness_chain(scaled, x, y)) == c * weight
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    """The sequences of the seeded instances 0..199, with their limits."""
+    seqs = [generate_instance(seed).seq for seed in range(200)]
+    return [(seq, limit_pseudometric(seq)) for seq in seqs]
+
+
+def _cut(seq, n):
+    """The tower and sequence cut at level n: levels 0..n on X_n."""
+    t = seq.tower
+    sizes = t.level_sizes[: n + 1]
+    tower = Tower(t.labels[: sizes[-1]], sizes, t.level_metrics[: n + 1])
+    return MonotonePseudometricSequence(tower, seq.metrics[: n + 1])
+
+
+def _truncation_holds(seq, lim, n):
+    cut = _cut(seq, n)
+    m = cut.tower.ground_size
+    inside = (1 << m) - 1
+    classes = ulim_topology(seq.tower).min_nbhd[:m]
+    restricted = tuple(c & inside for c in classes)
+    return (
+        limit_pseudometric(cut) == lim.restrict(m)
+        and ulim_topology(cut.tower).min_nbhd == restricted
+    )
+
+
+def _exact_zeros(seq, n):
+    """The embedding's precondition at level n: d_n vanishes exactly on the
+    tower's level-n zero pairs."""
+    return seq[n].zero_classes == seq.tower.metric(n).zero_classes
+
+
+def _embedding_holds(seq, lim, n):
+    return lim.restrict(seq.tower.level_sizes[n]).zero_classes == seq[n].zero_classes
+
+
+def test_truncation_at_every_proper_level_restricts_limit_and_topo_classes(probe, seeded):
+    cuts = [(seq, lim, n) for seq, lim in [probe, *seeded] for n in range(seq.tower.top_level)]
+    assert len(cuts) > 200
+    assert all(_truncation_holds(seq, lim, n) for seq, lim, n in cuts)
+
+
+def test_embedding_limit_vanishes_where_d_n_does_on_every_level(probe, seeded):
+    levels = [(seq, lim, n) for seq, lim in [probe, *seeded] for n in range(len(seq))]
+    # every probe and seeded sequence meets the precondition at every level
+    assert all(_exact_zeros(seq, n) for seq, _, n in levels)
+    assert all(_embedding_holds(seq, lim, n) for seq, lim, n in levels)
+
+
+def test_embedding_needs_d_n_to_vanish_only_on_the_towers_zero_pairs():
+    """d_0 = 0 is uniform on a level with no zero pair, since a uniform
+    sequence need only vanish where its tower does; then L(a, b) = 0 while
+    d_1(a, b) = 1.  Truncation still holds there."""
+    one = Pseudometric([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    seq = MonotonePseudometricSequence(
+        Tower(["a", "b", "c"], [2, 3], [one.restrict(2), one]), [Pseudometric.zero(2), one]
+    )
+    lim = limit_pseudometric(seq)
+    assert lim(0, 1) == 0 and seq[1](0, 1) == 1
+    assert not _exact_zeros(seq, 0) and not _embedding_holds(seq, lim, 1)
+    assert _truncation_holds(seq, lim, 0)

@@ -8,12 +8,19 @@ and the document commands run without the theorem suite (``verify``,
 Every record is a ``typing.NamedTuple`` or a plain class with
 ``__slots__`` and an explicit ``__init__``; these tests pin their
 signatures, defaults, validation errors, immutability and equality.
+
+Every definition in ``src/unilim`` is reached from another line of it,
+unless the benchmark traces it by name or the README's Library section
+shows it.
 """
 
+import ast
 import itertools
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -27,13 +34,13 @@ from unilim.fixtures import (
     binary_group_tower, halving_factors, three_point_sequence, three_point_tower,
 )
 from unilim.generate import GenerationInstance, Instance, Profile, generate_instance
-from unilim.limitmetric import GenerationVerdict
 from unilim.regularity import CriterionVerdict, HomeoVerdict, SpaceMap
 from unilim.relations import REPEAT_LAST, EntourageSequence
 from unilim.verify import THEOREM_IDS, VerifyReport
 
 from .conftest import factor_to_json, group_to_json
 from .oracles import with_entourages
+from .test_perfbench_names import _spans_module
 
 
 def _run(*args: str) -> subprocess.CompletedProcess:
@@ -60,7 +67,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 # every public name of the package, the submodules included
 EXPORTS = [
     "CertificateFailure", "CriterionVerdict", "Entourage", "EntourageSequence",
-    "GenerationVerdict", "GroupLimitVerdict", "GroupTower", "HomeoVerdict", "Instance",
+    "GroupLimitVerdict", "GroupTower", "HomeoVerdict", "Instance",
     "MonotonePseudometricSequence", "OMEGA", "PointedSpace", "Profile", "Pseudometric",
     "REPEAT_LAST", "SpaceMap", "THEOREM_IDS", "TopologyFamily", "Tower", "UnilimError", "ValidationError", "VerifyReport",
     "adequate_sequence", "ball", "box_tower", "chain_weight", "check_box_limit",
@@ -219,10 +226,6 @@ def _cases() -> dict:
             ),
             {},
         ),
-        "GenerationVerdict": (
-            GenerationVerdict, ("confirmed", "counterexample"), (False, (1, 2)),
-            {"counterexample": None},
-        ),
         "SpaceMap": (SpaceMap, ("source", "target", "values"), (t, t, (0, 1, 2)), {}),
         "CriterionVerdict": (CriterionVerdict, ("hypothesis", "conclusion"), (True, False), {}),
         "HomeoVerdict": (
@@ -237,9 +240,9 @@ def _cases() -> dict:
         ),
         "VerifyReport": (
             VerifyReport,
-            ("instance_id", "theorem_id", "verdict", "certificate", "wall_time"),
-            ("seed3", "T5", True, {"hypothesis": True}, 0.5),
-            {"wall_time": 0.0},
+            ("instance_id", "theorem_id", "verdict", "certificate"),
+            ("seed3", "T5", True, {"hypothesis": True}),
+            {},
         ),
     }
 
@@ -293,13 +296,79 @@ def test_record_contract(name):
             setattr(positional, fields[0], values[0])
 
 
-def test_value_equality_leaves_out_the_run_only_fields():
-    """Reports compare without their wall time; the records the tests
-    compare by value still do."""
-    r = VerifyReport("seed0", "T3", True, {"pairs_checked": 9}, wall_time=1.23)
-    assert r == VerifyReport("seed0", "T3", True, {"pairs_checked": 9}, wall_time=9.87)
-    assert r != VerifyReport("seed0", "T3", False, {"pairs_checked": 9}, wall_time=1.23)
+def test_records_compare_by_value():
+    """Reports compare on every field; so do the plain classes the tests
+    compare by value."""
+    r = VerifyReport("seed0", "T3", True, {"pairs_checked": 9})
+    assert r == VerifyReport("seed0", "T3", True, {"pairs_checked": 9})
+    assert r != VerifyReport("seed0", "T3", False, {"pairs_checked": 9})
     for name in ("GroupTower", "PointedSpace", "SpaceMap"):
         cls, _, values, _ = CASES[name]
         x, y = cls(*values), cls(*values)
         assert x is not y and x == y and hash(x) == hash(y)
+
+
+SRC = Path(unilim.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _reached() -> dict[str, bool]:
+    """{"module.qualname": whether it is reached} for every top-level
+    function or class of ``src/unilim`` and every method of such a class.
+    A definition is reached when an ``ast.Name`` or ``ast.Attribute``
+    outside its own body names it.  Dunders run by protocol, so they are
+    left out.  Strings are not names: neither docstrings nor the export
+    table of ``__init__`` reach anything."""
+    defs, refs = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs.append((path, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (path, f"{node.name}.{m.name}", m)
+                    for m in node.body if isinstance(m, ast.FunctionDef)
+                ]
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                name = n.id if isinstance(n, ast.Name) else n.attr
+                refs.setdefault(name, []).append((path, n.lineno))
+    return {
+        f"{path.stem}.{qualname}": any(
+            p != path or not node.lineno <= line <= node.end_lineno
+            for p, line in refs.get(node.name, [])
+        )
+        for path, qualname, node in defs
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def _library_names() -> set[str]:
+    """The names in code in the README's Library section: its code blocks
+    and inline code spans."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\w*\n(.*?)```", section, re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    return set(re.findall(r"[A-Za-z_][\w.]*\w", " ".join(blocks + spans)))
+
+
+def test_src_holds_only_reached_definitions():
+    """A definition nothing in ``src/`` names is dead code, unless the
+    benchmark traces it by name (``perfbench/spans.py`` ``WRAPPED``) or the
+    README's Library section shows it.  When a benchmark change drops a name
+    from ``WRAPPED``, the name leaves ``src/`` with it."""
+    reached = _reached()
+    exported = {
+        f"{module}.{name}" for name, module in unilim._MODULE_OF.items()
+        if isinstance(getattr(unilim, name), (type, types.FunctionType))
+    }
+    assert exported <= set(reached), "the scan misses an exported definition"
+    wrapped = {f"{module}.{qualname}" for module, qualname, *_ in _spans_module().WRAPPED}
+    shown = _library_names()
+    dead = sorted(
+        name for name, ok in reached.items()
+        if not ok and name not in wrapped and not {name, name.split(".", 1)[1]} & shown
+    )
+    assert not dead, f"defined in src/unilim but named nowhere else there: {dead}"

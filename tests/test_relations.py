@@ -130,6 +130,16 @@ def test_sequence_entry_levels_enforced(tower):
         EntourageSequence(tower, 0, (diagonal_entourage(0, 1),))
 
 
+def test_sequence_entry_size_enforced(tower):
+    """An entry at the right level but of the wrong size is refused by its
+    size, not its level."""
+    entries = (diagonal_entourage(1, 3), diagonal_entourage(2, 3))
+    with pytest.raises(ValidationError) as info:
+        EntourageSequence(tower, 1, entries)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "entry for level 1 has size 3, not 2"
+
+
 def test_check_entourages(tower):
     glued = Entourage(2, 3, [(0, 0), (1, 1), (2, 2)])
     seq = EntourageSequence(tower, 2, (glued,))

@@ -173,6 +173,20 @@ CASES.update({
     "malformed factor, no metric": ["box", "bad_factor.json", "--depth", "1"],
     "tower, common denominator past the digit limit": ["topo", "--tower", "big_den.json"],
 })
+# the argument parse itself: refusals, help, and what reaches a command
+LIMIT_ARGS = ["--tower", "three_point.json", "--seq", "three_point_seq.json"]
+CASES.update({
+    "no arguments": [],
+    "unknown command": ["frob", *LIMIT_ARGS],
+    "-h before a command": ["-h", "limit"],
+    "limit -h": ["limit", "-h"],
+    "limit, an extra positional after its options": ["limit", *LIMIT_ARGS, "extra"],
+    "limit without --seq": ["limit", "--tower", "three_point.json"],
+    "limit --tow abbreviates --tower": [
+        "limit", "--tow", "three_point.json", "--seq", "three_point_seq.json",
+    ],
+    "-- before a command": ["--", "limit", *LIMIT_ARGS],
+})
 
 
 def _write_inputs() -> None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unilim import cli, io, limitmetric
+from unilim.constructions import product_tower
 from unilim.core import Pseudometric, Tower
 from unilim.errors import UnilimError, ValidationError
 from unilim.fixtures import (
@@ -23,6 +24,7 @@ from unilim.fixtures import (
 )
 from unilim.generate import generate_instance
 from unilim.relations import compose, multiple
+from unilim.verify import THEOREM_IDS, verify_suite
 
 from .conftest import (
     MIXED_POOL,
@@ -186,6 +188,22 @@ def test_dumps_is_deterministic():
     b = io.dumps(io.tower_to_json(three_point_tower()))
     assert a == b
     assert '": ' not in a  # compact separators
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dumps_writes_what_json_dumps_writes(seed):
+    """Sorted keys and compact separators, byte for byte, on what the CLI
+    prints: seeded towers, their products, limits and verify reports."""
+    inst = generate_instance(seed)
+    docs = [
+        io.tower_to_json(inst.tower),
+        io.tower_to_json(product_tower(inst.tower, inst.tower)),
+        {"labels": list(inst.tower.labels),
+         "matrix": io.matrix_to_json(limitmetric.limit_pseudometric(inst.seq))},
+        *(r.to_json() for r in verify_suite(THEOREM_IDS, [seed])),
+    ]
+    for doc in docs:
+        assert io.dumps(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -959,22 +977,38 @@ def test_cli_missing_file_is_input_error(capsys, tmp_path):
     assert cli.main(["topo", "--tower", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("content", [
-    b"[" * 100_000,  # nested too deep for the parser: RecursionError
-    b'{"labels": [}',  # bad syntax
-    b'{"labels": ["\xff"]}',  # not UTF-8
+@pytest.mark.parametrize("content, why", [
+    # nested too deep for the parser: RecursionError
+    (b"[" * 100_000,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    (b'{"labels": [}', "Expecting value: line 1 column 13 (char 12)"),
+    (b'{"labels": ["\xff"]}',
+     "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
     # an int literal longer than int() reads: a plain ValueError
-    b'{"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [' + b"1" * 5000 + b"]]]}",
-], ids=["deep", "syntax", "not-utf8", "long-int"])
-def test_cli_malformed_json_file_is_a_named_input_error(capsys, tmp_path, content):
+    (b'{"labels": ["a", "b"], "level_sizes": [2], "metrics": [[[], [' + b"1" * 5000 + b"]]]}",
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
+    # the mark is read as a character, not skipped
+    (b'\xef\xbb\xbf{"labels": []}',
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    # the position counts from the start of the file, not of a buffer
+    (b'{"labels": ["' + b"a" * 9000 + b'\xff"]}',
+     "'utf-8' codec can't decode byte 0xff in position 9013: invalid start byte"),
+    # line ends are read as "\n", so lines, columns and chars count one each
+    (b'{\r\n"labels":\r\n [}', "Expecting value: line 3 column 3 (char 14)"),
+    (b'{\r"labels":\r [}', "Expecting value: line 3 column 3 (char 14)"),
+], ids=["deep", "syntax", "not-utf8", "long-int", "bom", "empty", "late-bad-byte", "crlf", "cr"])
+def test_cli_malformed_json_file_is_a_named_input_error(capsys, tmp_path, content, why):
     path = tmp_path / "tower.json"
     path.write_bytes(content)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         io.load(str(path))
+    assert str(info.value) == f"{path}: not a JSON document: {why}"
     assert cli.main(["topo", "--tower", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}: not a JSON document: ")
+    assert captured.err == f"error: {path}: not a JSON document: {why}\n"
 
 
 # -- the JSON edge on int tables ---------------------------------------------------

@@ -419,10 +419,32 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by name: the choices of ``build_parser()``'s
+    subparsers action."""
+    return next(a.choices for a in build_parser()._actions if a.dest == "command")
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass: the top parser hands
+    everything after a command's name to that command's parser, so that
+    parser reads it directly.  The top parser still parses an ``argv`` that
+    opens with no command, and refuses extras with its usage line."""
+    command = _command_parsers().get(argv[0]) if argv else None
+    if command is None:
+        return build_parser().parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     """Run one command; input errors exit 2, and any other exception
     propagates, so a bug on valid input never reads as bad input."""
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (UnilimError, OSError) as e:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import Pseudometric, Tower, bits, members
-from .errors import CertificateFailure, ValidationError
+from .errors import CertificateFailure, ValidationError, _shown
 from .relations import EntourageSequence, ball, sigma_sum
 from .topology import TopologyFamily, compare_topologies, ulim_topology
 
@@ -191,13 +191,16 @@ class GroupTower:
             raise ValidationError(f"op: not a {n} by {n} table")
         if len(neg) != n:
             raise ValidationError(f"neg: {len(neg)} entries for {n} elements")
+        # a float or a bool would index the tables as an int, or not at all
         for x, row in enumerate(op):
             for y, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise ValidationError(f"op[{x}][{y}]: {v} is not an element index below {n}")
+                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                    raise ValidationError(
+                        f"op[{x}][{y}]: {_shown(v)} is not an element index below {n}"
+                    )
         for x, v in enumerate(neg):
-            if not 0 <= v < n:
-                raise ValidationError(f"neg[{x}]: {v} is not an element index below {n}")
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                raise ValidationError(f"neg[{x}]: {_shown(v)} is not an element index below {n}")
         for x in range(n):
             if op[x][0] != x or op[0][x] != x:
                 raise ValidationError(f"identity axiom fails at {t.labels[x]}")

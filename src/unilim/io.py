@@ -266,8 +266,13 @@ def factors_from_json(doc) -> list[PointedSpace]:
     return [_factor_from_json(d, f"factors[{k}]") for k, d in enumerate(_array(doc, "factors"))]
 
 
+# what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per
+# call; everything dumped is built here and holds no cycle
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def dump(obj: Any, path: str) -> None:
@@ -281,10 +286,17 @@ def load(path: str) -> Any:
     (bad syntax, bytes that are not UTF-8, an int literal longer than
     ``int`` reads, nesting too deep to parse) is a ``ValidationError``
     naming the path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
-        # an int literal past sys.get_int_max_str_digits()
-        except (ValueError, RecursionError) as e:
-            raise ValidationError(f"{_place(path)}: not a JSON document: {e}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # decoded whole, so a bad byte is named by its offset in the file
+        text = data.decode("utf-8")
+        if "\r" in text:
+            # line ends as a text-mode read gives them, so that a syntax
+            # error names the same line, column and char
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
+    # an int literal past sys.get_int_max_str_digits()
+    except (ValueError, RecursionError) as e:
+        raise ValidationError(f"{_place(path)}: not a JSON document: {e}") from None

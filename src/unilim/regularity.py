@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import Tower, bits
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .relations import ball_set_mask
 from .topology import TopologyFamily, compare_topologies, ulim_topology
 
@@ -28,9 +28,10 @@ class SpaceMap:
         self.source, self.target, self.values = source, target, values
         if len(values) != source.ground_size:
             raise ValidationError("value table must cover the top source level")
-        for v in values:
-            if not 0 <= v < target.ground_size:
-                raise ValidationError(f"target index {v} out of range")
+        n = target.ground_size
+        for k, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                raise ValidationError(f"values[{k}]: {_shown(v)} is not an element index below {n}")
 
     def __call__(self, x: int) -> int:
         return self.values[x]

@@ -13,7 +13,7 @@ and gives its reason instead; the script still runs it, reports it as
 equivalent rather than as a survivor, and exits 1 if any check kills it,
 since then it was not equivalent.
 
-    python tests/mutants.py          # all 81 mutants, 250 s on a 2-core VM
+    python tests/mutants.py          # all 83 mutants, 250 s on a 2-core VM
     python tests/mutants.py NAME...  # only the named mutants
 
 Stdlib only, and not collected by pytest (its name does not start with
@@ -577,6 +577,15 @@ MUTANTS = {
         "test_acceptance.py",
         ("verify", "tests"),
     ),
+    # a byte that is not UTF-8 then reads as U+FFFD, and the document is
+    # taken; verify reads no files
+    "document bytes decoded with errors=\"replace\"": Mutant(
+        "io.py",
+        'text = data.decode("utf-8")',
+        'text = data.decode("utf-8", errors="replace")',
+        "test_io_cli.py",
+        ("tests",),
+    ),
     # verify reads no JSON; "1e4301" is then read as 10**4301
     "exponent guard dropped": Mutant(
         "io.py",
@@ -617,8 +626,8 @@ MUTANTS = {
     # the map, so only the library test sees the guard
     "SpaceMap accepts a negative target index": Mutant(
         "regularity.py",
-        "if not 0 <= v < target.ground_size:",
-        "if not v < target.ground_size:",
+        "or not 0 <= v < n:",
+        "or not v < n:",
         "test_regularity.py",
         ("tests",),
     ),
@@ -674,6 +683,15 @@ MUTANTS = {
     "tokens after the expression ignored": Mutant(
         "cli.py",
         "if tokens:",
+        "if False:",
+        "test_cli_transcript.py",
+        ("tests",),
+    ),
+    # verify parses no arguments; "limit ... extra" then runs the limit
+    # instead of being refused with the top parser's usage line
+    "extra arguments after a command are dropped": Mutant(
+        "cli.py",
+        "if extras:",
         "if False:",
         "test_cli_transcript.py",
         ("tests",),
@@ -784,8 +802,10 @@ MUTANTS = {
     # as a broken axiom rather than by the entry; seeded groups are valid
     "GroupTower op range check accepts n": Mutant(
         "constructions.py",
-        "for y, v in enumerate(row):\n                if not 0 <= v < n:",
-        "for y, v in enumerate(row):\n                if not 0 <= v <= n:",
+        "for y, v in enumerate(row):\n"
+        "                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:",
+        "for y, v in enumerate(row):\n"
+        "                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= n:",
         "test_constructions.py",
         ("tests",),
     ),

@@ -237,13 +237,16 @@ def test_group_checks_randomized(seed):
 
 @pytest.mark.parametrize(
     "table, entry, path", [
-        ("op", 8, "op[1][2]"), ("op", -1, "op[1][2]"), ("neg", 8, "neg[3]"), ("neg", -1, "neg[3]"),
+        (table, entry, path)
+        for table, path in (("op", "op[1][2]"), ("neg", "neg[3]"))
+        for entry in (8, -1, 2.0, 2.5, True)
     ],
 )
 def test_group_refuses_an_entry_outside_the_elements(group, table, entry, path):
     """An entry of 8 or more would index past the tables, and a negative
-    one would wrap around and read as a broken axiom; both are refused by
-    the entry."""
+    one would wrap around and read as a broken axiom; a float would reach
+    a tuple index as a TypeError, and True would be read as 1.  Each is
+    refused by the entry."""
     op, neg = [list(r) for r in group.op], list(group.neg)
     if table == "op":
         op[1][2] = entry
@@ -252,7 +255,7 @@ def test_group_refuses_an_entry_outside_the_elements(group, table, entry, path):
     with pytest.raises(ValidationError) as info:
         GroupTower(group.tower, tuple(map(tuple, op)), tuple(neg))
     assert type(info.value) is ValidationError
-    assert str(info.value) == f"{path}: {entry} is not an element index below 8"
+    assert str(info.value) == f"{path}: {entry!r} is not an element index below 8"
 
 
 @pytest.mark.parametrize("orders", [(2, 0), (-1,), ()])

@@ -9,6 +9,7 @@ its file, or with what it is compared with, as ``ACROSS_ARGUMENTS``
 lists.  A mutated expression that is refused starts with ``--expr``.
 """
 
+import argparse
 import contextlib
 import copy
 from io import StringIO
@@ -339,6 +340,47 @@ def test_argparse_refusals_show_a_long_value_cut(files, option):
         assert f"({len(value)} characters)" in message
     short = _argparse_refusal(files, option, "x")
     assert short.endswith(f": error: {ARGPARSE_VALUES[option][1]}\n"), short
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+COMMANDS = sorted(_commands())
+# every option string of every command, -h and --, abbreviations, an
+# inline value, and short values of each kind an option takes
+WORDS = st.sampled_from(sorted({
+    *COMMANDS,
+    *(s for p in _commands().values() for a in p._actions for s in a.option_strings),
+    "-h", "--", "--tow", "--s", "--seq=s.json", "-x",
+    "", "x", "0", "-1", "3", "1/2", "0..2", "tlim", "T1", "P-lc",
+}))
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: its namespace, or its exit code and
+    output."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(WORDS, max_size=8) | st.builds(
+    lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(WORDS, max_size=8)))
+@example([])
+@example(["limit", "--tower", "t", "--seq", "s", "extra", "--x"])
+@example(["limit", "--", "--tower"])
+@example(["-h", "limit"])
+def test_one_pass_parse_matches_the_top_parser(argv):
+    """``cli`` parses a command's arguments with that command's parser
+    alone; the namespace, or the exit code and what is printed, is what
+    the top parser gives on the same arguments."""
+    assert _parsed(cli._parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
 
 
 # Per option that names a file, an argv template whose PATH takes a file

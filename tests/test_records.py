@@ -252,7 +252,7 @@ BAD_INPUTS = {
     "Profile": (lambda: Profile(0, 6), "levels=0, max_size=6"),
     "SpaceMap": (
         lambda: SpaceMap(three_point_tower(), three_point_tower(), (0, 1, 3)),
-        "target index 3 out of range",
+        "values[2]: 3 is not an element index below 3",
     ),
     "EntourageSequence": (
         lambda: EntourageSequence(

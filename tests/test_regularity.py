@@ -205,12 +205,22 @@ def test_map_value_table_validated(tower):
     target = Tower(["p"], [1], [Pseudometric.zero(1)])
     with pytest.raises(ValidationError, match="^value table must cover the top source level$"):
         SpaceMap(tower, target, (0, 0))
-    with pytest.raises(ValidationError, match="^target index 1 out of range$"):
+    with pytest.raises(ValidationError, match=r"^values\[2\]: 1 is not an element index below 1$"):
         SpaceMap(tower, target, (0, 0, 1))
     # the CLI's reader names a negative index first, so only this call
     # reaches the guard
-    with pytest.raises(ValidationError, match="^target index -1 out of range$"):
+    with pytest.raises(ValidationError, match=r"^values\[1\]: -1 is not an element index below 3$"):
         SpaceMap(tower, tower, (0, -1, 1))
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True])
+def test_map_value_table_refuses_what_is_not_an_int(tower, value):
+    """A float would reach a tuple index as a TypeError, and True would be
+    read as 1; each is refused by its entry, as the CLI's reader refuses it."""
+    with pytest.raises(ValidationError) as info:
+        SpaceMap(tower, tower, (0, value, 1))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"values[1]: {value!r} is not an element index below 3"
 
 
 def test_homeo_identity(tower):

@@ -266,8 +266,9 @@ def factors_from_json(doc) -> list[PointedSpace]:
     return [_factor_from_json(d, f"factors[{k}]") for k, d in enumerate(_array(doc, "factors"))]
 
 
-# what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds per
-# call; everything dumped is built here and holds no cycle
+# the encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) builds
+# per call, built once; what unilim dumps holds no cycle, so it keeps no
+# table of the containers it is inside
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
@@ -291,11 +292,9 @@ def load(path: str) -> Any:
     try:
         # decoded whole, so a bad byte is named by its offset in the file
         text = data.decode("utf-8")
-        if "\r" in text:
-            # line ends as a text-mode read gives them, so that a syntax
-            # error names the same line, column and char
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
+        # line ends as a text-mode read gives them, so that a syntax error
+        # names the same line, column and char
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is
     # an int literal past sys.get_int_max_str_digits()
     except (ValueError, RecursionError) as e:
